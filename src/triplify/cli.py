@@ -20,7 +20,6 @@ from .errors import (
     ParseError,
     QueryError,
     TriplifyError,
-    UnknownPrefixError,
 )
 from .graph import Graph, merge
 from .ntriples import parse_ntriples, serialize_ntriples
@@ -72,16 +71,19 @@ def cmd_convert(args: argparse.Namespace) -> int:
     for w in mapping.warnings:
         print(f"warning: {w}", file=sys.stderr)
 
-    tables = {}
+    named = [(Path(path).stem, path) for path in args.csv]
+    for spec in args.table or ():
+        name, sep, path = spec.partition("=")
+        if not sep:
+            return _fail(f"--table needs NAME=PATH, got {spec!r}", 2)
+        named.append((name, path))
+    paths: dict[str, str] = {}
+    for name, path in named:
+        if name in paths:
+            return _fail(f"table {name!r} is given twice: {paths[name]} and {path}", 2)
+        paths[name] = path
     try:
-        for path in args.csv:
-            name = Path(path).stem
-            tables[name] = load_csv(_read(path), name)
-        for spec in args.table or ():
-            name, sep, path = spec.partition("=")
-            if not sep:
-                return _fail(f"--table needs NAME=PATH, got {spec!r}", 2)
-            tables[name] = load_csv(_read(path), name)
+        tables = {name: load_csv(_read(path), name) for name, path in paths.items()}
     except (OSError, CsvError) as exc:
         return _fail(f"cannot load tables: {exc}", 2)
 
@@ -133,7 +135,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         else:
             text = args.query
         q = parse_query(text, registry_prefixes())
-    except (OSError, QueryError, ParseError, UnknownPrefixError) as exc:
+    except (OSError, TriplifyError) as exc:
         return _fail(f"bad query: {exc}", 2)
     try:
         graphs = _load_graphs(args.graphs)

@@ -87,9 +87,6 @@ class Graph:
             raise ValueError(f"multiple objects for {s!r} {p!r}")
         return next(iter(found))
 
-    def triples_sorted(self) -> list[Triple]:
-        return sorted(self._triples, key=Triple.to_line)
-
     def __contains__(self, t: Triple) -> bool:
         return t in self._triples
 

@@ -1,0 +1,203 @@
+"""The token grammar shared by the Turtle and SPARQL readers.
+
+One master regex splits either syntax into tokens; the parsers decide
+which tokens their grammar allows. Term syntax follows the Turtle 1.1 and
+SPARQL 1.1 terminals: IRIREF excludes space, `"`, `<`, `>` and the other
+delimiters, so a `<` that does not open an IRI is the comparison operator.
+Strings may be short or long, single or double quoted; escapes in strings
+and `\\u`/`\\U` escapes in IRIs are decoded here.
+
+Token kinds: iriref, pname, blank, var, word (bare words such as `a`,
+`true` or `SELECT`), string, langtag (an `@tag` right after a string),
+directive (any other `@word`), integer, decimal, double, eof, and for
+punctuation and operators the symbol itself (`.`, `^^`, `<=`, ...).
+Values are decoded: IRIs and strings unescaped, and `<>`, `_:`, `?` and
+`@` dropped.
+
+N-Triples keeps its own line scanner in `ntriples`, which is on the
+reload path and faster than building token objects.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from typing import Optional
+
+from .errors import ParseError, RelativeIriError, TriplifyError, UnknownPrefixError
+from .ntriples import unescape
+from .terms import RDF_LANGSTRING, XSD_BOOLEAN, XSD_INTEGER, Iri, Literal, PrefixMap
+
+_NAME_CHAR = r"(?:[\w\-]|%[0-9A-Fa-f]{2})"
+
+_GRAMMAR = re.compile(
+    rf"""
+      (?P<ws>[ \t\r\n]+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<iriref><(?:[^\x00-\x20<>"{{}}|^`\\]|\\u[0-9A-Fa-f]{{4}}|\\U[0-9A-Fa-f]{{8}})*>)
+    | (?P<string>
+          \"\"\"(?:"{{0,2}}(?:[^"\\]|\\.))*"{{0,2}}\"\"\"
+        | '''(?:'{{0,2}}(?:[^'\\]|\\.))*'{{0,2}}'''
+        | "(?:[^"\\\n\r]|\\.)*"
+        | '(?:[^'\\\n\r]|\\.)*'
+      )
+    | (?P<unterminated>["'])
+    | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<blank>_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)
+    | (?P<double>[+-]?(?:[0-9]+\.[0-9]*|\.?[0-9]+)[eE][+-]?[0-9]+)
+    | (?P<decimal>[+-]?[0-9]*\.[0-9]+)
+    | (?P<integer>[+-]?[0-9]+)
+    | (?P<at>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+    | (?P<symbol>\^\^|<=|>=|!=|[=<>.;,\[\](){{}}*])
+    | (?P<pname>(?:[^\W\d_](?:[\w.\-]*[\w\-])?)?:(?:(?:[\w:]|%[0-9A-Fa-f]{{2}})(?:(?:{_NAME_CHAR}|[.:])*(?:{_NAME_CHAR}|:))?)?)
+    | (?P<word>[A-Za-z]\w*)
+    | (?P<error>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+@dataclass(slots=True)
+class Token:
+    kind: str
+    value: str
+    line: int
+    col: int
+
+
+def tokenize(text: str) -> list[Token]:
+    """Split Turtle or SPARQL text into tokens, ending with an eof token."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for m in _GRAMMAR.finditer(text):
+        kind = m.lastgroup
+        raw = m.group()
+        start = m.start()
+        col = start - line_start + 1
+        if kind == "ws" or kind == "comment":
+            pass
+        elif kind in ("pname", "word", "integer", "decimal", "double"):
+            tokens.append(Token(kind, raw, line, col))
+        elif kind == "symbol":
+            tokens.append(Token(raw, raw, line, col))
+        elif kind == "var":
+            tokens.append(Token(kind, raw[1:], line, col))
+        elif kind == "blank":
+            tokens.append(Token(kind, raw[2:], line, col))
+        elif kind == "iriref":
+            tokens.append(Token(kind, unescape(raw[1:-1], line), line, col))
+        elif kind == "string":
+            q = 3 if raw.startswith(raw[0] * 3) else 1
+            tokens.append(Token(kind, unescape(raw[q:-q], line), line, col))
+        elif kind == "at":
+            after_string = bool(tokens) and tokens[-1].kind == "string"
+            tokens.append(Token("langtag" if after_string else "directive", raw[1:], line, col))
+        elif kind == "unterminated":
+            raise ParseError("unterminated string literal", line, col)
+        else:
+            raise ParseError(f"unexpected character {raw!r}", line, col)
+        if "\n" in raw:  # whitespace or a long string
+            line += raw.count("\n")
+            line_start = start + raw.rfind("\n") + 1
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def resolve_iri(reference: str, base: Optional[Iri]) -> Iri:
+    """Resolve a possibly-relative IRI reference against a base.
+
+    Follows the usual scheme/authority/path merge; dot segments are kept
+    as written. Raises RelativeIriError when no base is available.
+    """
+    if re.match(r"[A-Za-z][A-Za-z0-9+.\-]*:", reference):
+        return Iri(reference)
+    if base is None:
+        raise RelativeIriError(f"relative IRI with no base: {reference!r}")
+    b = base.value
+    if reference.startswith("#"):
+        return Iri(b.split("#", 1)[0] + reference)
+    if reference.startswith("?"):
+        return Iri(re.split(r"[?#]", b, maxsplit=1)[0] + reference)
+    scheme_end = b.index(":")
+    if reference.startswith("//"):
+        return Iri(b[: scheme_end + 1] + reference)
+    after_scheme = b[scheme_end + 1 :]
+    authority = ""
+    path_start = scheme_end + 1
+    if after_scheme.startswith("//"):
+        slash = after_scheme.find("/", 2)
+        authority = after_scheme if slash < 0 else after_scheme[:slash]
+        path_start = scheme_end + 1 + len(authority)
+    if reference.startswith("/"):
+        return Iri(b[:path_start] + reference)
+    path = re.split(r"[?#]", b[path_start:], maxsplit=1)[0]
+    cut = path.rfind("/")
+    prefix = b[:path_start] + (path[: cut + 1] if cut >= 0 else "")
+    if authority and not path:
+        prefix += "/"  # authority with empty path: merged path starts at /
+    return Iri(prefix + reference)
+
+
+class TokenParser:
+    """Token plumbing and term building shared by the Turtle and SPARQL parsers."""
+
+    def __init__(self, text: str, base: Optional[Iri], prefixes: PrefixMap):
+        self.tokens = tokenize(text)
+        self.pos = 0
+        self.base = base
+        self.prefixes = prefixes
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos].kind == kind
+
+    def expect(self, kind: str) -> Token:
+        tok = self.next()
+        if tok.kind != kind:
+            raise self.error(f"expected {kind!r}, got {tok.value!r}", tok)
+        return tok
+
+    def error(self, message: str, tok: Token) -> ParseError:
+        return ParseError(message, tok.line, tok.col)
+
+    def build(self, tok: Token, factory, *args):
+        """factory(*args), with a position-less TriplifyError re-raised as a
+        ParseError at tok; unknown prefixes and relative IRIs keep their type."""
+        try:
+            return factory(*args)
+        except (ParseError, UnknownPrefixError, RelativeIriError):
+            raise
+        except TriplifyError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from None
+
+    def iri(self, tok: Token, what: str = "IRI") -> Iri:
+        if tok.kind == "iriref":
+            return self.build(tok, resolve_iri, tok.value, self.base)
+        if tok.kind == "pname":
+            return self.build(tok, self.prefixes.expand, tok.value)
+        raise self.error(f"expected {what}, got {tok.value!r}", tok)
+
+    def literal(self, tok: Token, what: str) -> Literal:
+        """The literal `tok` starts, consuming a `^^datatype` or `@lang` tail."""
+        if tok.kind == "string":
+            if self.at("^^"):
+                self.next()
+                datatype = self.iri(self.next(), "datatype IRI")
+                return self.build(tok, Literal, tok.value, datatype)
+            if self.at("langtag"):
+                return self.build(tok, Literal, tok.value, RDF_LANGSTRING, self.next().value)
+            return Literal(tok.value)
+        if tok.kind == "integer":
+            return Literal(tok.value, XSD_INTEGER)
+        if tok.kind == "word" and tok.value in ("true", "false"):
+            return Literal(tok.value, XSD_BOOLEAN)
+        raise self.error(f"expected {what}, got {tok.value!r}", tok)

@@ -3,8 +3,11 @@
 Grammar: PREFIX declarations, `SELECT ?v ...` or `SELECT (COUNT(*) AS ?n)`,
 and a WHERE block of dot-separated triple patterns followed by FILTER
 clauses (`FILTER(?v <op> literal)` with =, !=, <, <=, >, >=). Terms are
-written as in Turtle; blank nodes in patterns act as variables with
-hidden names.
+written as in Turtle and tokenised by `triplify.lexer`, the one module
+that defines term syntax for both readers: strings may be short or long,
+single or double quoted, IRIs may hold `\\u` escapes, and a `<` that does
+not open an IRI (`?a < 65`) is the comparison operator. Blank nodes in
+patterns act as variables with hidden names.
 
 Evaluation is a left-to-right nested-loop join over index-backed matches:
 no optimizer, but the solution set is independent of pattern order.
@@ -13,22 +16,14 @@ Result rows are deduplicated and canonically sorted; there is no ORDER BY.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .errors import (
-    ParseError,
-    TypeMismatchError,
-    UnboundProjectionError,
-    UnknownPrefixError,
-)
+from .errors import TypeMismatchError, UnboundProjectionError
 from .graph import Graph, merge
-from .ntriples import unescape
+from .lexer import Token, TokenParser
 from .terms import (
-    RDF_LANGSTRING,
     RDF_TYPE,
-    XSD_BOOLEAN,
     XSD_DATE,
     XSD_DOUBLE,
     XSD_INTEGER,
@@ -88,160 +83,68 @@ class Solution:
         return "\n".join(lines) + "\n"
 
 
-# --- tokenizer -------------------------------------------------------------
-
-@dataclass(slots=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
-
-
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<iriref><[^>\n]*>)
-    | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<string>"(?:[^"\\\n]|\\.)*")
-    | (?P<number>[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
-    | (?P<hathat>\^\^)
-    | (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
-    | (?P<op><=|>=|!=|=|<|>)
-    | (?P<punct>[{}().*])
-    | (?P<blank>_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_\-]*)?(?P<colon>:)?(?P<local>[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?
-    """,
-    re.VERBOSE,
-)
-
-_KEYWORDS = {"prefix", "select", "where", "filter", "count", "as", "a", "true", "false"}
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        col = pos - line_start + 1
-        if m is None or m.end() == pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group(0)
-        if kind in ("ws", "comment"):
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + value.rfind("\n") + 1
-        elif kind in ("name", "colon", "local"):
-            # The name branch above matched a bare word, `pfx:local`,
-            # `pfx:`, or `:local`; distinguish keywords from pnames.
-            if ":" in value:
-                tokens.append(_Token("pname", value, line, col))
-            elif value.lower() in _KEYWORDS:
-                tokens.append(_Token(value.lower(), value, line, col))
-            else:
-                raise ParseError(f"unexpected token {value!r}", line, col)
-        else:
-            tokens.append(_Token(kind, value, line, col))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, n - line_start + 1))
-    return tokens
-
-
 # --- parser ----------------------------------------------------------------
 
-class _QueryParser:
+_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+class _QueryParser(TokenParser):
     def __init__(self, text: str, prefixes: Optional[PrefixMap]):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.prefixes = prefixes.copy() if prefixes is not None else PrefixMap()
-        self.hidden = 0
+        super().__init__(text, None, prefixes.copy() if prefixes is not None else PrefixMap())
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    # SPARQL keywords are case-insensitive, except `a`
+    def at_keyword(self, name: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "word" and tok.value.lower() == name
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, value: Optional[str] = None) -> _Token:
-        tok = self.next()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else kind.upper()
-            raise ParseError(f"expected {want!r}, got {tok.value!r}", tok.line, tok.col)
-        return tok
-
-    def iri_of(self, tok: _Token) -> Iri:
-        try:
-            if tok.kind == "iriref":
-                return Iri(tok.value[1:-1])
-            prefix, _, local = tok.value.partition(":")
-            return Iri(self.prefixes.namespace(prefix).value + local)
-        except UnknownPrefixError:
-            raise
-        except Exception as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
+    def expect_keyword(self, name: str) -> None:
+        if not self.at_keyword(name):
+            tok = self.peek()
+            raise self.error(f"expected {name.upper()!r}, got {tok.value!r}", tok)
+        self.next()
 
     def parse(self) -> Query:
-        while self.peek().kind == "prefix":
+        while self.at_keyword("prefix"):
             self.next()
             name = self.expect("pname")
             if not name.value.endswith(":"):
-                raise ParseError("prefix declarations end in ':'", name.line, name.col)
-            iri = self.expect("iriref")
-            self.prefixes.bind(name.value[:-1], Iri(iri.value[1:-1]))
+                raise self.error("prefix declarations end in ':'", name)
+            self.prefixes.bind(name.value[:-1], self.iri(self.expect("iriref")))
 
-        self.expect("select")
+        self.expect_keyword("select")
         variables: list[str] = []
         count_var: Optional[str] = None
         tok = self.peek()
-        if tok.kind == "punct" and tok.value == "(":
+        if self.at("("):
             self.next()
-            self.expect("count")
-            self.expect("punct", "(")
-            self.expect("punct", "*")
-            self.expect("punct", ")")
-            self.expect("as")
-            count_var = self.expect("var").value[1:]
-            self.expect("punct", ")")
+            self.expect_keyword("count")
+            self.expect("(")
+            self.expect("*")
+            self.expect(")")
+            self.expect_keyword("as")
+            count_var = self.expect("var").value
+            self.expect(")")
         else:
-            while self.peek().kind == "var":
-                variables.append(self.next().value[1:])
+            while self.at("var"):
+                variables.append(self.next().value)
             if not variables:
-                raise ParseError(
-                    "SELECT needs variables or (COUNT(*) AS ?v)", tok.line, tok.col
-                )
+                raise self.error("SELECT needs variables or (COUNT(*) AS ?v)", tok)
 
-        self.expect("where")
-        self.expect("punct", "{")
-        patterns: list[TriplePattern] = []
-        filters: list[FilterExpr] = []
-        patterns.append(self.pattern())
-        while True:
-            tok = self.peek()
-            if not (tok.kind == "punct" and tok.value == "."):
-                break
+        self.expect_keyword("where")
+        self.expect("{")
+        patterns = [self.pattern()]
+        while self.at("."):
             self.next()
-            if self.peek().kind in ("var", "iriref", "pname", "blank"):
-                patterns.append(self.pattern())
-            else:
+            if self.peek().kind not in ("var", "iriref", "pname", "blank"):
                 break
-        while self.peek().kind == "filter":
+            patterns.append(self.pattern())
+        filters: list[FilterExpr] = []
+        while self.at_keyword("filter"):
             self.next()
             filters.append(self.filter_expr())
-            if self.peek().kind == "punct" and self.peek().value == ".":
+            if self.at("."):
                 self.next()
-        closing = self.next()
-        if closing.kind != "punct" or closing.value != "}":
-            raise ParseError(
-                f"expected '}}', got {closing.value!r}", closing.line, closing.col
-            )
+        self.expect("}")
         self.expect("eof")
 
         q = Query(tuple(variables), count_var, tuple(patterns), tuple(filters))
@@ -257,75 +160,42 @@ class _QueryParser:
     def term(self, position: str) -> PatternTerm:
         tok = self.next()
         if tok.kind == "var":
-            return Var(tok.value[1:])
-        if tok.kind == "a":
+            return Var(tok.value)
+        if tok.kind == "word" and tok.value == "a":
             if position != "predicate":
-                raise ParseError("'a' is only valid as a predicate", tok.line, tok.col)
+                raise self.error("'a' is only valid as a predicate", tok)
             return RDF_TYPE
-        if tok.kind in ("iriref", "pname"):
-            return self.iri_of(tok)
         if tok.kind == "blank":
             if position == "predicate":
-                raise ParseError("blank nodes cannot be predicates", tok.line, tok.col)
-            return Var("_:" + tok.value[2:])
-        if tok.kind == "punct" and tok.value == "(":
-            raise ParseError("collections are not supported", tok.line, tok.col)
-        if position != "object":
-            raise ParseError(
-                f"expected IRI or variable as {position}, got {tok.value!r}",
-                tok.line,
-                tok.col,
-            )
-        return self.literal(tok)
+                raise self.error("blank nodes cannot be predicates", tok)
+            return Var("_:" + tok.value)
+        if tok.kind == "(":
+            raise self.error("collections are not supported", tok)
+        if tok.kind in ("iriref", "pname") or position != "object":
+            return self.iri(tok, f"IRI or variable as {position}")
+        return self.operand(tok)
 
-    def literal(self, tok: _Token) -> Literal:
-        try:
-            if tok.kind == "string":
-                lexical = unescape(tok.value[1:-1], tok.line)
-                nxt = self.peek()
-                if nxt.kind == "hathat":
-                    self.next()
-                    dt = self.next()
-                    if dt.kind not in ("iriref", "pname"):
-                        raise ParseError("expected datatype IRI", dt.line, dt.col)
-                    return Literal(lexical, self.iri_of(dt))
-                if nxt.kind == "langtag":
-                    self.next()
-                    return Literal(lexical, RDF_LANGSTRING, nxt.value[1:])
-                return Literal(lexical)
-            if tok.kind == "number":
-                if any(c in tok.value for c in ".eE"):
-                    return Literal(tok.value, XSD_DOUBLE)
-                return Literal(tok.value, XSD_INTEGER)
-            if tok.kind in ("true", "false"):
-                return Literal(tok.value, XSD_BOOLEAN)
-        except ParseError:
-            raise
-        except Exception as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
-        raise ParseError(f"expected a term, got {tok.value!r}", tok.line, tok.col)
+    def operand(self, tok: Token) -> Literal:
+        if tok.kind in ("decimal", "double"):
+            return Literal(tok.value, XSD_DOUBLE)
+        return self.literal(tok, "a term")
 
     def filter_expr(self) -> FilterExpr:
-        self.expect("punct", "(")
+        self.expect("(")
         var_tok = self.expect("var")
         op_tok = self.next()
-        if op_tok.kind != "op":
-            raise ParseError(
-                f"expected comparison operator, got {op_tok.value!r}",
-                op_tok.line,
-                op_tok.col,
-            )
-        operand_tok = self.next()
-        operand = self.literal(operand_tok)
-        self.expect("punct", ")")
-        if op_tok.value in _ORDERING_OPS and operand.datatype not in (
+        if op_tok.kind not in _COMPARISONS:
+            raise self.error(f"expected comparison operator, got {op_tok.value!r}", op_tok)
+        operand = self.operand(self.next())
+        self.expect(")")
+        if op_tok.kind in _ORDERING_OPS and operand.datatype not in (
             *_NUMERIC_DATATYPES,
             XSD_DATE,
         ):
             raise TypeMismatchError(
-                f"ordering operator {op_tok.value!r} needs a numeric or date operand"
+                f"ordering operator {op_tok.kind!r} needs a numeric or date operand"
             )
-        return FilterExpr(Var(var_tok.value[1:]), op_tok.value, operand)
+        return FilterExpr(Var(var_tok.value), op_tok.kind, operand)
 
     def check_bound(self, q: Query) -> None:
         bound = {t.name for pat in q.patterns for t in (pat.s, pat.p, pat.o) if isinstance(t, Var)}

@@ -34,9 +34,6 @@ class TableSource:
             if set(row) != want:
                 raise CsvError(f"row {i} does not match the table columns")
 
-    def column_set(self) -> set[str]:
-        return set(self.columns)
-
 
 def _first_duplicate(names: Iterable[str]) -> str:
     seen = set()

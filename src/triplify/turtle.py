@@ -11,289 +11,29 @@ rejected with a ParseError. Anonymous blank nodes get fresh labels
 `b0, b1, ...` per parsed document, skipping any label the document uses
 explicitly; labeled blank nodes keep their labels, so a document that is
 also valid N-Triples parses to exactly the same triple set here.
+
+Term syntax (IRIs, prefixed names, strings, numbers, language tags, blank
+node labels) lives in `triplify.lexer`, shared with the SPARQL reader;
+this module holds only the Turtle grammar.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ParseError, RelativeIriError, TriplifyError, UnknownPrefixError
 from .graph import Graph
-from .ntriples import unescape
-from .terms import (
-    RDF_LANGSTRING,
-    RDF_TYPE,
-    XSD_BOOLEAN,
-    XSD_INTEGER,
-    BlankNode,
-    Iri,
-    Literal,
-    PrefixMap,
-    Term,
-    Triple,
-)
+from .lexer import TokenParser, resolve_iri
+from .terms import RDF_TYPE, BlankNode, Iri, PrefixMap, Term, Triple
 
-_EXPLICIT_BLANK = re.compile(r"_:([A-Za-z0-9_][A-Za-z0-9_.\-]*)")
+__all__ = ["parse_turtle", "resolve_iri"]
 
 
-@dataclass(slots=True)
-class _Token:
-    kind: str  # iriref pname blank string integer punct langtag hathat a prefix base true false eof
-    value: str
-    line: int
-    col: int
-
-
-_PUNCT = {".", ";", ",", "[", "]", "(", ")"}
-_NAME_BREAK = set(' \t\r\n<>"\'#;,[]()^@')
-
-
-class _Lexer:
-    def __init__(self, text: str):
-        if text.startswith("﻿"):
-            text = text[1:]
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[_Token] = []
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
-
-    def _advance(self, n: int) -> None:
-        chunk = self.text[self.pos : self.pos + n]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = n - chunk.rfind("\n")
-        else:
-            self.col += n
-        self.pos += n
-
-    def _emit(self, kind: str, value: str, line: int, col: int) -> None:
-        self.tokens.append(_Token(kind, value, line, col))
-
-    def run(self) -> list[_Token]:
-        text = self.text
-        n = len(text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            if ch == "#":
-                end = text.find("\n", self.pos)
-                self._advance((end if end >= 0 else n) - self.pos)
-                continue
-            line, col = self.line, self.col
-            if ch == "<":
-                end = text.find(">", self.pos + 1)
-                if end < 0 or "\n" in text[self.pos : end]:
-                    raise self.error("unterminated IRI")
-                raw = unescape(text[self.pos + 1 : end], line)
-                self._advance(end + 1 - self.pos)
-                self._emit("iriref", raw, line, col)
-                continue
-            if ch in "\"'":
-                self._lex_string(ch, line, col)
-                continue
-            if ch == "@":
-                self._lex_at(line, col)
-                continue
-            if ch == "^":
-                if text.startswith("^^", self.pos):
-                    self._advance(2)
-                    self._emit("hathat", "^^", line, col)
-                    continue
-                raise self.error("unexpected '^'")
-            if ch in _PUNCT:
-                # A dot can also appear inside a prefixed-name local part;
-                # that case is handled by the name scanner below.
-                self._advance(1)
-                self._emit("punct", ch, line, col)
-                continue
-            if ch.isdigit() or (ch in "+-" and self._digit_follows()):
-                self._lex_number(line, col)
-                continue
-            self._lex_name(line, col)
-        self._emit("eof", "", self.line, self.col)
-        return self.tokens
-
-    def _digit_follows(self) -> bool:
-        return self.pos + 1 < len(self.text) and self.text[self.pos + 1].isdigit()
-
-    def _lex_string(self, quote: str, line: int, col: int) -> None:
-        text = self.text
-        if text.startswith(quote * 3, self.pos):
-            # Long strings may span lines; escapes still apply.
-            i = self.pos + 3
-            n = len(text)
-            while i < n:
-                if text[i] == "\\":
-                    i += 2
-                    continue
-                if text.startswith(quote * 3, i):
-                    # up to two quotes may sit right before the terminator;
-                    # take the longest run so `...""""` keeps one in content
-                    while i + 3 < n and text[i + 3] == quote:
-                        i += 1
-                    raw = text[self.pos + 3 : i]
-                    self._advance(i + 3 - self.pos)
-                    self._emit("string", unescape(raw, line), line, col)
-                    return
-                i += 1
-            raise self.error("unterminated long string")
-        i = self.pos + 1
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
-                raw = text[self.pos + 1 : i]
-                self._advance(i + 1 - self.pos)
-                self._emit("string", unescape(raw, line), line, col)
-                return
-            if ch == "\n":
-                break
-            i += 1
-        raise self.error("unterminated string literal")
-
-    def _lex_at(self, line: int, col: int) -> None:
-        text = self.text
-        i = self.pos + 1
-        n = len(text)
-        while i < n and (text[i].isalnum() or text[i] == "-"):
-            i += 1
-        word = text[self.pos + 1 : i]
-        prev = self.tokens[-1].kind if self.tokens else ""
-        self._advance(i - self.pos)
-        if prev == "string":
-            if not re.fullmatch(r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*", word):
-                raise ParseError(f"malformed language tag: @{word}", line, col)
-            self._emit("langtag", word, line, col)
-        elif word == "prefix":
-            self._emit("prefix", word, line, col)
-        elif word == "base":
-            self._emit("base", word, line, col)
-        else:
-            raise ParseError(f"unknown directive: @{word}", line, col)
-
-    def _lex_number(self, line: int, col: int) -> None:
-        text = self.text
-        i = self.pos
-        n = len(text)
-        if text[i] in "+-":
-            i += 1
-        while i < n and text[i].isdigit():
-            i += 1
-        if i < n and (text[i] in "eE" or (text[i] == "." and i + 1 < n and text[i + 1].isdigit())):
-            raise ParseError(
-                "only integer numeric literals are supported; "
-                "write other numbers as typed strings",
-                line,
-                col,
-            )
-        value = text[self.pos : i]
-        self._advance(i - self.pos)
-        self._emit("integer", value, line, col)
-
-    def _lex_name(self, line: int, col: int) -> None:
-        # Prefixed names, the `a` keyword, booleans, and blank node labels.
-        text = self.text
-        i = self.pos
-        n = len(text)
-        while i < n and text[i] not in _NAME_BREAK:
-            i += 1
-        word = text[self.pos : i]
-        # A trailing dot is a statement terminator, not part of the name.
-        while word.endswith("."):
-            word = word[:-1]
-            i -= 1
-        if not word:
-            raise self.error(f"unexpected character {text[self.pos]!r}")
-        self._advance(i - self.pos)
-        if word.startswith("_:"):
-            self._emit("blank", word[2:], line, col)
-        elif word == "a":
-            self._emit("a", word, line, col)
-        elif word in ("true", "false"):
-            self._emit(word, word, line, col)
-        elif ":" in word:
-            self._emit("pname", word, line, col)
-        else:
-            raise ParseError(f"unexpected token: {word!r}", line, col)
-
-
-def resolve_iri(reference: str, base: Optional[Iri]) -> Iri:
-    """Resolve a possibly-relative IRI reference against a base.
-
-    Follows the usual scheme/authority/path merge; dot segments are kept
-    as written. Raises RelativeIriError when no base is available.
-    """
-    if re.match(r"[A-Za-z][A-Za-z0-9+.\-]*:", reference):
-        return Iri(reference)
-    if base is None:
-        raise RelativeIriError(f"relative IRI with no base: {reference!r}")
-    b = base.value
-    if reference.startswith("#"):
-        return Iri(b.split("#", 1)[0] + reference)
-    if reference.startswith("?"):
-        return Iri(re.split(r"[?#]", b, maxsplit=1)[0] + reference)
-    scheme_end = b.index(":")
-    if reference.startswith("//"):
-        return Iri(b[: scheme_end + 1] + reference)
-    after_scheme = b[scheme_end + 1 :]
-    authority = ""
-    path_start = scheme_end + 1
-    if after_scheme.startswith("//"):
-        slash = after_scheme.find("/", 2)
-        authority = after_scheme if slash < 0 else after_scheme[:slash]
-        path_start = scheme_end + 1 + len(authority)
-    if reference.startswith("/"):
-        return Iri(b[:path_start] + reference)
-    path = re.split(r"[?#]", b[path_start:], maxsplit=1)[0]
-    cut = path.rfind("/")
-    prefix = b[:path_start] + (path[: cut + 1] if cut >= 0 else "")
-    if authority and not path:
-        prefix += "/"  # authority with empty path: merged path starts at /
-    return Iri(prefix + reference)
-
-
-class _Parser:
+class _Parser(TokenParser):
     def __init__(self, text: str, base: Optional[Iri]):
-        self.tokens = _Lexer(text).run()
-        self.pos = 0
-        self.base = base
-        self.prefixes = PrefixMap()
+        super().__init__(text, base, PrefixMap())
         self.graph = Graph()
-        self.used_labels = {m.group(1) for m in _EXPLICIT_BLANK.finditer(text)}
+        self.used_labels = {tok.value for tok in self.tokens if tok.kind == "blank"}
         self.counter = 0
-
-    # token plumbing
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "punct" or tok.value != ch:
-            raise ParseError(f"expected {ch!r}, got {tok.value!r}", tok.line, tok.col)
-        return tok
-
-    def error(self, message: str, tok: _Token) -> ParseError:
-        return ParseError(message, tok.line, tok.col)
-
-    # helpers
 
     def fresh_blank(self) -> BlankNode:
         while True:
@@ -302,166 +42,97 @@ class _Parser:
             if label not in self.used_labels:
                 return BlankNode(label)
 
-    def make_iri(self, tok: _Token) -> Iri:
-        try:
-            if tok.kind == "iriref":
-                return resolve_iri(tok.value, self.base)
-            prefix, _, local = tok.value.partition(":")
-            return Iri(self.prefixes.namespace(prefix).value + local)
-        except (UnknownPrefixError, RelativeIriError):
-            raise
-        except TriplifyError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
-
     # grammar
 
     def parse(self) -> tuple[Graph, PrefixMap]:
-        while self.peek().kind != "eof":
+        while not self.at("eof"):
             tok = self.peek()
-            if tok.kind == "prefix":
-                self.next()
-                self.directive_prefix()
-            elif tok.kind == "base":
-                self.next()
-                self.directive_base()
-            else:
+            if tok.kind != "directive":
                 self.triples()
-                self.expect_punct(".")
+            elif tok.value in ("prefix", "base"):
+                self.next()
+                self.directive(tok.value)
+            else:
+                raise self.error(f"unknown directive: @{tok.value}", tok)
+            self.expect(".")
         return self.graph, self.prefixes
 
-    def directive_prefix(self) -> None:
-        name = self.next()
-        if name.kind != "pname" or not name.value.endswith(":"):
-            raise self.error("expected prefix name ending in ':'", name)
-        iri = self.next()
-        if iri.kind != "iriref":
-            raise self.error("expected namespace IRI", iri)
-        ns = resolve_iri(iri.value, self.base)
-        self.prefixes.bind(name.value[:-1], ns)
-        self.expect_punct(".")
-
-    def directive_base(self) -> None:
-        iri = self.next()
-        if iri.kind != "iriref":
-            raise self.error("expected base IRI", iri)
-        self.base = resolve_iri(iri.value, self.base)
-        self.expect_punct(".")
+    def directive(self, name: str) -> None:
+        if name == "base":
+            self.base = self.iri(self.expect("iriref"))
+            return
+        prefix = self.next()
+        if prefix.kind != "pname" or not prefix.value.endswith(":"):
+            raise self.error("expected prefix name ending in ':'", prefix)
+        self.prefixes.bind(prefix.value[:-1], self.iri(self.expect("iriref")))
 
     def triples(self) -> None:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == "[":
+        if self.at("["):
             subject = self.blank_node_property_list()
-            if not (self.peek().kind == "punct" and self.peek().value == "."):
+            if not self.at("."):
                 self.predicate_object_list(subject)
             return
-        subject = self.subject()
-        self.predicate_object_list(subject)
-
-    def subject(self) -> Term:
         tok = self.next()
-        if tok.kind in ("iriref", "pname"):
-            return self.make_iri(tok)
         if tok.kind == "blank":
-            try:
-                return BlankNode(tok.value)
-            except TriplifyError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from None
-        if tok.kind == "punct" and tok.value == "(":
+            subject = BlankNode(tok.value)
+        elif tok.kind == "(":
             raise self.error("collections are not supported", tok)
-        raise self.error(f"expected subject, got {tok.value!r}", tok)
+        else:
+            subject = self.iri(tok, "subject")
+        self.predicate_object_list(subject)
 
     def predicate_object_list(self, subject: Term) -> None:
         while True:
             predicate = self.verb()
             self.object_list(subject, predicate)
-            tok = self.peek()
-            if tok.kind == "punct" and tok.value == ";":
+            if not self.at(";"):
+                return
+            # Trailing semicolons are legal: `;` may be followed by
+            # the end of the block instead of another verb.
+            while self.at(";"):
                 self.next()
-                # Trailing semicolons are legal: `;` may be followed by
-                # the end of the block instead of another verb.
-                nxt = self.peek()
-                while nxt.kind == "punct" and nxt.value == ";":
-                    self.next()
-                    nxt = self.peek()
-                if nxt.kind == "punct" and nxt.value in (".", "]"):
-                    return
-                if nxt.kind == "eof":
-                    return
-                continue
-            return
+            if self.peek().kind in (".", "]", "eof"):
+                return
 
     def verb(self) -> Iri:
         tok = self.next()
-        if tok.kind == "a":
+        if tok.kind == "word" and tok.value == "a":
             return RDF_TYPE
-        if tok.kind in ("iriref", "pname"):
-            return self.make_iri(tok)
-        raise self.error(f"expected predicate, got {tok.value!r}", tok)
+        return self.iri(tok, "predicate")
 
     def object_list(self, subject: Term, predicate: Iri) -> None:
-        while True:
-            obj = self.object()
-            self.graph.add(Triple(subject, predicate, obj))
-            tok = self.peek()
-            if tok.kind == "punct" and tok.value == ",":
-                self.next()
-                continue
-            return
+        self.graph.add(Triple(subject, predicate, self.object()))
+        while self.at(","):
+            self.next()
+            self.graph.add(Triple(subject, predicate, self.object()))
 
     def object(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == "[":
+        if self.at("["):
             return self.blank_node_property_list()
-        self.next()
+        tok = self.next()
         if tok.kind in ("iriref", "pname"):
-            return self.make_iri(tok)
+            return self.iri(tok)
         if tok.kind == "blank":
-            try:
-                return BlankNode(tok.value)
-            except TriplifyError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from None
-        if tok.kind == "string":
-            return self.literal_tail(tok)
-        if tok.kind == "integer":
-            return Literal(tok.value, XSD_INTEGER)
-        if tok.kind in ("true", "false"):
-            return Literal(tok.value, XSD_BOOLEAN)
-        if tok.kind == "punct" and tok.value == "(":
+            return BlankNode(tok.value)
+        if tok.kind in ("decimal", "double"):
+            raise self.error(
+                "only integer numeric literals are supported; "
+                "write other numbers as typed strings",
+                tok,
+            )
+        if tok.kind == "(":
             raise self.error("collections are not supported", tok)
-        raise self.error(f"expected object, got {tok.value!r}", tok)
-
-    def literal_tail(self, tok: _Token) -> Literal:
-        nxt = self.peek()
-        try:
-            if nxt.kind == "hathat":
-                self.next()
-                dt_tok = self.next()
-                if dt_tok.kind not in ("iriref", "pname"):
-                    raise self.error("expected datatype IRI", dt_tok)
-                return Literal(tok.value, self.make_iri(dt_tok))
-            if nxt.kind == "langtag":
-                self.next()
-                return Literal(tok.value, RDF_LANGSTRING, nxt.value)
-            return Literal(tok.value)
-        except ParseError:
-            raise
-        except TriplifyError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
+        return self.literal(tok, "object")
 
     def blank_node_property_list(self) -> BlankNode:
-        open_tok = self.expect_punct("[")
+        open_tok = self.expect("[")
         node = self.fresh_blank()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == "]":
-            self.next()
-            return node
-        self.predicate_object_list(node)
+        if not self.at("]"):
+            self.predicate_object_list(node)
         closing = self.next()
-        if closing.kind != "punct" or closing.value != "]":
-            raise ParseError(
-                f"expected ']' to close blank node opened at line {open_tok.line}",
-                closing.line,
-                closing.col,
+        if closing.kind != "]":
+            raise self.error(
+                f"expected ']' to close blank node opened at line {open_tok.line}", closing
             )
         return node
 

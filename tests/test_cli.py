@@ -117,6 +117,25 @@ class TestConvert:
         assert parse_ntriples(stdout) == parse_ntriples((CASE01 / "expected.nt").read_text())
 
 
+    @pytest.mark.parametrize("how", ("two_csvs", "table_flag"))
+    def test_same_table_name_twice_exits_2_naming_both(self, capsys, tmp_path, how):
+        first = tmp_path / "a" / "PATIENT.csv"
+        second = tmp_path / "b" / "PATIENT.csv"
+        for path in (first, second):
+            path.parent.mkdir()
+            path.write_text((CASE01 / "PATIENT.csv").read_text())
+        if how == "two_csvs":
+            extra = (str(second),)
+        else:
+            extra = ("--table", f"PATIENT={second}")
+        code, stdout, stderr = run(
+            capsys, "convert", str(CASE01 / "mapping.ttl"), str(first), *extra
+        )
+        assert code == 2
+        assert stdout == ""
+        assert str(first) in stderr and str(second) in stderr
+
+
 class TestValidate:
     @pytest.fixture()
     def conforming_graph(self, capsys, tmp_path):

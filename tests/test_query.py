@@ -99,6 +99,60 @@ class TestParseQuery:
         assert q.filters[0].operand.datatype == XSD_DATE
 
 
+class TestLessThanIsAnOperator:
+    """`<` opens an IRI only when an IRIREF follows; otherwise it compares."""
+
+    QUERIES = (
+        "PREFIX e: <http://ex.org/> SELECT ?s ?a WHERE { ?s e:age ?a . "
+        "FILTER(?a < 65) FILTER(?a > 3) }",
+        "PREFIX e: <http://ex.org/> SELECT ?s WHERE { ?s e:day ?d . "
+        'FILTER(?d < "2020-01-01"^^<http://www.w3.org/2001/XMLSchema#date>) }',
+        "PREFIX e: <http://ex.org/> SELECT ?s WHERE { ?s e:age ?a . "
+        "FILTER(?a<65) FILTER(?a>=3) }",
+    )
+
+    @staticmethod
+    def graph():
+        g = Graph()
+        for i, age in enumerate((1, 3, 4, 64, 65, 90)):
+            g.add(Triple(Iri(EX + f"n{i}"), Iri(EX + "age"), Literal(str(age), XSD_INTEGER)))
+        for i, day in enumerate(("2019-12-31", "2020-01-01", "2021-06-15")):
+            g.add(Triple(Iri(EX + f"d{i}"), Iri(EX + "day"), Literal(day, XSD_DATE)))
+        return g
+
+    @pytest.mark.parametrize("text", QUERIES, ids=("spaced", "iri_after_lt", "unspaced"))
+    def test_parses_and_matches_oracle(self, text):
+        q = parse_query(text)
+        assert q.filters and q.filters[0].op == "<"
+        g = self.graph()
+        got = solution_tuples(execute(g, q))
+        assert got == brute_force_solution(g, q)
+        assert got  # each query selects something from the graph
+
+    def test_spaced_comparisons_select_the_open_interval(self):
+        q = parse_query(self.QUERIES[0])
+        ages = {int(row["a"].lexical) for row in execute(self.graph(), q).rows}
+        assert ages == {4, 64}
+
+
+class TestSharedTermSyntax:
+    def test_single_quoted_and_long_strings(self):
+        q = parse_query(
+            "PREFIX e: <http://ex.org/> SELECT ?s WHERE { ?s e:p 'say \"hi\"' . "
+            "?s e:q \"\"\"two\nlines\"\"\" . }"
+        )
+        assert q.patterns[0].o == Literal('say "hi"')
+        assert q.patterns[1].o == Literal("two\nlines")
+
+    def test_unicode_escape_in_iri(self):
+        q = parse_query("SELECT ?s WHERE { ?s <http://ex.org/caf\\u00E9> ?o . }")
+        assert q.patterns[0].p == Iri(EX + "café")
+
+    def test_turtle_prefix_directive_rejected(self):
+        with pytest.raises(ParseError):
+            parse_query("@prefix e: <http://ex.org/> . SELECT ?s WHERE { ?s e:p ?o . }")
+
+
 # --- execution ----------------------------------------------------------------
 
 class TestExecute:
