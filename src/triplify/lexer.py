@@ -1,4 +1,4 @@
-"""The token grammar shared by the Turtle and SPARQL readers.
+"""The term grammar of the Turtle, SPARQL and N-Triples readers.
 
 One master regex splits either syntax into tokens; the parsers decide
 which tokens their grammar allows. Term syntax follows the Turtle 1.1 and
@@ -14,8 +14,11 @@ punctuation and operators the symbol itself (`.`, `^^`, `<=`, ...).
 Values are decoded: IRIs and strings unescaped, and `<>`, `_:`, `?` and
 `@` dropped.
 
-N-Triples keeps its own line scanner in `ntriples`, which is on the
-reload path and faster than building token objects.
+The terminals IRIREF, STRING, BLANK and LANGTAG are also all of N-Triples'
+term syntax: `ntriples` builds its line pattern from them, so there too an
+IRI may hold only `\\u`/`\\U` escapes and a blank node label may touch the
+next term, as in Turtle. They are unrolled loops (`a*(?:b a*)*`), which
+`re` matches several times faster than per-character alternations.
 """
 
 from __future__ import annotations
@@ -25,29 +28,46 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError, RelativeIriError, TriplifyError, UnknownPrefixError
-from .ntriples import unescape
-from .terms import RDF_LANGSTRING, XSD_BOOLEAN, XSD_INTEGER, Iri, Literal, PrefixMap
+from .terms import _IRI_SCHEME, RDF_LANGSTRING, XSD_BOOLEAN, XSD_INTEGER, Iri, Literal, PrefixMap
+
+# Terminals shared by the Turtle, SPARQL and N-Triples readers.
+IRIREF = r'<[^\x00-\x20<>"{}|^`\\]*(?:\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^\x00-\x20<>"{}|^`\\]*)*>'
+STRING = r'"[^"\\\n\r]*(?:\\.[^"\\\n\r]*)*"'  # short, double-quoted
+BLANK = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
+LANGTAG = r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 
 _NAME_CHAR = r"(?:[\w\-]|%[0-9A-Fa-f]{2})"
+
+_UNESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+_SHORT_ESCAPES = {
+    "t": "\t",
+    "b": "\b",
+    "n": "\n",
+    "r": "\r",
+    "f": "\f",
+    '"': '"',
+    "'": "'",
+    "\\": "\\",
+}
 
 _GRAMMAR = re.compile(
     rf"""
       (?P<ws>[ \t\r\n]+)
     | (?P<comment>\#[^\n]*)
-    | (?P<iriref><(?:[^\x00-\x20<>"{{}}|^`\\]|\\u[0-9A-Fa-f]{{4}}|\\U[0-9A-Fa-f]{{8}})*>)
+    | (?P<iriref>{IRIREF})
     | (?P<string>
           \"\"\"(?:"{{0,2}}(?:[^"\\]|\\.))*"{{0,2}}\"\"\"
         | '''(?:'{{0,2}}(?:[^'\\]|\\.))*'{{0,2}}'''
-        | "(?:[^"\\\n\r]|\\.)*"
-        | '(?:[^'\\\n\r]|\\.)*'
+        | {STRING}
+        | '[^'\\\n\r]*(?:\\.[^'\\\n\r]*)*'
       )
     | (?P<unterminated>["'])
     | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<blank>_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)
+    | (?P<blank>{BLANK})
     | (?P<double>[+-]?(?:[0-9]+\.[0-9]*|\.?[0-9]+)[eE][+-]?[0-9]+)
     | (?P<decimal>[+-]?[0-9]*\.[0-9]+)
     | (?P<integer>[+-]?[0-9]+)
-    | (?P<at>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+    | (?P<at>{LANGTAG})
     | (?P<symbol>\^\^|<=|>=|!=|[=<>.;,\[\](){{}}*])
     | (?P<pname>(?:[^\W\d_](?:[\w.\-]*[\w\-])?)?:(?:(?:[\w:]|%[0-9A-Fa-f]{{2}})(?:(?:{_NAME_CHAR}|[.:])*(?:{_NAME_CHAR}|:))?)?)
     | (?P<word>[A-Za-z]\w*)
@@ -55,6 +75,27 @@ _GRAMMAR = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+
+def unescape(raw: str, line: int, column: int) -> str:
+    """Decode an IRI or string token's escapes; a bad one is a ParseError there."""
+    if "\\" not in raw:
+        return raw
+
+    def repl(m: re.Match) -> str:
+        digits = m.group(1) or m.group(2)
+        if digits is not None:
+            cp = int(digits, 16)
+            if cp > 0x10FFFF:  # only an 8-digit \U escape can get here
+                raise ParseError(f"code point out of range: \\U{digits}", line, column)
+            return chr(cp)
+        ch = m.group(3)
+        try:
+            return _SHORT_ESCAPES[ch]
+        except KeyError:
+            raise ParseError(f"invalid escape: \\{ch}", line, column) from None
+
+    return _UNESCAPE.sub(repl, raw)
 
 
 @dataclass(slots=True)
@@ -87,10 +128,10 @@ def tokenize(text: str) -> list[Token]:
         elif kind == "blank":
             tokens.append(Token(kind, raw[2:], line, col))
         elif kind == "iriref":
-            tokens.append(Token(kind, unescape(raw[1:-1], line), line, col))
+            tokens.append(Token(kind, unescape(raw[1:-1], line, col), line, col))
         elif kind == "string":
             q = 3 if raw.startswith(raw[0] * 3) else 1
-            tokens.append(Token(kind, unescape(raw[q:-q], line), line, col))
+            tokens.append(Token(kind, unescape(raw[q:-q], line, col), line, col))
         elif kind == "at":
             after_string = bool(tokens) and tokens[-1].kind == "string"
             tokens.append(Token("langtag" if after_string else "directive", raw[1:], line, col))
@@ -111,7 +152,7 @@ def resolve_iri(reference: str, base: Optional[Iri]) -> Iri:
     Follows the usual scheme/authority/path merge; dot segments are kept
     as written. Raises RelativeIriError when no base is available.
     """
-    if re.match(r"[A-Za-z][A-Za-z0-9+.\-]*:", reference):
+    if _IRI_SCHEME.match(reference):
         return Iri(reference)
     if base is None:
         raise RelativeIriError(f"relative IRI with no base: {reference!r}")
@@ -171,10 +212,13 @@ class TokenParser:
 
     def build(self, tok: Token, factory, *args):
         """factory(*args), with a position-less TriplifyError re-raised as a
-        ParseError at tok; unknown prefixes and relative IRIs keep their type."""
+        ParseError at tok; unknown prefixes and relative IRIs keep their type
+        and get tok's position as `line` and `column` and in the message."""
         try:
             return factory(*args)
-        except (ParseError, UnknownPrefixError, RelativeIriError):
+        except (UnknownPrefixError, RelativeIriError) as exc:
+            exc.line, exc.column = tok.line, tok.col
+            exc.args = (f"{exc} (line {tok.line}, column {tok.col})",)
             raise
         except TriplifyError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from None

@@ -4,6 +4,12 @@ Output is canonical: one triple per line, lines sorted lexicographically,
 UTF-8, no BOM. Parsing accepts any valid N-Triples document (plus full-line
 and trailing comments) and is the exact inverse of serialization: blank
 node labels are preserved, so parse(serialize(g)) == g.
+
+The reader matches each line with one pattern composed from the term
+terminals of `triplify.lexer`, the term grammar Turtle and SPARQL use.
+As in Turtle and the RDF 1.1 grammar, an IRI may hold only `\\u`/`\\U`
+escapes (`<a\\'b>` is a ParseError), a string no raw CR, and a blank node
+label ends where its characters do (`_:a<http://e.org/p> ...` parses).
 """
 
 from __future__ import annotations
@@ -12,21 +18,21 @@ import re
 
 from .errors import ParseError, TriplifyError
 from .graph import Graph
+from .lexer import BLANK, IRIREF, LANGTAG, STRING, unescape
 from .terms import RDF_LANGSTRING, BlankNode, Iri, Literal, Term, Triple
 
-_WS = " \t"
-
-_UNESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
-_SHORT_ESCAPES = {
-    "t": "\t",
-    "b": "\b",
-    "n": "\n",
-    "r": "\r",
-    "f": "\f",
-    '"': '"',
-    "'": "'",
-    "\\": "\\",
-}
+# The slots of a triple line, in order; groups: subject, predicate, IRI or
+# blank object, string object, its datatype, its language tag.
+_SLOTS = (
+    ("subject IRI or blank node", rf"({IRIREF}|{BLANK})"),
+    ("predicate IRI", rf"({IRIREF})"),
+    ("object term", rf"({IRIREF}|{BLANK})|({STRING})(?:\^\^[ \t]*({IRIREF})|({LANGTAG}))?"),
+    ("'.' at end of triple", r"\."),
+)
+_LINE = re.compile(
+    r"[ \t]*(?:" + r"[ \t]*".join(f"(?:{slot})" for _, slot in _SLOTS) + r"[ \t]*)?(?:#.*)?"
+)
+_WS = re.compile(r"[ \t]*")
 
 
 def serialize_ntriples(g: Graph) -> str:
@@ -37,139 +43,61 @@ def serialize_ntriples(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def unescape(raw: str, lineno: int) -> str:
-    """Decode N-Triples string escapes; raises ParseError on bad ones."""
-    if "\\" not in raw:
-        return raw
-
-    def repl(m: re.Match) -> str:
-        if m.group(1) is not None:
-            return chr(int(m.group(1), 16))
-        if m.group(2) is not None:
-            cp = int(m.group(2), 16)
-            if cp > 0x10FFFF:
-                raise ParseError(f"code point out of range: \\U{m.group(2)}", lineno)
-            return chr(cp)
-        ch = m.group(3)
-        try:
-            return _SHORT_ESCAPES[ch]
-        except KeyError:
-            raise ParseError(f"invalid escape: \\{ch}", lineno) from None
-
-    return _UNESCAPE.sub(repl, raw)
+def _syntax_error(line: str, lineno: int) -> ParseError:
+    """Rescan a line `_LINE` rejects slot by slot; name the slot that broke."""
+    i = 0
+    for what, slot in _SLOTS:
+        i = _WS.match(line, i).end()
+        m = re.compile(slot).match(line, i)
+        if m is None:
+            return ParseError(f"expected {what}", lineno, i + 1)
+        i = m.end()
+    # every slot matched, so what follows the '.' is not a comment
+    return ParseError("unexpected text after '.'", lineno, _WS.match(line, i).end() + 1)
 
 
-def _skip_ws(line: str, i: int) -> int:
-    n = len(line)
-    while i < n and line[i] in _WS:
-        i += 1
-    return i
-
-
-def _scan_iri(line: str, i: int, lineno: int) -> tuple[Iri, int]:
-    end = line.find(">", i + 1)
-    if end < 0:
-        raise ParseError("unterminated IRI", lineno, i + 1)
-    raw = unescape(line[i + 1 : end], lineno)
+def _build(lineno: int, column: int, factory, *args):
+    """factory(*args), with a TriplifyError re-raised as a ParseError there."""
     try:
-        return Iri(raw), end + 1
+        return factory(*args)
     except TriplifyError as exc:
-        raise ParseError(str(exc), lineno, i + 1) from None
+        raise ParseError(str(exc), lineno, column) from None
 
 
-def _scan_string(line: str, i: int, lineno: int) -> tuple[str, int]:
-    j = i + 1
-    while True:
-        j = line.find('"', j)
-        if j < 0:
-            raise ParseError("unterminated string literal", lineno, i + 1)
-        backslashes = 0
-        k = j - 1
-        while k > i and line[k] == "\\":
-            backslashes += 1
-            k -= 1
-        if backslashes % 2 == 0:
-            break
-        j += 1
-    return unescape(line[i + 1 : j], lineno), j + 1
-
-
-_BLANK_END = re.compile(r"[ \t]")
-
-
-def _scan_term(line: str, i: int, lineno: int, *, as_subject: bool) -> tuple[Term, int]:
-    ch = line[i]
-    if ch == "<":
-        return _scan_iri(line, i, lineno)
-    if ch == "_":
-        if not line.startswith("_:", i):
-            raise ParseError("expected '_:'", lineno, i + 1)
-        m = _BLANK_END.search(line, i + 2)
-        end = m.start() if m else len(line)
-        # a label cannot end with '.', so trailing dots belong to the
-        # statement terminator (`_:b0.` with no space is legal input)
-        while end > i + 2 and line[end - 1] == ".":
-            end -= 1
-        try:
-            return BlankNode(line[i + 2 : end]), end
-        except TriplifyError as exc:
-            raise ParseError(str(exc), lineno, i + 1) from None
-    if ch == '"':
-        if as_subject:
-            raise ParseError("literals cannot be subjects", lineno, i + 1)
-        lexical, i = _scan_string(line, i, lineno)
-        if line.startswith("^^", i):
-            i = _skip_ws(line, i + 2)
-            if i >= len(line) or line[i] != "<":
-                raise ParseError("expected datatype IRI after '^^'", lineno, i + 1)
-            datatype, i = _scan_iri(line, i, lineno)
-            language = None
-        elif i < len(line) and line[i] == "@":
-            j = i + 1
-            n = len(line)
-            while j < n and (line[j].isalnum() or line[j] == "-"):
-                j += 1
-            language, i = line[i + 1 : j], j
-            datatype = None
-        else:
-            datatype = None
-            language = None
-        try:
-            if language is not None:
-                return Literal(lexical, RDF_LANGSTRING, language), i
-            if datatype is not None:
-                return Literal(lexical, datatype), i
-            return Literal(lexical), i
-        except TriplifyError as exc:
-            raise ParseError(str(exc), lineno) from None
-    raise ParseError(f"unexpected character {ch!r}", lineno, i + 1)
+def _node(raw: str, lineno: int, column: int) -> Term:
+    """The IRI or blank node a matched IRIREF or BLANK spells."""
+    if raw[0] == "<":
+        return _build(lineno, column, Iri, unescape(raw[1:-1], lineno, column))
+    return _build(lineno, column, BlankNode, raw[2:])
 
 
 def parse_ntriples(text: str) -> Graph:
     """Parse an N-Triples document into a graph (duplicate lines collapse)."""
-    if text.startswith("﻿"):
+    if text.startswith("\ufeff"):
         text = text[1:]
     g = Graph()
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.endswith("\r"):
             line = line[:-1]
-        i = _skip_ws(line, 0)
-        if i >= len(line) or line[i] == "#":
-            continue
-        s, i = _scan_term(line, i, lineno, as_subject=True)
-        i = _skip_ws(line, i)
-        if i >= len(line) or line[i] != "<":
-            raise ParseError("expected predicate IRI", lineno, i + 1)
-        p, i = _scan_iri(line, i, lineno)
-        i = _skip_ws(line, i)
-        if i >= len(line):
-            raise ParseError("expected object term", lineno, i + 1)
-        o, i = _scan_term(line, i, lineno, as_subject=False)
-        i = _skip_ws(line, i)
-        if i >= len(line) or line[i] != ".":
-            raise ParseError("expected '.' at end of triple", lineno, i + 1)
-        i = _skip_ws(line, i + 1)
-        if i < len(line) and line[i] != "#":
-            raise ParseError("unexpected text after '.'", lineno, i + 1)
-        g.add(Triple(s, p, o))
+        m = _LINE.fullmatch(line)
+        if m is None:
+            raise _syntax_error(line, lineno)
+        s, p, o, string, datatype, language = m.groups()
+        if s is None:
+            continue  # blank or comment-only line
+        subject = _node(s, lineno, m.start(1) + 1)
+        predicate = _node(p, lineno, m.start(2) + 1)
+        if string is None:
+            obj = _node(o, lineno, m.start(3) + 1)
+        else:
+            column = m.start(4) + 1
+            lexical = unescape(string[1:-1], lineno, column)
+            if language is not None:
+                obj = _build(lineno, column, Literal, lexical, RDF_LANGSTRING, language[1:])
+            elif datatype is not None:
+                datatype = _node(datatype, lineno, m.start(5) + 1)
+                obj = _build(lineno, column, Literal, lexical, datatype)
+            else:
+                obj = Literal(lexical)
+        g.add(Triple(subject, predicate, obj))
     return g

@@ -250,7 +250,7 @@ def _single(doc: Graph, node: Term, prop: Iri, owner: str) -> Optional[Term]:
 
 def _check_rejected(doc: Graph, warnings: list[str]) -> None:
     seen_unknown = set()
-    for t in doc:
+    for t in doc.match():  # canonical order, so warnings are reproducible
         p = t.p
         if not p.value.startswith(RR_NS):
             continue

@@ -71,6 +71,35 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_ntriples('<http://e.org/s> <http://e.org/p> "a\\qb" .\n')
 
+    def test_bad_escape_has_column(self):
+        with pytest.raises(ParseError) as err:
+            parse_ntriples('<http://e.org/s> <http://e.org/p> "a\\q" .')
+        assert (err.value.line, err.value.column) == (1, 35)
+
+    @pytest.mark.parametrize(
+        "line, column, expected",
+        [
+            ('"lit" <http://e.org/p> <http://e.org/o> .', 1, "subject"),
+            ("<http://e.org/s>  _:b <http://e.org/o> .", 19, "predicate IRI"),
+            ("<http://e.org/s> <http://e.org/p> <http://e.org/o a> .", 35, "object term"),
+            ('<http://e.org/s> <http://e.org/p> "x"^^foo .', 38, "'.'"),
+            ("<http://e.org/s> <http://e.org/p> <http://e.org/o> . x", 54, "after '.'"),
+        ],
+    )
+    def test_syntax_error_names_slot_and_column(self, line, column, expected):
+        with pytest.raises(ParseError) as err:
+            parse_ntriples("# header\n" + line + "\n")
+        assert (err.value.line, err.value.column) == (2, column)
+        assert expected in str(err.value)
+
+    def test_term_error_has_column(self):
+        with pytest.raises(ParseError) as err:
+            parse_ntriples('<http://e.org/s> <http://e.org/p> "x"@toolongtag .')
+        assert (err.value.line, err.value.column) == (1, 35)
+        with pytest.raises(ParseError) as err:
+            parse_ntriples("<http://e.org/s> <rel> <http://e.org/o> .")
+        assert (err.value.line, err.value.column) == (1, 18)
+
     def test_literal_subject_rejected(self):
         with pytest.raises(ParseError):
             parse_ntriples('"lit" <http://e.org/p> <http://e.org/o> .\n')

@@ -1,16 +1,31 @@
-"""Seeded byte-level fuzzing of the Turtle and SPARQL readers.
+"""Seeded byte-level fuzzing of the Turtle, SPARQL, N-Triples and CSV
+readers, and differential checks of the readers that share term syntax.
 
 Every mutated document must either parse or raise a TriplifyError; any
 other exception is a crash in the shared lexer or in one of the grammars.
+N-Triples is a subset of Turtle, so both readers must agree on it.
 """
 
 import random
 
-from triplify import parse_query, parse_turtle
-from triplify.errors import TriplifyError
+import pytest
+
+from triplify import (
+    BlankNode,
+    Graph,
+    Iri,
+    Triple,
+    load_csv,
+    parse_ntriples,
+    parse_query,
+    parse_turtle,
+    serialize_ntriples,
+    write_csv,
+)
+from triplify.errors import ParseError, TriplifyError
 from triplify.registry import bundled_mapping_text
 
-from genutil import random_query_text
+from genutil import random_graph, random_query_text, random_table
 
 # Bytes that change how the lexer splits text, plus a non-ASCII lead byte.
 _INTERESTING = b"<>\"'\\@^_:?.;,[](){}#=!*+-eE0 \n\t\xc3"
@@ -33,13 +48,18 @@ def _mutate(rng: random.Random, data: bytes) -> bytes:
     return bytes(buf)
 
 
-def _survives(parse, text: str) -> None:
+def _survives(parse, text: str):
+    """parse(text), or the TriplifyError it raised; anything else fails."""
     try:
-        parse(text)
-    except TriplifyError:
-        pass
+        return parse(text)
+    except TriplifyError as exc:
+        return exc
     except Exception as exc:
         raise AssertionError(f"{type(exc).__name__}: {exc} on input {text!r}") from exc
+
+
+def _turtle_graph(text: str) -> Graph:
+    return parse_turtle(text)[0]
 
 
 def test_mutated_mappings_parse_or_raise_triplify_errors():
@@ -54,3 +74,53 @@ def test_mutated_queries_parse_or_raise_triplify_errors():
     for _ in range(2000):
         seed = random_query_text(rng).encode("utf-8")
         _survives(parse_query, _mutate(rng, seed).decode("utf-8", errors="replace"))
+
+
+def test_mutated_ntriples_parse_or_raise_positioned_parse_errors():
+    rng = random.Random(3391)
+    for _ in range(2000):
+        seed = serialize_ntriples(random_graph(rng, 6)).encode("utf-8")
+        text = _mutate(rng, seed).decode("utf-8", errors="replace")
+        out = _survives(parse_ntriples, text)
+        if not isinstance(out, Graph):
+            assert isinstance(out, ParseError), (repr(out), text)
+            assert out.line >= 1 and out.column >= 1, (str(out), text)
+
+
+def test_mutated_csv_loads_or_raises_triplify_errors():
+    rng = random.Random(5120)
+    for _ in range(600):
+        seed = write_csv(random_table(rng)).encode("utf-8")
+        _survives(load_csv, _mutate(rng, seed).decode("utf-8", errors="replace"))
+
+
+def test_ntriples_and_turtle_readers_agree_on_ntriples():
+    rng = random.Random(4408)
+    for i in range(200):
+        g = random_graph(rng, 30)
+        text = serialize_ntriples(g)
+        assert parse_ntriples(text) == _turtle_graph(text) == g, f"graph {i}"
+
+
+# Where the N-Triples reader changed when it moved onto the shared terminals;
+# in each case it now agrees with Turtle and the RDF 1.1 N-Triples grammar.
+
+READERS = pytest.mark.parametrize("parse", [parse_ntriples, _turtle_graph])
+
+
+@READERS
+def test_iri_escape_other_than_u_is_rejected(parse):
+    with pytest.raises(ParseError):
+        parse("<http://e.org/a\\'b> <http://e.org/p> <http://e.org/o> .\n")
+
+
+@READERS
+def test_blank_label_needs_no_space_before_predicate(parse):
+    g = parse("_:a<http://e.org/p> <http://e.org/o> .\n")
+    assert g == Graph([Triple(BlankNode("a"), Iri("http://e.org/p"), Iri("http://e.org/o"))])
+
+
+@READERS
+def test_raw_carriage_return_in_string_is_rejected(parse):
+    with pytest.raises(ParseError):
+        parse('<http://e.org/s> <http://e.org/p> "a\rb" .\n')

@@ -71,6 +71,14 @@ class TestParseQuery:
         with pytest.raises(UnknownPrefixError):
             parse_query("SELECT ?s WHERE { ?s nope:p ?o . }")
 
+    def test_relative_iri_has_position(self):
+        from triplify.errors import RelativeIriError
+
+        with pytest.raises(RelativeIriError) as err:
+            parse_query("SELECT ?s WHERE { ?s <p> ?o . }")
+        assert (err.value.line, err.value.column) == (1, 22)
+        assert "line 1, column 22" in str(err.value)
+
     def test_syntax_error_has_position(self):
         with pytest.raises(ParseError) as err:
             parse_query("SELECT ?x WHERE {", PREFIXES)

@@ -1,6 +1,10 @@
 """Mapping documents: template grammar, parsing, validation diagnostics."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,7 @@ from triplify.errors import (
 )
 from triplify.r2rml import RefObjectMap
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 RR = "@prefix rr: <http://www.w3.org/ns/r2rml#> .\n@prefix ex: <http://ex.org/> .\n"
 XSD = "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
 
@@ -170,6 +175,31 @@ class TestParseMapping:
         m = mapping_of(text)
         assert any("inverseExpression" in w for w in m.warnings)
         assert len(m.triples_maps) == 1
+
+    def test_warning_order_independent_of_hash_seed(self):
+        # warnings come from a set-backed graph; their order must not
+        # depend on string hashing, which PYTHONHASHSEED randomises
+        text = RR + """
+        ex:M rr:logicalTable [ rr:tableName "T" ; rr:sqlVersion rr:SQL2008 ] ;
+          rr:subjectMap [ rr:template "http://e.org/{ID}" ; rr:madeUp "x" ;
+                          rr:inverseExpression "{ID} = id" ] ;
+          rr:alsoMadeUp "y" .
+        """
+        script = (
+            "import sys; from triplify import parse_mapping, parse_turtle; "
+            "print(parse_mapping(*parse_turtle(sys.stdin.read())).warnings)"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                input=text, env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("<http://www.w3.org/ns/r2rml#") == 2
 
     def test_multiple_predicates_and_objects_flatten(self):
         text = RR + """

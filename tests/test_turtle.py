@@ -114,6 +114,17 @@ class TestDirectives:
         with pytest.raises(UnknownPrefixError):
             triples("ex:s ex:p ex:o .")
 
+    def test_unknown_prefix_has_position(self):
+        with pytest.raises(UnknownPrefixError) as err:
+            triples("@prefix ex: <http://e.org/> .\n\nex:s ex:p nope:o .")
+        assert (err.value.line, err.value.column) == (3, 11)
+        assert "line 3, column 11" in str(err.value)
+
+    def test_relative_iri_has_position(self):
+        with pytest.raises(RelativeIriError) as err:
+            triples("<http://e.org/s> <http://e.org/p>\n  <o> .")
+        assert (err.value.line, err.value.column) == (2, 3)
+
     def test_prefix_rebinding(self):
         g = triples(
             "@prefix ex: <http://one.org/> . ex:s ex:p ex:o . "
@@ -144,6 +155,11 @@ class TestErrors:
     def test_missing_dot(self):
         with pytest.raises(ParseError):
             triples("@prefix ex: <http://e.org/> . ex:s ex:p ex:o")
+
+    def test_bad_escape_has_column(self):
+        with pytest.raises(ParseError) as err:
+            triples('<http://e.org/s> <http://e.org/p> "a\\q" .')
+        assert (err.value.line, err.value.column) == (1, 35)
 
 
 class TestResolveIri:
