@@ -1,13 +1,17 @@
 """An in-memory, indexed triple set with set semantics.
 
-The graph keeps one full set of triples plus three positional indexes
-(subject, predicate, object). Construction is single-writer; once built,
-a graph can be read from any number of threads.
+The graph keeps its triples in insertion order, deduplicated once in a
+dict, plus three positional indexes (subject, predicate, object) whose
+buckets are lists in that same order. Iteration and `match` follow
+insertion order and never sort: an RDF graph has no order of its own, so
+callers that print sort (`serialize_ntriples`, `execute`,
+`validate_graph`). Construction is single-writer; once built, a graph
+can be read from any number of threads.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .terms import Iri, Term, Triple
 
@@ -16,22 +20,22 @@ class Graph:
     __slots__ = ("_triples", "_by_s", "_by_p", "_by_o")
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: set[Triple] = set()
-        self._by_s: dict[Term, set[Triple]] = {}
-        self._by_p: dict[Term, set[Triple]] = {}
-        self._by_o: dict[Term, set[Triple]] = {}
+        self._triples: dict[Triple, None] = {}
+        self._by_s: dict[Term, list[Triple]] = {}
+        self._by_p: dict[Term, list[Triple]] = {}
+        self._by_o: dict[Term, list[Triple]] = {}
         for t in triples:
             self.add(t)
 
     def add(self, t: Triple) -> bool:
         """Insert one triple; returns True iff it was not already present."""
         before = len(self._triples)
-        self._triples.add(t)
+        self._triples.setdefault(t)
         if len(self._triples) == before:
             return False
-        self._by_s.setdefault(t.s, set()).add(t)
-        self._by_p.setdefault(t.p, set()).add(t)
-        self._by_o.setdefault(t.o, set()).add(t)
+        self._by_s.setdefault(t.s, []).append(t)
+        self._by_p.setdefault(t.p, []).append(t)
+        self._by_o.setdefault(t.o, []).append(t)
         return True
 
     def update(self, other: Iterable[Triple]) -> None:
@@ -44,12 +48,13 @@ class Graph:
         p: Optional[Iri] = None,
         o: Optional[Term] = None,
     ) -> list[Triple]:
-        """All triples matching the bound positions, canonically sorted.
+        """All triples matching the bound positions, in insertion order.
 
         Unbound (None) positions match anything. Candidates come from the
         smallest applicable index, so a fully unbound call is a full scan.
+        The result is not sorted; callers that print sort.
         """
-        candidates: set[Triple] | None = None
+        candidates: Collection[Triple] | None = None
         for index, key in ((self._by_s, s), (self._by_p, p), (self._by_o, o)):
             if key is None:
                 continue
@@ -60,15 +65,13 @@ class Graph:
                 candidates = bucket
         if candidates is None:
             candidates = self._triples
-        out = [
+        return [
             t
             for t in candidates
             if (s is None or t.s == s)
             and (p is None or t.p == p)
             and (o is None or t.o == o)
         ]
-        out.sort(key=Triple.to_line)
-        return out
 
     def subjects(self, p: Optional[Iri] = None, o: Optional[Term] = None):
         """Distinct subjects of triples matching (p, o)."""

@@ -38,7 +38,7 @@ LANGTAG = r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 
 _NAME_CHAR = r"(?:[\w\-]|%[0-9A-Fa-f]{2})"
 
-_UNESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+_UNESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
 _SHORT_ESCAPES = {
     "t": "\t",
     "b": "\b",
@@ -93,7 +93,8 @@ def unescape(raw: str, line: int, column: int) -> str:
         try:
             return _SHORT_ESCAPES[ch]
         except KeyError:
-            raise ParseError(f"invalid escape: \\{ch}", line, column) from None
+            shown = ch if ch.isprintable() else f" followed by {ch!r}"
+            raise ParseError(f"invalid escape: \\{shown}", line, column) from None
 
     return _UNESCAPE.sub(repl, raw)
 

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedFeatureError,
 )
 from .graph import Graph
-from .terms import BlankNode, Iri, Literal, PrefixMap, Term
+from .terms import BlankNode, Iri, Literal, PrefixMap, Term, Triple
 
 RR_NS = "http://www.w3.org/ns/r2rml#"
 
@@ -238,7 +238,8 @@ def _name(term: Term) -> str:
 
 
 def _values(doc: Graph, node: Term, prop: Iri) -> list[Term]:
-    return [t.o for t in doc.match(node, prop, None)]
+    # canonical order, so maps, POMs and their warnings come out reproducibly
+    return [t.o for t in sorted(doc.match(node, prop, None), key=Triple.to_line)]
 
 
 def _single(doc: Graph, node: Term, prop: Iri, owner: str) -> Optional[Term]:
@@ -250,7 +251,7 @@ def _single(doc: Graph, node: Term, prop: Iri, owner: str) -> Optional[Term]:
 
 def _check_rejected(doc: Graph, warnings: list[str]) -> None:
     seen_unknown = set()
-    for t in doc.match():  # canonical order, so warnings are reproducible
+    for t in sorted(doc, key=Triple.to_line):  # canonical order, so warnings are reproducible
         p = t.p
         if not p.value.startswith(RR_NS):
             continue

@@ -60,6 +60,14 @@ def _data_text(filename: str) -> str:
     return resources.files("triplify").joinpath("data", filename).read_text("utf-8")
 
 
+def _expand(prefixes: PrefixMap, curie: str, where: str) -> Iri:
+    """prefixes.expand(curie), any failure a TriplifyError that names `where`."""
+    try:
+        return prefixes.expand(curie)
+    except (ValueError, TriplifyError) as exc:
+        raise TriplifyError(f"{where}: {exc}") from None
+
+
 # --- vocabulary ---------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +101,7 @@ def load_vocabulary(text: str, prefixes: Optional[PrefixMap] = None) -> list[Voc
         terms.append(
             VocabularyTerm(
                 curie=curie,
-                iri=prefixes.expand(curie),
+                iri=_expand(prefixes, curie, f"vocabulary line {lineno}"),
                 label=label,
                 role=role,
                 category=category,
@@ -169,15 +177,21 @@ def load_shapes(text: str, prefixes: Optional[PrefixMap] = None) -> list[Shape]:
             kind, kind_curie = "literal", kind_text[8:-1]
         else:
             raise TriplifyError(f"shapes line {lineno}: bad kind {kind_text!r}")
-        min_count = int(min_text)
-        max_count = None if max_text == "*" else int(max_text)
+        try:
+            min_count = int(min_text)
+            max_count = None if max_text == "*" else int(max_text)
+        except ValueError:
+            raise TriplifyError(
+                f"shapes line {lineno}: counts must be integers: {min_text!r}, {max_text!r}"
+            ) from None
         if max_count is not None and min_count > max_count:
             raise TriplifyError(f"shapes line {lineno}: min exceeds max")
-        grouped.setdefault(prefixes.expand(cls), []).append(
+        where = f"shapes line {lineno}"
+        grouped.setdefault(_expand(prefixes, cls, where), []).append(
             ShapeConstraint(
-                predicate=prefixes.expand(pred),
+                predicate=_expand(prefixes, pred, where),
                 kind=kind,
-                kind_iri=prefixes.expand(kind_curie),
+                kind_iri=_expand(prefixes, kind_curie, where),
                 min_count=min_count,
                 max_count=max_count,
             )
@@ -225,13 +239,20 @@ class ValidationReport:
         return [v.line() for v in self.violations]
 
 
+def _conforms(g: Graph, o: Term, c: ShapeConstraint) -> bool:
+    if c.kind == "literal":
+        return isinstance(o, Literal) and o.datatype == c.kind_iri
+    return isinstance(o, (Iri, BlankNode)) and Triple(o, RDF_TYPE, c.kind_iri) in g
+
+
 def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
     """Check every instance of each shape's target class.
 
     For `class` constraints the object must be an IRI or blank node that
     itself has the required rdf:type; for `literal` constraints it must
     be a literal of the required datatype. Objects of the wrong kind are
-    reported individually and do not count toward cardinality.
+    reported individually, in canonical order, and do not count toward
+    cardinality.
     """
     violations: list[Violation] = []
     for shape in shapes:
@@ -240,61 +261,29 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
         )
         for focus in focuses:
             for c in shape.constraints:
-                conforming = 0
-                for t in g.match(focus, c.predicate, None):
-                    o = t.o
-                    if c.kind == "literal":
-                        if isinstance(o, Literal) and o.datatype == c.kind_iri:
-                            conforming += 1
-                        else:
-                            violations.append(
-                                Violation(
-                                    focus,
-                                    shape.target_class,
-                                    c.predicate,
-                                    f"object {o.to_ntriples()} is not a literal of "
-                                    f"datatype {c.kind_iri.to_ntriples()}",
-                                    offending=o,
-                                )
-                            )
-                    else:
-                        if isinstance(o, (Iri, BlankNode)) and Triple(
-                            o, RDF_TYPE, c.kind_iri
-                        ) in g:
-                            conforming += 1
-                        else:
-                            violations.append(
-                                Violation(
-                                    focus,
-                                    shape.target_class,
-                                    c.predicate,
-                                    f"object {o.to_ntriples()} lacks required type "
-                                    f"{c.kind_iri.to_ntriples()}",
-                                    offending=o,
-                                )
-                            )
+                objects = [t.o for t in g.match(focus, c.predicate, None)]
+                bad = [o for o in objects if not _conforms(g, o, c)]
+                flaw = (
+                    "is not a literal of datatype" if c.kind == "literal" else "lacks required type"
+                )
+                for o in sorted(bad, key=lambda o: o.to_ntriples()):
+                    message = f"object {o.to_ntriples()} {flaw} {c.kind_iri.to_ntriples()}"
+                    violations.append(
+                        Violation(focus, shape.target_class, c.predicate, message, offending=o)
+                    )
+                conforming = len(objects) - len(bad)
                 if conforming < c.min_count:
-                    violations.append(
-                        Violation(
-                            focus,
-                            shape.target_class,
-                            c.predicate,
-                            f"expected at least {c.min_count} conforming value(s), "
-                            f"found {conforming}",
-                            observed_count=conforming,
-                        )
-                    )
+                    bound = f"at least {c.min_count}"
                 elif c.max_count is not None and conforming > c.max_count:
-                    violations.append(
-                        Violation(
-                            focus,
-                            shape.target_class,
-                            c.predicate,
-                            f"expected at most {c.max_count} conforming value(s), "
-                            f"found {conforming}",
-                            observed_count=conforming,
-                        )
+                    bound = f"at most {c.max_count}"
+                else:
+                    continue
+                message = f"expected {bound} conforming value(s), found {conforming}"
+                violations.append(
+                    Violation(
+                        focus, shape.target_class, c.predicate, message, observed_count=conforming
                     )
+                )
     return ValidationReport(violations)
 
 

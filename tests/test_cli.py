@@ -189,6 +189,22 @@ class TestValidate:
         )
         assert code == 0 and stdout == ""
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "ncit:C16960\troo:P100027\tliteral(xsd:integer)\tx\t1",
+            "C16960\troo:P100027\tliteral(xsd:integer)\t1\t1",
+        ],
+    )
+    def test_malformed_shapes_file_exits_2(self, capsys, tmp_path, conforming_graph, bad):
+        shapes = tmp_path / "shapes.tsv"
+        shapes.write_text(bad + "\n")
+        code, stdout, stderr = run(
+            capsys, "validate", str(conforming_graph), "--shapes", str(shapes)
+        )
+        assert code == 2 and stdout == ""
+        assert "cannot load shapes: shapes line 1:" in stderr
+
 
 class TestQuery:
     def _graphs(self, tmp_path):

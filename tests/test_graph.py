@@ -1,6 +1,10 @@
 """Graph set semantics, index coherence, and match ordering."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from triplify import Graph, Iri, Literal, Triple, merge
 from triplify.terms import XSD_INTEGER
@@ -58,10 +62,43 @@ class TestMatch:
         assert len(found) == 2
         assert all(t.s == Iri(EX + "a") for t in found)
 
-    def test_result_canonically_sorted(self):
-        g = Graph([_t("b", "p", "x"), _t("a", "p", "x"), _t("a", "p", "w")])
-        lines = [t.to_line() for t in g.match()]
-        assert lines == sorted(lines)
+    def test_result_in_insertion_order(self):
+        triples = [_t("b", "p", "x"), _t("a", "p", "x"), _t("a", "p", "w")]
+        g = Graph(triples)
+        assert g.match() == triples
+        assert g.match(p=Iri(EX + "p")) == triples
+        assert g.match(s=Iri(EX + "a")) == triples[1:]
+
+    def test_order_independent_of_hash_seed(self):
+        script = (
+            "import random\n"
+            "from genutil import random_graph\n"
+            "g = random_graph(random.Random(5), 300)\n"
+            "probe = next(iter(g))\n"
+            "for t in list(g) + g.match() + g.match(p=probe.p) + g.match(o=probe.o):\n"
+            "    print(t.to_line())\n"
+        )
+        here = Path(__file__).parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_reinsert_keeps_one_copy_per_bucket(self):
+        t = _t("s", "p", "o")
+        g = Graph([t, _t("s", "q", "o"), t])
+        g.add(t)
+        g.update([t, t])
+        for s, p, o in [(t.s, None, None), (None, t.p, None), (None, None, t.o), (t.s, t.p, t.o)]:
+            assert g.match(s, p, o).count(t) == 1
 
     def test_object_can_be_literal(self):
         t = Triple(Iri(EX + "s"), Iri(EX + "p"), Literal("5", XSD_INTEGER))
@@ -81,16 +118,13 @@ class TestMatch:
                 s = probe.s if rng.random() < 0.6 else None
                 p = probe.p if rng.random() < 0.6 else None
                 o = probe.o if rng.random() < 0.6 else None
-                expected = sorted(
-                    (
-                        t
-                        for t in pool
-                        if (s is None or t.s == s)
-                        and (p is None or t.p == p)
-                        and (o is None or t.o == o)
-                    ),
-                    key=Triple.to_line,
-                )
+                expected = [
+                    t
+                    for t in pool
+                    if (s is None or t.s == s)
+                    and (p is None or t.p == p)
+                    and (o is None or t.o == o)
+                ]
                 assert g.match(s, p, o) == expected, f"trial {trial}"
 
 

@@ -7,6 +7,7 @@ N-Triples is a subset of Turtle, so both readers must agree on it.
 """
 
 import random
+from importlib import resources
 
 import pytest
 
@@ -16,6 +17,8 @@ from triplify import (
     Iri,
     Triple,
     load_csv,
+    load_shapes,
+    parse_mapping,
     parse_ntriples,
     parse_query,
     parse_turtle,
@@ -67,6 +70,25 @@ def test_mutated_mappings_parse_or_raise_triplify_errors():
     seed = bundled_mapping_text().encode("utf-8")
     for _ in range(300):
         _survives(parse_turtle, _mutate(rng, seed).decode("utf-8", errors="replace"))
+
+
+def _mapping(text: str):
+    doc, prefixes = parse_turtle(text)
+    return parse_mapping(doc, prefixes)
+
+
+def test_mutated_mappings_read_as_r2rml_or_raise_triplify_errors():
+    rng = random.Random(6343)
+    seed = bundled_mapping_text().encode("utf-8")
+    for _ in range(1000):
+        _survives(_mapping, _mutate(rng, seed).decode("utf-8", errors="replace"))
+
+
+def test_mutated_shapes_load_or_raise_triplify_errors():
+    rng = random.Random(7781)
+    seed = (resources.files("triplify") / "data" / "shapes.tsv").read_bytes()
+    for _ in range(3000):
+        _survives(load_shapes, _mutate(rng, seed).decode("utf-8", errors="replace"))
 
 
 def test_mutated_queries_parse_or_raise_triplify_errors():

@@ -152,6 +152,11 @@ class TestSharedTermSyntax:
         assert q.patterns[0].o == Literal('say "hi"')
         assert q.patterns[1].o == Literal("two\nlines")
 
+    def test_backslash_before_line_break_is_an_invalid_escape(self):
+        with pytest.raises(ParseError, match="invalid escape") as err:
+            parse_query('SELECT ?s\nWHERE { ?s <http://ex.org/p> "a\\\nb" . }')
+        assert (err.value.line, err.value.column) == (2, 30)
+
     def test_unicode_escape_in_iri(self):
         q = parse_query("SELECT ?s WHERE { ?s <http://ex.org/caf\\u00E9> ?o . }")
         assert q.patterns[0].p == Iri(EX + "café")

@@ -201,6 +201,28 @@ class TestParseMapping:
         assert outputs[0] == outputs[1]
         assert outputs[0].count("<http://www.w3.org/ns/r2rml#") == 2
 
+    def test_maps_poms_and_warnings_in_canonical_order(self):
+        # the graph keeps document order; the reader sorts what it reads
+        text = RR + """
+        ex:B rr:logicalTable [ rr:tableName "T" ] ;
+          rr:subjectMap [ rr:template "http://e.org/b/{ID}" ] .
+        ex:A rr:logicalTable [ rr:tableName "T" ] ;
+          rr:subjectMap [ rr:template "http://e.org/a/{ID}" ] ;
+          rr:zz "z" ; rr:aa "a" ;
+          rr:predicateObjectMap ex:pom2, ex:pom1 .
+        ex:pom2 rr:predicate ex:r ; rr:objectMap [ rr:column "C" ] .
+        ex:pom1 rr:predicate ex:q, ex:p ; rr:objectMap [ rr:column "D" ] .
+        """
+        m = mapping_of(text)
+        assert [tm.id for tm in m.triples_maps] == [Iri("http://ex.org/A"), Iri("http://ex.org/B")]
+        poms = m.triples_maps[0].predicate_object_maps
+        assert [pom.predicate.constant.value for pom in poms] == [
+            "http://ex.org/p",
+            "http://ex.org/q",
+            "http://ex.org/r",
+        ]
+        assert [w.rsplit("#", 1)[1] for w in m.warnings] == ["aa>", "zz>"]
+
     def test_multiple_predicates_and_objects_flatten(self):
         text = RR + """
         ex:M rr:logicalTable [ rr:tableName "T" ] ;

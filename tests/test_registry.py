@@ -3,8 +3,10 @@
 import pytest
 
 from triplify import (
+    BlankNode,
     Graph,
     Iri,
+    Literal,
     Triple,
     builtin_shapes,
     builtin_vocabulary,
@@ -17,6 +19,7 @@ from triplify import (
     validate_graph,
     write_csv,
 )
+from triplify.errors import TriplifyError
 from triplify.r2rml import RefObjectMap
 from triplify.registry import term_by_label
 from triplify.terms import RDF_TYPE, XSD_DATE
@@ -86,6 +89,10 @@ class TestVocabulary:
         with pytest.raises(Exception):
             load_vocabulary("ncit:C1\tonly three\tfields\n")
 
+    def test_loader_names_a_curie_without_colon(self):
+        with pytest.raises(TriplifyError, match="^vocabulary line 1: .*'C1'"):
+            load_vocabulary("C1\tneoplasm\tclass\ttumour\n")
+
 
 class TestShapes:
     def test_treatment_cardinality_unbounded(self):
@@ -105,6 +112,20 @@ class TestShapes:
         for shape in builtin_shapes():
             for c in shape.constraints:
                 assert c.predicate in vocab_iris
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "ncit:C16960\troo:P100027\tliteral(xsd:integer)\tone\t*",
+            "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t1\t1.5",
+            "C16960\troo:P100027\tliteral(xsd:integer)\t1\t*",
+            "ncit:C16960\tP100027\tliteral(xsd:integer)\t1\t*",
+            "ncit:C16960\troo:P100027\tliteral(integer)\t1\t*",
+        ],
+    )
+    def test_loader_names_the_bad_line(self, line):
+        with pytest.raises(TriplifyError, match="^shapes line 2: "):
+            load_shapes("# comment\n" + line + "\n")
 
     def test_loader_round_trip(self):
         text = "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t1\t*\n"
@@ -162,6 +183,31 @@ class TestValidateGraph:
         report = validate_graph(mangled, builtin_shapes())
         # one violation for the offending term, one for the broken cardinality
         assert len(report.violations) == 2
+
+    def test_offending_objects_reported_in_canonical_order(self):
+        g = synthetic_graph(n=2, seed=2)
+        age = term_by_label("has age").iri
+        sex = term_by_label("has biological sex").iri
+        focus = g.match(None, age, None)[0].s
+        mangled = Graph(t for t in g if t != Triple(focus, age, g.value(focus, age)))
+        bad_ages = [Iri("http://ex.org/c"), Literal("x"), Iri("http://ex.org/a"), BlankNode("b")]
+        bad_sexes = [Iri("http://ex.org/z"), Iri("http://ex.org/y")]
+        for o in bad_ages:
+            mangled.add(Triple(focus, age, o))
+        for o in bad_sexes:
+            mangled.add(Triple(focus, sex, o))
+        report = validate_graph(mangled, builtin_shapes())
+        by_predicate = {}
+        for v in report.violations:
+            assert v.focus == focus
+            by_predicate.setdefault(v.predicate, []).append(v)
+        ages = by_predicate[age]
+        canonical = sorted(bad_ages, key=lambda o: o.to_ntriples())
+        assert [v.offending for v in ages] == canonical + [None]
+        assert ages[-1].observed_count == 0
+        assert [v.offending for v in by_predicate[sex]] == sorted(
+            bad_sexes, key=lambda o: o.to_ntriples()
+        )
 
 
 class TestGenerateSynthetic:

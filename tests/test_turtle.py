@@ -161,6 +161,13 @@ class TestErrors:
             triples('<http://e.org/s> <http://e.org/p> "a\\q" .')
         assert (err.value.line, err.value.column) == (1, 35)
 
+    @pytest.mark.parametrize("string", ['"a\\\nb"', '"""a\\\nb"""', "'''a\\\nb'''"])
+    def test_backslash_before_line_break_is_an_invalid_escape(self, string):
+        # Turtle has no line-continuation escape
+        with pytest.raises(ParseError, match="invalid escape") as err:
+            triples(f"\n<http://e.org/s> <http://e.org/p> {string} .")
+        assert (err.value.line, err.value.column) == (2, 35)
+
 
 class TestResolveIri:
     def test_reference_forms(self):
