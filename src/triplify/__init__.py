@@ -64,8 +64,6 @@ from .terms import (
     PrefixMap,
     Term,
     Triple,
-    expand_curie,
-    make_iri,
 )
 from .turtle import parse_turtle
 
@@ -108,7 +106,6 @@ __all__ = [
     "bundled_mapping",
     "convert",
     "execute",
-    "expand_curie",
     "expand_template",
     "generate_synthetic",
     "generate_term",
@@ -116,7 +113,6 @@ __all__ = [
     "load_csv",
     "load_shapes",
     "load_vocabulary",
-    "make_iri",
     "merge",
     "merge_and_query",
     "parse_mapping",

@@ -14,13 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .convert import convert
-from .errors import (
-    CsvError,
-    MappingError,
-    ParseError,
-    QueryError,
-    TriplifyError,
-)
+from .errors import MappingError, QueryError, TriplifyError
 from .graph import Graph, merge
 from .ntriples import parse_ntriples, serialize_ntriples
 from .query import merge_and_query, parse_query
@@ -45,7 +39,12 @@ def _fail(message: str, code: int) -> int:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TriplifyError(
+            f"{path}: not UTF-8 text: byte {exc.start} ({exc.reason})"
+        ) from None
 
 
 def _load_graphs(paths: list[str]) -> list[Graph]:
@@ -84,7 +83,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         paths[name] = path
     try:
         tables = {name: load_csv(_read(path), name) for name, path in paths.items()}
-    except (OSError, CsvError) as exc:
+    except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load tables: {exc}", 2)
 
     diagnostics = validate_mapping(mapping, {n: set(t.columns) for n, t in tables.items()})
@@ -113,7 +112,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         g = parse_ntriples(_read(args.graph))
-    except (OSError, ParseError) as exc:
+    except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load graph: {exc}", 2)
     try:
         if args.shapes is not None:
@@ -139,7 +138,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         return _fail(f"bad query: {exc}", 2)
     try:
         graphs = _load_graphs(args.graphs)
-    except (OSError, ParseError) as exc:
+    except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load graph: {exc}", 2)
     try:
         solution = merge_and_query(graphs, q)
@@ -164,7 +163,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     try:
         g = merge(_load_graphs(args.graphs))
-    except (OSError, ParseError) as exc:
+    except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load graph: {exc}", 2)
     print(f"triples\t{len(g)}")
     classes = Counter(t.o for t in g if t.p == RDF_TYPE)

@@ -4,12 +4,13 @@ Dirty cells never abort a conversion: a term that cannot be produced
 (NULL input, bad lexical form, invalid IRI) is skipped and logged in the
 report, and the remaining terms of the row still convert. The output
 graph is a set, so it is independent of row order, triples-map order,
-and row duplication.
+and row duplication. Each triples map is one pass over its rows, so the
+report logs skips in triples-map order, then row order.
 """
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,7 +41,6 @@ from .terms import (
     Triple,
 )
 
-_IUNRESERVED_ASCII = frozenset(string.ascii_letters + string.digits + "-._~")
 # RFC 3987 ucschar: private-use planes excluded, surrogates excluded.
 _UCSCHAR_RANGES = (
     (0xA0, 0xD7FF),
@@ -49,26 +49,23 @@ _UCSCHAR_RANGES = (
     *((base, base + 0xFFFD) for base in range(0x10000, 0xE0000, 0x10000)),
     (0xE1000, 0xEFFFD),
 )
+# runs of characters outside RFC 3987 iunreserved
+_NOT_IUNRESERVED = re.compile(
+    "[^A-Za-z0-9._~\\-"
+    + "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in _UCSCHAR_RANGES)
+    + "]+"
+)
 
 
-def _is_iunreserved(ch: str) -> bool:
-    if ch in _IUNRESERVED_ASCII:
-        return True
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _UCSCHAR_RANGES)
+def _percent_encode(m: re.Match) -> str:
+    return "".join("%%%02X" % b for b in m.group().encode("utf-8"))
 
 
 def iri_safe_encode(text: str) -> str:
     """Percent-encode every character outside iunreserved (uppercase hex)."""
     if text.isascii() and text.isalnum():
         return text
-    out: list[str] = []
-    for ch in text:
-        if _is_iunreserved(ch):
-            out.append(ch)
-        else:
-            out.extend("%%%02X" % b for b in ch.encode("utf-8"))
-    return "".join(out)
+    return _NOT_IUNRESERVED.sub(_percent_encode, text)
 
 
 def expand_template(template: Template, row: Row, kind: str = "IRI") -> Optional[str]:
@@ -169,25 +166,6 @@ class ConversionReport:
 
 # --- execution ------------------------------------------------------------------
 
-def _skip(
-    report: ConversionReport,
-    map_id: str,
-    rownum: int,
-    tm: TermMap,
-    row: Row,
-    what: str,
-    error: Optional[TriplifyError],
-) -> None:
-    columns = tm.source_columns()
-    if error is not None:
-        column = columns[0] if columns else ""
-        reason = f"{what}: {error}"
-    else:
-        column = next((c for c in columns if row.get(c) is None), "")
-        reason = f"{what}: NULL input"
-    report.skipped_terms.append(SkippedTerm(map_id, rownum, column, reason))
-
-
 def _term_or_skip(
     tm: TermMap,
     row: Row,
@@ -196,38 +174,53 @@ def _term_or_skip(
     rownum: int,
     what: str,
 ) -> Optional[Term]:
+    """The term tm makes for row, or None with the skip and its reason logged."""
     try:
         term = generate_term(tm, row)
     except MissingColumnError:
         raise
     except TriplifyError as exc:
-        _skip(report, map_id, rownum, tm, row, what, exc)
-        return None
-    if term is None:
-        _skip(report, map_id, rownum, tm, row, what, None)
-    return term
+        columns = tm.source_columns()
+        column = columns[0] if columns else ""
+        reason = f"{what}: {exc}"
+    else:
+        if term is not None:
+            return term
+        column = next((c for c in tm.source_columns() if row.get(c) is None), "")
+        reason = f"{what}: NULL input"
+    report.skipped_terms.append(SkippedTerm(map_id, rownum, column, reason))
+    return None
 
 
-def _subject_terms(
-    tm: TriplesMap,
-    table: TableSource,
-    report: ConversionReport,
-    map_id: str,
-    record: bool,
-) -> list[Optional[Term]]:
-    """The subject for every row of the map's table (None where absent)."""
-    out: list[Optional[Term]] = []
-    for rownum, row in enumerate(table.rows, start=1):
-        if record:
-            out.append(_term_or_skip(tm.subject_map, row, report, map_id, rownum, "subject"))
-        else:
-            try:
-                out.append(generate_term(tm.subject_map, row))
-            except MissingColumnError:
-                raise
-            except TriplifyError:
-                out.append(None)
-    return out
+def _table(
+    tables: dict[str, TableSource], tm: TriplesMap, same_as: Optional[str] = None
+) -> TableSource:
+    """tm's logical table. A reference to tm with no join condition passes
+    its own table as same_as: it makes tm's subjects from its own rows."""
+    table = tables.get(tm.logical_table)
+    if table is None:
+        raise MappingError(f"logical table {tm.logical_table!r} was not provided")
+    if same_as is not None and same_as != tm.logical_table:
+        raise MappingError(
+            f"reference to {tm.id.to_ntriples()} has no join condition "
+            f"and a different logical table"
+        )
+    return table
+
+
+def _parent_rows(
+    rom: RefObjectMap, child_table: str, tables: dict[str, TableSource]
+) -> dict[tuple, list[Row]]:
+    """The parent's rows by the values of their join columns (NULL joins nothing)."""
+    if not rom.joins:
+        _table(tables, rom.parent, same_as=child_table)
+        return {}
+    index: dict[tuple, list[Row]] = {}
+    for prow in _table(tables, rom.parent).rows:
+        key = tuple(prow.get(pc) for _, pc in rom.joins)
+        if None not in key:
+            index.setdefault(key, []).append(prow)
+    return index
 
 
 def apply_triples_map(
@@ -236,85 +229,55 @@ def apply_triples_map(
     g: Graph,
     report: ConversionReport,
 ) -> None:
-    """Run one triples map over its logical table, inserting into g."""
-    try:
-        table = tables[tm.logical_table]
-    except KeyError:
-        raise MappingError(f"logical table {tm.logical_table!r} was not provided") from None
+    """Run one triples map over its logical table, inserting into g.
+
+    The objects of a referencing object map are its parent's subject map
+    applied to each joined parent row, or to the row itself when there is
+    no join condition. A parent subject that cannot be made gives no edge;
+    the parent's own pass logs it.
+    """
+    rows = _table(tables, tm).rows
+    joined = [
+        _parent_rows(pom.object, tm.logical_table, tables)
+        if isinstance(pom.object, RefObjectMap)
+        else None
+        for pom in tm.predicate_object_maps
+    ]
     map_id = tm.id.to_ntriples()
-    report.rows_read += len(table.rows)
-    subjects = _subject_terms(tm, table, report, map_id, record=True)
+    report.rows_read += len(rows)
 
     def emit(t: Triple) -> None:
         if not g.add(t):
             report.triples_deduplicated += 1
 
-    # Resolve referencing object maps once: parent subjects plus, when join
-    # conditions exist, a hash index over the parent join columns.
-    ref_plans: dict[int, tuple] = {}
-    parent_subject_cache: dict[int, list[Optional[Term]]] = {}
-    for index, pom in enumerate(tm.predicate_object_maps):
-        rom = pom.object
-        if not isinstance(rom, RefObjectMap):
-            continue
-        parent = rom.parent
-        parent_table = tables.get(parent.logical_table)
-        if parent_table is None:
-            raise MappingError(
-                f"logical table {parent.logical_table!r} was not provided"
-            )
-        key = id(parent)
-        if key not in parent_subject_cache:
-            parent_subject_cache[key] = _subject_terms(
-                parent, parent_table, report, parent.id.to_ntriples(), record=False
-            )
-        parent_subjects = parent_subject_cache[key]
-        if rom.joins:
-            joined: dict[tuple, list[Term]] = {}
-            parent_columns = [pc for _, pc in rom.joins]
-            for prow, psubj in zip(parent_table.rows, parent_subjects):
-                if psubj is None:
-                    continue
-                jkey = tuple(prow.get(c) for c in parent_columns)
-                if None in jkey:
-                    continue  # NULL joins nothing
-                joined.setdefault(jkey, []).append(psubj)
-            ref_plans[index] = ("join", [cc for cc, _ in rom.joins], joined)
-        else:
-            if parent.logical_table != tm.logical_table:
-                raise MappingError(
-                    f"reference to {parent.id.to_ntriples()} has no join condition "
-                    f"and a different logical table"
-                )
-            ref_plans[index] = ("same-row", parent_subjects)
-
-    for rownum, (row, subject) in enumerate(zip(table.rows, subjects), start=1):
+    for rownum, row in enumerate(rows, start=1):
+        subject = _term_or_skip(tm.subject_map, row, report, map_id, rownum, "subject")
         if subject is None:
-            continue  # the subject skip is already in the report
+            continue
         for cls in tm.subject_classes:
             emit(Triple(subject, RDF_TYPE, cls))
-        for index, pom in enumerate(tm.predicate_object_maps):
-            predicate = _term_or_skip(
-                pom.predicate, row, report, map_id, rownum, "predicate"
-            )
+        for pom, parent_rows in zip(tm.predicate_object_maps, joined):
+            predicate = _term_or_skip(pom.predicate, row, report, map_id, rownum, "predicate")
             if predicate is None:
                 continue
             rom = pom.object
-            if isinstance(rom, RefObjectMap):
-                plan = ref_plans[index]
-                if plan[0] == "same-row":
-                    obj = plan[1][rownum - 1]
-                    if obj is not None:
-                        emit(Triple(subject, predicate, obj))
-                else:
-                    _, child_columns, joined = plan
-                    jkey = tuple(row.get(c) for c in child_columns)
-                    if None in jkey:
-                        continue
-                    for obj in joined.get(jkey, ()):
-                        emit(Triple(subject, predicate, obj))
-            else:
+            if isinstance(rom, TermMap):
                 obj = _term_or_skip(rom, row, report, map_id, rownum, "object")
+                if obj is not None:
+                    emit(Triple(subject, predicate, obj))
+                continue
+            if rom.joins:
+                key = tuple(row.get(cc) for cc, _ in rom.joins)
+                prows = parent_rows.get(key, ())
+            else:
+                prows = (row,)
+            for prow in prows:
+                try:
+                    obj = generate_term(rom.parent.subject_map, prow)
+                except MissingColumnError:
+                    raise
+                except TriplifyError:
+                    continue
                 if obj is not None:
                     emit(Triple(subject, predicate, obj))
 

@@ -233,10 +233,6 @@ class MappingDocument:
 
 # --- parsing ----------------------------------------------------------------
 
-def _name(term: Term) -> str:
-    return term.to_ntriples()
-
-
 def _values(doc: Graph, node: Term, prop: Iri) -> list[Term]:
     # canonical order, so maps, POMs and their warnings come out reproducibly
     return [t.o for t in sorted(doc.match(node, prop, None), key=Triple.to_line)]
@@ -262,6 +258,17 @@ def _check_rejected(doc: Graph, warnings: list[str]) -> None:
         elif p not in _KNOWN and p not in seen_unknown:
             seen_unknown.add(p)
             warnings.append(f"unknown R2RML property ignored: <{p.value}>")
+
+
+def _constant_map(term: Term) -> TermMap:
+    """The term map that yields `term` for every row."""
+    if isinstance(term, Iri):
+        kind = "IRI"
+    elif isinstance(term, BlankNode):
+        kind = "BlankNode"
+    else:
+        kind = "Literal"
+    return TermMap(term_kind=kind, constant=term)
 
 
 def _parse_term_map(
@@ -303,35 +310,28 @@ def _parse_term_map(
 
     term_type = _single(doc, node, RR_TERM_TYPE, owner)
     if constant is not None:
-        kind = (
-            "IRI"
-            if isinstance(constant, Iri)
-            else "BlankNode"
-            if isinstance(constant, BlankNode)
-            else "Literal"
-        )
-    elif term_type is not None:
-        try:
-            kind = _TERM_TYPES[term_type]
-        except KeyError:
-            raise MappingError(f"{owner}: unknown rr:termType {_name(term_type)}") from None
-    elif position in ("subject", "predicate"):
-        kind = "IRI"
-    elif column is not None or datatype is not None or language is not None:
-        kind = "Literal"
+        tm = _constant_map(constant)
     else:
-        kind = "IRI"
+        if term_type is not None:
+            try:
+                kind = _TERM_TYPES[term_type]
+            except KeyError:
+                raise MappingError(
+                    f"{owner}: unknown rr:termType {term_type.to_ntriples()}"
+                ) from None
+        elif position in ("subject", "predicate"):
+            kind = "IRI"
+        elif column is not None or datatype is not None or language is not None:
+            kind = "Literal"
+        else:
+            kind = "IRI"
+        tm = TermMap(term_kind=kind, column=column, template=template)
 
-    if (datatype is not None or language is not None) and kind != "Literal":
-        raise MappingError(f"{owner}: rr:datatype/rr:language require a literal term map")
-    return TermMap(
-        term_kind=kind,
-        constant=constant,
-        column=column,
-        template=template,
-        datatype=datatype,
-        language=language,
-    )
+    if datatype is not None or language is not None:
+        if tm.term_kind != "Literal":
+            raise MappingError(f"{owner}: rr:datatype/rr:language require a literal term map")
+        tm.datatype, tm.language = datatype, language
+    return tm
 
 
 def _parse_logical_table(doc: Graph, node: Term, owner: str) -> str:
@@ -358,10 +358,7 @@ def _parse_subject(doc: Graph, node: Term, owner: str) -> tuple[TermMap, list[Ir
         subject = const_subjects[0]
         if isinstance(subject, Literal):
             raise LiteralSubjectError(f"{owner}: subjects cannot be literals")
-        sm = TermMap(
-            term_kind="IRI" if isinstance(subject, Iri) else "BlankNode",
-            constant=subject,
-        )
+        sm = _constant_map(subject)
     else:
         sm = _parse_term_map(doc, sm_nodes[0], "subject", owner)
         if sm.term_kind == "Literal":
@@ -382,7 +379,7 @@ def _parse_poms(
         for p in _values(doc, pom_node, RR_PREDICATE):
             if not isinstance(p, Iri):
                 raise MappingError(f"{owner}: rr:predicate must be an IRI")
-            predicates.append(TermMap(term_kind="IRI", constant=p))
+            predicates.append(_constant_map(p))
         for pm_node in _values(doc, pom_node, RR_PREDICATE_MAP):
             pm = _parse_term_map(doc, pm_node, "predicate", owner)
             if pm.term_kind != "IRI":
@@ -391,22 +388,15 @@ def _parse_poms(
         if not predicates:
             raise MappingError(f"{owner}: predicate-object map has no predicate")
 
-        objects: list[Union[TermMap, RefObjectMap]] = []
-        for o in _values(doc, pom_node, RR_OBJECT):
-            kind = (
-                "IRI"
-                if isinstance(o, Iri)
-                else "BlankNode"
-                if isinstance(o, BlankNode)
-                else "Literal"
-            )
-            objects.append(TermMap(term_kind=kind, constant=o))
+        objects: list[Union[TermMap, RefObjectMap]] = [
+            _constant_map(o) for o in _values(doc, pom_node, RR_OBJECT)
+        ]
         for om_node in _values(doc, pom_node, RR_OBJECT_MAP):
             parent = _single(doc, om_node, RR_PARENT_TRIPLES_MAP, owner)
             if parent is not None:
                 if parent not in map_nodes:
                     raise DanglingParentMapError(
-                        f"{owner}: rr:parentTriplesMap {_name(parent)} is not a triples map"
+                        f"{owner}: rr:parentTriplesMap {parent.to_ntriples()} is not a triples map"
                     )
                 joins = []
                 for jc in _values(doc, om_node, RR_JOIN_CONDITION):
@@ -441,7 +431,7 @@ def parse_mapping(doc: Graph, prefixes: PrefixMap, source_name: str = "") -> Map
     ordered = sorted(map_nodes, key=lambda n: n.to_ntriples())
     maps: dict[Term, TriplesMap] = {}
     for node in ordered:
-        owner = f"triples map {_name(node)}"
+        owner = f"triples map {node.to_ntriples()}"
         table = _parse_logical_table(doc, node, owner)
         subject_map, classes = _parse_subject(doc, node, owner)
         maps[node] = TriplesMap(
@@ -451,7 +441,7 @@ def parse_mapping(doc: Graph, prefixes: PrefixMap, source_name: str = "") -> Map
             subject_classes=classes,
         )
     for node in ordered:
-        owner = f"triples map {_name(node)}"
+        owner = f"triples map {node.to_ntriples()}"
         poms = _parse_poms(doc, node, owner, map_nodes)
         for pom in poms:
             if isinstance(pom.object, RefObjectMap):
@@ -504,7 +494,7 @@ def validate_mapping(
                 err(tm_id, f"{what} references column {c!r} absent from table {table!r}")
 
     for tm in m.triples_maps:
-        tm_id = _name(tm.id)
+        tm_id = tm.id.to_ntriples()
         used_tables.add(tm.logical_table)
         if tm.logical_table not in available_columns:
             err(tm_id, f"logical table {tm.logical_table!r} was not provided")
@@ -512,7 +502,7 @@ def validate_mapping(
         seen_classes: set[Iri] = set()
         for c in tm.subject_classes:
             if c in seen_classes:
-                warn(tm_id, f"duplicate rr:class {_name(c)} (harmless under set semantics)")
+                warn(tm_id, f"duplicate rr:class {c.to_ntriples()} (harmless under set semantics)")
             seen_classes.add(c)
         for pom in tm.predicate_object_maps:
             check_columns(tm_id, tm.logical_table, pom.predicate, "predicate map")
@@ -525,7 +515,7 @@ def validate_mapping(
                 if not rom.joins and parent_table != tm.logical_table:
                     err(
                         tm_id,
-                        f"reference to {_name(rom.parent_id)} needs a join condition: "
+                        f"reference to {rom.parent_id.to_ntriples()} needs a join condition: "
                         f"parent table {parent_table!r} differs from {tm.logical_table!r}",
                     )
                 for child, parent in rom.joins:

@@ -184,6 +184,8 @@ def load_shapes(text: str, prefixes: Optional[PrefixMap] = None) -> list[Shape]:
             raise TriplifyError(
                 f"shapes line {lineno}: counts must be integers: {min_text!r}, {max_text!r}"
             ) from None
+        if min_count < 0 or (max_count is not None and max_count < 0):
+            raise TriplifyError(f"shapes line {lineno}: counts must not be negative")
         if max_count is not None and min_count > max_count:
             raise TriplifyError(f"shapes line {lineno}: min exceeds max")
         where = f"shapes line {lineno}"

@@ -101,11 +101,6 @@ class Iri:
         return f"Iri({self.value!r})"
 
 
-def make_iri(text: str) -> Iri:
-    """Validate `text` as an absolute IRI and wrap it, byte-exact."""
-    return Iri(text)
-
-
 RDF_TYPE = Iri(RDF_NS + "type")
 RDF_LANGSTRING = Iri(RDF_NS + "langString")
 XSD_STRING = Iri(XSD_NS + "string")
@@ -259,8 +254,3 @@ class PrefixMap:
 
     def __repr__(self):
         return f"PrefixMap({self._entries!r})"
-
-
-def expand_curie(prefixes: PrefixMap, curie: str) -> Iri:
-    """Functional form of PrefixMap.expand."""
-    return prefixes.expand(curie)

@@ -364,6 +364,34 @@ class TestStats:
         assert any(l.startswith("category\tdemographic\t") for l in lines)
 
 
+class TestUndecodableInput:
+    QUERY = "SELECT ?s WHERE { ?s ?p ?o . }"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["convert", "BAD", str(CASE01 / "PATIENT.csv")], "cannot load mapping"),
+            (["convert", str(CASE01 / "mapping.ttl"), "--table", "PATIENT=BAD"],
+             "cannot load tables"),
+            (["validate", "BAD"], "cannot load graph"),
+            (["validate", str(CASE01 / "expected.nt"), "--shapes", "BAD"],
+             "cannot load shapes"),
+            (["query", str(CASE01 / "expected.nt"), "--query-file", "BAD"], "bad query"),
+            (["query", "BAD", "--query", QUERY], "cannot load graph"),
+            (["stats", "BAD"], "cannot load graph"),
+        ],
+        ids=["convert-mapping", "convert-csv", "validate-graph", "validate-shapes",
+             "query-file", "query-graph", "stats-graph"],
+    )
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, argv, message):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe<http://e.org/s> <http://e.org/p> <http://e.org/o> .\n")
+        argv = [a.replace("BAD", str(bad)) for a in argv]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: {message}: {bad}: not UTF-8 text: byte 0")
+
+
 class TestUsage:
     def test_no_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -15,7 +15,6 @@ from triplify import (
     expand_template,
     generate_term,
     iri_safe_encode,
-    make_iri,
     parse_mapping,
     parse_template,
     parse_turtle,
@@ -24,6 +23,7 @@ from triplify import (
 from triplify.convert import ConversionReport, apply_triples_map
 from triplify.errors import (
     LexicalFormMismatchError,
+    MappingError,
     MissingColumnError,
     RelativeIriError,
     ValidationFailedError,
@@ -54,6 +54,15 @@ class TestIriSafeEncode:
 
     def test_uppercase_hex(self):
         assert iri_safe_encode("<") == "%3C"
+
+    @pytest.mark.parametrize("ch", ["\ud7ff", "\uffef", "\U0001fffd", "\U000e1000"])
+    def test_ucschar_range_ends_kept(self, ch):
+        assert iri_safe_encode("a" + ch) == "a" + ch
+
+    @pytest.mark.parametrize("ch", ["\ue000", "\ufdd0", "\U0001fffe", "\U000efffe"])
+    def test_outside_ucschar_encoded(self, ch):
+        expected = "".join("%%%02X" % b for b in ch.encode("utf-8"))
+        assert iri_safe_encode(ch + "a") == expected + "a"
 
 
 class TestExpandTemplate:
@@ -191,6 +200,113 @@ class TestApplyTriplesMap:
         assert {t.o for t in edges} == {Iri(EX + "treatment/a"), Iri(EX + "treatment/b")}
 
 
+REFERENCE_MAPPING = """
+@prefix rr: <http://www.w3.org/ns/r2rml#> .
+@prefix ex: <http://ex.org/> .
+ex:PatientMap
+  rr:logicalTable [ rr:tableName "PATIENT" ] ;
+  rr:subjectMap [ rr:template "http://ex.org/patient/{ID}" ] ;
+  rr:predicateObjectMap [
+    rr:predicate ex:hasTreatment ;
+    rr:objectMap [
+      rr:parentTriplesMap ex:TreatmentMap ;
+      rr:joinCondition [ rr:child "KEY" ; rr:parent "PATIENT_KEY" ]
+    ]
+  ] ;
+  rr:predicateObjectMap [
+    rr:predicate ex:hasSite ;
+    rr:objectMap [ rr:parentTriplesMap ex:SiteMap ]
+  ] .
+ex:SiteMap
+  rr:logicalTable [ rr:tableName "PATIENT" ] ;
+  rr:subjectMap [ rr:template "http://ex.org/site/{SITE}" ] .
+ex:TreatmentMap
+  rr:logicalTable [ rr:tableName "TREATMENT" ] ;
+  rr:subjectMap [ rr:template "http://ex.org/treatment/{TID}" ] .
+"""
+
+
+def reference_tables(patients, treatments):
+    return {
+        "PATIENT": TableSource("PATIENT", ("ID", "KEY", "SITE"), patients),
+        "TREATMENT": TableSource("TREATMENT", ("TID", "PATIENT_KEY"), treatments),
+    }
+
+
+def edges(g, predicate):
+    return sorted((t.s.value, t.o.value) for t in g.match(None, Iri(EX + predicate), None))
+
+
+class TestReferences:
+    def mapping(self):
+        return parse_mapping(*parse_turtle(REFERENCE_MAPPING))
+
+    def test_no_join_condition_takes_the_parent_subject_of_the_same_row(self):
+        tables = reference_tables(
+            [
+                {"ID": "1", "KEY": None, "SITE": "lung"},
+                {"ID": "2", "KEY": None, "SITE": "skin"},
+                {"ID": "3", "KEY": None, "SITE": None},
+            ],
+            [],
+        )
+        g, report = convert(self.mapping(), tables)
+        assert edges(g, "hasSite") == [
+            (EX + "patient/1", EX + "site/lung"),
+            (EX + "patient/2", EX + "site/skin"),
+        ]
+        # the missing site is logged once, by the site map's own pass
+        assert report.skipped_log() == "<http://ex.org/SiteMap>\t3\tSITE\tsubject: NULL input\n"
+
+    def test_no_join_condition_across_tables_is_a_mapping_error(self):
+        m = self.mapping()
+        patient_map = m.map_by_id(Iri(EX + "PatientMap"))
+        (site,) = [p for p in patient_map.predicate_object_maps if not p.object.joins]
+        site.object.parent = m.map_by_id(Iri(EX + "TreatmentMap"))
+        with pytest.raises(MappingError, match="no join condition"):
+            apply_triples_map(
+                patient_map, reference_tables([], []), Graph(), ConversionReport()
+            )
+
+    def test_null_join_key_joins_nothing(self):
+        tables = reference_tables(
+            [
+                {"ID": "1", "KEY": "k", "SITE": "lung"},
+                {"ID": "2", "KEY": None, "SITE": "lung"},
+            ],
+            [
+                {"TID": "a", "PATIENT_KEY": "k"},
+                {"TID": "b", "PATIENT_KEY": None},
+            ],
+        )
+        g, report = convert(self.mapping(), tables)
+        assert edges(g, "hasTreatment") == [(EX + "patient/1", EX + "treatment/a")]
+        assert report.skipped_terms == []
+
+    def test_null_parent_subject_gives_no_edge_and_one_skip(self):
+        tables = reference_tables(
+            [{"ID": "1", "KEY": "k", "SITE": "lung"}],
+            [
+                {"TID": None, "PATIENT_KEY": "k"},
+                {"TID": "b", "PATIENT_KEY": "k"},
+            ],
+        )
+        g, report = convert(self.mapping(), tables)
+        assert edges(g, "hasTreatment") == [(EX + "patient/1", EX + "treatment/b")]
+        assert report.skipped_log() == (
+            "<http://ex.org/TreatmentMap>\t1\tTID\tsubject: NULL input\n"
+        )
+
+    def test_missing_parent_table_is_a_mapping_error(self):
+        m = self.mapping()
+        tables = reference_tables([], [])
+        del tables["TREATMENT"]
+        with pytest.raises(MappingError, match="'TREATMENT' was not provided"):
+            apply_triples_map(
+                m.map_by_id(Iri(EX + "PatientMap")), tables, Graph(), ConversionReport()
+            )
+
+
 class TestConvert:
     def test_empty_tables(self):
         table = TableSource("PATIENT", ("ID", "AGE"), [])
@@ -244,7 +360,7 @@ class TestConvert:
             assert all(s.reason for s in report.skipped_terms)
 
     def test_emitted_iris_all_parse(self):
-        # fuzzed cells: every IRI that comes out must survive make_iri
+        # fuzzed cells: every IRI that comes out must survive Iri validation
         rng = random.Random(35)
         nasty = ["a b", "x<y>", 'q"q', "{brace}", "\\back", "café", "a|b", "100%", ""]
         rows = [
@@ -256,7 +372,7 @@ class TestConvert:
         for t in g:
             for term in (t.s, t.p, t.o):
                 if isinstance(term, Iri):
-                    make_iri(term.value)
+                    Iri(term.value)
 
     def test_skipped_log_format(self):
         table = TableSource(
@@ -267,3 +383,30 @@ class TestConvert:
         assert log.count("\n") == 1
         map_id, row, column, reason = log.strip().split("\t")
         assert row == "1" and column == "AGE" and reason
+
+    def test_skipped_log_in_map_order_then_row_order(self):
+        text = CANDIDATE_MAPPING + """
+        ex:WeightMap
+          rr:logicalTable [ rr:tableName "PATIENT" ] ;
+          rr:subjectMap [ rr:template "http://ex.org/weight/{ID}" ] ;
+          rr:predicateObjectMap [
+            rr:predicate ex:kg ;
+            rr:objectMap [ rr:column "AGE" ; rr:datatype xsd:integer ]
+          ] .
+        """
+        rows = [
+            {"ID": "1", "AGE": "abc"},
+            {"ID": None, "AGE": "5"},
+            {"ID": "3", "AGE": None},
+        ]
+        table = TableSource("PATIENT", ("ID", "AGE"), rows)
+        _, report = convert(parse_mapping(*parse_turtle(text)), {"PATIENT": table})
+        logged = [tuple(line.split("\t")[:3]) for line in report.skipped_log().splitlines()]
+        assert logged == [
+            ("<http://ex.org/PatientMap>", "1", "AGE"),
+            ("<http://ex.org/PatientMap>", "2", "ID"),
+            ("<http://ex.org/PatientMap>", "3", "AGE"),
+            ("<http://ex.org/WeightMap>", "1", "AGE"),
+            ("<http://ex.org/WeightMap>", "2", "ID"),
+            ("<http://ex.org/WeightMap>", "3", "AGE"),
+        ]

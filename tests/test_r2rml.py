@@ -177,8 +177,8 @@ class TestParseMapping:
         assert len(m.triples_maps) == 1
 
     def test_warning_order_independent_of_hash_seed(self):
-        # warnings come from a set-backed graph; their order must not
-        # depend on string hashing, which PYTHONHASHSEED randomises
+        # warnings follow the mapping graph's triples in canonical order,
+        # never string hashing, which PYTHONHASHSEED randomises
         text = RR + """
         ex:M rr:logicalTable [ rr:tableName "T" ; rr:sqlVersion rr:SQL2008 ] ;
           rr:subjectMap [ rr:template "http://e.org/{ID}" ; rr:madeUp "x" ;

@@ -121,6 +121,8 @@ class TestShapes:
             "C16960\troo:P100027\tliteral(xsd:integer)\t1\t*",
             "ncit:C16960\tP100027\tliteral(xsd:integer)\t1\t*",
             "ncit:C16960\troo:P100027\tliteral(integer)\t1\t*",
+            "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t-3\t*",
+            "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t-2\t-1",
         ],
     )
     def test_loader_names_the_bad_line(self, line):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from triplify import BlankNode, Iri, Literal, PrefixMap, Triple, expand_curie, make_iri
+from triplify import BlankNode, Iri, Literal, PrefixMap, Triple
 from triplify.errors import (
     IllegalCharacterError,
     LexicalFormMismatchError,
@@ -23,58 +23,58 @@ from triplify.terms import (
 
 class TestMakeIri:
     def test_wellformed_absolute_iri(self):
-        iri = make_iri("http://purl.obolibrary.org/obo/NCIT_C3262")
+        iri = Iri("http://purl.obolibrary.org/obo/NCIT_C3262")
         assert iri.value == "http://purl.obolibrary.org/obo/NCIT_C3262"
 
     def test_no_scheme_is_relative(self):
         with pytest.raises(RelativeIriError):
-            make_iri("patient/7")
+            Iri("patient/7")
 
     def test_raw_space_reports_offset(self):
         with pytest.raises(IllegalCharacterError) as err:
-            make_iri("http://e.org/a b")
+            Iri("http://e.org/a b")
         assert err.value.position == 15
 
     def test_input_preserved_byte_exact(self):
         text = "http://e.org/%41?x=1#frag"
-        assert make_iri(text).value == text
+        assert Iri(text).value == text
 
     @pytest.mark.parametrize("bad", ['http://e.org/"', "http://e.org/<x>", "http://e.org/\x01"])
     def test_forbidden_characters(self, bad):
         with pytest.raises(IllegalCharacterError):
-            make_iri(bad)
+            Iri(bad)
 
     def test_colon_after_slash_is_not_a_scheme(self):
         with pytest.raises(RelativeIriError):
-            make_iri("a/b:c")
+            Iri("a/b:c")
 
     def test_unicode_allowed(self):
-        assert make_iri("http://ex.org/café").value.endswith("café")
+        assert Iri("http://ex.org/café").value.endswith("café")
 
 
 class TestExpandCurie:
     def test_ncit_neoplasm(self):
         prefixes = PrefixMap({"ncit": "http://purl.obolibrary.org/obo/NCIT_"})
-        assert expand_curie(prefixes, "ncit:C3262").value == (
+        assert prefixes.expand("ncit:C3262").value == (
             "http://purl.obolibrary.org/obo/NCIT_C3262"
         )
 
     def test_unknown_prefix(self):
         with pytest.raises(UnknownPrefixError):
-            expand_curie(PrefixMap(), "roo:P100000")
+            PrefixMap().expand("roo:P100000")
 
     def test_empty_local_part(self):
         prefixes = PrefixMap({"ex": "http://e.org/"})
-        assert expand_curie(prefixes, "ex:").value == "http://e.org/"
+        assert prefixes.expand("ex:").value == "http://e.org/"
 
     def test_result_validated(self):
         prefixes = PrefixMap({"ex": "http://e.org/"})
         with pytest.raises(IllegalCharacterError):
-            expand_curie(prefixes, "ex:a b")
+            prefixes.expand("ex:a b")
 
     def test_missing_colon_rejected(self):
         with pytest.raises(ValueError):
-            expand_curie(PrefixMap({"ex": "http://e.org/"}), "noseparator")
+            PrefixMap({"ex": "http://e.org/"}).expand("noseparator")
 
     def test_rebinding_replaces(self):
         prefixes = PrefixMap({"ex": "http://e.org/"})
