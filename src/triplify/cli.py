@@ -96,10 +96,13 @@ def cmd_convert(args: argparse.Namespace) -> int:
         g, report = convert(mapping, tables)
     except MappingError as exc:
         return _fail(str(exc), 1)
-    _write_output(serialize_ntriples(g), args.output)
-    print(report.summary(), file=sys.stderr)
-    if args.skipped_log is not None:
-        Path(args.skipped_log).write_text(report.skipped_log(), encoding="utf-8")
+    try:
+        _write_output(serialize_ntriples(g), args.output)
+        print(report.summary(), file=sys.stderr)
+        if args.skipped_log is not None:
+            Path(args.skipped_log).write_text(report.skipped_log(), encoding="utf-8")
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}", 2)
     if args.strict and report.skipped_terms:
         print(
             f"strict mode: {len(report.skipped_terms)} skipped term(s)",

@@ -58,7 +58,13 @@ _NOT_IUNRESERVED = re.compile(
 
 
 def _percent_encode(m: re.Match) -> str:
-    return "".join("%%%02X" % b for b in m.group().encode("utf-8"))
+    try:
+        data = m.group().encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise TriplifyError(
+            f"cannot percent-encode lone surrogate {exc.object[exc.start]!r}"
+        ) from None
+    return "".join("%%%02X" % b for b in data)
 
 
 def iri_safe_encode(text: str) -> str:

@@ -88,6 +88,8 @@ def unescape(raw: str, line: int, column: int) -> str:
             cp = int(digits, 16)
             if cp > 0x10FFFF:  # only an 8-digit \U escape can get here
                 raise ParseError(f"code point out of range: \\U{digits}", line, column)
+            if 0xD800 <= cp <= 0xDFFF:  # not a Unicode scalar value: no UTF-8 form
+                raise ParseError(f"surrogate code point: {m.group()}", line, column)
             return chr(cp)
         ch = m.group(3)
         try:

@@ -6,6 +6,9 @@ every node carrying rr:logicalTable / rr:subjectMap / rr:subject becomes
 one TriplesMap. Predicate-object blocks with several predicates or objects
 are flattened into one (predicate, object) pair per combination.
 
+One compiled pattern splits an rr:template into column references,
+escaped braces, stray braces (an error) and literal text.
+
 Deliberate restrictions: logical tables are base table names only
 (rr:sqlQuery is rejected), and named graphs (rr:graphMap) are rejected;
 rr:inverseExpression and rr:sqlVersion are ignored with a warning, as is
@@ -14,6 +17,7 @@ any unrecognized rr: property.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -129,6 +133,10 @@ class Template:
         return "".join(parts)
 
 
+# A column reference, an escaped brace, a stray brace, or literal text.
+_TEMPLATE_PART = re.compile(r"\{([^{}]*)\}|\\([{}])|([{}])|([^\\{}]+|\\)")
+
+
 def parse_template(text: str) -> Template:
     """Parse an rr:template string.
 
@@ -137,33 +145,23 @@ def parse_template(text: str) -> Template:
     """
     segments: list[TemplateSegment] = []
     literal: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n and text[i + 1] in "{}":
-            literal.append(text[i + 1])
-            i += 2
+    for m in _TEMPLATE_PART.finditer(text):
+        name, escaped, stray, chars = m.groups()
+        offset = m.start() + 1
+        if stray == "}":
+            raise UnbalancedBracesError(f"stray '}}' at offset {offset}: {text!r}")
+        if stray == "{":
+            problem = "nested" if "}" in text[offset:] else "unclosed"
+            raise UnbalancedBracesError(f"{problem} '{{' at offset {offset}: {text!r}")
+        if name is None:
+            literal.append(escaped or chars)
             continue
-        if ch == "{":
-            end = text.find("}", i + 1)
-            if end < 0:
-                raise UnbalancedBracesError(f"unclosed '{{' at offset {i + 1}: {text!r}")
-            name = text[i + 1 : end]
-            if "{" in name:
-                raise UnbalancedBracesError(f"nested '{{' at offset {i + 1}: {text!r}")
-            if not name:
-                raise EmptyColumnNameError(f"empty column reference at offset {i + 1}: {text!r}")
-            if literal:
-                segments.append(TemplateSegment("".join(literal), False))
-                literal = []
-            segments.append(TemplateSegment(name, True))
-            i = end + 1
-            continue
-        if ch == "}":
-            raise UnbalancedBracesError(f"stray '}}' at offset {i + 1}: {text!r}")
-        literal.append(ch)
-        i += 1
+        if not name:
+            raise EmptyColumnNameError(f"empty column reference at offset {offset}: {text!r}")
+        if literal:
+            segments.append(TemplateSegment("".join(literal), False))
+            literal = []
+        segments.append(TemplateSegment(name, True))
     if literal:
         segments.append(TemplateSegment("".join(literal), False))
     template = Template(tuple(segments))

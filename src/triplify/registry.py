@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from datetime import date, timedelta
 from importlib import resources
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import TriplifyError
 from .graph import Graph
@@ -68,6 +68,20 @@ def _expand(prefixes: PrefixMap, curie: str, where: str) -> Iri:
         raise TriplifyError(f"{where}: {exc}") from None
 
 
+def _tsv_records(text: str, width: int, what: str) -> Iterator[tuple[str, list[str]]]:
+    """("<what> line N", stripped fields) for each line that is neither
+    blank nor a `#` comment; a line without `width` fields is an error."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{what} line {lineno}"
+        fields = raw.split("\t")
+        if len(fields) != width:
+            raise TriplifyError(f"{where}: expected {width} tab-separated fields")
+        yield where, [f.strip() for f in fields]
+
+
 # --- vocabulary ---------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -84,24 +98,17 @@ def load_vocabulary(text: str, prefixes: Optional[PrefixMap] = None) -> list[Voc
     if prefixes is None:
         prefixes = registry_prefixes()
     terms: list[VocabularyTerm] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 4:
-            raise TriplifyError(f"vocabulary line {lineno}: expected 4 tab-separated fields")
-        curie, label, role, category = (p.strip() for p in parts)
+    for where, (curie, label, role, category) in _tsv_records(text, 4, "vocabulary"):
         if role not in _ROLES:
-            raise TriplifyError(f"vocabulary line {lineno}: bad role {role!r}")
+            raise TriplifyError(f"{where}: bad role {role!r}")
         if category not in _CATEGORIES:
-            raise TriplifyError(f"vocabulary line {lineno}: bad category {category!r}")
+            raise TriplifyError(f"{where}: bad category {category!r}")
         if not label:
-            raise TriplifyError(f"vocabulary line {lineno}: empty label")
+            raise TriplifyError(f"{where}: empty label")
         terms.append(
             VocabularyTerm(
                 curie=curie,
-                iri=_expand(prefixes, curie, f"vocabulary line {lineno}"),
+                iri=_expand(prefixes, curie, where),
                 label=label,
                 role=role,
                 category=category,
@@ -163,32 +170,24 @@ def load_shapes(text: str, prefixes: Optional[PrefixMap] = None) -> list[Shape]:
     if prefixes is None:
         prefixes = registry_prefixes()
     grouped: dict[Iri, list[ShapeConstraint]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 5:
-            raise TriplifyError(f"shapes line {lineno}: expected 5 tab-separated fields")
-        cls, pred, kind_text, min_text, max_text = (p.strip() for p in parts)
+    for where, (cls, pred, kind_text, min_text, max_text) in _tsv_records(text, 5, "shapes"):
         if kind_text.startswith("class(") and kind_text.endswith(")"):
             kind, kind_curie = "class", kind_text[6:-1]
         elif kind_text.startswith("literal(") and kind_text.endswith(")"):
             kind, kind_curie = "literal", kind_text[8:-1]
         else:
-            raise TriplifyError(f"shapes line {lineno}: bad kind {kind_text!r}")
+            raise TriplifyError(f"{where}: bad kind {kind_text!r}")
         try:
             min_count = int(min_text)
             max_count = None if max_text == "*" else int(max_text)
         except ValueError:
             raise TriplifyError(
-                f"shapes line {lineno}: counts must be integers: {min_text!r}, {max_text!r}"
+                f"{where}: counts must be integers: {min_text!r}, {max_text!r}"
             ) from None
         if min_count < 0 or (max_count is not None and max_count < 0):
-            raise TriplifyError(f"shapes line {lineno}: counts must not be negative")
+            raise TriplifyError(f"{where}: counts must not be negative")
         if max_count is not None and min_count > max_count:
-            raise TriplifyError(f"shapes line {lineno}: min exceeds max")
-        where = f"shapes line {lineno}"
+            raise TriplifyError(f"{where}: min exceeds max")
         grouped.setdefault(_expand(prefixes, cls, where), []).append(
             ShapeConstraint(
                 predicate=_expand(prefixes, pred, where),

@@ -3,11 +3,14 @@
 Cells are either NULL or text, and the two are different things: an
 unquoted empty CSV field is NULL (no value collected), while a quoted
 empty field `""` is the empty string. Python's csv module collapses the
-two, so parsing is done here by hand.
+two, so records are read here, by one compiled pattern that matches a
+field and the separator after it. `TableSource` is the one place a
+header is checked; `load_csv` builds it from the header record first.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -44,58 +47,39 @@ def _first_duplicate(names: Iterable[str]) -> str:
     return ""
 
 
+# One field and the separator after it. A quoted body is pairs of `""` and
+# other characters; an unquoted field may hold `"` but not start with one.
+# A character other than `"` right after a quoted field is caught as `junk`;
+# a quoted field with no closing quote does not match at all.
+_FIELD = re.compile(
+    r'(?:"([^"]*(?:""[^"]*)*)"|([^",\r\n][^,\r\n]*))?(?:(,|\r\n|\n|\r|\Z)|([^"]))'
+)
+
+
 def _parse_records(text: str) -> list[list[Cell]]:
     """Split CSV text into records of cells; NULL for unquoted empties."""
-    if text.startswith("﻿"):
+    if text.startswith("\ufeff"):
         text = text[1:]
     records: list[list[Cell]] = []
     record: list[Cell] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            # Quoted field: doubled quotes collapse, newlines pass through.
-            parts: list[str] = []
-            i += 1
-            while True:
-                end = text.find('"', i)
-                if end < 0:
-                    raise CsvError(f"unterminated quoted field in record {len(records) + 1}")
-                parts.append(text[i:end])
-                if text.startswith('""', end):
-                    parts.append('"')
-                    i = end + 2
-                    continue
-                i = end + 1
+    end = 0
+    for m in _FIELD.finditer(text):
+        if m.start() != end:  # a quote at `end` opened a field that never closes
+            raise CsvError(f"unterminated quoted field in record {len(records) + 1}")
+        quoted, bare, sep, junk = m.groups()
+        if junk is not None:
+            raise CsvError(
+                f"unexpected character {junk!r} after quoted field in record {len(records) + 1}"
+            )
+        if not record and m.start() == m.end():
+            break  # the input ended right after a record
+        end = m.end()
+        record.append(bare if quoted is None else quoted.replace('""', '"'))
+        if sep != ",":
+            records.append(record)
+            record = []
+            if not sep:
                 break
-            record.append("".join(parts))
-            if i < n and text[i] not in ",\r\n":
-                raise CsvError(
-                    f"unexpected character {text[i]!r} after quoted field "
-                    f"in record {len(records) + 1}"
-                )
-        else:
-            end = i
-            while end < n and text[end] not in ",\r\n":
-                end += 1
-            record.append(text[i:end] if end > i else None)
-            i = end
-        if i >= n:
-            break
-        if text[i] == ",":
-            i += 1
-            if i >= n:  # trailing comma: one final NULL field
-                record.append(None)
-            continue
-        if text[i] == "\r":
-            i += 2 if text.startswith("\r\n", i) else 1
-        else:
-            i += 1
-        records.append(record)
-        record = []
-    if record:
-        records.append(record)
     return records
 
 
@@ -104,18 +88,13 @@ def load_csv(text: str, name: str = "") -> TableSource:
     records = _parse_records(text)
     if not records:
         raise CsvError("empty input: no header record")
-    header = tuple("" if c is None else c for c in records[0])
-    seen: set[str] = set()
-    for col in header:
-        if col in seen:
-            raise DuplicateHeaderError(col)
-        seen.add(col)
-    rows: list[Row] = []
+    table = TableSource(name, tuple("" if c is None else c for c in records[0]))
+    header = table.columns
     for number, record in enumerate(records[1:], start=2):
         if len(record) != len(header):
             raise RaggedRowError(number, len(header), len(record))
-        rows.append(dict(zip(header, record)))
-    return TableSource(name=name, columns=header, rows=rows)
+        table.rows.append(dict(zip(header, record)))
+    return table
 
 
 def _format_field(cell: Cell) -> str:

@@ -89,6 +89,22 @@ class TestConvert:
         fields = log.read_text().strip().split("\t")
         assert len(fields) == 4 and fields[1] == "2" and fields[2] == "AGE"
 
+    @pytest.mark.parametrize("flag", ["-o", "--skipped-log"])
+    def test_unwritable_output_path_exits_2(self, capsys, tmp_path, flag):
+        target = tmp_path / "nodir" / "out"
+        code, _, stderr = run(
+            capsys,
+            "convert",
+            str(CASE01 / "mapping.ttl"),
+            str(CASE01 / "PATIENT.csv"),
+            flag,
+            str(target),
+        )
+        assert code == 2
+        assert "error: cannot write" in stderr
+        assert str(target) in stderr
+        assert "Traceback" not in stderr
+
     def test_bundled_mapping_against_registry_oracle(self, capsys, tmp_path):
         case = FIXTURES / "case12_registry"
         mapping = tmp_path / "mapping.ttl"

@@ -26,6 +26,7 @@ from triplify.errors import (
     MappingError,
     MissingColumnError,
     RelativeIriError,
+    TriplifyError,
     ValidationFailedError,
 )
 from triplify.r2rml import TermMap
@@ -63,6 +64,11 @@ class TestIriSafeEncode:
     def test_outside_ucschar_encoded(self, ch):
         expected = "".join("%%%02X" % b for b in ch.encode("utf-8"))
         assert iri_safe_encode(ch + "a") == expected + "a"
+
+    @pytest.mark.parametrize("text", ["\ud800", "a b\udfff"])
+    def test_lone_surrogate_is_a_triplify_error(self, text):
+        with pytest.raises(TriplifyError, match="surrogate"):
+            iri_safe_encode(text)
 
 
 class TestExpandTemplate:
@@ -383,6 +389,14 @@ class TestConvert:
         assert log.count("\n") == 1
         map_id, row, column, reason = log.strip().split("\t")
         assert row == "1" and column == "AGE" and reason
+
+    def test_lone_surrogate_in_iri_cell_is_skipped_and_logged(self):
+        rows = [{"ID": "\ud800", "AGE": "1"}, {"ID": "2", "AGE": "3"}]
+        table = TableSource("PATIENT", ("ID", "AGE"), rows)
+        g, report = convert(candidate_mapping(), {"PATIENT": table})
+        assert [(t.row, t.column) for t in report.skipped_terms] == [(1, "ID")]
+        assert "surrogate" in report.skipped_terms[0].reason
+        assert {t.s for t in g} == {Iri(EX + "patient/2")}
 
     def test_skipped_log_in_map_order_then_row_order(self):
         text = CANDIDATE_MAPPING + """

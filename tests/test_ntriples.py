@@ -76,6 +76,12 @@ class TestParse:
             parse_ntriples('<http://e.org/s> <http://e.org/p> "a\\q" .')
         assert (err.value.line, err.value.column) == (1, 35)
 
+    @pytest.mark.parametrize("escape", ["\\uD800", "\\uDFFF", "\\U0000DC00"])
+    def test_surrogate_escape_is_a_positioned_error(self, escape):
+        with pytest.raises(ParseError, match="surrogate") as err:
+            parse_ntriples(f'<http://e.org/s> <http://e.org/p> "a{escape}" .\n')
+        assert (err.value.line, err.value.column) == (1, 35)
+
     def test_backslash_before_line_break_is_rejected(self):
         # the line break ends the line, so the string is unterminated
         with pytest.raises(ParseError) as err:

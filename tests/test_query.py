@@ -157,6 +157,11 @@ class TestSharedTermSyntax:
             parse_query('SELECT ?s\nWHERE { ?s <http://ex.org/p> "a\\\nb" . }')
         assert (err.value.line, err.value.column) == (2, 30)
 
+    def test_surrogate_escape_is_a_positioned_error(self):
+        with pytest.raises(ParseError, match="surrogate") as err:
+            parse_query('SELECT ?s\nWHERE { ?s <http://ex.org/p> "a\\uD800" . }')
+        assert (err.value.line, err.value.column) == (2, 30)
+
     def test_unicode_escape_in_iri(self):
         q = parse_query("SELECT ?s WHERE { ?s <http://ex.org/caf\\u00E9> ?o . }")
         assert q.patterns[0].p == Iri(EX + "café")

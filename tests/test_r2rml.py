@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,20 @@ class TestParseTemplate:
     def test_empty_column_name(self):
         with pytest.raises(EmptyColumnNameError):
             parse_template("x{}y")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("{A", "unclosed '{' at offset 1"),
+            ("a{b{c", "unclosed '{' at offset 2"),
+            ("{A{B}}", "nested '{' at offset 1"),
+            ("a{b\\{c}", "nested '{' at offset 2"),
+            ("\\{A}", "stray '}' at offset 4"),
+        ],
+    )
+    def test_unbalanced_message_names_the_problem_and_offset(self, bad, message):
+        with pytest.raises(UnbalancedBracesError, match=f"^{re.escape(message)}: "):
+            parse_template(bad)
 
     def test_unparse_reparse_identity(self):
         for text in ("http://e.org/{ID}", "{A}-{B}", "\\{{A}\\}", "a\\{b\\}c{X}"):

@@ -61,6 +61,35 @@ class TestLoadCsv:
         t = load_csv("﻿ID\n1\n")
         assert t.columns == ("ID",)
 
+    def test_empty_text_has_no_header(self):
+        with pytest.raises(CsvError):
+            load_csv("")
+
+    def test_header_only_file(self):
+        t = load_csv("ID,AGE\n")
+        assert t.columns == ("ID", "AGE")
+        assert t.rows == []
+
+    def test_blank_body_line_is_one_null_row(self):
+        t = load_csv("ID\n1\n\n2\n")
+        assert t.rows == [{"ID": "1"}, {"ID": None}, {"ID": "2"}]
+
+    def test_cr_only_record_ends(self):
+        t = load_csv("ID,AGE\r1,63\r2,64\r")
+        assert t.rows == [{"ID": "1", "AGE": "63"}, {"ID": "2", "AGE": "64"}]
+
+    def test_trailing_comma_after_quoted_field(self):
+        assert load_csv('ID,AGE\n"1",\n').rows == [{"ID": "1", "AGE": None}]
+        assert load_csv('ID,AGE\n"1",').rows == [{"ID": "1", "AGE": None}]
+
+    def test_quote_inside_unquoted_field(self):
+        t = load_csv('ID,NOTE\n1,say "hi"\n')
+        assert t.rows[0]["NOTE"] == 'say "hi"'
+
+    def test_duplicate_header_wins_over_ragged_row(self):
+        with pytest.raises(DuplicateHeaderError):
+            load_csv("ID,ID\n1\n")
+
 
 class TestWriteCsv:
     def test_round_trip_preserves_null_vs_empty(self):

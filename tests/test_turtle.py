@@ -161,6 +161,14 @@ class TestErrors:
             triples('<http://e.org/s> <http://e.org/p> "a\\q" .')
         assert (err.value.line, err.value.column) == (1, 35)
 
+    def test_surrogate_escape_is_a_positioned_error(self):
+        with pytest.raises(ParseError, match="surrogate") as err:
+            triples('<http://e.org/s> <http://e.org/p> "a\\uD800" .')
+        assert (err.value.line, err.value.column) == (1, 35)
+        with pytest.raises(ParseError, match="surrogate") as err:
+            triples('<http://e.org/s>\n<http://e.org/p\\uDBFF> "a" .')
+        assert (err.value.line, err.value.column) == (2, 1)
+
     @pytest.mark.parametrize("string", ['"a\\\nb"', '"""a\\\nb"""', "'''a\\\nb'''"])
     def test_backslash_before_line_break_is_an_invalid_escape(self, string):
         # Turtle has no line-continuation escape
