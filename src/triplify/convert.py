@@ -57,14 +57,16 @@ _NOT_IUNRESERVED = re.compile(
 )
 
 
-def _percent_encode(m: re.Match) -> str:
+def _utf8(text: str) -> bytes:
+    """text as UTF-8; a lone surrogate, which has no encoding, is a TriplifyError."""
     try:
-        data = m.group().encode("utf-8")
+        return text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise TriplifyError(
-            f"cannot percent-encode lone surrogate {exc.object[exc.start]!r}"
-        ) from None
-    return "".join("%%%02X" % b for b in data)
+        raise TriplifyError(f"cannot encode lone surrogate {exc.object[exc.start]!r}") from None
+
+
+def _percent_encode(m: re.Match) -> str:
+    return "".join("%%%02X" % b for b in _utf8(m.group()))
 
 
 def iri_safe_encode(text: str) -> str:
@@ -96,11 +98,21 @@ def expand_template(template: Template, row: Row, kind: str = "IRI") -> Optional
     return "".join(parts)
 
 
+# the characters a blank node label escapes
+_NOT_LABEL_SAFE = re.compile(r"[^A-Za-z0-9]")
+
+
+def _label_escape(m: re.Match) -> str:
+    return "_" + _utf8(m.group()).hex().upper()
+
+
 def _blank_label(text: str) -> str:
-    label = "".join(ch if ch.isascii() and (ch.isalnum() or ch == "_") else "_" for ch in text)
-    if not label:
+    """A label for text, injective: each character outside [A-Za-z0-9]
+    becomes `_` and the uppercase hex of its UTF-8 bytes, whose lead byte
+    fixes how many follow (`a-b` -> `a_2Db`, `a_b` -> `a_5Fb`)."""
+    if not text:
         raise TriplifyError("blank node label came out empty")
-    return label
+    return _NOT_LABEL_SAFE.sub(_label_escape, text)
 
 
 def _wrap(text: str, tm: TermMap) -> Term:

@@ -5,8 +5,13 @@ dict, plus three positional indexes (subject, predicate, object) whose
 buckets are lists in that same order. Iteration and `match` follow
 insertion order and never sort: an RDF graph has no order of its own, so
 callers that print sort (`serialize_ntriples`, `execute`,
-`validate_graph`). Construction is single-writer; once built, a graph
-can be read from any number of threads.
+`validate_graph`).
+
+Writes keep only the dict: the indexes are built the first time `match`
+needs them, or by `merge`, and are kept current by later writes.
+Construction is single-writer. Once written, a graph can be read from
+any number of threads; readers racing to the first build may each build
+the indexes, but none sees a partial one.
 """
 
 from __future__ import annotations
@@ -15,17 +20,24 @@ from typing import Collection, Iterable, Iterator, Optional
 
 from .terms import Iri, Term, Triple
 
+_Index = dict[Term, list[Triple]]
+
+
+def _index_triple(index: tuple[_Index, _Index, _Index], t: Triple) -> None:
+    by_s, by_p, by_o = index
+    by_s.setdefault(t.s, []).append(t)
+    by_p.setdefault(t.p, []).append(t)
+    by_o.setdefault(t.o, []).append(t)
+
 
 class Graph:
-    __slots__ = ("_triples", "_by_s", "_by_p", "_by_o")
+    __slots__ = ("_triples", "_index")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: dict[Triple, None] = {}
-        self._by_s: dict[Term, list[Triple]] = {}
-        self._by_p: dict[Term, list[Triple]] = {}
-        self._by_o: dict[Term, list[Triple]] = {}
-        for t in triples:
-            self.add(t)
+        # (by subject, by predicate, by object) once built, else None
+        self._index: Optional[tuple[_Index, _Index, _Index]] = None
+        self.update(triples)
 
     def add(self, t: Triple) -> bool:
         """Insert one triple; returns True iff it was not already present."""
@@ -33,14 +45,29 @@ class Graph:
         self._triples.setdefault(t)
         if len(self._triples) == before:
             return False
-        self._by_s.setdefault(t.s, []).append(t)
-        self._by_p.setdefault(t.p, []).append(t)
-        self._by_o.setdefault(t.o, []).append(t)
+        if self._index is not None:
+            _index_triple(self._index, t)
         return True
 
     def update(self, other: Iterable[Triple]) -> None:
-        for t in other:
-            self.add(t)
+        if self._index is not None:
+            for t in other:
+                self.add(t)
+        elif isinstance(other, Graph):
+            self._triples.update(other._triples)  # reuses the stored hashes
+        else:
+            self._triples.update(dict.fromkeys(other))
+
+    def _indexes(self) -> tuple[_Index, _Index, _Index]:
+        """The position indexes, built from the dict on first use."""
+        index = self._index
+        if index is None:
+            index = ({}, {}, {})
+            for t in self._triples:
+                _index_triple(index, t)
+            # published by one assignment, once complete
+            self._index = index
+        return index
 
     def match(
         self,
@@ -54,17 +81,16 @@ class Graph:
         smallest applicable index, so a fully unbound call is a full scan.
         The result is not sorted; callers that print sort.
         """
-        candidates: Collection[Triple] | None = None
-        for index, key in ((self._by_s, s), (self._by_p, p), (self._by_o, o)):
-            if key is None:
-                continue
-            bucket = index.get(key)
-            if not bucket:
-                return []
-            if candidates is None or len(bucket) < len(candidates):
-                candidates = bucket
-        if candidates is None:
-            candidates = self._triples
+        candidates: Collection[Triple] = self._triples
+        if s is not None or p is not None or o is not None:
+            for index, key in zip(self._indexes(), (s, p, o)):
+                if key is None:
+                    continue
+                bucket = index.get(key)
+                if not bucket:
+                    return []
+                if len(bucket) < len(candidates):
+                    candidates = bucket
         return [
             t
             for t in candidates
@@ -109,6 +135,7 @@ class Graph:
 def merge(graphs: Iterable[Graph]) -> Graph:
     """Set-union of several graphs; insertion order never matters.
 
+    The result comes back indexed, ready to be shared between readers.
     Union is idempotent, so blank node labels are taken at face value;
     callers merging documents whose explicit labels must stay distinct
     should relabel before parsing.
@@ -116,4 +143,5 @@ def merge(graphs: Iterable[Graph]) -> Graph:
     out = Graph()
     for g in graphs:
         out.update(g)
+    out._indexes()
     return out

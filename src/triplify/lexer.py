@@ -242,7 +242,7 @@ class TokenParser:
                 return self.build(tok, Literal, tok.value, datatype)
             if self.at("langtag"):
                 return self.build(tok, Literal, tok.value, RDF_LANGSTRING, self.next().value)
-            return Literal(tok.value)
+            return self.build(tok, Literal, tok.value)
         if tok.kind == "integer":
             return Literal(tok.value, XSD_INTEGER)
         if tok.kind == "word" and tok.value in ("true", "false"):

@@ -28,9 +28,10 @@ from .errors import (
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 
-# Characters never allowed in an IRI: controls, space, and the brackets
-# and quoting characters the IRI grammar reserves for delimiters.
-_IRI_ILLEGAL = re.compile(r'[\x00-\x20<>"{}|^`\\\x7f]')
+# Characters never allowed in an IRI: controls, space, the brackets and
+# quoting characters the IRI grammar reserves for delimiters, and lone
+# surrogates, which no UTF-8 output can hold.
+_IRI_ILLEGAL = re.compile(r'[\x00-\x20<>"{}|^`\\\x7f\ud800-\udfff]')
 _IRI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 
 _BLANK_LABEL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?$")
@@ -42,6 +43,8 @@ _DOUBLE_LEXICAL = re.compile(
 _BOOLEAN_LEXICAL = re.compile(r"(?:true|false|1|0)$")
 _DATE_LEXICAL = re.compile(r"(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})(?:Z|[+-][0-9]{2}:[0-9]{2})?$")
 _MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 _LANGUAGE_TAG = re.compile(r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*$")
 
@@ -147,6 +150,11 @@ class Literal:
     language: Optional[str] = None
 
     def __post_init__(self):
+        m = _SURROGATE.search(self.lexical)
+        if m is not None:
+            raise TriplifyError(
+                f"lone surrogate {m.group()!r} at position {m.start() + 1} of a literal"
+            )
         if self.language is not None:
             if self.datatype != RDF_LANGSTRING:
                 raise TriplifyError(

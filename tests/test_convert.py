@@ -121,7 +121,18 @@ class TestGenerateTerm:
 
     def test_blank_node_label_sanitized(self):
         tm = TermMap(term_kind="BlankNode", column="ID")
-        assert generate_term(tm, {"ID": "a b/c"}) == BlankNode("a_b_c")
+        assert generate_term(tm, {"ID": "a b/c"}) == BlankNode("a_20b_2Fc")
+
+    def test_blank_node_label_injective(self):
+        tm = TermMap(term_kind="BlankNode", column="ID")
+        cells = ["a-b", "a_b", "a.b", "\u00e9", "\u00fc"]
+        labels = [generate_term(tm, {"ID": cell}).label for cell in cells]
+        assert labels == ["a_2Db", "a_5Fb", "a_2Eb", "_C3A9", "_C3BC"]
+
+    def test_blank_node_label_lone_surrogate_is_a_triplify_error(self):
+        tm = TermMap(term_kind="BlankNode", column="ID")
+        with pytest.raises(TriplifyError, match="surrogate"):
+            generate_term(tm, {"ID": "a\ud800"})
 
 
 CANDIDATE_MAPPING = """
@@ -397,6 +408,15 @@ class TestConvert:
         assert [(t.row, t.column) for t in report.skipped_terms] == [(1, "ID")]
         assert "surrogate" in report.skipped_terms[0].reason
         assert {t.s for t in g} == {Iri(EX + "patient/2")}
+
+    def test_lone_surrogate_in_literal_cell_is_skipped_and_logged(self):
+        untyped = CANDIDATE_MAPPING.replace(" ; rr:datatype xsd:integer", "")
+        table = TableSource("PATIENT", ("ID", "AGE"), [{"ID": "1", "AGE": "\ud800"}])
+        g, report = convert(parse_mapping(*parse_turtle(untyped)), {"PATIENT": table})
+        assert [(t.row, t.column) for t in report.skipped_terms] == [(1, "AGE")]
+        assert "surrogate" in report.skipped_terms[0].reason
+        serialize_ntriples(g).encode("utf-8")
+        report.skipped_log().encode("utf-8")
 
     def test_skipped_log_in_map_order_then_row_order(self):
         text = CANDIDATE_MAPPING + """

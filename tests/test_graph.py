@@ -4,12 +4,13 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 from triplify import Graph, Iri, Literal, Triple, merge
 from triplify.terms import XSD_INTEGER
 
-from genutil import random_graph, random_triple
+from genutil import pooled_graph, random_graph, random_triple
 
 EX = "http://ex.org/"
 NCIT = "http://purl.obolibrary.org/obo/NCIT_"
@@ -17,6 +18,15 @@ NCIT = "http://purl.obolibrary.org/obo/NCIT_"
 
 def _t(s, p, o):
     return Triple(Iri(EX + s), Iri(EX + p), Iri(EX + o))
+
+
+def _scan(pool, s, p, o):
+    """The plain filtered scan every index-backed match must equal."""
+    return [
+        t
+        for t in pool
+        if (s is None or t.s == s) and (p is None or t.p == p) and (o is None or t.o == o)
+    ]
 
 
 class TestInsert:
@@ -118,14 +128,73 @@ class TestMatch:
                 s = probe.s if rng.random() < 0.6 else None
                 p = probe.p if rng.random() < 0.6 else None
                 o = probe.o if rng.random() < 0.6 else None
-                expected = [
-                    t
-                    for t in pool
-                    if (s is None or t.s == s)
-                    and (p is None or t.p == p)
-                    and (o is None or t.o == o)
-                ]
-                assert g.match(s, p, o) == expected, f"trial {trial}"
+                assert g.match(s, p, o) == _scan(pool, s, p, o), f"trial {trial}"
+
+
+class TestIndexBuild:
+    def test_racing_first_reads_see_whole_indexes(self):
+        # eight readers start together on a graph no one has read yet, so
+        # they race to build its indexes; each must see them complete
+        rng = random.Random(31)
+        subjects = [Iri(f"{EX}s{i}") for i in range(200)]
+        predicates = [Iri(f"{EX}p{i}") for i in range(10)]
+        objects = [Iri(f"{EX}o{i}") for i in range(150)] + [Literal(str(i)) for i in range(150)]
+        triples = [
+            Triple(rng.choice(subjects), rng.choice(predicates), rng.choice(objects))
+            for _ in range(10_000)
+        ]
+        pool = list(Graph(triples))
+        probes = [
+            (t.s, None, None) if k == 0 else (None, t.p, None) if k == 1 else (None, None, t.o)
+            for k, t in enumerate(rng.sample(pool, 30))
+        ]
+        probes += [(t.s, t.p, None) for t in rng.sample(pool, 10)]
+        expected = {probe: _scan(pool, *probe) for probe in probes}
+        readers = 8
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(3):
+                g = Graph(triples)
+                start = threading.Barrier(readers)
+                results = [None] * readers
+
+                def read(i):
+                    start.wait(timeout=30)
+                    order = probes[i:] + probes[:i]
+                    results[i] = {probe: g.match(*probe) for probe in order}
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for i, got in enumerate(results):
+                    assert got == expected, f"trial {trial}, reader {i}"
+        finally:
+            sys.setswitchinterval(old_interval)
+
+    def test_writes_after_first_read_keep_match_coherent(self):
+        rng = random.Random(32)
+        first, later = list(pooled_graph(rng, 150)), list(pooled_graph(rng, 150))
+        g = Graph(first)
+        g.match(p=first[0].p)  # builds the indexes
+        for t in later[: len(later) // 2]:
+            g.add(t)
+        g.update(later[len(later) // 2 :] + first[:5])
+        pool = list(g)
+        assert pool == list(dict.fromkeys(first + later))
+        for probe in rng.sample(pool, 20):
+            for s, p, o in [
+                (probe.s, None, None),
+                (None, probe.p, None),
+                (None, None, probe.o),
+                (probe.s, probe.p, None),
+                (None, probe.p, probe.o),
+                (probe.s, probe.p, probe.o),
+            ]:
+                assert g.match(s, p, o) == _scan(pool, s, p, o)
 
 
 class TestHelpers:
@@ -156,6 +225,16 @@ class TestMerge:
         rng = random.Random(100)
         g = random_graph(rng, 80)
         assert merge([g, g]) == g
+
+    def test_merge_keeps_first_insertion_order(self):
+        rng = random.Random(101)
+        g1 = random_graph(rng, 120)
+        g2 = Graph(list(random_graph(rng, 120)) + list(g1)[::3])
+        merged = merge([g1, g2])
+        expected = list(dict.fromkeys(list(g1) + list(g2)))
+        assert list(merged) == expected
+        assert merged.match() == expected
+        assert list(merge([g2, g2])) == list(g2)
 
     def test_shared_triples_counted_once(self):
         shared = _t("x", "p", "y")

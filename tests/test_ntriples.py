@@ -112,6 +112,22 @@ class TestParse:
             parse_ntriples("<http://e.org/s> <rel> <http://e.org/o> .")
         assert (err.value.line, err.value.column) == (1, 18)
 
+    def test_term_error_raises_where_that_term_first_occurs(self):
+        # the lexical "x" is a good plain and tagged literal on lines 1-2
+        # and a bad integer on line 3: each distinct term text is checked
+        lines = [
+            '<http://e.org/s> <http://e.org/p> "x" .',
+            '<http://e.org/s> <http://e.org/p> "x"@en .',
+            '<http://e.org/s> <http://e.org/p> "x"^^<http://www.w3.org/2001/XMLSchema#integer> .',
+        ]
+        with pytest.raises(ParseError) as err:
+            parse_ntriples("\n".join(lines) + "\n")
+        assert (err.value.line, err.value.column) == (3, 35)
+        lines[2] = "<http://e.org/s> <http://e.org/p> <rel> ."
+        with pytest.raises(ParseError) as err:
+            parse_ntriples("\n".join(lines + lines) + "\n")
+        assert (err.value.line, err.value.column) == (3, 35)
+
     def test_literal_subject_rejected(self):
         with pytest.raises(ParseError):
             parse_ntriples('"lit" <http://e.org/p> <http://e.org/o> .\n')
@@ -135,6 +151,18 @@ class TestRoundTrip:
             g = random_graph(rng, 120)
             again = parse_ntriples(serialize_ntriples(g))
             assert again == g, f"round-trip failed on graph {i}"
+
+    def test_equal_terms_are_one_object(self):
+        integer = "<http://www.w3.org/2001/XMLSchema#integer>"
+        a, b, c, d = parse_ntriples(
+            '<http://e.org/s> <http://e.org/p> "v" .\n'
+            '<http://e.org/s> <http://e.org/q> "v" .\n'
+            f'_:b <http://e.org/p> "1"^^{integer} .\n'
+            f'_:b <http://e.org/q> "1"^^{integer} .\n'
+        )
+        assert a.s is b.s and a.o is b.o
+        assert a.p is c.p and b.p is d.p
+        assert c.s is d.s and c.o is d.o
 
     def test_blank_labels_preserved(self):
         text = "_:keep <http://e.org/p> _:alsokeep .\n"

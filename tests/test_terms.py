@@ -39,7 +39,9 @@ class TestMakeIri:
         text = "http://e.org/%41?x=1#frag"
         assert Iri(text).value == text
 
-    @pytest.mark.parametrize("bad", ['http://e.org/"', "http://e.org/<x>", "http://e.org/\x01"])
+    @pytest.mark.parametrize(
+        "bad", ['http://e.org/"', "http://e.org/<x>", "http://e.org/\x01", "http://e.org/\ud800"]
+    )
     def test_forbidden_characters(self, bad):
         with pytest.raises(IllegalCharacterError):
             Iri(bad)
@@ -92,6 +94,13 @@ class TestLiteral:
             Literal("hoi", XSD_STRING, "nl")
         with pytest.raises(TriplifyError):
             Literal("hoi", RDF_LANGSTRING)  # tag missing
+
+    @pytest.mark.parametrize("lexical", ["\ud800", "a\udfff", "\udc80b"])
+    def test_lone_surrogate_rejected(self, lexical):
+        with pytest.raises(TriplifyError, match="surrogate"):
+            Literal(lexical)
+        with pytest.raises(TriplifyError, match="surrogate"):
+            Literal(lexical, RDF_LANGSTRING, "en")
 
     @pytest.mark.parametrize("lexical", ["63", "-1", "+007"])
     def test_integer_lexicals(self, lexical):
