@@ -8,6 +8,7 @@ data goes to stdout or --output.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -17,7 +18,7 @@ from .convert import convert
 from .errors import MappingError, QueryError, TriplifyError
 from .graph import Graph, merge
 from .ntriples import parse_ntriples, serialize_ntriples
-from .query import merge_and_query, parse_query
+from .query import execute, explain, parse_query
 from .registry import (
     builtin_shapes,
     builtin_vocabulary,
@@ -29,7 +30,7 @@ from .registry import (
 )
 from .r2rml import parse_mapping, validate_mapping
 from .tabular import load_csv, write_csv
-from .terms import RDF_TYPE
+from .terms import RDF_TYPE, BlankNode, Term, Triple
 from .turtle import parse_turtle
 
 
@@ -47,10 +48,27 @@ def _read(path: str) -> str:
         ) from None
 
 
+def _scope_blank_nodes(g: Graph, prefix: str) -> Graph:
+    """The graph with every blank node label prefixed."""
+    renamed: dict[BlankNode, BlankNode] = {}
+
+    def scoped(term: Term) -> Term:
+        if not isinstance(term, BlankNode):
+            return term
+        if term not in renamed:
+            renamed[term] = BlankNode(prefix + term.label)
+        return renamed[term]
+
+    return Graph(Triple(scoped(t.s), t.p, scoped(t.o)) for t in g)
+
+
 def _load_graphs(paths: list[str]) -> list[Graph]:
-    graphs = []
-    for p in paths:
-        graphs.append(parse_ntriples(_read(p)))
+    graphs = [parse_ntriples(_read(p)) for p in paths]
+    if len(graphs) > 1:
+        # A blank node label names a node only within its document (RDF 1.1
+        # Semantics 5.2), so file i's `_:x` becomes `_:fi_x`; i holds no
+        # `_`, so distinct (file, label) pairs stay distinct.
+        graphs = [_scope_blank_nodes(g, f"f{i}_") for i, g in enumerate(graphs, start=1)]
     return graphs
 
 
@@ -143,11 +161,17 @@ def cmd_query(args: argparse.Namespace) -> int:
         graphs = _load_graphs(args.graphs)
     except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load graph: {exc}", 2)
+    g = merge(graphs)
     try:
-        solution = merge_and_query(graphs, q)
+        if args.explain:
+            solution, plan = explain(g, q)
+        else:
+            solution = execute(g, q)
     except QueryError as exc:
         return _fail(str(exc), 1)
     sys.stdout.write(solution.to_tsv())
+    if args.explain:
+        print(json.dumps(plan), file=sys.stderr)
     return 0
 
 
@@ -213,6 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--query", help="query text")
     group.add_argument("--query-file", help="file containing the query")
+    p.add_argument("--explain", action="store_true",
+                   help="print the join plan to stderr as JSON: each step's pattern, "
+                   "estimated matches per row and surviving rows, in the order run")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("synth", help="write deterministic synthetic registry tables")

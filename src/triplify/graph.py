@@ -16,7 +16,7 @@ the indexes, but none sees a partial one.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .terms import Iri, Term, Triple
 
@@ -69,6 +69,16 @@ class Graph:
             self._index = index
         return index
 
+    def buckets(self, position: int) -> Mapping[Term, Sequence[Triple]]:
+        """Each term at `position` (0 subject, 1 predicate, 2 object) with
+        the triples holding it there, in insertion order.
+
+        Every triple is in exactly one bucket, so the mean bucket is
+        `len(self) / len(buckets)`; a term no triple holds there is
+        absent. Read only: the graph changes through `add` and `update`.
+        """
+        return self._indexes()[position]
+
     def match(
         self,
         s: Optional[Term] = None,
@@ -78,19 +88,27 @@ class Graph:
         """All triples matching the bound positions, in insertion order.
 
         Unbound (None) positions match anything. Candidates come from the
-        smallest applicable index, so a fully unbound call is a full scan.
-        The result is not sorted; callers that print sort.
+        smallest applicable index, so a fully unbound call is a full scan;
+        only the other bound positions are tested. The result is a new
+        list, not sorted; callers that print sort.
         """
         candidates: Collection[Triple] = self._triples
         if s is not None or p is not None or o is not None:
-            for index, key in zip(self._indexes(), (s, p, o)):
+            keys = [s, p, o]
+            at = None
+            for pos, (index, key) in enumerate(zip(self._indexes(), keys)):
                 if key is None:
                     continue
                 bucket = index.get(key)
                 if not bucket:
                     return []
-                if len(bucket) < len(candidates):
-                    candidates = bucket
+                if at is None or len(bucket) < len(candidates):
+                    candidates, at = bucket, pos
+            # every triple in the bucket holds its key
+            keys[at] = None
+            s, p, o = keys
+        if s is None and p is None and o is None:
+            return list(candidates)
         return [
             t
             for t in candidates

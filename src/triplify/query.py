@@ -9,15 +9,26 @@ single or double quoted, IRIs may hold `\\u` escapes, and a `<` that does
 not open an IRI (`?a < 65`) is the comparison operator. Blank nodes in
 patterns act as variables with hidden names.
 
-Evaluation is a left-to-right nested-loop join over index-backed matches:
-no optimizer, but the solution set is independent of pattern order.
-Result rows are deduplicated and canonically sorted; there is no ORDER BY.
+Evaluation plans, then runs a nested-loop join over index buckets. The
+plan takes the patterns greedily, each time the one with the fewest
+expected matches per row: a constant expects the exact size of its index
+bucket (0 when absent, so the answer is empty at once), a variable bound
+by an earlier step its index's mean bucket size; ties keep written order.
+Rows are tuples indexed by slot. A FILTER runs as soon as it and every
+FILTER written before it have their variables bound, so answers, and
+whether a query raises TypeMismatchError, are those of testing every
+filter in written order after all patterns, whatever order the patterns
+are written in. `explain` also reports the plan and the rows left after
+each step. Dates compare by value, as XSD `op:date-less-than` orders
+them; a date without a timezone is taken as Z. Result rows are
+deduplicated and canonically sorted; there is no ORDER BY.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from operator import attrgetter, eq, ge, gt, itemgetter, le, lt, ne
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import TypeMismatchError, UnboundProjectionError
 from .graph import Graph, merge
@@ -27,10 +38,11 @@ from .terms import (
     XSD_DATE,
     XSD_DOUBLE,
     XSD_INTEGER,
-    Iri,
     Literal,
     PrefixMap,
     Term,
+    Triple,
+    date_minutes,
 )
 
 _NUMERIC_DATATYPES = (XSD_INTEGER, XSD_DOUBLE)
@@ -216,42 +228,186 @@ def parse_query(text: str, prefixes: Optional[PrefixMap] = None) -> Query:
 
 
 # --- evaluation --------------------------------------------------------------
+#
+# A row is a tuple indexed by slot. Its first slots hold the query's
+# constants, in written order, so one itemgetter reads from a row every
+# value a step compares; each step appends the values of the variables it
+# binds.
 
-def _resolve(t: PatternTerm, binding: dict[str, Term]) -> Optional[Term]:
-    if isinstance(t, Var):
-        return binding.get(t.name)
-    return t
+_POSITIONS = ("s", "p", "o")
 
 
-def _solve(g: Graph, q: Query) -> list[dict[str, Term]]:
-    bindings: list[dict[str, Term]] = [{}]
+@dataclass(slots=True)
+class _Step:
+    pattern: TriplePattern
+    estimate: float  # expected matches per row
+    # where candidates come from: the bucket of the value in slot `key`
+    # of `index`, else the fixed `candidates` (a constant's bucket, or the
+    # whole graph). No index holds a literal subject or a non-IRI
+    # predicate, so a row binding one there matches nothing.
+    candidates: Collection[Triple]
+    index: Optional[Mapping[Term, Sequence[Triple]]]
+    key: Optional[int]
+    # the other bound positions of a candidate, and the row's values for them
+    tested: Optional[Callable[[Triple], object]]
+    wanted: Optional[Callable[[tuple], object]]
+    # the values of the variables first bound here, in slot order
+    fresh: Callable[[Triple], tuple]
+    repeats: tuple[tuple[str, str], ...]  # positions that must hold equal values
+    ready: int  # filters, a written-order prefix, whose variables are bound after it
+
+    def run(self, rows: list[tuple]) -> list[tuple]:
+        index, key, tested, wanted = self.index, self.key, self.tested, self.wanted
+        fresh, repeats = self.fresh, self.repeats
+        out: list[tuple] = []
+        for row in rows:
+            found = self.candidates if key is None else index.get(row[key], ())
+            if tested is not None:
+                want = wanted(row)
+                found = [t for t in found if tested(t) == want]
+            if repeats:
+                found = [
+                    t for t in found if all(getattr(t, a) == getattr(t, b) for a, b in repeats)
+                ]
+            out += [row + fresh(t) for t in found]
+        return out
+
+
+@dataclass(slots=True)
+class _Plan:
+    steps: tuple[_Step, ...]
+    slots: dict[str, int]  # variable name -> slot
+    row: tuple  # the row every answer extends: the constants
+
+
+_ONE_VALUE = {"s": lambda t: (t.s,), "p": lambda t: (t.p,), "o": lambda t: (t.o,)}
+
+
+def _values(*positions: str) -> Callable[[Triple], tuple]:
+    """A getter of a triple's values at `positions`, always as a tuple
+    (attrgetter gives a bare value for one position)."""
+    if len(positions) == 1:
+        return _ONE_VALUE[positions[0]]
+    return attrgetter(*positions) if positions else lambda t: ()
+
+
+def _plan(g: Graph, q: Query) -> _Plan:
+    """Order the patterns greedily, fewest expected matches per row first
+    (ties in written order), and compile each into a step.
+
+    A pattern expects the least, over its positions, of a constant's
+    exact bucket size (0 when absent) and a bound variable's mean one;
+    the position giving the least supplies the step's candidates.
+    """
+    indexes = (g.buckets(0), g.buckets(1), g.buckets(2))
+    size = len(g)
+    row: list = []
+    # (pattern, slots read, least constant bucket, its position and size,
+    # (position, variable)s)
+    remaining = []
     for pat in q.patterns:
-        nxt: list[dict[str, Term]] = []
-        for b in bindings:
-            s = _resolve(pat.s, b)
-            p = _resolve(pat.p, b)
-            o = _resolve(pat.o, b)
-            if p is not None and not isinstance(p, Iri):
-                continue  # a non-IRI bound to predicate position matches nothing
-            if s is not None and isinstance(s, Literal):
+        read: list = [None, None, None]  # the slot each position reads, once bound
+        least: Collection[Triple] = g
+        least_at = None
+        exact = size
+        variables = []
+        for pos, term in enumerate((pat.s, pat.p, pat.o)):
+            if isinstance(term, Var):
+                variables.append((pos, term.name))
                 continue
-            for t in g.match(s, p, o):
-                nb = dict(b)
-                ok = True
-                for pos, val in ((pat.s, t.s), (pat.p, t.p), (pat.o, t.o)):
-                    if isinstance(pos, Var):
-                        seen = nb.get(pos.name)
-                        if seen is None:
-                            nb[pos.name] = val
-                        elif seen != val:
-                            ok = False
-                            break
-                if ok:
-                    nxt.append(nb)
-        bindings = nxt
-        if not bindings:
-            break
-    return [b for b in bindings if all(_passes(f, b) for f in q.filters)]
+            read[pos] = len(row)
+            row.append(term)
+            bucket = indexes[pos].get(term, ())
+            if len(bucket) < exact:
+                least, least_at, exact = bucket, pos, len(bucket)
+        remaining.append((pat, read, least, least_at, exact, variables))
+    slots: dict[str, int] = {}
+    steps: list[_Step] = []
+    while remaining:
+        best = None
+        for i, (_, _, _, least_at, exact, variables) in enumerate(remaining):
+            estimate, via = exact, least_at
+            for pos, name in variables:
+                if name in slots:
+                    mean = size / len(indexes[pos]) if size else 0.0
+                    if mean < estimate:
+                        estimate, via = mean, pos
+            if best is None or estimate < best:
+                best, at, access = estimate, i, via
+        pat, read, candidates, least_at, _, variables = remaining.pop(at)
+        fresh: dict[str, str] = {}  # variable -> first position binding it here
+        repeats: list[tuple[str, str]] = []
+        for pos, name in variables:
+            if name in slots:
+                read[pos] = slots[name]
+            elif name in fresh:
+                repeats.append((_POSITIONS[pos], fresh[name]))
+            else:
+                fresh[name] = _POSITIONS[pos]
+        index = key = None
+        if access != least_at:  # a bound variable's bucket, found per row
+            candidates, index, key = (), indexes[access], read[access]
+        # every candidate holds the value at `access`; the other bound
+        # positions are tested
+        tested, wanted = [], []
+        for pos, slot in enumerate(read):
+            if slot is not None and pos != access:
+                tested.append(_POSITIONS[pos])
+                wanted.append(slot)
+        for name in fresh:
+            slots[name] = len(row) + len(slots)
+        ready = 0
+        while ready < len(q.filters) and q.filters[ready].var.name in slots:
+            ready += 1
+        steps.append(
+            _Step(
+                pat,
+                best,
+                candidates,
+                index,
+                key,
+                attrgetter(*tested) if tested else None,
+                itemgetter(*wanted) if wanted else None,
+                _values(*fresh.values()),
+                tuple(repeats),
+                ready,
+            )
+        )
+    return _Plan(tuple(steps), slots, tuple(row))
+
+
+def _solve(g: Graph, q: Query) -> tuple[_Plan, list[tuple], list[int]]:
+    """The plan, every matching row, and the rows left after each step run.
+
+    A filter runs as soon as it and every filter written before it have
+    their variables bound. That drops a row only where filters 1..i-1
+    pass and filter i is False, where the written-order test of every
+    filter after all patterns is False too, without raising; so the
+    answers and whether the query raises stay those of that test. Once
+    a filter raises, the rest wait until after the last step.
+    """
+    plan = _plan(g, q)
+    tests = [(plan.slots[f.var.name], _filter_test(f)) for f in q.filters]
+    rows = [plan.row]
+    counts: list[int] = []
+    done = 0  # filters applied to every row
+    early = True
+    for step in plan.steps:
+        rows = step.run(rows)
+        if early:
+            try:
+                for slot, test in tests[done : step.ready]:
+                    rows = [r for r in rows if test(r[slot])]
+                    done += 1
+            except TypeMismatchError:
+                early = False
+        counts.append(len(rows))
+        if not rows:
+            return plan, rows, counts
+    # a row that raised still holds; this raises as the written order would
+    for slot, test in tests[done:]:
+        rows = [r for r in rows if test(r[slot])]
+    return plan, rows, counts
 
 
 def _numeric(lit: Literal) -> Union[int, float]:
@@ -260,59 +416,93 @@ def _numeric(lit: Literal) -> Union[int, float]:
     return float(lit.lexical)
 
 
-def _compare(a, op: str, b) -> bool:
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
+_COMPARE = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
-def _passes(f: FilterExpr, binding: dict[str, Term]) -> bool:
-    term = binding[f.var.name]
-    operand = f.operand
+def _filter_test(f: FilterExpr) -> Callable[[Term], bool]:
+    """The filter as a test of its variable's term, the operand's value
+    computed once. Ordering a term of another type raises
+    TypeMismatchError; = and != on one are False and True."""
+    op, operand = f.op, f.operand
+    compare = _COMPARE[op]
+
+    def mismatch(term: Term, kind: str) -> bool:
+        if op in ("=", "!="):
+            return op == "!="
+        raise TypeMismatchError(f"cannot order {term.to_ntriples()} against a {kind} operand")
+
     if operand.datatype in _NUMERIC_DATATYPES:
-        if not isinstance(term, Literal) or term.datatype not in _NUMERIC_DATATYPES:
-            if f.op in ("=", "!="):
-                return f.op == "!="
-            raise TypeMismatchError(
-                f"cannot order {term.to_ntriples()} against a numeric operand"
-            )
-        return _compare(_numeric(term), f.op, _numeric(operand))
+        number = _numeric(operand)
+
+        def test(term: Term) -> bool:
+            if isinstance(term, Literal) and term.datatype in _NUMERIC_DATATYPES:
+                return compare(_numeric(term), number)
+            return mismatch(term, "numeric")
+
+        return test
     if operand.datatype == XSD_DATE:
-        if not isinstance(term, Literal) or term.datatype != XSD_DATE:
-            if f.op in ("=", "!="):
-                return f.op == "!="
-            raise TypeMismatchError(
-                f"cannot order {term.to_ntriples()} against a date operand"
-            )
-        return _compare(term.lexical, f.op, operand.lexical)
+        instant = date_minutes(operand.lexical)
+
+        def test(term: Term) -> bool:
+            if isinstance(term, Literal) and term.datatype == XSD_DATE:
+                return compare(date_minutes(term.lexical), instant)
+            return mismatch(term, "date")
+
+        return test
+
     # equality on everything else is plain term equality
-    equal = isinstance(term, Literal) and term == operand
-    return equal if f.op == "=" else not equal
+    def test(term: Term) -> bool:
+        equal = isinstance(term, Literal) and term == operand
+        return equal if op == "=" else not equal
+
+    return test
+
+
+def _evaluate(g: Graph, q: Query) -> tuple[Solution, _Plan, list[int]]:
+    plan, rows, counts = _solve(g, q)
+    if q.count_var is not None:
+        row = {q.count_var: Literal(str(len(rows)), XSD_INTEGER)}
+        return Solution((q.count_var,), [row]), plan, counts
+    keys = list(dict.fromkeys(map(itemgetter(*(plan.slots[v] for v in q.variables)), rows)))
+    if len(q.variables) == 1:
+        keys = [(term,) for term in keys]
+    if len(keys) > 1:  # each sort key spells out every term
+        keys.sort(key=lambda key: tuple(t.to_ntriples() for t in key))
+    solution = Solution(q.variables, [dict(zip(q.variables, key)) for key in keys])
+    return solution, plan, counts
 
 
 def execute(g: Graph, q: Query) -> Solution:
     """Evaluate a query; rows are deduplicated and canonically sorted."""
-    matches = _solve(g, q)
-    if q.count_var is not None:
-        row = {q.count_var: Literal(str(len(matches)), XSD_INTEGER)}
-        return Solution((q.count_var,), [row])
-    seen: set[tuple] = set()
-    rows: list[dict[str, Term]] = []
-    for b in matches:
-        key = tuple(b[v] for v in q.variables)
-        if key not in seen:
-            seen.add(key)
-            rows.append(dict(zip(q.variables, key)))
-    rows.sort(key=lambda r: tuple(r[v].to_ntriples() for v in q.variables))
-    return Solution(q.variables, rows)
+    return _evaluate(g, q)[0]
+
+
+def _pattern_text(pat: TriplePattern) -> str:
+    """The pattern in N-Triples terms, its variables as `?name` or `_:label`."""
+    words = []
+    for t in (pat.s, pat.p, pat.o):
+        if not isinstance(t, Var):
+            words.append(t.to_ntriples())
+        else:
+            words.append(t.name if t.name.startswith("_:") else f"?{t.name}")
+    return " ".join(words)
+
+
+def explain(g: Graph, q: Query) -> tuple[Solution, dict]:
+    """Evaluate as `execute` does, and say how: the steps in the order
+    chosen, each with its pattern, its estimate of matches per row and
+    the rows left after it and the filters it let run (None for a step
+    not reached because an earlier one left no rows)."""
+    solution, plan, counts = _evaluate(g, q)
+    steps = [
+        {
+            "pattern": _pattern_text(step.pattern),
+            "estimate": round(step.estimate, 3),
+            "rows": counts[i] if i < len(counts) else None,
+        }
+        for i, step in enumerate(plan.steps)
+    ]
+    return solution, {"steps": steps}
 
 
 def merge_and_query(graphs: Iterable[Graph], q: Query) -> Solution:

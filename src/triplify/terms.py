@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import (
@@ -41,7 +42,9 @@ _DOUBLE_LEXICAL = re.compile(
     r"(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN)$"
 )
 _BOOLEAN_LEXICAL = re.compile(r"(?:true|false|1|0)$")
-_DATE_LEXICAL = re.compile(r"(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})(?:Z|[+-][0-9]{2}:[0-9]{2})?$")
+_DATE_LEXICAL = re.compile(
+    r"(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})(?:Z|([+-])([0-9]{2}):([0-9]{2}))?$"
+)
 _MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
@@ -64,6 +67,27 @@ def _valid_date(lexical: str) -> bool:
     if month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0):
         days = 29
     return 1 <= day <= days
+
+
+@lru_cache(maxsize=4096)
+def date_minutes(lexical: str) -> int:
+    """The starting instant of a valid xsd:date, in minutes from 1970-01-01Z.
+
+    This is the order of XSD `op:date-less-than`: a date without a
+    timezone is taken as Z. Days are counted in proleptic Gregorian
+    arithmetic, which holds for any year, `datetime.date`'s 1-9999 or not.
+    Remembered per form, as a FILTER meets the same few dates many times.
+    """
+    year, month, day, sign, hours, minutes = _DATE_LEXICAL.match(lexical).groups()
+    # days from civil (H. Hinnant): years begin on March 1, so a leap
+    # day is the last day of its year
+    y = int(year) - (int(month) <= 2)
+    era, year_of_era = divmod(y, 400)
+    day_of_year = (153 * ((int(month) + 9) % 12) + 2) // 5 + int(day) - 1
+    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+    days = era * 146097 + day_of_era - 719468
+    offset = 0 if sign is None else int(hours) * 60 + int(minutes)
+    return days * 1440 - (offset if sign == "+" else -offset)
 
 
 def _escape_char(ch: str) -> str:

@@ -2,13 +2,16 @@
 
 The brute-force query evaluator enumerates every assignment of variables
 to terms occurring in the graph and keeps those satisfying all patterns
-by membership, then applies the documented filter semantics. It shares
-no code with the engine's join loop.
+by membership, then applies the documented filter semantics: dates by
+XSD value order, not text. It shares no code with the engine's join loop
+or its date arithmetic.
 """
 
 from __future__ import annotations
 
+import datetime
 import itertools
+import re
 
 from triplify import Graph, Iri, Literal, Triple
 from triplify.errors import TypeMismatchError
@@ -31,6 +34,20 @@ def _pattern_holds(g: Graph, pat, binding) -> bool:
     return Triple(s, p, o) in g
 
 
+def _date_instant(lexical: str) -> int:
+    """Minutes from 0001-01-01Z to the start of an xsd:date (no timezone
+    taken as Z). Years outside 1-9999 are moved into range by whole
+    400-year Gregorian cycles of 146,097 days, so `datetime` can count."""
+    m = re.fullmatch(r"(-?\d{4,})-(\d\d)-(\d\d)(Z|[+-]\d\d:\d\d)?", lexical)
+    year, month, day, zone = int(m[1]), int(m[2]), int(m[3]), m[4]
+    cycles = (year - 2000) // 400
+    days = datetime.date(year - 400 * cycles, month, day).toordinal() + 146097 * cycles
+    offset = 0
+    if zone not in (None, "Z"):
+        offset = (int(zone[1:3]) * 60 + int(zone[4:6])) * (1 if zone[0] == "+" else -1)
+    return days * 1440 - offset
+
+
 def _filter_holds(f: FilterExpr, binding) -> bool:
     value = binding[f.var.name]
     operand = f.operand
@@ -50,7 +67,7 @@ def _filter_holds(f: FilterExpr, binding) -> bool:
             if f.op == "=":
                 return False
             raise TypeMismatchError("non-date under ordering")
-        left, right = value.lexical, operand.lexical
+        left, right = _date_instant(value.lexical), _date_instant(operand.lexical)
     else:
         same = isinstance(value, Literal) and value == operand
         return same if f.op == "=" else not same

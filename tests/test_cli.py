@@ -1,8 +1,10 @@
 """Exit-code contract and stream discipline of the command line."""
 
+import json
+
 import pytest
 
-from triplify import parse_ntriples
+from triplify import execute, parse_ntriples, parse_query
 from triplify.cli import main
 from triplify.registry import bundled_mapping_text
 
@@ -304,6 +306,52 @@ class TestQuery:
         capsys.readouterr()
         code, stdout, _ = run(capsys, "query", str(a), "--query-file", str(qfile))
         assert code == 0 and stdout.startswith("?n\n")
+
+
+class TestQueryAcrossFiles:
+    def test_blank_node_labels_are_scoped_per_file(self, capsys, tmp_path):
+        paths = []
+        for name in ("a.nt", "b.nt"):
+            path = tmp_path / name
+            path.write_text('_:b0 <http://ex.org/p> "x" .\n')
+            paths.append(str(path))
+        count = "SELECT (COUNT(*) AS ?n) WHERE { ?s <http://ex.org/p> ?o . }"
+        code, stdout, _ = run(capsys, "query", *paths, "--query", count)
+        assert code == 0
+        assert stdout.splitlines()[1] == '"2"^^<http://www.w3.org/2001/XMLSchema#integer>'
+        subjects = "SELECT ?s WHERE { ?s <http://ex.org/p> ?o . }"
+        _, stdout, _ = run(capsys, "query", *paths, "--query", subjects)
+        assert stdout.splitlines() == ["?s", "_:f1_b0", "_:f2_b0"]
+        # one file keeps its labels as written
+        _, stdout, _ = run(capsys, "query", paths[0], "--query", subjects)
+        assert stdout.splitlines() == ["?s", "_:b0"]
+        code, stdout, _ = run(capsys, "stats", *paths)
+        assert code == 0 and stdout.splitlines()[0] == "triples\t2"
+
+    def test_explain_prints_the_plan_to_stderr(self, capsys, tmp_path):
+        path = tmp_path / "g.nt"
+        path.write_text(
+            "<http://ex.org/a> <http://ex.org/p> <http://ex.org/b> .\n"
+            "<http://ex.org/b> <http://ex.org/p> <http://ex.org/c> .\n"
+            '<http://ex.org/b> <http://ex.org/q> "1"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+        )
+        text = (
+            "PREFIX e: <http://ex.org/> SELECT ?x ?n WHERE "
+            "{ ?x e:p ?y . ?y e:q ?n . FILTER(?n >= 1) }"
+        )
+        code, stdout, stderr = run(capsys, "query", str(path), "--query", text, "--explain")
+        assert code == 0
+        assert stdout == execute(parse_ntriples(path.read_text()), parse_query(text)).to_tsv()
+        assert json.loads(stderr) == {
+            "steps": [
+                {"pattern": "?y <http://ex.org/q> ?n", "estimate": 1, "rows": 1},
+                {"pattern": "?x <http://ex.org/p> ?y", "estimate": 1.0, "rows": 1},
+            ]
+        }
+        _, again, stderr_again = run(capsys, "query", str(path), "--query", text, "--explain")
+        assert (again, stderr_again) == (stdout, stderr)
+        _, plain, quiet = run(capsys, "query", str(path), "--query", text)
+        assert (plain, quiet) == (stdout, "")
 
 
 class TestSynth:

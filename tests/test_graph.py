@@ -130,6 +130,35 @@ class TestMatch:
                 o = probe.o if rng.random() < 0.6 else None
                 assert g.match(s, p, o) == _scan(pool, s, p, o), f"trial {trial}"
 
+    def test_match_returns_a_copy(self):
+        # a single bound position hands back its whole bucket; clearing or
+        # extending that list must not reach the index
+        g = Graph([_t("s", "p", "o1"), _t("s", "p", "o2"), _t("s2", "p", "o1")])
+        pool = list(g)
+        for s, p, o in ((Iri(EX + "s"), None, None), (None, Iri(EX + "p"), None), (None, None, None)):
+            got = g.match(s, p, o)
+            got.clear()
+            got.append(_t("x", "y", "z"))
+            assert g.match(s, p, o) == _scan(pool, s, p, o)
+            assert g.match(None, None, Iri(EX + "o1")) == _scan(pool, None, None, Iri(EX + "o1"))
+
+    def test_buckets_hold_each_triple_once_per_position(self):
+        # the planner reads bucket sizes and buckets through this view; it
+        # must equal a scan, also after writes that follow the first read
+        rng = random.Random(7)
+        g = pooled_graph(rng, 60)
+        g.buckets(0)
+        g.update(pooled_graph(rng, 60))
+        g.add(random_triple(rng))
+        pool = list(g)
+        for pos in range(3):
+            view = g.buckets(pos)
+            assert sum(len(bucket) for bucket in view.values()) == len(g)
+            for term, bucket in view.items():
+                bound = [term if i == pos else None for i in range(3)]
+                assert list(bucket) == _scan(pool, *bound)
+        assert Iri(EX + "absent") not in g.buckets(1)
+
 
 class TestIndexBuild:
     def test_racing_first_reads_see_whole_indexes(self):

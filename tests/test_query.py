@@ -23,8 +23,8 @@ from triplify.errors import (
     TypeMismatchError,
     UnboundProjectionError,
 )
-from triplify.query import Var
-from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DOUBLE, XSD_INTEGER
+from triplify.query import FilterExpr, Query, Var, explain
+from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
 
 from genutil import pooled_graph, random_query_text
 from oracles import brute_force_solution, solution_tuples
@@ -293,6 +293,32 @@ class TestExecute:
         )
         assert solution_tuples(execute(g, q)) == [(Iri(EX + "new"),)]
 
+    @pytest.mark.parametrize(
+        "left, op, right",
+        [
+            ("10000-01-01", ">", "9999-12-31"),
+            ("2020-01-02+14:00", "<", "2020-01-01-12:00"),
+            ("2020-01-01Z", "=", "2020-01-01"),
+            ("2020-01-01", "=", "2020-01-01+00:00"),
+            ("-0001-12-31", "<", "0000-01-01"),
+        ],
+    )
+    def test_date_filters_order_by_value(self, left, op, right):
+        g = Graph([Triple(Iri(EX + "s"), Iri(EX + "d"), Literal(left, XSD_DATE))])
+        converse = {">": "<", "<": ">", "=": "="}[op]
+        for this, other, holds in (
+            (op, right, True),
+            (converse, right, op == "="),
+            ("!=", right, op != "="),
+        ):
+            q = parse_query(
+                "PREFIX e: <http://ex.org/> PREFIX xsd: <http://www.w3.org/2001/XMLSchema#> "
+                f'SELECT ?s WHERE {{ ?s e:d ?w . FILTER(?w {this} "{other}"^^xsd:date) }}'
+            )
+            got = solution_tuples(execute(g, q))
+            assert got == ([(Iri(EX + "s"),)] if holds else []), (left, this, other)
+            assert got == brute_force_solution(g, q)
+
 
 class TestOracleEquivalence:
     def test_brute_force_small_battery(self):
@@ -360,6 +386,180 @@ class TestOracleEquivalence:
             )
             (row,) = execute(g, qc).rows
             assert int(row["n"].lexical) == len(execute(g, q).rows)
+
+
+def _iri(name):
+    return Iri(EX + name)
+
+
+def _with_filters(q, rng):
+    """q plus one to three random filters on its variables, some of which
+    raise TypeMismatchError on terms of the wrong type."""
+    names = sorted(
+        {t.name for pat in q.patterns for t in (pat.s, pat.p, pat.o) if isinstance(t, Var)}
+    )
+    operands = (
+        Literal("5", XSD_INTEGER),
+        Literal("1.5", XSD_DOUBLE),
+        Literal("2020-06-01", XSD_DATE),
+        Literal("alpha"),
+    )
+    extra = []
+    for _ in range(rng.randint(1, 3)):
+        operand = rng.choice(operands)
+        ops = ("=", "!=") if operand.datatype == XSD_STRING else ("=", "!=", "<", ">=")
+        extra.append(FilterExpr(Var(rng.choice(names)), rng.choice(ops), operand))
+    return Query(q.variables, q.count_var, q.patterns, q.filters + tuple(extra))
+
+
+def _outcome(g, q):
+    try:
+        return solution_tuples(execute(g, q))
+    except TypeMismatchError:
+        return TypeMismatchError
+
+
+class TestPlannedJoins:
+    """Whatever order the planner runs patterns and filters in, answers
+    and whether a query raises are those of the written-order evaluation."""
+
+    def test_raising_is_pattern_order_invariant(self):
+        rng = random.Random(8080)
+        raised = 0
+        for case in range(60):
+            g = pooled_graph(rng, 60)
+            q = _with_filters(parse_query(random_query_text(rng)), rng)
+            try:
+                want = brute_force_solution(g, q)
+            except TypeMismatchError:
+                want = TypeMismatchError
+            raised += want is TypeMismatchError
+            for perm in itertools.permutations(q.patterns):
+                q2 = Query(q.variables, q.count_var, tuple(perm), q.filters)
+                assert _outcome(g, q2) == want, f"case {case}"
+        assert 0 < raised < 60  # the battery holds both outcomes
+
+    def test_filter_raising_on_a_row_a_later_pattern_removes(self):
+        # e:p has the smaller bucket, so it runs first and the filter on ?v
+        # meets "abc"; e:q then removes that row, so nothing raises
+        g = Graph(
+            [
+                Triple(_iri("a"), _iri("p"), Literal("abc")),
+                Triple(_iri("b"), _iri("p"), Literal("7", XSD_INTEGER)),
+                *(Triple(_iri(s), _iri("q"), _iri("x")) for s in ("b", "c", "d")),
+            ]
+        )
+        text = "PREFIX e: <http://ex.org/> SELECT ?s WHERE {{ {} {} FILTER(?v > 3) }}"
+        pv, qo = "?s e:p ?v .", "?s e:q ?o ."
+        for body in ((pv, qo), (qo, pv)):
+            q = parse_query(text.format(*body))
+            assert solution_tuples(execute(g, q)) == [(_iri("b"),)]
+            _, plan = explain(g, q)
+            assert plan["steps"][0]["pattern"].endswith("<http://ex.org/p> ?v")
+
+    @pytest.mark.parametrize(
+        "filters, raises",
+        [
+            ('FILTER(?v > 3) FILTER(?w = "y")', True),
+            ('FILTER(?w = "y") FILTER(?v > 3)', False),
+            ('FILTER(?v > 3) FILTER(?v = "y")', True),
+            ('FILTER(?v = "y") FILTER(?v > 3)', False),
+        ],
+    )
+    def test_filter_order_on_one_row(self, filters, raises):
+        # on the row of e:a, ?v > 3 raises and the equality is False: the
+        # written order decides, whether ?v or ?w is bound first
+        row = [
+            Triple(_iri("a"), _iri("p"), Literal("abc")),
+            Triple(_iri("a"), _iri("r"), Literal("x")),
+        ]
+        more_p = [Triple(_iri(s), _iri("p"), Literal("5", XSD_INTEGER)) for s in "bc"]
+        more_r = [Triple(_iri(s), _iri("r"), Literal("x")) for s in "bc"]
+        for g, first in ((Graph(row + more_r), "p"), (Graph(row + more_p), "r")):
+            for body in ("?s e:p ?v . ?s e:r ?w .", "?s e:r ?w . ?s e:p ?v ."):
+                text = f"PREFIX e: <http://ex.org/> SELECT ?s WHERE {{ {body} }}"
+                steps = explain(g, parse_query(text))[1]["steps"]
+                assert f"<http://ex.org/{first}>" in steps[0]["pattern"]
+                q = parse_query(text.replace("}", filters + " }"))
+                assert _outcome(g, q) == (TypeMismatchError if raises else [])
+
+    def test_repeated_variable_bound_or_not(self):
+        g = Graph(
+            [
+                Triple(_iri("x"), _iri("p"), _iri("x")),
+                Triple(_iri("x"), _iri("p"), _iri("y")),
+                Triple(_iri("y"), _iri("p"), _iri("y")),
+                Triple(_iri("z"), _iri("p"), _iri("z")),
+                Triple(_iri("x"), _iri("q"), _iri("o")),
+                Triple(_iri("y"), _iri("q"), _iri("o")),
+                Triple(_iri("p"), _iri("p"), _iri("p")),
+            ]
+        )
+        cases = {
+            # ?s unbound: one step matches the pattern against itself
+            "SELECT ?s WHERE { ?s e:p ?s . }": ["p", "x", "y", "z"],
+            # e:q has the smaller bucket, so ?s is bound before ?s e:p ?s
+            "SELECT ?s WHERE { ?s e:p ?s . ?s e:q e:o . }": ["x", "y"],
+            "SELECT ?s WHERE { ?s ?s ?s . }": ["p"],
+            "SELECT ?s ?o WHERE { ?s e:q ?o . ?s e:p ?s . }": None,
+        }
+        for text, want in cases.items():
+            q = parse_query("PREFIX e: <http://ex.org/> " + text)
+            got = solution_tuples(execute(g, q))
+            assert got == brute_force_solution(g, q), text
+            if want is not None:
+                assert got == [(_iri(n),) for n in want], text
+        _, plan = explain(g, parse_query(
+            "PREFIX e: <http://ex.org/> SELECT ?s WHERE { ?s e:p ?s . ?s e:q e:o . }"
+        ))
+        assert [s["pattern"] for s in plan["steps"]] == [
+            "?s <http://ex.org/q> <http://ex.org/o>",
+            "?s <http://ex.org/p> ?s",
+        ]
+
+    def test_absent_constant_ends_the_plan_at_its_step(self):
+        g = Graph([Triple(_iri(f"n{i}"), _iri("p"), _iri(f"n{i + 1}")) for i in range(20)])
+        q = parse_query(
+            "PREFIX e: <http://ex.org/> SELECT ?a ?c WHERE "
+            "{ ?a e:p ?b . ?b e:p ?c . ?c e:absent ?d . FILTER(?d > 3) }"
+        )
+        solution, plan = explain(g, q)
+        assert solution.rows == []
+        assert plan["steps"][0] == {
+            "pattern": "?c <http://ex.org/absent> ?d",
+            "estimate": 0,
+            "rows": 0,
+        }
+        assert [s["rows"] for s in plan["steps"][1:]] == [None, None]
+
+    def test_explain_orders_by_estimate_and_counts_rows(self):
+        g = Graph(
+            [Triple(_iri(f"n{i}"), _iri("big"), Literal(str(i), XSD_INTEGER)) for i in range(10)]
+            + [Triple(_iri(f"n{i}"), _iri("small"), _iri("c")) for i in range(3)]
+            + [Triple(_iri(f"n{i}"), _iri("tie"), _iri("c")) for i in range(2, 5)]
+        )
+        q = parse_query(
+            "PREFIX e: <http://ex.org/> SELECT ?s ?v WHERE "
+            "{ ?s e:big ?v . ?s e:small e:c . FILTER(?v >= 1) }"
+        )
+        solution, plan = explain(g, q)
+        assert solution.rows == execute(g, q).rows
+        assert plan == {
+            "steps": [
+                {"pattern": "?s <http://ex.org/small> <http://ex.org/c>", "estimate": 3, "rows": 3},
+                # bound ?s: 16 triples over 10 subjects
+                {"pattern": "?s <http://ex.org/big> ?v", "estimate": 1.6, "rows": 2},
+            ]
+        }
+        # equal estimates keep written order
+        for first, second in (("small", "tie"), ("tie", "small")):
+            q = parse_query(
+                "PREFIX e: <http://ex.org/> "
+                f"SELECT ?s WHERE {{ ?s e:{first} ?o . ?s e:{second} ?o . }}"
+            )
+            steps = explain(g, q)[1]["steps"]
+            assert steps[0]["pattern"] == f"?s <http://ex.org/{first}> ?o"
+            assert [s["rows"] for s in steps] == [3, 1]
 
 
 class TestMergeAndQuery:
