@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -21,7 +22,6 @@ from .ntriples import parse_ntriples, serialize_ntriples
 from .query import execute, explain, parse_query
 from .registry import (
     builtin_shapes,
-    builtin_vocabulary,
     generate_synthetic,
     load_shapes,
     predicate_categories,
@@ -72,11 +72,23 @@ def _load_graphs(paths: list[str]) -> list[Graph]:
     return graphs
 
 
-def _write_output(text: str, output: Optional[str]) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
+def _write_output(text: str, output: Optional[str] = None) -> None:
+    """Write text to the output file, or to stdout when there is none.
+
+    A reader that has closed stdout (`triplify stats g.nt | head -1`)
+    ends the writing quietly: stdout is pointed at the null device, so
+    the flush at exit cannot raise, and the command keeps its exit code.
+    """
+    if output is not None and output != "-":
         Path(output).write_text(text, encoding="utf-8")
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
@@ -143,8 +155,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load shapes: {exc}", 2)
     report = validate_graph(g, shapes)
-    for line in report.lines():
-        print(line)
+    _write_output("".join(line + "\n" for line in report.lines()))
     return 0 if report.conforms else 1
 
 
@@ -169,7 +180,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             solution = execute(g, q)
     except QueryError as exc:
         return _fail(str(exc), 1)
-    sys.stdout.write(solution.to_tsv())
+    _write_output(solution.to_tsv())
     if args.explain:
         print(json.dumps(plan), file=sys.stderr)
     return 0
@@ -192,18 +203,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
         g = merge(_load_graphs(args.graphs))
     except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load graph: {exc}", 2)
-    print(f"triples\t{len(g)}")
+    lines = [f"triples\t{len(g)}"]
     classes = Counter(t.o for t in g if t.p == RDF_TYPE)
     for cls in sorted(classes, key=lambda c: c.to_ntriples()):
-        print(f"class\t{cls.to_ntriples()}\t{classes[cls]}")
-    categories = predicate_categories(builtin_vocabulary())
+        lines.append(f"class\t{cls.to_ntriples()}\t{classes[cls]}")
+    categories = predicate_categories()
     counts = Counter()
     for t in g:
         category = categories.get(t.p)
         if category is not None:
             counts[category] += 1
     for name in ("demographic", "tumour", "treatment", "core"):
-        print(f"category\t{name}\t{counts.get(name, 0)}")
+        lines.append(f"category\t{name}\t{counts.get(name, 0)}")
+    _write_output("".join(line + "\n" for line in lines))
     return 0
 
 

@@ -31,6 +31,7 @@ from .r2rml import (
 )
 from .tabular import Row, TableSource
 from .terms import (
+    _SURROGATE,
     RDF_LANGSTRING,
     RDF_TYPE,
     XSD_STRING,
@@ -198,8 +199,12 @@ def _term_or_skip(
     except MissingColumnError:
         raise
     except TriplifyError as exc:
+        # of the cells read, only one that holds a lone surrogate is to blame
         columns = tm.source_columns()
-        column = columns[0] if columns else ""
+        column = next(
+            (c for c in columns if _SURROGATE.search(row.get(c) or "")),
+            columns[0] if columns else "",
+        )
         reason = f"{what}: {exc}"
     else:
         if term is not None:

@@ -38,9 +38,15 @@ from .terms import BlankNode, Iri, Literal, PrefixMap, Term, Triple
 
 RR_NS = "http://www.w3.org/ns/r2rml#"
 
+# every rr: property this module names; any other one is warned about
+_KNOWN: set[Iri] = set()
+
 
 def _rr(local: str) -> Iri:
-    return Iri(RR_NS + local)
+    """The rr: property `local`, recorded as known."""
+    prop = Iri(RR_NS + local)
+    _KNOWN.add(prop)
+    return prop
 
 
 RR_LOGICAL_TABLE = _rr("logicalTable")
@@ -67,34 +73,10 @@ RR_PARENT = _rr("parent")
 RR_GRAPH_MAP = _rr("graphMap")
 RR_GRAPH = _rr("graph")
 
-_TERM_TYPES = {
-    _rr("IRI"): "IRI",
-    _rr("BlankNode"): "BlankNode",
-    _rr("Literal"): "Literal",
-}
+# objects of rr:termType, not properties
+_TERM_TYPES = {Iri(RR_NS + kind): kind for kind in ("IRI", "BlankNode", "Literal")}
 
-_KNOWN = {
-    RR_LOGICAL_TABLE,
-    RR_TABLE_NAME,
-    RR_SUBJECT_MAP,
-    RR_SUBJECT,
-    RR_CLASS,
-    RR_POM,
-    RR_PREDICATE,
-    RR_PREDICATE_MAP,
-    RR_OBJECT,
-    RR_OBJECT_MAP,
-    RR_CONSTANT,
-    RR_COLUMN,
-    RR_TEMPLATE,
-    RR_TERM_TYPE,
-    RR_DATATYPE,
-    RR_LANGUAGE,
-    RR_PARENT_TRIPLES_MAP,
-    RR_JOIN_CONDITION,
-    RR_CHILD,
-    RR_PARENT,
-}
+# _KNOWN holds these too; _check_rejected tests them first
 _REJECTED = {
     RR_SQL_QUERY: "rr:sqlQuery is not supported; name a base table with rr:tableName",
     RR_GRAPH_MAP: "named graphs (rr:graphMap) are not supported",
@@ -195,9 +177,8 @@ class TermMap:
 class RefObjectMap:
     """A link to the subjects of another triples map, matched by joins."""
 
-    parent_id: Term
+    parent: TriplesMap
     joins: tuple[tuple[str, str], ...]  # (child column, parent column)
-    parent: Optional["TriplesMap"] = None  # resolved during parse_mapping
 
 
 @dataclass(slots=True)
@@ -369,7 +350,7 @@ def _parse_subject(doc: Graph, node: Term, owner: str) -> tuple[TermMap, list[Ir
 
 
 def _parse_poms(
-    doc: Graph, node: Term, owner: str, map_nodes: set[Term]
+    doc: Graph, node: Term, owner: str, maps: dict[Term, TriplesMap]
 ) -> list[PredicateObjectMap]:
     out: list[PredicateObjectMap] = []
     for pom_node in _values(doc, node, RR_POM):
@@ -391,24 +372,23 @@ def _parse_poms(
         ]
         for om_node in _values(doc, pom_node, RR_OBJECT_MAP):
             parent = _single(doc, om_node, RR_PARENT_TRIPLES_MAP, owner)
-            if parent is not None:
-                if parent not in map_nodes:
-                    raise DanglingParentMapError(
-                        f"{owner}: rr:parentTriplesMap {parent.to_ntriples()} is not a triples map"
-                    )
-                joins = []
-                for jc in _values(doc, om_node, RR_JOIN_CONDITION):
-                    child = _single(doc, jc, RR_CHILD, owner)
-                    par = _single(doc, jc, RR_PARENT, owner)
-                    if not isinstance(child, Literal) or not isinstance(par, Literal):
-                        raise MappingError(
-                            f"{owner}: join conditions need literal rr:child and rr:parent"
-                        )
-                    joins.append((child.lexical, par.lexical))
-                joins.sort()
-                objects.append(RefObjectMap(parent_id=parent, joins=tuple(joins)))
-            else:
+            if parent is None:
                 objects.append(_parse_term_map(doc, om_node, "object", owner))
+                continue
+            if parent not in maps:
+                raise DanglingParentMapError(
+                    f"{owner}: rr:parentTriplesMap {parent.to_ntriples()} is not a triples map"
+                )
+            joins = []
+            for jc in _values(doc, om_node, RR_JOIN_CONDITION):
+                child = _single(doc, jc, RR_CHILD, owner)
+                par = _single(doc, jc, RR_PARENT, owner)
+                if not isinstance(child, Literal) or not isinstance(par, Literal):
+                    raise MappingError(
+                        f"{owner}: join conditions need literal rr:child and rr:parent"
+                    )
+                joins.append((child.lexical, par.lexical))
+            objects.append(RefObjectMap(maps[parent], tuple(sorted(joins))))
         if not objects:
             raise MappingError(f"{owner}: predicate-object map has no object")
         for p in predicates:
@@ -426,9 +406,9 @@ def parse_mapping(doc: Graph, prefixes: PrefixMap, source_name: str = "") -> Map
     if not map_nodes:
         raise MissingSubjectMapError("document contains no triples maps")
 
-    ordered = sorted(map_nodes, key=lambda n: n.to_ntriples())
+    # every map before any reference, so a reference holds its parent at once
     maps: dict[Term, TriplesMap] = {}
-    for node in ordered:
+    for node in sorted(map_nodes, key=lambda n: n.to_ntriples()):
         owner = f"triples map {node.to_ntriples()}"
         table = _parse_logical_table(doc, node, owner)
         subject_map, classes = _parse_subject(doc, node, owner)
@@ -438,16 +418,12 @@ def parse_mapping(doc: Graph, prefixes: PrefixMap, source_name: str = "") -> Map
             subject_map=subject_map,
             subject_classes=classes,
         )
-    for node in ordered:
+    for node, tm in maps.items():
         owner = f"triples map {node.to_ntriples()}"
-        poms = _parse_poms(doc, node, owner, map_nodes)
-        for pom in poms:
-            if isinstance(pom.object, RefObjectMap):
-                pom.object.parent = maps[pom.object.parent_id]
-        maps[node].predicate_object_maps = poms
+        tm.predicate_object_maps = _parse_poms(doc, node, owner, maps)
 
     return MappingDocument(
-        triples_maps=[maps[n] for n in ordered],
+        triples_maps=list(maps.values()),
         prefixes=prefixes,
         source_name=source_name,
         warnings=warnings,
@@ -513,7 +489,7 @@ def validate_mapping(
                 if not rom.joins and parent_table != tm.logical_table:
                     err(
                         tm_id,
-                        f"reference to {rom.parent_id.to_ntriples()} needs a join condition: "
+                        f"reference to {rom.parent.id.to_ntriples()} needs a join condition: "
                         f"parent table {parent_table!r} differs from {tm.logical_table!r}",
                     )
                 for child, parent in rom.joins:

@@ -93,10 +93,10 @@ class VocabularyTerm:
     category: str  # "demographic" | "tumour" | "treatment" | "core"
 
 
-def load_vocabulary(text: str, prefixes: Optional[PrefixMap] = None) -> list[VocabularyTerm]:
-    """Read `curie TAB label TAB role TAB category` lines."""
-    if prefixes is None:
-        prefixes = registry_prefixes()
+def load_vocabulary(text: str) -> list[VocabularyTerm]:
+    """Read `curie TAB label TAB role TAB category` lines; CURIEs use the
+    registry prefixes."""
+    prefixes = registry_prefixes()
     terms: list[VocabularyTerm] = []
     for where, (curie, label, role, category) in _tsv_records(text, 4, "vocabulary"):
         if role not in _ROLES:
@@ -127,22 +127,17 @@ def builtin_vocabulary() -> list[VocabularyTerm]:
     return list(_vocabulary_cache)
 
 
-def term_by_label(label: str, vocabulary: Optional[list[VocabularyTerm]] = None) -> VocabularyTerm:
-    for term in vocabulary if vocabulary is not None else builtin_vocabulary():
+def term_by_label(label: str) -> VocabularyTerm:
+    """The builtin vocabulary's term with this label."""
+    for term in builtin_vocabulary():
         if term.label == label:
             return term
     raise KeyError(label)
 
 
-def predicate_categories(
-    vocabulary: Optional[list[VocabularyTerm]] = None,
-) -> dict[Iri, str]:
-    """Predicate IRI -> category, for grouping edges Figure-style."""
-    return {
-        t.iri: t.category
-        for t in (vocabulary if vocabulary is not None else builtin_vocabulary())
-        if t.role == "predicate"
-    }
+def predicate_categories() -> dict[Iri, str]:
+    """Builtin predicate IRI -> category, for grouping edges Figure-style."""
+    return {t.iri: t.category for t in builtin_vocabulary() if t.role == "predicate"}
 
 
 # --- shapes -------------------------------------------------------------------
@@ -162,13 +157,13 @@ class Shape:
     constraints: tuple[ShapeConstraint, ...]
 
 
-def load_shapes(text: str, prefixes: Optional[PrefixMap] = None) -> list[Shape]:
+def load_shapes(text: str) -> list[Shape]:
     """Read `class TAB predicate TAB kind TAB min TAB max` lines.
 
     kind is `class(curie)` or `literal(curie)`; max is a count or `*`.
+    CURIEs use the registry prefixes.
     """
-    if prefixes is None:
-        prefixes = registry_prefixes()
+    prefixes = registry_prefixes()
     grouped: dict[Iri, list[ShapeConstraint]] = {}
     for where, (cls, pred, kind_text, min_text, max_text) in _tsv_records(text, 5, "shapes"):
         if kind_text.startswith("class(") and kind_text.endswith(")"):

@@ -1,6 +1,10 @@
 """Exit-code contract and stream discipline of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from triplify.registry import bundled_mapping_text
 from conftest import FIXTURES
 
 CASE01 = FIXTURES / "case01_basic"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -120,6 +125,26 @@ class TestConvert:
         )
         assert code == 0
         assert parse_ntriples(stdout) == parse_ntriples((case / "expected.nt").read_text())
+
+    def test_table_without_equals_exits_2(self, capsys):
+        code, stdout, stderr = run(
+            capsys, "convert", str(CASE01 / "mapping.ttl"), "--table", "PATIENT.csv"
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: --table needs NAME=PATH, got 'PATIENT.csv'\n"
+
+    def test_mapping_warnings_reach_stderr(self, capsys, tmp_path):
+        mapping = tmp_path / "mapping.ttl"
+        mapping.write_text(
+            (CASE01 / "mapping.ttl").read_text()
+            + "\n[] <http://www.w3.org/ns/r2rml#madeUp> 1 .\n"
+        )
+        code, stdout, stderr = run(capsys, "convert", str(mapping), str(CASE01 / "PATIENT.csv"))
+        assert code == 0
+        assert parse_ntriples(stdout) == parse_ntriples((CASE01 / "expected.nt").read_text())
+        assert stderr.startswith(
+            "warning: unknown R2RML property ignored: <http://www.w3.org/ns/r2rml#madeUp>\n"
+        )
 
     def test_table_override(self, capsys, tmp_path):
         renamed = tmp_path / "weird-name.csv"
@@ -295,6 +320,18 @@ class TestQuery:
         code, _, stderr = run(capsys, "query", str(a), "--query", "SELECT ?x WHERE {")
         assert code == 2
         assert "line" in stderr
+
+    def test_filter_that_raises_exits_1(self, capsys):
+        # ?o is an IRI in one triple, and an IRI has no order against a number
+        code, stdout, stderr = run(
+            capsys,
+            "query",
+            str(CASE01 / "expected.nt"),
+            "--query",
+            "SELECT ?s WHERE { ?s ?p ?o . FILTER(?o > 5) }",
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: cannot order <http://ex.org/Patient> against a numeric")
 
     def test_query_file(self, capsys, tmp_path):
         a, _ = self._graphs(tmp_path)
@@ -473,3 +510,49 @@ class TestUsage:
                 main([sub, "--help"])
             assert err.value.code == 0
             assert sub in capsys.readouterr().out
+
+
+# a registry patient with neither age nor sex: two shape violations
+PATIENT_WITHOUT_EDGES = (
+    "<https://data.example.org/registry/patient/1> "
+    "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+    "<http://purl.obolibrary.org/obo/NCIT_C16960> .\n"
+)
+
+
+class TestClosedStdout:
+    """A reader that has gone away, as in `triplify stats g.nt | head -1`."""
+
+    def _run(self, argv, stdout):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "triplify.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "GRAPH"],
+            ["query", "GRAPH", "--query", "SELECT ?s ?p ?o WHERE { ?s ?p ?o . }"],
+            ["validate", "GRAPH"],
+        ],
+        ids=["stats", "query", "validate"],
+    )
+    def test_no_traceback_and_the_exit_code_of_an_open_pipe(self, tmp_path, argv):
+        graph = tmp_path / "g.nt"
+        graph.write_text(PATIENT_WITHOUT_EDGES)
+        argv = [a.replace("GRAPH", str(graph)) for a in argv]
+        open_pipe = self._run(argv, subprocess.PIPE)
+        assert open_pipe.stdout  # there is something to write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            closed = self._run(argv, write_end)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in closed.stderr
+        assert "Exception ignored" not in closed.stderr
+        assert closed.stderr == open_pipe.stderr
+        assert closed.returncode == open_pipe.returncode

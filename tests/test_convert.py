@@ -314,6 +314,20 @@ class TestReferences:
             "<http://ex.org/TreatmentMap>\t1\tTID\tsubject: NULL input\n"
         )
 
+    def test_parent_subject_that_cannot_be_made_gives_no_edge_and_no_child_skip(self):
+        tables = reference_tables(
+            [{"ID": "1", "KEY": "k", "SITE": "lung"}],
+            [
+                {"TID": "\ud800", "PATIENT_KEY": "k"},
+                {"TID": "b", "PATIENT_KEY": "k"},
+            ],
+        )
+        g, report = convert(self.mapping(), tables)
+        assert edges(g, "hasTreatment") == [(EX + "patient/1", EX + "treatment/b")]
+        assert [(t.map_id, t.row, t.column) for t in report.skipped_terms] == [
+            ("<http://ex.org/TreatmentMap>", 1, "TID")
+        ]
+
     def test_missing_parent_table_is_a_mapping_error(self):
         m = self.mapping()
         tables = reference_tables([], [])
@@ -322,6 +336,50 @@ class TestReferences:
             apply_triples_map(
                 m.map_by_id(Iri(EX + "PatientMap")), tables, Graph(), ConversionReport()
             )
+
+
+PREDICATE_MAP_MAPPING = """
+@prefix rr: <http://www.w3.org/ns/r2rml#> .
+@prefix ex: <http://ex.org/> .
+ex:M rr:logicalTable [ rr:tableName "T" ] ;
+  rr:subjectMap [ rr:template "http://ex.org/m/{ID}" ] ;
+  rr:predicateObjectMap [ rr:predicateMap [ PREDICATE ] ; rr:objectMap [ rr:column "V" ] ] .
+"""
+
+
+def predicate_map(predicate):
+    return parse_mapping(*parse_turtle(PREDICATE_MAP_MAPPING.replace("PREDICATE", predicate)))
+
+
+class TestPredicateMaps:
+    TABLE = TableSource(
+        "T",
+        ("ID", "KIND", "KIND_IRI", "V"),
+        [
+            {"ID": "1", "KIND": "k", "KIND_IRI": EX + "p/k", "V": "v"},
+            {"ID": "2", "KIND": None, "KIND_IRI": None, "V": "w"},
+        ],
+    )
+
+    @pytest.mark.parametrize(
+        "predicate, column",
+        [
+            ('rr:template "http://ex.org/p/{KIND}"', "KIND"),
+            ('rr:column "KIND_IRI"', "KIND_IRI"),
+            ('rr:column "KIND_IRI" ; rr:termType rr:IRI', "KIND_IRI"),
+        ],
+        ids=["template", "column", "column-typed-iri"],
+    )
+    def test_predicate_from_the_row_and_null_predicate_skipped(self, predicate, column):
+        g, report = convert(predicate_map(predicate), {"T": self.TABLE})
+        assert set(g) == {Triple(Iri(EX + "m/1"), Iri(EX + "p/k"), Literal("v"))}
+        assert report.skipped_log() == f"<http://ex.org/M>\t2\t{column}\tpredicate: NULL input\n"
+
+    @pytest.mark.parametrize("term_type", ["Literal", "BlankNode"])
+    def test_predicate_maps_must_produce_iris(self, term_type):
+        with pytest.raises(MappingError) as err:
+            predicate_map(f'rr:column "KIND" ; rr:termType rr:{term_type}')
+        assert str(err.value) == "triples map <http://ex.org/M>: predicate maps must produce IRIs"
 
 
 class TestConvert:
@@ -417,6 +475,41 @@ class TestConvert:
         assert "surrogate" in report.skipped_terms[0].reason
         serialize_ntriples(g).encode("utf-8")
         report.skipped_log().encode("utf-8")
+
+    @pytest.mark.parametrize("term_type", ["IRI", "BlankNode", "Literal"])
+    def test_skip_names_the_column_that_holds_the_lone_surrogate(self, term_type):
+        text = f"""
+        @prefix rr: <http://www.w3.org/ns/r2rml#> .
+        @prefix ex: <http://ex.org/> .
+        ex:M rr:logicalTable [ rr:tableName "T" ] ;
+          rr:subjectMap [ rr:template "http://ex.org/m/{{ID}}" ] ;
+          rr:predicateObjectMap [
+            rr:predicate ex:p ;
+            rr:objectMap [ rr:template "http://ex.org/{{A}}/{{B}}" ; rr:termType rr:{term_type} ]
+          ] .
+        """
+        table = TableSource("T", ("ID", "A", "B"), [{"ID": "1", "A": "a", "B": "b\ud800"}])
+        g, report = convert(parse_mapping(*parse_turtle(text)), {"T": table})
+        assert [(t.row, t.column) for t in report.skipped_terms] == [(1, "B")]
+        assert "surrogate" in report.skipped_terms[0].reason
+        assert len(g) == 0
+
+    def test_skip_of_an_error_no_cell_causes_names_the_first_column(self):
+        text = """
+        @prefix rr: <http://www.w3.org/ns/r2rml#> .
+        @prefix ex: <http://ex.org/> .
+        @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+        ex:M rr:logicalTable [ rr:tableName "T" ] ;
+          rr:subjectMap [ rr:template "http://ex.org/m/{ID}" ] ;
+          rr:predicateObjectMap [
+            rr:predicate ex:p ;
+            rr:objectMap [ rr:template "{A}-{B}" ; rr:termType rr:Literal ;
+                           rr:datatype xsd:integer ]
+          ] .
+        """
+        table = TableSource("T", ("ID", "A", "B"), [{"ID": "1", "A": "1", "B": "2"}])
+        _, report = convert(parse_mapping(*parse_turtle(text)), {"T": table})
+        assert [(t.row, t.column) for t in report.skipped_terms] == [(1, "A")]
 
     def test_skipped_log_in_map_order_then_row_order(self):
         text = CANDIDATE_MAPPING + """

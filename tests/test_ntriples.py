@@ -67,6 +67,16 @@ class TestParse:
         text = "﻿<http://e.org/s> <http://e.org/p> <http://e.org/o> .\n"
         assert len(parse_ntriples(text)) == 1
 
+    def test_crlf_line_ends(self):
+        lf = (
+            "<http://e.org/s> <http://e.org/p> \"x\" .\n"
+            "# a comment\n"
+            "\n"
+            "<http://e.org/s> <http://e.org/q> <http://e.org/o> .\n"
+        )
+        g = parse_ntriples(lf.replace("\n", "\r\n"))
+        assert len(g) == 2 and g == parse_ntriples(lf)
+
     def test_bad_escape_rejected(self):
         with pytest.raises(ParseError):
             parse_ntriples('<http://e.org/s> <http://e.org/p> "a\\qb" .\n')
@@ -80,6 +90,11 @@ class TestParse:
     def test_surrogate_escape_is_a_positioned_error(self, escape):
         with pytest.raises(ParseError, match="surrogate") as err:
             parse_ntriples(f'<http://e.org/s> <http://e.org/p> "a{escape}" .\n')
+        assert (err.value.line, err.value.column) == (1, 35)
+
+    def test_code_point_above_unicode_is_a_positioned_error(self):
+        with pytest.raises(ParseError, match=r"code point out of range: \\U00110000") as err:
+            parse_ntriples('<http://e.org/s> <http://e.org/p> "a\\U00110000" .\n')
         assert (err.value.line, err.value.column) == (1, 35)
 
     def test_backslash_before_line_break_is_rejected(self):

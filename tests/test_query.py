@@ -37,6 +37,10 @@ PATIENT_CLASS = Iri("http://purl.obolibrary.org/obo/NCIT_C16960")
 # --- parsing ----------------------------------------------------------------
 
 class TestParseQuery:
+    def test_byte_order_mark_tolerated(self):
+        text = "SELECT ?p WHERE { ?p rdf:type ncit:C16960 . }"
+        assert parse_query("\ufeff" + text, PREFIXES) == parse_query(text, PREFIXES)
+
     def test_select_single_pattern(self):
         q = parse_query("SELECT ?p WHERE { ?p rdf:type ncit:C16960 . }", PREFIXES)
         assert q.variables == ("p",)

@@ -21,13 +21,14 @@ from triplify.errors import (
     DanglingParentMapError,
     EmptyColumnNameError,
     LiteralSubjectError,
+    MappingError,
     MissingLogicalTableError,
     MissingSubjectMapError,
     NoColumnReferenceError,
     UnbalancedBracesError,
     UnsupportedFeatureError,
 )
-from triplify.r2rml import RefObjectMap
+from triplify.r2rml import _IGNORED, _KNOWN, _REJECTED, RR_NS, RefObjectMap
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 RR = "@prefix rr: <http://www.w3.org/ns/r2rml#> .\n@prefix ex: <http://ex.org/> .\n"
@@ -284,10 +285,10 @@ class TestParseMapping:
         # typed error, never an unhandled crash
         from triplify import BlankNode, Graph, Literal, PrefixMap, Triple
         from triplify.errors import TriplifyError
-        from triplify.r2rml import _KNOWN  # noqa: the contract under test
-
         rng = random.Random(2718)
-        rr_props = sorted(_KNOWN, key=lambda i: i.value)
+        # the properties the parser reads; a rejected one would end most
+        # documents before parsing starts
+        rr_props = sorted(_KNOWN - set(_REJECTED) - set(_IGNORED), key=lambda i: i.value)
         subjects = [Iri(f"http://ex.org/m{i}") for i in range(3)] + [
             BlankNode(f"n{i}") for i in range(3)
         ]
@@ -312,6 +313,106 @@ class TestParseMapping:
             except TriplifyError:
                 outcomes["typed-error"] += 1
         assert sum(outcomes.values()) == 150
+
+
+# a valid document that uses every rr: property the parser reads
+EVERY_READ_PROPERTY = RR + XSD + """
+ex:A rr:logicalTable [ rr:tableName "T" ] ;
+  rr:subjectMap [ rr:template "http://e.org/a/{ID}" ; rr:class ex:C ; rr:termType rr:IRI ] ;
+  rr:predicateObjectMap [
+    rr:predicate ex:p ;
+    rr:predicateMap [ rr:constant ex:q ] ;
+    rr:object ex:o ;
+    rr:objectMap [ rr:column "V" ; rr:datatype xsd:integer ],
+                 [ rr:column "W" ; rr:language "en" ],
+                 [ rr:parentTriplesMap ex:B ; rr:joinCondition [ rr:child "ID" ; rr:parent "ID" ] ]
+  ] .
+ex:B rr:logicalTable [ rr:tableName "T" ] ; rr:subject ex:theOne .
+"""
+
+UNKNOWN = "unknown R2RML property ignored: <http://www.w3.org/ns/r2rml#{}>"
+
+
+class TestPropertyClassification:
+    def test_every_property_the_parser_reads_gives_no_warning(self):
+        doc, prefixes = parse_turtle(EVERY_READ_PROPERTY)
+        used = {t.p for t in doc if t.p.value.startswith(RR_NS)}
+        assert used == _KNOWN - set(_REJECTED) - set(_IGNORED)
+        assert parse_mapping(doc, prefixes).warnings == []
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            ('rr:madeUp "x"', [UNKNOWN.format("madeUp")]),
+            ('rr:IRI "x"', [UNKNOWN.format("IRI")]),  # a term type, not a property
+            ('rr:inverseExpression "{ID} = id"',
+             ["rr:inverseExpression has no effect without a SQL backend"]),
+            ('rr:sqlQuery "SELECT 1"', UnsupportedFeatureError),
+        ],
+        ids=["made-up", "term-type-as-property", "ignored", "rejected"],
+    )
+    def test_other_properties(self, extra, expected):
+        text = RR + f"""
+        ex:M rr:logicalTable [ rr:tableName "T" ] ;
+          rr:subjectMap [ rr:template "http://e.org/{{ID}}" ; {extra} ] .
+        """
+        if isinstance(expected, list):
+            assert mapping_of(text).warnings == expected
+        else:
+            with pytest.raises(expected):
+                mapping_of(text)
+
+
+OWNER = "triples map <http://ex.org/M>: "
+
+
+class TestParseErrorsNameTheirMap:
+    @pytest.mark.parametrize(
+        "table, subject, object_map, error, message",
+        [
+            ('"T"', '[ rr:column ex:ID ]', '[ rr:column "A" ]',
+             MappingError, "rr:column must be a literal column name"),
+            ('"T"', '[ rr:template ex:ID ]', '[ rr:column "A" ]',
+             MappingError, "rr:template must be a literal"),
+            ('"T"', '[ rr:template "http://e.org/{ID}" ]', '[ rr:column "A" ; rr:language ex:en ]',
+             MappingError, "rr:language must be a literal"),
+            ('"T"', '[ rr:template "http://e.org/{ID}" ]', '[ rr:column "A" ; rr:datatype "x" ]',
+             MappingError, "rr:datatype must be an IRI"),
+            ('"T"', '[ rr:template "http://e.org/{ID}" ]',
+             '[ rr:column "A" ; rr:datatype xsd:string ; rr:language "en" ]',
+             MappingError, "rr:datatype and rr:language are mutually exclusive"),
+            ('"T"', '[ rr:template "http://e.org/{ID}" ]', '[ rr:column "A" ; rr:termType ex:Kind ]',
+             MappingError, "unknown rr:termType <http://ex.org/Kind>"),
+            ('"T"', '[ rr:template "http://e.org/{ID}" ]',
+             '[ rr:column "A" ; rr:termType rr:IRI ; rr:datatype xsd:string ]',
+             MappingError, "rr:datatype/rr:language require a literal term map"),
+            ('ex:T', '[ rr:template "http://e.org/{ID}" ]', '[ rr:column "A" ]',
+             MappingError, "rr:tableName must be a literal"),
+            ('"T"', '[ rr:template "http://e.org/a/{ID}" ], [ rr:template "http://e.org/b/{ID}" ]',
+             '[ rr:column "A" ]', MappingError, "more than one subject map"),
+            ('"T"', None, '[ rr:column "A" ]',
+             LiteralSubjectError, "subjects cannot be literals"),
+            ('"T"', '[ rr:template "http://e.org/{ID}" ; rr:class "C" ]', '[ rr:column "A" ]',
+             MappingError, "rr:class must be an IRI"),
+        ],
+        ids=[
+            "column-not-literal", "template-not-literal", "language-not-literal",
+            "datatype-not-iri", "datatype-and-language", "unknown-term-type",
+            "datatype-on-iri-map", "table-name-not-literal", "two-subject-maps",
+            "literal-constant-subject", "class-not-iri",
+        ],
+    )
+    def test_parse_error(self, table, subject, object_map, error, message):
+        subject = f"rr:subjectMap {subject}" if subject is not None else 'rr:subject "x"'
+        text = RR + XSD + f"""
+        ex:M rr:logicalTable [ rr:tableName {table} ] ;
+          {subject} ;
+          rr:predicateObjectMap [ rr:predicate ex:p ; rr:objectMap {object_map} ] .
+        """
+        with pytest.raises(MappingError) as err:
+            mapping_of(text)
+        assert err.type is error
+        assert str(err.value) == OWNER + message
 
 
 class TestValidateMapping:
@@ -378,6 +479,25 @@ class TestValidateMapping:
         diags = validate_mapping(m, {"C": {"ID", "PID"}, "P": {"ID"}})
         errors = [d for d in diags if d.severity == "error"]
         assert len(errors) == 1 and "NOPE" in errors[0].message
+
+    def test_join_child_column_missing_names_the_child_map(self):
+        text = RR + """
+        ex:Child rr:logicalTable [ rr:tableName "C" ] ;
+          rr:subjectMap [ rr:template "http://e.org/c/{ID}" ] ;
+          rr:predicateObjectMap [
+            rr:predicate ex:link ;
+            rr:objectMap [
+              rr:parentTriplesMap ex:Parent ;
+              rr:joinCondition [ rr:child "NOPE" ; rr:parent "ID" ]
+            ]
+          ] .
+        ex:Parent rr:logicalTable [ rr:tableName "P" ] ;
+          rr:subjectMap [ rr:template "http://e.org/p/{ID}" ] .
+        """
+        diags = validate_mapping(mapping_of(text), {"C": {"ID", "PID"}, "P": {"ID"}})
+        assert [str(d) for d in diags] == [
+            "error: <http://ex.org/Child>: join child column 'NOPE' absent from 'C'"
+        ]
 
     def test_joinless_cross_table_reference(self):
         text = RR + """

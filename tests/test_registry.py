@@ -89,6 +89,20 @@ class TestVocabulary:
         with pytest.raises(Exception):
             load_vocabulary("ncit:C1\tonly three\tfields\n")
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("ncit:C1\tneoplasm\tthing\ttumour", "bad role 'thing'"),
+            ("ncit:C1\tneoplasm\tclass\tgenomic", "bad category 'genomic'"),
+            ("ncit:C1\t \tclass\ttumour", "empty label"),
+        ],
+        ids=["role", "category", "label"],
+    )
+    def test_loader_names_the_bad_field(self, line, problem):
+        with pytest.raises(TriplifyError) as err:
+            load_vocabulary("# comment\n" + line + "\n")
+        assert str(err.value) == f"vocabulary line 2: {problem}"
+
     def test_loader_names_a_curie_without_colon(self):
         with pytest.raises(TriplifyError, match="^vocabulary line 1: .*'C1'"):
             load_vocabulary("C1\tneoplasm\tclass\ttumour\n")
@@ -210,6 +224,17 @@ class TestValidateGraph:
         assert [v.offending for v in by_predicate[sex]] == sorted(
             bad_sexes, key=lambda o: o.to_ntriples()
         )
+
+
+    def test_too_many_conforming_values_is_one_violation(self):
+        g = synthetic_graph(n=2, seed=2)
+        age = term_by_label("has age").iri
+        focus = g.match(None, age, None)[0].s
+        g.add(Triple(focus, age, Literal("150", g.value(focus, age).datatype)))
+        report = validate_graph(g, builtin_shapes())
+        (v,) = report.violations
+        assert (v.focus, v.predicate, v.observed_count, v.offending) == (focus, age, 2, None)
+        assert v.message == "expected at most 1 conforming value(s), found 2"
 
 
 class TestGenerateSynthetic:

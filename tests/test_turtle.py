@@ -13,6 +13,11 @@ def triples(text, base=None):
 
 
 class TestBasics:
+    def test_byte_order_mark_tolerated(self):
+        text = "@prefix ex: <http://e.org/> .\nex:s ex:p ex:o .\n"
+        assert triples("\ufeff" + text) == triples(text)
+        assert len(triples(text)) == 1
+
     def test_single_triple(self):
         g = triples("@prefix ex: <http://e.org/> . ex:s ex:p ex:o .")
         assert len(g) == 1
@@ -168,6 +173,11 @@ class TestErrors:
         with pytest.raises(ParseError, match="surrogate") as err:
             triples('<http://e.org/s>\n<http://e.org/p\\uDBFF> "a" .')
         assert (err.value.line, err.value.column) == (2, 1)
+
+    def test_code_point_above_unicode_is_a_positioned_error(self):
+        with pytest.raises(ParseError, match=r"code point out of range: \\U00110000") as err:
+            triples('<http://e.org/s>\n<http://e.org/p> "a\\U00110000" .')
+        assert (err.value.line, err.value.column) == (2, 18)
 
     @pytest.mark.parametrize("string", ['"a\\\nb"', '"""a\\\nb"""', "'''a\\\nb'''"])
     def test_backslash_before_line_break_is_an_invalid_escape(self, string):
