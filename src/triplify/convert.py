@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Optional
 
 from .errors import (
     MappingError,
@@ -215,6 +217,54 @@ def _term_or_skip(
     return None
 
 
+def _parent_subject(tm: TermMap, row: Row, _rownum: int) -> Optional[Term]:
+    """The subject a parent's subject map tm makes for a joined row, or None:
+    a parent subject that cannot be made gives no edge, and the parent's
+    own pass logs it."""
+    try:
+        return generate_term(tm, row)
+    except MissingColumnError:
+        raise
+    except TriplifyError:
+        return None
+
+
+# A term map compiled for one conversion: (row, 1-based row number) -> term or None.
+Maker = Callable[[Row, int], Optional[Term]]
+# A conversion's terms: for each term map, the term made from each tuple of source cells.
+TermTable = dict[TermMap, dict[object, Term]]
+
+
+def _maker(tm: TermMap, terms: TermTable, miss: Maker) -> Maker:
+    """tm compiled over the term table: a row whose source cells were met
+    before gets the term made then, and only a row with new cells calls
+    miss. generate_term is a pure function of tm and those cells, so this
+    gives the term miss would. A NULL or failed term is never stored, so
+    miss logs each such row's skip, in row order, as it comes."""
+    if tm.constant is not None:
+        constant = tm.constant
+        return lambda row, rownum: constant
+    columns = tm.source_columns()
+    if not columns:
+        return miss
+    cells_of = itemgetter(*columns)
+    made = terms.setdefault(tm, {})
+
+    def make(row: Row, rownum: int) -> Optional[Term]:
+        try:
+            cells = cells_of(row)
+        except KeyError:  # miss raises MissingColumnError, or meets a NULL first
+            return miss(row, rownum)
+        term = made.get(cells)
+        if term is None:
+            term = miss(row, rownum)
+            if term is not None:
+                made[cells] = term
+        return term
+
+    return make
+
+
 def _table(
     tables: dict[str, TableSource], tm: TriplesMap, same_as: Optional[str] = None
 ) -> TableSource:
@@ -259,48 +309,77 @@ def apply_triples_map(
     no join condition. A parent subject that cannot be made gives no edge;
     the parent's own pass logs it.
     """
+    _apply_triples_map(tm, tables, g, report, {})
+
+
+def _apply_triples_map(
+    tm: TriplesMap,
+    tables: dict[str, TableSource],
+    g: Graph,
+    report: ConversionReport,
+    terms: TermTable,
+) -> None:
+    """apply_triples_map, making its terms through the conversion's term table."""
     rows = _table(tables, tm).rows
-    joined = [
-        _parent_rows(pom.object, tm.logical_table, tables)
-        if isinstance(pom.object, RefObjectMap)
-        else None
-        for pom in tm.predicate_object_maps
-    ]
     map_id = tm.id.to_ntriples()
+
+    def compiled(term_map: TermMap, what: str) -> Maker:
+        return _maker(
+            term_map,
+            terms,
+            lambda row, rownum: _term_or_skip(term_map, row, report, map_id, rownum, what),
+        )
+
+    # plan: each term map compiled once, each parent's rows indexed once
+    subject_of = compiled(tm.subject_map, "subject")
+    poms = []
+    for pom in tm.predicate_object_maps:
+        rom = pom.object
+        if isinstance(rom, TermMap):
+            poms.append((compiled(pom.predicate, "predicate"), compiled(rom, "object"), None))
+            continue
+        sm = rom.parent.subject_map
+        parent_of = _maker(sm, terms, partial(_parent_subject, sm))
+        ref = (parent_of, _parent_rows(rom, tm.logical_table, tables), [cc for cc, _ in rom.joins])
+        poms.append((compiled(pom.predicate, "predicate"), None, ref))
     report.rows_read += len(rows)
 
     def emit(t: Triple) -> None:
         if not g.add(t):
             report.triples_deduplicated += 1
 
+    # run
+    classes = tm.subject_classes
+    # ids of the subjects whose class triples are already in g; a subject
+    # comes from the term table or the mapping, which keep it alive, so
+    # its id names no other term during the pass
+    typed: set[int] = set()
     for rownum, row in enumerate(rows, start=1):
-        subject = _term_or_skip(tm.subject_map, row, report, map_id, rownum, "subject")
+        subject = subject_of(row, rownum)
         if subject is None:
             continue
-        for cls in tm.subject_classes:
-            emit(Triple(subject, RDF_TYPE, cls))
-        for pom, parent_rows in zip(tm.predicate_object_maps, joined):
-            predicate = _term_or_skip(pom.predicate, row, report, map_id, rownum, "predicate")
+        if id(subject) in typed:
+            report.triples_deduplicated += len(classes)
+        elif classes:
+            typed.add(id(subject))
+            for cls in classes:
+                emit(Triple(subject, RDF_TYPE, cls))
+        for predicate_of, object_of, ref in poms:
+            predicate = predicate_of(row, rownum)
             if predicate is None:
                 continue
-            rom = pom.object
-            if isinstance(rom, TermMap):
-                obj = _term_or_skip(rom, row, report, map_id, rownum, "object")
+            if object_of is not None:
+                obj = object_of(row, rownum)
                 if obj is not None:
                     emit(Triple(subject, predicate, obj))
                 continue
-            if rom.joins:
-                key = tuple(row.get(cc) for cc, _ in rom.joins)
-                prows = parent_rows.get(key, ())
+            parent_of, parent_rows, child_columns = ref
+            if child_columns:
+                prows = parent_rows.get(tuple(map(row.get, child_columns)), ())
             else:
                 prows = (row,)
             for prow in prows:
-                try:
-                    obj = generate_term(rom.parent.subject_map, prow)
-                except MissingColumnError:
-                    raise
-                except TriplifyError:
-                    continue
+                obj = parent_of(prow, 0)
                 if obj is not None:
                     emit(Triple(subject, predicate, obj))
 
@@ -308,7 +387,11 @@ def apply_triples_map(
 def convert(
     m: MappingDocument, tables: dict[str, TableSource]
 ) -> tuple[Graph, ConversionReport]:
-    """Run every triples map; requires a validation pass with zero errors."""
+    """Run every triples map; requires a validation pass with zero errors.
+
+    Each distinct term (term map, source cells) is made once per call and
+    shared by every triples map that makes it again.
+    """
     available = {name: set(t.columns) for name, t in tables.items()}
     diagnostics = validate_mapping(m, available)
     errors = [d for d in diagnostics if d.severity == "error"]
@@ -316,7 +399,8 @@ def convert(
         raise ValidationFailedError(errors)
     g = Graph()
     report = ConversionReport()
+    terms: TermTable = {}
     for tm in m.triples_maps:
-        apply_triples_map(tm, tables, g, report)
+        _apply_triples_map(tm, tables, g, report, terms)
     report.triples_emitted = len(g)
     return g, report

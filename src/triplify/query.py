@@ -458,6 +458,16 @@ def _filter_test(f: FilterExpr) -> Callable[[Term], bool]:
     return test
 
 
+def _spellings(column: Sequence[Term]) -> Iterable[str]:
+    """The N-Triples spelling of each term in a result column, made once
+    per distinct term object. Keyed by identity, as hashing a term costs
+    more than spelling an IRI; equal terms are mostly one object, shared
+    by convert and by the N-Triples reader."""
+    terms = {id(t): t for t in column}
+    spelt = {i: t.to_ntriples() for i, t in terms.items()}
+    return map(spelt.__getitem__, map(id, column))
+
+
 def _evaluate(g: Graph, q: Query) -> tuple[Solution, _Plan, list[int]]:
     plan, rows, counts = _solve(g, q)
     if q.count_var is not None:
@@ -466,8 +476,9 @@ def _evaluate(g: Graph, q: Query) -> tuple[Solution, _Plan, list[int]]:
     keys = list(dict.fromkeys(map(itemgetter(*(plan.slots[v] for v in q.variables)), rows)))
     if len(q.variables) == 1:
         keys = [(term,) for term in keys]
-    if len(keys) > 1:  # each sort key spells out every term
-        keys.sort(key=lambda key: tuple(t.to_ntriples() for t in key))
+    if len(keys) > 1:  # rows sort by their terms spelt out
+        spellings = zip(*map(_spellings, zip(*keys)))
+        keys = [key for _, key in sorted(zip(spellings, keys), key=itemgetter(0))]
     solution = Solution(q.variables, [dict(zip(q.variables, key)) for key in keys])
     return solution, plan, counts
 

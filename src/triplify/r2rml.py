@@ -18,7 +18,7 @@ any unrecognized rr: property.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .errors import (
@@ -154,9 +154,13 @@ def parse_template(text: str) -> Template:
 
 # --- executable mapping model -----------------------------------------------
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class TermMap:
-    """One rule producing a term from a row: constant, column, or template."""
+    """One rule producing a term from a row: constant, column, or template.
+
+    A value: equal term maps make equal terms from equal cells, so a
+    conversion keeps one table of made terms per distinct term map.
+    """
 
     term_kind: str  # "IRI" | "BlankNode" | "Literal"
     constant: Optional[Term] = None
@@ -309,7 +313,7 @@ def _parse_term_map(
     if datatype is not None or language is not None:
         if tm.term_kind != "Literal":
             raise MappingError(f"{owner}: rr:datatype/rr:language require a literal term map")
-        tm.datatype, tm.language = datatype, language
+        tm = replace(tm, datatype=datatype, language=language)
     return tm
 
 

@@ -1,5 +1,8 @@
 """Independent result oracles the engine is checked against.
 
+The reference conversion makes every term afresh, on every row, with
+`generate_term`: it keeps no table of terms already made.
+
 The brute-force query evaluator enumerates every assignment of variables
 to terms occurring in the graph and keeps those satisfying all patterns
 by membership, then applies the documented filter semantics: dates by
@@ -13,12 +16,72 @@ import datetime
 import itertools
 import re
 
-from triplify import Graph, Iri, Literal, Triple
-from triplify.errors import TypeMismatchError
+from triplify import Graph, Iri, Literal, Triple, generate_term
+from triplify.convert import ConversionReport, _term_or_skip
+from triplify.errors import MissingColumnError, TriplifyError, TypeMismatchError
 from triplify.query import FilterExpr, Var
-from triplify.terms import XSD_DATE, XSD_DOUBLE, XSD_INTEGER
+from triplify.r2rml import TermMap
+from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DOUBLE, XSD_INTEGER
 
 _NUMERIC = (XSD_INTEGER, XSD_DOUBLE)
+
+
+def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
+    """What `convert` gives for a mapping that validates: each row's terms
+    made by `generate_term`, through `_term_or_skip` (which logs a skip),
+    and a joined parent row's subject made for every edge."""
+    g = Graph()
+    report = ConversionReport()
+
+    def emit(t):
+        if not g.add(t):
+            report.triples_deduplicated += 1
+
+    for tm in m.triples_maps:
+        rows = tables[tm.logical_table].rows
+        map_id = tm.id.to_ntriples()
+        report.rows_read += len(rows)
+        parents = {}  # a referencing object map's parent rows by join key
+        for pom in tm.predicate_object_maps:
+            if not isinstance(pom.object, TermMap):
+                index = parents[id(pom)] = {}
+                for prow in tables[pom.object.parent.logical_table].rows:
+                    key = tuple(prow[pc] for _, pc in pom.object.joins)
+                    index.setdefault(key, []).append(prow)
+        for rownum, row in enumerate(rows, start=1):
+            subject = _term_or_skip(tm.subject_map, row, report, map_id, rownum, "subject")
+            if subject is None:
+                continue
+            for cls in tm.subject_classes:
+                emit(Triple(subject, RDF_TYPE, cls))
+            for pom in tm.predicate_object_maps:
+                predicate = _term_or_skip(pom.predicate, row, report, map_id, rownum, "predicate")
+                if predicate is None:
+                    continue
+                if isinstance(pom.object, TermMap):
+                    obj = _term_or_skip(pom.object, row, report, map_id, rownum, "object")
+                    if obj is not None:
+                        emit(Triple(subject, predicate, obj))
+                    continue
+                rom = pom.object
+                key = tuple(row[c] for c, _ in rom.joins)
+                if not rom.joins:
+                    prows = [row]
+                elif None in key:
+                    prows = []
+                else:
+                    prows = parents[id(pom)].get(key, [])
+                for prow in prows:
+                    try:
+                        obj = generate_term(rom.parent.subject_map, prow)
+                    except MissingColumnError:
+                        raise
+                    except TriplifyError:
+                        continue
+                    if obj is not None:
+                        emit(Triple(subject, predicate, obj))
+    report.triples_emitted = len(g)
+    return g, report
 
 
 def _instantiate(term, binding):

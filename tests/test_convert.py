@@ -9,12 +9,16 @@ from triplify import (
     Graph,
     Iri,
     Literal,
+    PrefixMap,
     TableSource,
     Triple,
+    bundled_mapping,
     convert,
     expand_template,
+    generate_synthetic,
     generate_term,
     iri_safe_encode,
+    load_csv,
     parse_mapping,
     parse_template,
     parse_turtle,
@@ -29,10 +33,12 @@ from triplify.errors import (
     TriplifyError,
     ValidationFailedError,
 )
-from triplify.r2rml import TermMap
+from triplify.r2rml import MappingDocument, PredicateObjectMap, TermMap, TriplesMap
 from triplify.terms import RDF_TYPE, XSD_DATE, XSD_INTEGER
 
+from conftest import fixture_cases
 from genutil import random_table, simple_mapping
+from oracles import convert_every_row
 
 EX = "http://ex.org/"
 
@@ -537,3 +543,111 @@ class TestConvert:
             ("<http://ex.org/WeightMap>", "2", "ID"),
             ("<http://ex.org/WeightMap>", "3", "AGE"),
         ]
+
+
+def assert_as_every_row(m, tables):
+    """convert gives what the reference that makes every row's terms afresh gives."""
+    g, report = convert(m, tables)
+    want_g, want = convert_every_row(m, tables)
+    assert serialize_ntriples(g) == serialize_ntriples(want_g)
+    assert report.skipped_log() == want.skipped_log()
+    assert report.skipped_terms == want.skipped_terms
+    assert (report.rows_read, report.triples_emitted, report.triples_deduplicated) == (
+        want.rows_read,
+        want.triples_emitted,
+        want.triples_deduplicated,
+    )
+    return g, report
+
+
+def fixture_case(case_dir):
+    mapping_file = case_dir / "mapping.ttl"
+    if mapping_file.exists():
+        m = parse_mapping(*parse_turtle(mapping_file.read_text(encoding="utf-8")))
+    else:
+        m = bundled_mapping()
+    tables = {
+        p.stem: load_csv(p.read_text(encoding="utf-8"), p.stem) for p in case_dir.glob("*.csv")
+    }
+    return m, tables
+
+
+def dirty_registry(n, seed):
+    """generate_synthetic's tables with NULL ages and sexes and impossible dates."""
+    tables = generate_synthetic(n, seed)
+    for i, row in enumerate(tables["PATIENT"].rows):
+        if i % 37 == 5:
+            row["AGE"] = None
+        if i % 41 == 7:
+            row["SEX"] = None
+    for i, row in enumerate(tables["TREATMENT"].rows):
+        if i % 29 == 3:
+            row["RT_START_DATE"] = ("2021-02-30", "2019-04-31")[i % 2]
+    return tables
+
+
+def age_map(rows, columns=("ID", "AGE")):
+    return candidate_mapping(), {"PATIENT": TableSource("PATIENT", columns, rows)}
+
+
+class TestTermTable:
+    """convert makes each distinct (term map, cells) once; the output and
+    the report are those of making every term on every row."""
+
+    @pytest.mark.parametrize("case_dir", fixture_cases(), ids=lambda p: p.name)
+    def test_fixture_as_every_row(self, case_dir):
+        assert_as_every_row(*fixture_case(case_dir))
+
+    def test_dirty_registry_as_every_row(self):
+        _, report = assert_as_every_row(bundled_mapping(), dirty_registry(2500, 1))
+        reasons = {t.reason.split(":")[0] + ":" + t.column for t in report.skipped_terms}
+        assert reasons == {"object:AGE", "object:SEX", "subject:SEX", "object:RT_START_DATE"}
+
+    @pytest.mark.parametrize("cell", [None, "abc"], ids=["null", "invalid"])
+    def test_a_cell_repeated_on_n_rows_gives_n_skips(self, cell):
+        rows = [{"ID": "1", "AGE": cell} for _ in range(5)]
+        g, report = assert_as_every_row(*age_map(rows))
+        assert [(t.row, t.column) for t in report.skipped_terms] == [(i, "AGE") for i in range(1, 6)]
+        assert len(g) == 1  # the rdf:type triple of the one subject
+
+    def test_a_missing_column_raises(self):
+        m, tables = age_map([{"ID": "1"}, {"ID": "2"}], columns=("ID",))
+        with pytest.raises(MissingColumnError):
+            apply_triples_map(m.triples_maps[0], tables, Graph(), ConversionReport())
+
+    def test_a_null_before_a_missing_column_is_a_skip(self):
+        # generate_term meets the NULL in {A} before it looks for {B}
+        sm = TermMap(term_kind="IRI", template=parse_template("http://ex.org/{A}/{B}"))
+        tm = TriplesMap(Iri(EX + "M"), "T", sm)
+        table = TableSource("T", ("A",), [{"A": None}, {"A": None}, {"A": "x"}])
+        report = ConversionReport()
+        with pytest.raises(MissingColumnError):
+            apply_triples_map(tm, {"T": table}, Graph(), report)
+        assert [(t.row, t.column) for t in report.skipped_terms] == [(1, "A"), (2, "A")]
+
+    def test_a_term_map_without_source_is_skipped_on_every_row(self):
+        sm = TermMap(term_kind="IRI", template=parse_template("http://ex.org/{ID}"))
+        no_source = TermMap(term_kind="Literal")
+        pom = PredicateObjectMap(TermMap(term_kind="IRI", constant=Iri(EX + "p")), no_source)
+        tm = TriplesMap(Iri(EX + "M"), "T", sm, predicate_object_maps=[pom])
+        table = TableSource("T", ("ID",), [{"ID": "1"}, {"ID": "1"}])
+        g, report = Graph(), ConversionReport()
+        apply_triples_map(tm, {"T": table}, g, report)
+        assert len(g) == 0
+        assert [(t.row, t.column) for t in report.skipped_terms] == [(1, ""), (2, "")]
+
+    def test_a_repeated_subject_counts_each_class_triple_as_a_duplicate(self):
+        sm = TermMap(term_kind="IRI", template=parse_template("http://ex.org/{ID}"))
+        c = Iri(EX + "C")
+        tm = TriplesMap(Iri(EX + "M"), "T", sm, subject_classes=[c, c])
+        table = TableSource("T", ("ID",), [{"ID": "1"}, {"ID": "2"}, {"ID": "1"}])
+        g, report = assert_as_every_row(MappingDocument([tm], PrefixMap()), {"T": table})
+        assert len(g) == 2 and report.triples_deduplicated == 4
+
+    def test_equal_terms_are_one_object(self):
+        # across rows, across maps with equal term maps, and on a reference's parent line
+        g, _ = convert(bundled_mapping(), generate_synthetic(30, 1))
+        first = {}
+        for t in g:
+            for term in (t.s, t.o):
+                assert first.setdefault(term, term) is term

@@ -28,7 +28,21 @@ from triplify.errors import (
     UnbalancedBracesError,
     UnsupportedFeatureError,
 )
-from triplify.r2rml import _IGNORED, _KNOWN, _REJECTED, RR_NS, RefObjectMap
+from triplify.r2rml import (
+    _IGNORED,
+    _KNOWN,
+    _REJECTED,
+    RR_COLUMN,
+    RR_LOGICAL_TABLE,
+    RR_NS,
+    RR_OBJECT_MAP,
+    RR_POM,
+    RR_PREDICATE,
+    RR_SUBJECT_MAP,
+    RR_TABLE_NAME,
+    RR_TEMPLATE,
+    RefObjectMap,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 RR = "@prefix rr: <http://www.w3.org/ns/r2rml#> .\n@prefix ex: <http://ex.org/> .\n"
@@ -281,38 +295,73 @@ class TestParseMapping:
         assert m.triples_maps[0].subject_map.constant == Iri("http://ex.org/theOne")
 
     def test_parsing_is_total_over_random_documents(self):
-        # any graph of rr:-flavored triples yields a MappingDocument or a
-        # typed error, never an unhandled crash
-        from triplify import BlankNode, Graph, Literal, PrefixMap, Triple
+        # one valid triples map plus random rr:-flavored triples yields a
+        # MappingDocument or a typed error, never an unhandled crash; a
+        # parsed one validates, then converts as the every-row reference
+        # does or raises a typed error
+        from triplify import BlankNode, Graph, Literal, PrefixMap, TableSource, Triple, convert
         from triplify.errors import TriplifyError
+
+        from oracles import convert_every_row
+
         rng = random.Random(2718)
         # the properties the parser reads; a rejected one would end most
         # documents before parsing starts
         rr_props = sorted(_KNOWN - set(_REJECTED) - set(_IGNORED), key=lambda i: i.value)
         subjects = [Iri(f"http://ex.org/m{i}") for i in range(3)] + [
-            BlankNode(f"n{i}") for i in range(3)
+            BlankNode(f"n{i}") for i in range(4)
         ]
         objects = subjects + [
             Literal("PATIENT"),
             Literal("http://ex.org/{ID}"),
             Literal("{A}-{B}"),
+            Literal("A"),
             Literal("63"),
             Iri("http://ex.org/thing"),
             Iri("http://www.w3.org/ns/r2rml#Literal"),
         ]
-        outcomes = {"ok": 0, "typed-error": 0}
+        m0, n0, n1, n2, n3 = subjects[0], *subjects[3:]
+        valid_map = [
+            Triple(m0, RR_LOGICAL_TABLE, n0),
+            Triple(n0, RR_TABLE_NAME, Literal("PATIENT")),
+            Triple(m0, RR_SUBJECT_MAP, n1),
+            Triple(n1, RR_TEMPLATE, Literal("http://ex.org/{ID}")),
+            Triple(m0, RR_POM, n2),
+            Triple(n2, RR_PREDICATE, Iri("http://ex.org/thing")),
+            Triple(n2, RR_OBJECT_MAP, n3),
+            Triple(n3, RR_COLUMN, Literal("A")),
+        ]
+        cells = ["1", "1", "63", "a b", None]
+        rows = [
+            {"ID": rng.choice(cells), "A": rng.choice(cells), "B": rng.choice(cells)}
+            for _ in range(8)
+        ]
+        tables = {"PATIENT": TableSource("PATIENT", ("ID", "A", "B"), rows)}
+        columns = {"PATIENT": {"ID", "A", "B"}}
+        outcomes = {"typed-error": 0, "converted": 0, "not-converted": 0}
         for _ in range(150):
-            doc = Graph()
+            doc = Graph(valid_map)
             for _ in range(rng.randint(1, 12)):
                 doc.add(
                     Triple(rng.choice(subjects), rng.choice(rr_props), rng.choice(objects))
                 )
             try:
-                parse_mapping(doc, PrefixMap())
-                outcomes["ok"] += 1
+                m = parse_mapping(doc, PrefixMap())
             except TriplifyError:
                 outcomes["typed-error"] += 1
+                continue
+            validate_mapping(m, columns)
+            try:
+                g, report = convert(m, tables)
+            except TriplifyError:
+                outcomes["not-converted"] += 1
+                continue
+            outcomes["converted"] += 1
+            want_g, want = convert_every_row(m, tables)
+            assert g == want_g
+            assert report.skipped_log() == want.skipped_log()
         assert sum(outcomes.values()) == 150
+        assert outcomes["converted"], outcomes
 
 
 # a valid document that uses every rr: property the parser reads
