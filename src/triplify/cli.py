@@ -187,6 +187,8 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        return _fail(f"--n must not be negative, got {args.n}", 2)
     tables = generate_synthetic(args.n, args.seed)
     outdir = Path(args.outdir)
     try:
@@ -203,18 +205,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
         g = merge(_load_graphs(args.graphs))
     except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load graph: {exc}", 2)
+    by_p = g.buckets(1)
     lines = [f"triples\t{len(g)}"]
-    classes = Counter(t.o for t in g if t.p == RDF_TYPE)
+    classes = Counter(t.o for t in by_p.get(RDF_TYPE, ()))
     for cls in sorted(classes, key=lambda c: c.to_ntriples()):
         lines.append(f"class\t{cls.to_ntriples()}\t{classes[cls]}")
-    categories = predicate_categories()
     counts = Counter()
-    for t in g:
-        category = categories.get(t.p)
-        if category is not None:
-            counts[category] += 1
+    for p, category in predicate_categories().items():
+        counts[category] += len(by_p.get(p, ()))
     for name in ("demographic", "tumour", "treatment", "core"):
-        lines.append(f"category\t{name}\t{counts.get(name, 0)}")
+        lines.append(f"category\t{name}\t{counts[name]}")
     _write_output("".join(line + "\n" for line in lines))
     return 0
 

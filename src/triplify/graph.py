@@ -117,23 +117,6 @@ class Graph:
             and (o is None or t.o == o)
         ]
 
-    def subjects(self, p: Optional[Iri] = None, o: Optional[Term] = None):
-        """Distinct subjects of triples matching (p, o)."""
-        return {t.s for t in self.match(None, p, o)}
-
-    def objects(self, s: Optional[Term] = None, p: Optional[Iri] = None):
-        """Distinct objects of triples matching (s, p)."""
-        return {t.o for t in self.match(s, p, None)}
-
-    def value(self, s: Term, p: Iri) -> Optional[Term]:
-        """The single object of (s, p, ?), or None; raises if ambiguous."""
-        found = self.objects(s, p)
-        if not found:
-            return None
-        if len(found) > 1:
-            raise ValueError(f"multiple objects for {s!r} {p!r}")
-        return next(iter(found))
-
     def __contains__(self, t: Triple) -> bool:
         return t in self._triples
 

@@ -27,12 +27,10 @@ from .terms import (
     RDF_NS,
     RDF_TYPE,
     XSD_NS,
-    BlankNode,
     Iri,
     Literal,
     PrefixMap,
     Term,
-    Triple,
 )
 from .turtle import parse_turtle
 
@@ -235,12 +233,6 @@ class ValidationReport:
         return [v.line() for v in self.violations]
 
 
-def _conforms(g: Graph, o: Term, c: ShapeConstraint) -> bool:
-    if c.kind == "literal":
-        return isinstance(o, Literal) and o.datatype == c.kind_iri
-    return isinstance(o, (Iri, BlankNode)) and Triple(o, RDF_TYPE, c.kind_iri) in g
-
-
 def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
     """Check every instance of each shape's target class.
 
@@ -249,19 +241,32 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
     be a literal of the required datatype. Objects of the wrong kind are
     reported individually, in canonical order, and do not count toward
     cardinality.
+
+    The graph is grouped once from its predicate index: each class's
+    members, and each constrained predicate's objects by subject.
     """
+    by_p = g.buckets(1)
+    members: dict[Term, set[Term]] = {}
+    for t in by_p.get(RDF_TYPE, ()):
+        members.setdefault(t.o, set()).add(t.s)
+    values: dict[Iri, dict[Term, list[Term]]] = {}
+    for p in dict.fromkeys(c.predicate for shape in shapes for c in shape.constraints):
+        grouped = values[p] = {}
+        for t in by_p.get(p, ()):
+            grouped.setdefault(t.s, []).append(t.o)
     violations: list[Violation] = []
     for shape in shapes:
-        focuses = sorted(
-            g.subjects(RDF_TYPE, shape.target_class), key=lambda t: t.to_ntriples()
-        )
+        focuses = sorted(members.get(shape.target_class, ()), key=lambda t: t.to_ntriples())
         for focus in focuses:
             for c in shape.constraints:
-                objects = [t.o for t in g.match(focus, c.predicate, None)]
-                bad = [o for o in objects if not _conforms(g, o, c)]
-                flaw = (
-                    "is not a literal of datatype" if c.kind == "literal" else "lacks required type"
-                )
+                objects = values[c.predicate].get(focus, ())
+                if c.kind == "literal":
+                    flaw, dt = "is not a literal of datatype", c.kind_iri
+                    bad = [o for o in objects if not isinstance(o, Literal) or o.datatype != dt]
+                else:
+                    # members are subjects, so a literal is never one
+                    flaw, typed = "lacks required type", members.get(c.kind_iri, ())
+                    bad = [o for o in objects if o not in typed]
                 for o in sorted(bad, key=lambda o: o.to_ntriples()):
                     message = f"object {o.to_ntriples()} {flaw} {c.kind_iri.to_ntriples()}"
                     violations.append(

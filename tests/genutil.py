@@ -7,6 +7,7 @@ seed printed by the calling test.
 from __future__ import annotations
 
 import random
+from importlib import resources
 
 from triplify import BlankNode, Graph, Iri, Literal, TableSource, Triple
 from triplify.r2rml import (
@@ -217,3 +218,34 @@ def simple_mapping() -> MappingDocument:
         ],
     )
     return MappingDocument(triples_maps=[first, second], prefixes=PrefixMap())
+
+
+# --- byte-level mutation ----------------------------------------------------
+
+# Bytes that change how the lexer splits text, plus a non-ASCII lead byte.
+_INTERESTING = b"<>\"'\\@^_:?.;,[](){}#=!*+-eE0 \n\t\xc3"
+
+
+def mutate(rng: random.Random, data: bytes) -> bytes:
+    buf = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(buf) + 1)
+        op = rng.randrange(4)
+        byte = rng.choice(_INTERESTING) if rng.random() < 0.7 else rng.randrange(256)
+        if op == 0 and i < len(buf):
+            buf[i] = byte
+        elif op == 1:
+            buf.insert(i, byte)
+        elif op == 2:
+            del buf[i : i + rng.randint(1, 8)]
+        else:
+            buf[i:i] = buf[i : i + rng.randint(1, 16)]
+    return bytes(buf)
+
+
+def mutated_shapes_texts():
+    """3000 seeded mutations of the bundled shapes.tsv, each decoded."""
+    rng = random.Random(7781)
+    seed = (resources.files("triplify") / "data" / "shapes.tsv").read_bytes()
+    for _ in range(3000):
+        yield mutate(rng, seed).decode("utf-8", errors="replace")

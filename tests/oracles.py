@@ -3,6 +3,10 @@
 The reference conversion makes every term afresh, on every row, with
 `generate_term`: it keeps no table of terms already made.
 
+The reference validator tests one focus and one constraint at a time:
+one `match` per pair, and a class test is a membership probe for the
+object's `rdf:type` triple.
+
 The brute-force query evaluator enumerates every assignment of variables
 to terms occurring in the graph and keeps those satisfying all patterns
 by membership, then applies the documented filter semantics: dates by
@@ -16,12 +20,13 @@ import datetime
 import itertools
 import re
 
-from triplify import Graph, Iri, Literal, Triple, generate_term
+from triplify import BlankNode, Graph, Iri, Literal, Triple, generate_term
 from triplify.convert import ConversionReport, _term_or_skip
 from triplify.errors import MissingColumnError, TriplifyError, TypeMismatchError
 from triplify.query import FilterExpr, Var
 from triplify.r2rml import TermMap
-from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DOUBLE, XSD_INTEGER
+from triplify.registry import Shape, ShapeConstraint, ValidationReport, Violation
+from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DOUBLE, XSD_INTEGER, Term
 
 _NUMERIC = (XSD_INTEGER, XSD_DOUBLE)
 
@@ -82,6 +87,48 @@ def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
                         emit(Triple(subject, predicate, obj))
     report.triples_emitted = len(g)
     return g, report
+
+
+def _conforms(g: Graph, o: Term, c: ShapeConstraint) -> bool:
+    if c.kind == "literal":
+        return isinstance(o, Literal) and o.datatype == c.kind_iri
+    return isinstance(o, (Iri, BlankNode)) and Triple(o, RDF_TYPE, c.kind_iri) in g
+
+
+def validate_every_pair(g: Graph, shapes: list[Shape]) -> ValidationReport:
+    """What `validate_graph` reports, one (focus, constraint) at a time."""
+    violations: list[Violation] = []
+    for shape in shapes:
+        focuses = sorted(
+            {t.s for t in g.match(None, RDF_TYPE, shape.target_class)},
+            key=lambda t: t.to_ntriples(),
+        )
+        for focus in focuses:
+            for c in shape.constraints:
+                objects = [t.o for t in g.match(focus, c.predicate, None)]
+                bad = [o for o in objects if not _conforms(g, o, c)]
+                flaw = (
+                    "is not a literal of datatype" if c.kind == "literal" else "lacks required type"
+                )
+                for o in sorted(bad, key=lambda o: o.to_ntriples()):
+                    message = f"object {o.to_ntriples()} {flaw} {c.kind_iri.to_ntriples()}"
+                    violations.append(
+                        Violation(focus, shape.target_class, c.predicate, message, offending=o)
+                    )
+                conforming = len(objects) - len(bad)
+                if conforming < c.min_count:
+                    bound = f"at least {c.min_count}"
+                elif c.max_count is not None and conforming > c.max_count:
+                    bound = f"at most {c.max_count}"
+                else:
+                    continue
+                message = f"expected {bound} conforming value(s), found {conforming}"
+                violations.append(
+                    Violation(
+                        focus, shape.target_class, c.predicate, message, observed_count=conforming
+                    )
+                )
+    return ValidationReport(violations)
 
 
 def _instantiate(term, binding):

@@ -93,7 +93,7 @@ def test_criterion_3_patient_centric_structure():
     report = validate_graph(g, builtin_shapes())
     assert report.conforms, report.lines()[:5]
 
-    patients = g.subjects(RDF_TYPE, PATIENT_CLASS)
+    patients = {t.s for t in g.match(None, RDF_TYPE, PATIENT_CLASS)}
     assert len(patients) == 50
     categories = predicate_categories()
     for p in sorted(patients, key=lambda t: t.to_ntriples()):

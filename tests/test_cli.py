@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from triplify import execute, parse_ntriples, parse_query
 from triplify.cli import main
-from triplify.registry import bundled_mapping_text
+from triplify.registry import bundled_mapping_text, predicate_categories
+from triplify.terms import RDF_TYPE
 
 from conftest import FIXTURES
 
@@ -407,6 +409,13 @@ class TestSynth:
             d / "TREATMENT.csv"
         ).read_text() == "ID,PATIENT_ID,RT_START_DATE,MODALITY,MODALITY_CODE\n"
 
+    def test_negative_count_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        d = tmp_path / "negative"
+        code, stdout, stderr = run(capsys, "synth", str(d), "--n", "-1")
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and "--n" in stderr
+        assert not d.exists()
+
     def test_unwritable_directory_exits_2(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -460,9 +469,21 @@ class TestStats:
         code, stdout, _ = run(capsys, "stats", str(graph))
         assert code == 0
         lines = stdout.splitlines()
-        assert lines[0].startswith("triples\t")
         assert any(l.startswith("class\t") and "C16960" in l and l.endswith("\t4") for l in lines)
-        assert any(l.startswith("category\tdemographic\t") for l in lines)
+        g = parse_ntriples(graph.read_text(encoding="utf-8"))
+        category_of = predicate_categories()
+        classes, categories = Counter(), Counter()
+        for t in g:
+            if t.p == RDF_TYPE:
+                classes[t.o.to_ntriples()] += 1
+            categories[category_of.get(t.p)] += 1
+        want = [f"triples\t{len(g)}"]
+        want += [f"class\t{c}\t{classes[c]}" for c in sorted(classes)]
+        want += [
+            f"category\t{name}\t{categories[name]}"
+            for name in ("demographic", "tumour", "treatment", "core")
+        ]
+        assert lines == want
 
 
 class TestUndecodableInput:

@@ -226,23 +226,6 @@ class TestIndexBuild:
                 assert g.match(s, p, o) == _scan(pool, s, p, o)
 
 
-class TestHelpers:
-    def test_subjects_and_objects(self):
-        g = Graph([_t("a", "p", "x"), _t("b", "p", "x"), _t("a", "q", "y")])
-        assert g.subjects(p=Iri(EX + "p")) == {Iri(EX + "a"), Iri(EX + "b")}
-        assert g.objects(s=Iri(EX + "a")) == {Iri(EX + "x"), Iri(EX + "y")}
-
-    def test_value_single_or_none_or_raise(self):
-        g = Graph([_t("s", "p", "o")])
-        assert g.value(Iri(EX + "s"), Iri(EX + "p")) == Iri(EX + "o")
-        assert g.value(Iri(EX + "s"), Iri(EX + "q")) is None
-        g.add(_t("s", "p", "o2"))
-        import pytest
-
-        with pytest.raises(ValueError):
-            g.value(Iri(EX + "s"), Iri(EX + "p"))
-
-
 class TestMerge:
     def test_merge_commutes(self):
         rng = random.Random(99)

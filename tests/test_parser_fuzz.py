@@ -7,7 +7,6 @@ N-Triples is a subset of Turtle, so both readers must agree on it.
 """
 
 import random
-from importlib import resources
 
 import pytest
 
@@ -28,27 +27,7 @@ from triplify import (
 from triplify.errors import ParseError, TriplifyError
 from triplify.registry import bundled_mapping_text
 
-from genutil import random_graph, random_query_text, random_table
-
-# Bytes that change how the lexer splits text, plus a non-ASCII lead byte.
-_INTERESTING = b"<>\"'\\@^_:?.;,[](){}#=!*+-eE0 \n\t\xc3"
-
-
-def _mutate(rng: random.Random, data: bytes) -> bytes:
-    buf = bytearray(data)
-    for _ in range(rng.randint(1, 4)):
-        i = rng.randrange(len(buf) + 1)
-        op = rng.randrange(4)
-        byte = rng.choice(_INTERESTING) if rng.random() < 0.7 else rng.randrange(256)
-        if op == 0 and i < len(buf):
-            buf[i] = byte
-        elif op == 1:
-            buf.insert(i, byte)
-        elif op == 2:
-            del buf[i : i + rng.randint(1, 8)]
-        else:
-            buf[i:i] = buf[i : i + rng.randint(1, 16)]
-    return bytes(buf)
+from genutil import mutate, mutated_shapes_texts, random_graph, random_query_text, random_table
 
 
 def _survives(parse, text: str):
@@ -69,7 +48,7 @@ def test_mutated_mappings_parse_or_raise_triplify_errors():
     rng = random.Random(2107)
     seed = bundled_mapping_text().encode("utf-8")
     for _ in range(300):
-        _survives(parse_turtle, _mutate(rng, seed).decode("utf-8", errors="replace"))
+        _survives(parse_turtle, mutate(rng, seed).decode("utf-8", errors="replace"))
 
 
 def _mapping(text: str):
@@ -81,28 +60,26 @@ def test_mutated_mappings_read_as_r2rml_or_raise_triplify_errors():
     rng = random.Random(6343)
     seed = bundled_mapping_text().encode("utf-8")
     for _ in range(1000):
-        _survives(_mapping, _mutate(rng, seed).decode("utf-8", errors="replace"))
+        _survives(_mapping, mutate(rng, seed).decode("utf-8", errors="replace"))
 
 
 def test_mutated_shapes_load_or_raise_triplify_errors():
-    rng = random.Random(7781)
-    seed = (resources.files("triplify") / "data" / "shapes.tsv").read_bytes()
-    for _ in range(3000):
-        _survives(load_shapes, _mutate(rng, seed).decode("utf-8", errors="replace"))
+    for text in mutated_shapes_texts():
+        _survives(load_shapes, text)
 
 
 def test_mutated_queries_parse_or_raise_triplify_errors():
     rng = random.Random(2482)
     for _ in range(2000):
         seed = random_query_text(rng).encode("utf-8")
-        _survives(parse_query, _mutate(rng, seed).decode("utf-8", errors="replace"))
+        _survives(parse_query, mutate(rng, seed).decode("utf-8", errors="replace"))
 
 
 def test_mutated_ntriples_parse_or_raise_positioned_parse_errors():
     rng = random.Random(3391)
     for _ in range(2000):
         seed = serialize_ntriples(random_graph(rng, 6)).encode("utf-8")
-        text = _mutate(rng, seed).decode("utf-8", errors="replace")
+        text = mutate(rng, seed).decode("utf-8", errors="replace")
         out = _survives(parse_ntriples, text)
         if not isinstance(out, Graph):
             assert isinstance(out, ParseError), (repr(out), text)
@@ -113,7 +90,7 @@ def test_mutated_csv_loads_or_raises_triplify_errors():
     rng = random.Random(5120)
     for _ in range(600):
         seed = write_csv(random_table(rng)).encode("utf-8")
-        _survives(load_csv, _mutate(rng, seed).decode("utf-8", errors="replace"))
+        _survives(load_csv, mutate(rng, seed).decode("utf-8", errors="replace"))
 
 
 def test_ntriples_and_turtle_readers_agree_on_ntriples():

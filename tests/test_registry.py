@@ -1,5 +1,7 @@
 """Vocabulary, shapes, graph validation, and the synthetic generator."""
 
+import random
+
 import pytest
 
 from triplify import (
@@ -15,14 +17,19 @@ from triplify import (
     generate_synthetic,
     load_shapes,
     load_vocabulary,
+    parse_ntriples,
     registry_prefixes,
     validate_graph,
     write_csv,
 )
 from triplify.errors import TriplifyError
 from triplify.r2rml import RefObjectMap
-from triplify.registry import term_by_label
+from triplify.registry import Shape, ShapeConstraint, term_by_label
 from triplify.terms import RDF_TYPE, XSD_DATE
+
+from conftest import fixture_cases
+from genutil import mutated_shapes_texts
+from oracles import validate_every_pair
 
 PATIENT_CLASS = Iri("http://purl.obolibrary.org/obo/NCIT_C16960")
 
@@ -204,8 +211,9 @@ class TestValidateGraph:
         g = synthetic_graph(n=2, seed=2)
         age = term_by_label("has age").iri
         sex = term_by_label("has biological sex").iri
-        focus = g.match(None, age, None)[0].s
-        mangled = Graph(t for t in g if t != Triple(focus, age, g.value(focus, age)))
+        victim = g.match(None, age, None)[0]
+        focus = victim.s
+        mangled = Graph(t for t in g if t != victim)
         bad_ages = [Iri("http://ex.org/c"), Literal("x"), Iri("http://ex.org/a"), BlankNode("b")]
         bad_sexes = [Iri("http://ex.org/z"), Iri("http://ex.org/y")]
         for o in bad_ages:
@@ -229,12 +237,141 @@ class TestValidateGraph:
     def test_too_many_conforming_values_is_one_violation(self):
         g = synthetic_graph(n=2, seed=2)
         age = term_by_label("has age").iri
-        focus = g.match(None, age, None)[0].s
-        g.add(Triple(focus, age, Literal("150", g.value(focus, age).datatype)))
+        victim = g.match(None, age, None)[0]
+        focus = victim.s
+        g.add(Triple(focus, age, Literal("150", victim.o.datatype)))
         report = validate_graph(g, builtin_shapes())
         (v,) = report.violations
         assert (v.focus, v.predicate, v.observed_count, v.offending) == (focus, age, 2, None)
         assert v.message == "expected at most 1 conforming value(s), found 2"
+
+
+def dirty_graph(n, seed):
+    """generate_synthetic(n, seed) converted after NULL ages, NULL sexes
+    and impossible dates are put in its cells, then given objects of the
+    wrong kind."""
+    tables = generate_synthetic(n, seed)
+    rng = random.Random(seed)
+    patients, treatments = tables["PATIENT"].rows, tables["TREATMENT"].rows
+    dirt = max(1, n // 50)
+    for row in rng.sample(patients, dirt):
+        row["AGE"] = None
+    for row in rng.sample(patients, dirt):
+        row["SEX"] = None
+    for row in rng.sample(treatments, dirt):
+        row["RT_START_DATE"] = "2021-02-30"
+    g, _ = convert(bundled_mapping(), tables)
+
+    def some(cls):
+        return rng.choice([t.s for t in g.match(None, RDF_TYPE, cls)])
+
+    def iri(label):
+        return term_by_label(label).iri
+
+    neoplasm, treatment = iri("Neoplasm"), iri("has treatment")
+    treatment_class = Iri("http://purl.obolibrary.org/obo/NCIT_C15313")
+    typed_blank = BlankNode("typed")
+    for t in (
+        # a literal where a class is required
+        Triple(some(PATIENT_CLASS), iri("has biological sex"), Literal("C16576")),
+        # an IRI where a literal is required
+        Triple(some(PATIENT_CLASS), iri("has age"), Iri("http://ex.org/age")),
+        # an untyped IRI
+        Triple(some(PATIENT_CLASS), iri("has disease"), Iri("http://ex.org/untyped")),
+        # an IRI of another class
+        Triple(some(treatment_class), iri("has radiotherapy modality"), some(neoplasm)),
+        # blank nodes, one untyped and one of the required class
+        Triple(some(PATIENT_CLASS), treatment, BlankNode("untyped")),
+        Triple(some(PATIENT_CLASS), treatment, typed_blank),
+        Triple(typed_blank, RDF_TYPE, treatment_class),
+    ):
+        g.add(t)
+    return g
+
+
+def shapes_over(g):
+    """A shape for every class of g that constrains every predicate of g
+    to each class of g, and to each literal datatype of g."""
+
+    def canonical(terms):
+        return sorted(terms, key=lambda t: t.to_ntriples())
+
+    classes = canonical({t.o for t in g.match(None, RDF_TYPE, None) if isinstance(t.o, Iri)})
+    predicates = canonical({t.p for t in g})
+    datatypes = canonical({t.o.datatype for t in g if isinstance(t.o, Literal)})
+    constraints = tuple(
+        [ShapeConstraint(p, "class", c, 1, 1) for p in predicates for c in classes]
+        + [ShapeConstraint(p, "literal", d, 0, 1) for p in predicates for d in datatypes]
+    )
+    return [Shape(c, constraints) for c in classes]
+
+
+HAND_MADE_SHAPES = {
+    "rdf-type-constrained": load_shapes(
+        "ncit:C16960\trdf:type\tclass(ncit:C16960)\t1\t1\n"
+        "ncit:C15313\trdf:type\tliteral(xsd:string)\t0\t*\n"
+    ),
+    "shared-predicate": load_shapes(
+        "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t1\t1\n"
+        "ncit:C15313\troo:P100027\tliteral(xsd:integer)\t0\t1\n"
+        "ncit:C15313\troo:P100041\tliteral(xsd:date)\t1\t1\n"
+        "ncit:C3262\troo:P100041\tliteral(xsd:date)\t1\t*\n"
+    )
+    + builtin_shapes() * 2,
+    "target-is-constraint-class": load_shapes(
+        "ncit:C16960\troo:P100039\tclass(ncit:C16960)\t0\t*\n"
+        "ncit:C15313\troo:P100042\tclass(ncit:C15313)\t1\t1\n"
+    ),
+    "class-without-members": load_shapes(
+        "ncit:C99999\troo:P100027\tliteral(xsd:integer)\t1\t1\n"
+        "ncit:C16960\troo:P100018\tclass(ncit:C99999)\t1\t1\n"
+    ),
+    "empty": [],
+}
+
+
+def assert_same_report(g, shapes):
+    got, want = validate_graph(g, shapes), validate_every_pair(g, shapes)
+    assert got.violations == want.violations
+    assert got.lines() == want.lines()
+    return got
+
+
+class TestValidateAgainstEveryPair:
+    """validate_graph reports what the per-pair reference reports, field
+    by field and in the same order."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dirty_synthetic_graph(self, seed):
+        report = assert_same_report(dirty_graph(300, seed), builtin_shapes())
+        messages = " ".join(report.lines())
+        for flaw in ("lacks required type", "is not a literal of datatype", "found 0"):
+            assert flaw in messages
+
+    @pytest.mark.parametrize("case", fixture_cases(), ids=lambda p: p.name)
+    def test_fixture_graph(self, case):
+        g = parse_ntriples((case / "expected.nt").read_text(encoding="utf-8"))
+        assert_same_report(g, builtin_shapes())
+        assert_same_report(g, shapes_over(g))
+
+    def test_fuzzed_shapes(self):
+        g = dirty_graph(30, 4)
+        distinct = set()
+        for text in mutated_shapes_texts():
+            try:
+                shapes = load_shapes(text)
+            except TriplifyError:
+                continue
+            if tuple(shapes) not in distinct:
+                distinct.add(tuple(shapes))
+                assert_same_report(g, shapes)
+        assert len(distinct) > 100
+
+    @pytest.mark.parametrize("name", sorted(HAND_MADE_SHAPES))
+    def test_hand_made_shapes(self, name):
+        g = dirty_graph(300, 5)
+        report = assert_same_report(g, HAND_MADE_SHAPES[name])
+        assert report.conforms == (name == "empty")
 
 
 class TestGenerateSynthetic:
@@ -270,7 +407,7 @@ class TestGenerateSynthetic:
     def test_patient_centrality(self):
         # every non-patient subject is reachable from a patient in <=2 hops
         g = synthetic_graph(n=15, seed=5)
-        patients = g.subjects(RDF_TYPE, PATIENT_CLASS)
+        patients = {t.s for t in g.match(None, RDF_TYPE, PATIENT_CLASS)}
         reachable = set(patients)
         frontier = set(patients)
         for _ in range(2):
