@@ -30,7 +30,7 @@ from .registry import (
 )
 from .r2rml import parse_mapping, validate_mapping
 from .tabular import load_csv, write_csv
-from .terms import RDF_TYPE, BlankNode, Term, Triple
+from .terms import RDF_TYPE, BlankNode, Term
 from .turtle import parse_turtle
 
 
@@ -50,16 +50,13 @@ def _read(path: str) -> str:
 
 def _scope_blank_nodes(g: Graph, prefix: str) -> Graph:
     """The graph with every blank node label prefixed."""
-    renamed: dict[BlankNode, BlankNode] = {}
 
     def scoped(term: Term) -> Term:
         if not isinstance(term, BlankNode):
             return term
-        if term not in renamed:
-            renamed[term] = BlankNode(prefix + term.label)
-        return renamed[term]
+        return BlankNode(prefix + term.label)
 
-    return Graph(Triple(scoped(t.s), t.p, scoped(t.o)) for t in g)
+    return g._renamed(scoped)
 
 
 def _load_graphs(paths: list[str]) -> list[Graph]:
@@ -205,14 +202,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
         g = merge(_load_graphs(args.graphs))
     except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load graph: {exc}", 2)
-    by_p = g.buckets(1)
+    terms, ids, by_p = g._terms, g._ids, g._index(1)
     lines = [f"triples\t{len(g)}"]
-    classes = Counter(t.o for t in by_p.get(RDF_TYPE, ()))
-    for cls in sorted(classes, key=lambda c: c.to_ntriples()):
-        lines.append(f"class\t{cls.to_ntriples()}\t{classes[cls]}")
+    classes = Counter(o for _, _, o in by_p.get(ids.get(RDF_TYPE), ()))
+    for spelt, cls in sorted((terms[c].to_ntriples(), c) for c in classes):
+        lines.append(f"class\t{spelt}\t{classes[cls]}")
     counts = Counter()
     for p, category in predicate_categories().items():
-        counts[category] += len(by_p.get(p, ()))
+        counts[category] += len(by_p.get(ids.get(p), ()))
     for name in ("demographic", "tumour", "treatment", "core"):
         lines.append(f"category\t{name}\t{counts[name]}")
     _write_output("".join(line + "\n" for line in lines))

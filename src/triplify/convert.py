@@ -6,6 +6,10 @@ report, and the remaining terms of the row still convert. The output
 graph is a set, so it is independent of row order, triples-map order,
 and row duplication. Each triples map is one pass over its rows, so the
 report logs skips in triples-map order, then row order.
+
+Terms go into the graph as IDs: each distinct term is made and interned
+once per conversion, and each triple is added as a tuple of its three
+term IDs.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .terms import (
     Iri,
     Literal,
     Term,
-    Triple,
 )
 
 # RFC 3987 ucschar: private-use planes excluded, surrogates excluded.
@@ -229,38 +232,49 @@ def _parent_subject(tm: TermMap, row: Row, _rownum: int) -> Optional[Term]:
         return None
 
 
-# A term map compiled for one conversion: (row, 1-based row number) -> term or None.
-Maker = Callable[[Row, int], Optional[Term]]
-# A conversion's terms: for each term map, the term made from each tuple of source cells.
-TermTable = dict[TermMap, dict[object, Term]]
+# A term map compiled for one conversion: (row, 1-based row number) -> the
+# ID of its term in the conversion's graph, or None.
+Maker = Callable[[Row, int], Optional[int]]
+# A conversion's term IDs: for each term map, the ID of the term made from
+# each tuple of source cells.
+TermTable = dict[TermMap, dict[object, int]]
 
 
-def _maker(tm: TermMap, terms: TermTable, miss: Maker) -> Maker:
+def _maker(
+    tm: TermMap, g: Graph, terms: TermTable, miss: Callable[[Row, int], Optional[Term]]
+) -> Maker:
     """tm compiled over the term table: a row whose source cells were met
-    before gets the term made then, and only a row with new cells calls
-    miss. generate_term is a pure function of tm and those cells, so this
-    gives the term miss would. A NULL or failed term is never stored, so
-    miss logs each such row's skip, in row order, as it comes."""
+    before gets the ID of the term made then, and only a row with new
+    cells calls miss. generate_term is a pure function of tm and those
+    cells, so this gives the term miss would. A NULL or failed term is
+    never stored, so miss logs each such row's skip, in row order, as it
+    comes."""
+    intern = g._intern
     if tm.constant is not None:
-        constant = tm.constant
+        constant = intern(tm.constant)
         return lambda row, rownum: constant
+
+    def made(row: Row, rownum: int) -> Optional[int]:
+        term = miss(row, rownum)
+        return None if term is None else intern(term)
+
     columns = tm.source_columns()
     if not columns:
-        return miss
+        return made
     cells_of = itemgetter(*columns)
-    made = terms.setdefault(tm, {})
+    table = terms.setdefault(tm, {})
 
-    def make(row: Row, rownum: int) -> Optional[Term]:
+    def make(row: Row, rownum: int) -> Optional[int]:
         try:
             cells = cells_of(row)
         except KeyError:  # miss raises MissingColumnError, or meets a NULL first
-            return miss(row, rownum)
-        term = made.get(cells)
-        if term is None:
-            term = miss(row, rownum)
-            if term is not None:
-                made[cells] = term
-        return term
+            return made(row, rownum)
+        i = table.get(cells)
+        if i is None:
+            i = made(row, rownum)
+            if i is not None:
+                table[cells] = i
+        return i
 
     return make
 
@@ -326,6 +340,7 @@ def _apply_triples_map(
     def compiled(term_map: TermMap, what: str) -> Maker:
         return _maker(
             term_map,
+            g,
             terms,
             lambda row, rownum: _term_or_skip(term_map, row, report, map_id, rownum, what),
         )
@@ -339,31 +354,31 @@ def _apply_triples_map(
             poms.append((compiled(pom.predicate, "predicate"), compiled(rom, "object"), None))
             continue
         sm = rom.parent.subject_map
-        parent_of = _maker(sm, terms, partial(_parent_subject, sm))
+        parent_of = _maker(sm, g, terms, partial(_parent_subject, sm))
         ref = (parent_of, _parent_rows(rom, tm.logical_table, tables), [cc for cc, _ in rom.joins])
         poms.append((compiled(pom.predicate, "predicate"), None, ref))
     report.rows_read += len(rows)
 
-    def emit(t: Triple) -> None:
-        if not g.add(t):
+    add = g._add_key
+
+    def emit(key: tuple[int, int, int]) -> None:
+        if not add(key):
             report.triples_deduplicated += 1
 
     # run
-    classes = tm.subject_classes
-    # ids of the subjects whose class triples are already in g; a subject
-    # comes from the term table or the mapping, which keep it alive, so
-    # its id names no other term during the pass
-    typed: set[int] = set()
+    classes = tuple(map(g._intern, tm.subject_classes))
+    rdf_type = g._intern(RDF_TYPE) if classes else None
+    typed: set[int] = set()  # the subjects whose class triples are already in g
     for rownum, row in enumerate(rows, start=1):
         subject = subject_of(row, rownum)
         if subject is None:
             continue
-        if id(subject) in typed:
+        if subject in typed:
             report.triples_deduplicated += len(classes)
         elif classes:
-            typed.add(id(subject))
+            typed.add(subject)
             for cls in classes:
-                emit(Triple(subject, RDF_TYPE, cls))
+                emit((subject, rdf_type, cls))
         for predicate_of, object_of, ref in poms:
             predicate = predicate_of(row, rownum)
             if predicate is None:
@@ -371,7 +386,7 @@ def _apply_triples_map(
             if object_of is not None:
                 obj = object_of(row, rownum)
                 if obj is not None:
-                    emit(Triple(subject, predicate, obj))
+                    emit((subject, predicate, obj))
                 continue
             parent_of, parent_rows, child_columns = ref
             if child_columns:
@@ -381,7 +396,7 @@ def _apply_triples_map(
             for prow in prows:
                 obj = parent_of(prow, 0)
                 if obj is not None:
-                    emit(Triple(subject, predicate, obj))
+                    emit((subject, predicate, obj))
 
 
 def convert(
@@ -389,8 +404,9 @@ def convert(
 ) -> tuple[Graph, ConversionReport]:
     """Run every triples map; requires a validation pass with zero errors.
 
-    Each distinct term (term map, source cells) is made once per call and
-    shared by every triples map that makes it again.
+    Each distinct term (term map, source cells) is made once per call;
+    the graph is handed its ID, which every triples map that makes it
+    again reuses.
     """
     available = {name: set(t.columns) for name, t in tables.items()}
     diagnostics = validate_mapping(m, available)

@@ -1,83 +1,123 @@
-"""An in-memory, indexed triple set with set semantics.
+"""An in-memory triple set over integer term IDs, with set semantics.
 
-The graph keeps its triples in insertion order, deduplicated once in a
-dict, plus three positional indexes (subject, predicate, object) whose
-buckets are lists in that same order. Iteration and `match` follow
-insertion order and never sort: an RDF graph has no order of its own, so
-callers that print sort (`serialize_ntriples`, `execute`,
-`validate_graph`).
+A graph keeps each distinct term once, in `_terms`, and names it by its
+place there, its ID; `_ids` maps a term back to its ID, so equal terms
+share one. A triple is stored as an `(s, p, o)` tuple of IDs, a key of
+the insertion-ordered dict `_triples`. Each position (0 subject, 1
+predicate, 2 object) has an index from an ID to the keys holding it
+there, a list in insertion order. An index is built the first time its
+position is read (`_index`), and later writes keep it current.
 
-Writes keep only the dict: the indexes are built the first time `match`
-needs them, or by `merge`, and are kept current by later writes.
+`Triple` is the public boundary: `add`, `update`, `match`, `in` and
+iteration take or give triples, and build them only there. Inside the
+package the readers hand in IDs (`_intern`, `_add_key`), and the
+validator, the query engine, `stats` and `serialize_ntriples` read
+`_terms`, `_ids` and `_index` directly. Iteration and `match` follow
+insertion order and never sort: an RDF graph has no order of its own,
+so callers that print sort.
+
 Construction is single-writer. Once written, a graph can be read from
-any number of threads; readers racing to the first build may each build
-the indexes, but none sees a partial one.
+any number of threads; readers racing to the first read of a position
+may each build its index, but each publishes it by one assignment, so
+none sees a partial one.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .terms import Iri, Term, Triple
 
-_Index = dict[Term, list[Triple]]
-
-
-def _index_triple(index: tuple[_Index, _Index, _Index], t: Triple) -> None:
-    by_s, by_p, by_o = index
-    by_s.setdefault(t.s, []).append(t)
-    by_p.setdefault(t.p, []).append(t)
-    by_o.setdefault(t.o, []).append(t)
+Key = tuple[int, int, int]  # (subject, predicate, object) IDs
+Index = dict[int, list[Key]]
 
 
 class Graph:
-    __slots__ = ("_triples", "_index")
+    __slots__ = ("_terms", "_ids", "_triples", "_indexes")
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: dict[Triple, None] = {}
-        # (by subject, by predicate, by object) once built, else None
-        self._index: Optional[tuple[_Index, _Index, _Index]] = None
+        self._terms: list[Term] = []  # ID -> term
+        self._ids: dict[Term, int] = {}  # term -> ID
+        self._triples: dict[Key, None] = {}
+        self._indexes: dict[int, Index] = {}  # position -> index, once built
         self.update(triples)
+
+    def _intern(self, term: Term) -> int:
+        """The ID of term, which is given one if it has none yet."""
+        i = self._ids.get(term)
+        if i is None:
+            i = self._ids[term] = len(self._terms)
+            self._terms.append(term)
+        return i
+
+    def _add_key(self, key: Key) -> bool:
+        """Insert one triple of IDs; returns True iff it was not already present."""
+        triples = self._triples
+        before = len(triples)
+        triples[key] = None
+        if len(triples) == before:
+            return False
+        for pos, index in self._indexes.items():
+            index.setdefault(key[pos], []).append(key)
+        return True
+
+    def _index(self, position: int) -> Index:
+        """Each ID at `position` (0 subject, 1 predicate, 2 object) with
+        the keys holding it there, in insertion order; built on first read.
+
+        Every key is in exactly one bucket, so the mean bucket is
+        `len(self) / len(index)`; an ID no triple holds there is absent.
+        Read only: the graph changes through its writes.
+        """
+        index = self._indexes.get(position)
+        if index is None:
+            index = {}
+            get = index.get
+            for key in self._triples:
+                i = key[position]
+                bucket = get(i)
+                if bucket is None:
+                    index[i] = [key]
+                else:
+                    bucket.append(key)
+            # published by one assignment, once complete
+            self._indexes[position] = index
+        return index
+
+    def _triple(self, key: Key) -> Triple:
+        terms = self._terms
+        s, p, o = key
+        return Triple(terms[s], terms[p], terms[o])
+
+    def _renamed(self, rename: Callable[[Term], Term]) -> Graph:
+        """This graph with each term t replaced by rename(t). rename must
+        be injective, so every ID, and every key, stays as it is."""
+        out = Graph()
+        out._terms = list(map(rename, self._terms))
+        out._ids = {term: i for i, term in enumerate(out._terms)}
+        out._triples = dict(self._triples)
+        return out
 
     def add(self, t: Triple) -> bool:
         """Insert one triple; returns True iff it was not already present."""
-        before = len(self._triples)
-        self._triples.setdefault(t)
-        if len(self._triples) == before:
-            return False
-        if self._index is not None:
-            _index_triple(self._index, t)
-        return True
+        intern = self._intern
+        return self._add_key((intern(t.s), intern(t.p), intern(t.o)))
 
     def update(self, other: Iterable[Triple]) -> None:
-        if self._index is not None:
+        if not isinstance(other, Graph):
             for t in other:
                 self.add(t)
-        elif isinstance(other, Graph):
-            self._triples.update(other._triples)  # reuses the stored hashes
+        elif not self._terms:
+            # nothing to remap into: take other's ID space as it is
+            self._terms = list(other._terms)
+            self._ids = dict(other._ids)  # reuses the stored hashes
+            self._triples = dict(other._triples)
+            self._indexes = {}
         else:
-            self._triples.update(dict.fromkeys(other))
-
-    def _indexes(self) -> tuple[_Index, _Index, _Index]:
-        """The position indexes, built from the dict on first use."""
-        index = self._index
-        if index is None:
-            index = ({}, {}, {})
-            for t in self._triples:
-                _index_triple(index, t)
-            # published by one assignment, once complete
-            self._index = index
-        return index
-
-    def buckets(self, position: int) -> Mapping[Term, Sequence[Triple]]:
-        """Each term at `position` (0 subject, 1 predicate, 2 object) with
-        the triples holding it there, in insertion order.
-
-        Every triple is in exactly one bucket, so the mean bucket is
-        `len(self) / len(buckets)`; a term no triple holds there is
-        absent. Read only: the graph changes through `add` and `update`.
-        """
-        return self._indexes()[position]
+            remap = list(map(self._intern, other._terms))  # other's ID -> self's
+            add = self._add_key
+            for s, p, o in other._triples:
+                add((remap[s], remap[p], remap[o]))
 
     def match(
         self,
@@ -92,42 +132,45 @@ class Graph:
         only the other bound positions are tested. The result is a new
         list, not sorted; callers that print sort.
         """
-        candidates: Collection[Triple] = self._triples
-        if s is not None or p is not None or o is not None:
-            keys = [s, p, o]
-            at = None
-            for pos, (index, key) in enumerate(zip(self._indexes(), keys)):
-                if key is None:
-                    continue
-                bucket = index.get(key)
-                if not bucket:
+        wanted = []  # (position, ID) of each bound position
+        for pos, term in enumerate((s, p, o)):
+            if term is not None:
+                i = self._ids.get(term)
+                if i is None:
                     return []
-                if at is None or len(bucket) < len(candidates):
-                    candidates, at = bucket, pos
-            # every triple in the bucket holds its key
-            keys[at] = None
-            s, p, o = keys
-        if s is None and p is None and o is None:
-            return list(candidates)
-        return [
-            t
-            for t in candidates
-            if (s is None or t.s == s)
-            and (p is None or t.p == p)
-            and (o is None or t.o == o)
-        ]
+                wanted.append((pos, i))
+        candidates: Collection[Key] = self._triples
+        if wanted:
+            buckets = [self._index(pos).get(i, ()) for pos, i in wanted]
+            at = min(range(len(buckets)), key=lambda k: len(buckets[k]))
+            candidates = buckets[at]
+            del wanted[at]  # every key in the bucket holds its ID
+        triple = self._triple
+        return [triple(k) for k in candidates if all(k[pos] == i for pos, i in wanted)]
 
-    def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+    def __contains__(self, t: object) -> bool:
+        if not isinstance(t, Triple):
+            return False
+        ids = self._ids
+        try:
+            key = (ids[t.s], ids[t.p], ids[t.o])
+        except KeyError:
+            return False
+        return key in self._triples
 
     def __len__(self) -> int:
         return len(self._triples)
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        return map(self._triple, self._triples)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self._triples == other._triples
+        """Equal triple sets, whatever the two ID spaces."""
+        if not isinstance(other, Graph) or len(self) != len(other):
+            return False
+        remap = list(map(self._ids.get, other._terms))  # None: a term self lacks
+        triples = self._triples
+        return all((remap[s], remap[p], remap[o]) in triples for s, p, o in other._triples)
 
     def __repr__(self):
         return f"<Graph with {len(self._triples)} triples>"
@@ -136,13 +179,13 @@ class Graph:
 def merge(graphs: Iterable[Graph]) -> Graph:
     """Set-union of several graphs; insertion order never matters.
 
-    The result comes back indexed, ready to be shared between readers.
-    Union is idempotent, so blank node labels are taken at face value;
-    callers merging documents whose explicit labels must stay distinct
-    should relabel before parsing.
+    The first graph's ID space is copied and each later one is remapped
+    into it; no index is built until a reader asks for it. Union is
+    idempotent, so blank node labels are taken at face value; callers
+    merging documents whose explicit labels must stay distinct should
+    relabel before parsing.
     """
     out = Graph()
     for g in graphs:
         out.update(g)
-    out._indexes()
     return out

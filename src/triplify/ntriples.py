@@ -10,8 +10,9 @@ terminals of `triplify.lexer`, the term grammar Turtle and SPARQL use.
 As in Turtle and the RDF 1.1 grammar, an IRI may hold only `\\u`/`\\U`
 escapes (`<a\\'b>` is a ParseError), a string no raw CR, and a blank node
 label ends where its characters do (`_:a<http://e.org/p> ...` parses).
-Each distinct term text is unescaped and validated once per document,
-where it first occurs, and every later occurrence shares that object.
+Each distinct term text is unescaped, validated and given a term ID once
+per document, where it first occurs; no `Triple` is built, as the
+line's slots already fix each term's position.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 from .errors import ParseError, TriplifyError
 from .graph import Graph
 from .lexer import BLANK, IRIREF, LANGTAG, STRING, unescape
-from .terms import RDF_LANGSTRING, BlankNode, Iri, Literal, Term, Triple
+from .terms import RDF_LANGSTRING, BlankNode, Iri, Literal
 
 # The slots of a triple line, in order; groups: subject, predicate, IRI or
 # blank object, string object, its datatype, its language tag.
@@ -38,11 +39,18 @@ _WS = re.compile(r"[ \t]*")
 
 
 def serialize_ntriples(g: Graph) -> str:
-    """Render a graph as canonical N-Triples text."""
-    lines = sorted(t.to_line() for t in g)
-    if not lines:
+    """Render a graph as canonical N-Triples text.
+
+    Each term ID is spelt once; the lines are sorted as text.
+    """
+    if not g._triples:
         return ""
-    return "\n".join(lines) + "\n"
+    spelt = [term.to_ntriples() for term in g._terms]
+    lines = [f"{spelt[s]} {spelt[p]} {spelt[o]} ." for s, p, o in g._triples]
+    del spelt  # freed before the text is joined
+    lines.sort()
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _syntax_error(line: str, lineno: int) -> ParseError:
@@ -66,47 +74,53 @@ def _build(lineno: int, column: int, factory, *args):
         raise ParseError(str(exc), lineno, column) from None
 
 
-def _node(terms: dict, raw: str, lineno: int, column: int) -> Term:
-    """The IRI or blank node a matched IRIREF or BLANK spells, made at its
-    first occurrence in `terms` and shared by every later one."""
-    term = terms.get(raw)
-    if term is None:
-        if raw[0] == "<":
-            term = _build(lineno, column, Iri, unescape(raw[1:-1], lineno, column))
-        else:
-            term = _build(lineno, column, BlankNode, raw[2:])
-        terms[raw] = term
-    return term
+def _node(g: Graph, ids: dict, raw: str, lineno: int, column: int) -> int:
+    """The ID of the IRI or blank node a matched IRIREF or BLANK spells,
+    the term made and interned at raw's first occurrence in `ids`."""
+    if raw[0] == "<":
+        term = _build(lineno, column, Iri, unescape(raw[1:-1], lineno, column))
+    else:
+        term = _build(lineno, column, BlankNode, raw[2:])
+    i = ids[raw] = g._intern(term)
+    return i
 
 
-def _literal(terms: dict, m: re.Match, lineno: int) -> Literal:
-    """The literal `m` matched as object, made once per distinct text in `terms`."""
+def _literal(g: Graph, ids: dict, datatypes: dict, m: re.Match, lineno: int) -> int:
+    """The ID of the literal `m` matched as object, the term made and
+    interned at the first occurrence of its groups in `ids`."""
     string, datatype, language = key = m.group(4, 5, 6)
-    term = terms.get(key)
-    if term is None:
-        column = m.start(4) + 1
-        lexical = unescape(string[1:-1], lineno, column)
-        if language is not None:
-            term = _build(lineno, column, Literal, lexical, RDF_LANGSTRING, language[1:])
-        elif datatype is not None:
-            datatype = _node(terms, datatype, lineno, m.start(5) + 1)
-            term = _build(lineno, column, Literal, lexical, datatype)
-        else:
-            term = _build(lineno, column, Literal, lexical)
-        terms[key] = term
-    return term
+    column = m.start(4) + 1
+    lexical = unescape(string[1:-1], lineno, column)
+    if language is not None:
+        term = _build(lineno, column, Literal, lexical, RDF_LANGSTRING, language[1:])
+    elif datatype is not None:
+        iri = datatypes.get(datatype)
+        if iri is None:
+            at = m.start(5) + 1
+            value = unescape(datatype[1:-1], lineno, at)
+            iri = datatypes[datatype] = _build(lineno, at, Iri, value)
+        term = _build(lineno, column, Literal, lexical, iri)
+    else:
+        term = _build(lineno, column, Literal, lexical)
+    i = ids[key] = g._intern(term)
+    return i
 
 
 def parse_ntriples(text: str) -> Graph:
     """Parse an N-Triples document into a graph (duplicate lines collapse).
 
-    Equal terms come out as one object: each distinct IRI, blank node or
-    literal text is unescaped and validated once, where it first occurs.
+    The reader hands the graph term IDs: each distinct IRI, blank node or
+    literal text is unescaped, validated and interned once, where it
+    first occurs, and every later occurrence reuses its ID. Interning is
+    by term, so two spellings of one term (`<http://e.org/\\u0041>` and
+    `<http://e.org/A>`, `"a"` and `"a"^^xsd:string`) get one ID.
     """
     if text.startswith("\ufeff"):
         text = text[1:]
     g = Graph()
-    terms: dict = {}  # matched text (a tuple of groups for literals) -> term
+    ids: dict = {}  # matched text (a tuple of groups for literals) -> ID
+    datatypes: dict[str, Iri] = {}  # a datatype's matched text -> its IRI
+    triples = g._triples  # a new graph, no index to keep current
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.endswith("\r"):
             line = line[:-1]
@@ -116,11 +130,19 @@ def parse_ntriples(text: str) -> Graph:
         s, p, o = m.group(1, 2, 3)
         if s is None:
             continue  # blank or comment-only line
-        subject = _node(terms, s, lineno, m.start(1) + 1)
-        predicate = _node(terms, p, lineno, m.start(2) + 1)
+        subject = ids.get(s)
+        if subject is None:
+            subject = _node(g, ids, s, lineno, m.start(1) + 1)
+        predicate = ids.get(p)
+        if predicate is None:
+            predicate = _node(g, ids, p, lineno, m.start(2) + 1)
         if o is not None:
-            obj = _node(terms, o, lineno, m.start(3) + 1)
+            obj = ids.get(o)
+            if obj is None:
+                obj = _node(g, ids, o, lineno, m.start(3) + 1)
         else:
-            obj = _literal(terms, m, lineno)
-        g.add(Triple(subject, predicate, obj))
+            obj = ids.get(m.group(4, 5, 6))
+            if obj is None:
+                obj = _literal(g, ids, datatypes, m, lineno)
+        triples[subject, predicate, obj] = None
     return g

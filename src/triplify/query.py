@@ -14,8 +14,10 @@ plan takes the patterns greedily, each time the one with the fewest
 expected matches per row: a constant expects the exact size of its index
 bucket (0 when absent, so the answer is empty at once), a variable bound
 by an earlier step its index's mean bucket size; ties keep written order.
-Rows are tuples indexed by slot. A FILTER runs as soon as it and every
-FILTER written before it have their variables bound, so answers, and
+Rows are tuples of term IDs indexed by slot; the query's constants are
+resolved to the graph's IDs once per execution, and a constant the graph
+lacks matches nothing. A FILTER runs as soon as it and every FILTER
+written before it have their variables bound, so answers, and
 whether a query raises TypeMismatchError, are those of testing every
 filter in written order after all patterns, whatever order the patterns
 are written in. `explain` also reports the plan and the rows left after
@@ -27,11 +29,11 @@ deduplicated and canonically sorted; there is no ORDER BY.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter, eq, ge, gt, itemgetter, le, lt, ne
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
+from operator import eq, ge, gt, itemgetter, le, lt, ne
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 from .errors import TypeMismatchError, UnboundProjectionError
-from .graph import Graph, merge
+from .graph import Graph, Index, Key, merge
 from .lexer import Token, TokenParser
 from .terms import (
     RDF_TYPE,
@@ -41,8 +43,8 @@ from .terms import (
     Literal,
     PrefixMap,
     Term,
-    Triple,
     date_minutes,
+    exact_int,
 )
 
 _NUMERIC_DATATYPES = (XSD_INTEGER, XSD_DOUBLE)
@@ -229,31 +231,31 @@ def parse_query(text: str, prefixes: Optional[PrefixMap] = None) -> Query:
 
 # --- evaluation --------------------------------------------------------------
 #
-# A row is a tuple indexed by slot. Its first slots hold the query's
-# constants, in written order, so one itemgetter reads from a row every
-# value a step compares; each step appends the values of the variables it
-# binds.
-
-_POSITIONS = ("s", "p", "o")
+# A row is a tuple of term IDs, indexed by slot. Its first slots hold the
+# query's constants, in written order, resolved against the graph once
+# per execution (None for a constant the graph lacks, which matches
+# nothing), so one itemgetter reads from a row every value a step
+# compares; each step appends the IDs of the variables it binds.
+# Candidates are the graph's keys, (s, p, o) tuples of IDs.
 
 
 @dataclass(slots=True)
 class _Step:
     pattern: TriplePattern
     estimate: float  # expected matches per row
-    # where candidates come from: the bucket of the value in slot `key`
-    # of `index`, else the fixed `candidates` (a constant's bucket, or the
+    # where candidates come from: the bucket of the ID in slot `key` of
+    # `index`, else the fixed `candidates` (a constant's bucket, or the
     # whole graph). No index holds a literal subject or a non-IRI
     # predicate, so a row binding one there matches nothing.
-    candidates: Collection[Triple]
-    index: Optional[Mapping[Term, Sequence[Triple]]]
+    candidates: Collection[Key]
+    index: Optional[Index]
     key: Optional[int]
-    # the other bound positions of a candidate, and the row's values for them
-    tested: Optional[Callable[[Triple], object]]
+    # the other bound positions of a candidate, and the row's IDs for them
+    tested: Optional[Callable[[Key], object]]
     wanted: Optional[Callable[[tuple], object]]
-    # the values of the variables first bound here, in slot order
-    fresh: Callable[[Triple], tuple]
-    repeats: tuple[tuple[str, str], ...]  # positions that must hold equal values
+    # the IDs of the variables first bound here, in slot order
+    fresh: Callable[[Key], tuple]
+    repeats: tuple[tuple[int, int], ...]  # positions that must hold equal IDs
     ready: int  # filters, a written-order prefix, whose variables are bound after it
 
     def run(self, rows: list[tuple]) -> list[tuple]:
@@ -266,9 +268,7 @@ class _Step:
                 want = wanted(row)
                 found = [t for t in found if tested(t) == want]
             if repeats:
-                found = [
-                    t for t in found if all(getattr(t, a) == getattr(t, b) for a, b in repeats)
-                ]
+                found = [t for t in found if all(t[a] == t[b] for a, b in repeats)]
             out += [row + fresh(t) for t in found]
         return out
 
@@ -277,18 +277,18 @@ class _Step:
 class _Plan:
     steps: tuple[_Step, ...]
     slots: dict[str, int]  # variable name -> slot
-    row: tuple  # the row every answer extends: the constants
+    row: tuple  # the row every answer extends: the constants' IDs
 
 
-_ONE_VALUE = {"s": lambda t: (t.s,), "p": lambda t: (t.p,), "o": lambda t: (t.o,)}
+_ONE_VALUE = {0: lambda t: (t[0],), 1: lambda t: (t[1],), 2: lambda t: (t[2],)}
 
 
-def _values(*positions: str) -> Callable[[Triple], tuple]:
-    """A getter of a triple's values at `positions`, always as a tuple
-    (attrgetter gives a bare value for one position)."""
+def _values(*positions: int) -> Callable[[Key], tuple]:
+    """A getter of a key's IDs at `positions`, always as a tuple
+    (itemgetter gives a bare value for one position)."""
     if len(positions) == 1:
         return _ONE_VALUE[positions[0]]
-    return attrgetter(*positions) if positions else lambda t: ()
+    return itemgetter(*positions) if positions else lambda t: ()
 
 
 def _plan(g: Graph, q: Query) -> _Plan:
@@ -297,9 +297,10 @@ def _plan(g: Graph, q: Query) -> _Plan:
 
     A pattern expects the least, over its positions, of a constant's
     exact bucket size (0 when absent) and a bound variable's mean one;
-    the position giving the least supplies the step's candidates.
+    the position giving the least supplies the step's candidates. An
+    index is read only where a pattern needs it.
     """
-    indexes = (g.buckets(0), g.buckets(1), g.buckets(2))
+    ids = g._ids
     size = len(g)
     row: list = []
     # (pattern, slots read, least constant bucket, its position and size,
@@ -307,7 +308,7 @@ def _plan(g: Graph, q: Query) -> _Plan:
     remaining = []
     for pat in q.patterns:
         read: list = [None, None, None]  # the slot each position reads, once bound
-        least: Collection[Triple] = g
+        least: Collection[Key] = g._triples
         least_at = None
         exact = size
         variables = []
@@ -316,8 +317,9 @@ def _plan(g: Graph, q: Query) -> _Plan:
                 variables.append((pos, term.name))
                 continue
             read[pos] = len(row)
-            row.append(term)
-            bucket = indexes[pos].get(term, ())
+            i = ids.get(term)
+            row.append(i)
+            bucket = () if i is None else g._index(pos).get(i, ())
             if len(bucket) < exact:
                 least, least_at, exact = bucket, pos, len(bucket)
         remaining.append((pat, read, least, least_at, exact, variables))
@@ -329,30 +331,30 @@ def _plan(g: Graph, q: Query) -> _Plan:
             estimate, via = exact, least_at
             for pos, name in variables:
                 if name in slots:
-                    mean = size / len(indexes[pos]) if size else 0.0
+                    mean = size / len(g._index(pos)) if size else 0.0
                     if mean < estimate:
                         estimate, via = mean, pos
             if best is None or estimate < best:
                 best, at, access = estimate, i, via
         pat, read, candidates, least_at, _, variables = remaining.pop(at)
-        fresh: dict[str, str] = {}  # variable -> first position binding it here
-        repeats: list[tuple[str, str]] = []
+        fresh: dict[str, int] = {}  # variable -> first position binding it here
+        repeats: list[tuple[int, int]] = []
         for pos, name in variables:
             if name in slots:
                 read[pos] = slots[name]
             elif name in fresh:
-                repeats.append((_POSITIONS[pos], fresh[name]))
+                repeats.append((pos, fresh[name]))
             else:
-                fresh[name] = _POSITIONS[pos]
+                fresh[name] = pos
         index = key = None
         if access != least_at:  # a bound variable's bucket, found per row
-            candidates, index, key = (), indexes[access], read[access]
+            candidates, index, key = (), g._index(access), read[access]
         # every candidate holds the value at `access`; the other bound
         # positions are tested
         tested, wanted = [], []
         for pos, slot in enumerate(read):
             if slot is not None and pos != access:
-                tested.append(_POSITIONS[pos])
+                tested.append(pos)
                 wanted.append(slot)
         for name in fresh:
             slots[name] = len(row) + len(slots)
@@ -366,7 +368,7 @@ def _plan(g: Graph, q: Query) -> _Plan:
                 candidates,
                 index,
                 key,
-                attrgetter(*tested) if tested else None,
+                itemgetter(*tested) if tested else None,
                 itemgetter(*wanted) if wanted else None,
                 _values(*fresh.values()),
                 tuple(repeats),
@@ -387,7 +389,7 @@ def _solve(g: Graph, q: Query) -> tuple[_Plan, list[tuple], list[int]]:
     a filter raises, the rest wait until after the last step.
     """
     plan = _plan(g, q)
-    tests = [(plan.slots[f.var.name], _filter_test(f)) for f in q.filters]
+    tests = [(plan.slots[f.var.name], _filter_test(f, g)) for f in q.filters]
     rows = [plan.row]
     counts: list[int] = []
     done = 0  # filters applied to every row
@@ -412,18 +414,20 @@ def _solve(g: Graph, q: Query) -> tuple[_Plan, list[tuple], list[int]]:
 
 def _numeric(lit: Literal) -> Union[int, float]:
     if lit.datatype == XSD_INTEGER:
-        return int(lit.lexical)
+        return exact_int(lit.lexical)
     return float(lit.lexical)
 
 
 _COMPARE = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
-def _filter_test(f: FilterExpr) -> Callable[[Term], bool]:
-    """The filter as a test of its variable's term, the operand's value
-    computed once. Ordering a term of another type raises
-    TypeMismatchError; = and != on one are False and True."""
-    op, operand = f.op, f.operand
+def _filter_test(f: FilterExpr, g: Graph) -> Callable[[int], bool]:
+    """The filter as a test of its variable's term ID in g. The operand's
+    value is computed once, and each ID's outcome once per call: the
+    outcome is a function of the term. Ordering a term of another type
+    raises TypeMismatchError, on every test of it; = and != on one are
+    False and True."""
+    op, operand, terms = f.op, f.operand, g._terms
     compare = _COMPARE[op]
 
     def mismatch(term: Term, kind: str) -> bool:
@@ -439,8 +443,7 @@ def _filter_test(f: FilterExpr) -> Callable[[Term], bool]:
                 return compare(_numeric(term), number)
             return mismatch(term, "numeric")
 
-        return test
-    if operand.datatype == XSD_DATE:
+    elif operand.datatype == XSD_DATE:
         instant = date_minutes(operand.lexical)
 
         def test(term: Term) -> bool:
@@ -448,24 +451,30 @@ def _filter_test(f: FilterExpr) -> Callable[[Term], bool]:
                 return compare(date_minutes(term.lexical), instant)
             return mismatch(term, "date")
 
-        return test
+    else:
+        # equality on everything else is term equality: one ID, as the
+        # operand, a literal, is the term it equals or absent from g
+        equal_to = g._ids.get(operand)
+        if op == "=":
+            return lambda i: i == equal_to
+        return lambda i: i != equal_to
 
-    # equality on everything else is plain term equality
-    def test(term: Term) -> bool:
-        equal = isinstance(term, Literal) and term == operand
-        return equal if op == "=" else not equal
+    outcomes: dict[int, bool] = {}
 
-    return test
+    def test_id(i: int) -> bool:
+        outcome = outcomes.get(i)
+        if outcome is None:
+            outcome = outcomes[i] = test(terms[i])
+        return outcome
+
+    return test_id
 
 
-def _spellings(column: Sequence[Term]) -> Iterable[str]:
-    """The N-Triples spelling of each term in a result column, made once
-    per distinct term object. Keyed by identity, as hashing a term costs
-    more than spelling an IRI; equal terms are mostly one object, shared
-    by convert and by the N-Triples reader."""
-    terms = {id(t): t for t in column}
-    spelt = {i: t.to_ntriples() for i, t in terms.items()}
-    return map(spelt.__getitem__, map(id, column))
+def _spellings(terms: Sequence[Term], column: Sequence[int]) -> Iterable[str]:
+    """The N-Triples spelling of each term ID in a result column, made
+    once per distinct ID."""
+    spelt = {i: terms[i].to_ntriples() for i in set(column)}
+    return map(spelt.__getitem__, column)
 
 
 def _evaluate(g: Graph, q: Query) -> tuple[Solution, _Plan, list[int]]:
@@ -475,12 +484,13 @@ def _evaluate(g: Graph, q: Query) -> tuple[Solution, _Plan, list[int]]:
         return Solution((q.count_var,), [row]), plan, counts
     keys = list(dict.fromkeys(map(itemgetter(*(plan.slots[v] for v in q.variables)), rows)))
     if len(q.variables) == 1:
-        keys = [(term,) for term in keys]
+        keys = [(i,) for i in keys]
+    terms = g._terms
     if len(keys) > 1:  # rows sort by their terms spelt out
-        spellings = zip(*map(_spellings, zip(*keys)))
+        spellings = zip(*(_spellings(terms, column) for column in zip(*keys)))
         keys = [key for _, key in sorted(zip(spellings, keys), key=itemgetter(0))]
-    solution = Solution(q.variables, [dict(zip(q.variables, key)) for key in keys])
-    return solution, plan, counts
+    rows = [dict(zip(q.variables, map(terms.__getitem__, key))) for key in keys]
+    return Solution(q.variables, rows), plan, counts
 
 
 def execute(g: Graph, q: Query) -> Solution:

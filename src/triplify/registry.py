@@ -242,35 +242,48 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
     reported individually, in canonical order, and do not count toward
     cardinality.
 
-    The graph is grouped once from its predicate index: each class's
-    members, and each constrained predicate's objects by subject.
+    The graph is grouped once from its predicate index, by term ID: each
+    class's members, and each constrained predicate's objects by subject.
+    rdf:type, each predicate and each class are resolved to their IDs
+    once; only the predicate index is built.
     """
-    by_p = g.buckets(1)
-    members: dict[Term, set[Term]] = {}
-    for t in by_p.get(RDF_TYPE, ()):
-        members.setdefault(t.o, set()).add(t.s)
-    values: dict[Iri, dict[Term, list[Term]]] = {}
+    terms, ids, by_p = g._terms, g._ids, g._index(1)
+    members: dict[int, set[int]] = {}
+    for s, _, o in by_p.get(ids.get(RDF_TYPE), ()):
+        members.setdefault(o, set()).add(s)
+    values: dict[Iri, dict[int, list[int]]] = {}
     for p in dict.fromkeys(c.predicate for shape in shapes for c in shape.constraints):
         grouped = values[p] = {}
-        for t in by_p.get(p, ()):
-            grouped.setdefault(t.s, []).append(t.o)
+        for s, _, o in by_p.get(ids.get(p), ()):
+            grouped.setdefault(s, []).append(o)
+
+    def spelling(i: int) -> str:
+        return terms[i].to_ntriples()
+
     violations: list[Violation] = []
     for shape in shapes:
-        focuses = sorted(members.get(shape.target_class, ()), key=lambda t: t.to_ntriples())
+        focuses = sorted(members.get(ids.get(shape.target_class), ()), key=spelling)
         for focus in focuses:
+            focus_term = terms[focus]
             for c in shape.constraints:
                 objects = values[c.predicate].get(focus, ())
                 if c.kind == "literal":
                     flaw, dt = "is not a literal of datatype", c.kind_iri
-                    bad = [o for o in objects if not isinstance(o, Literal) or o.datatype != dt]
+                    bad = [
+                        o
+                        for o in objects
+                        if not isinstance(terms[o], Literal) or terms[o].datatype != dt
+                    ]
                 else:
                     # members are subjects, so a literal is never one
-                    flaw, typed = "lacks required type", members.get(c.kind_iri, ())
+                    flaw, typed = "lacks required type", members.get(ids.get(c.kind_iri), ())
                     bad = [o for o in objects if o not in typed]
-                for o in sorted(bad, key=lambda o: o.to_ntriples()):
-                    message = f"object {o.to_ntriples()} {flaw} {c.kind_iri.to_ntriples()}"
+                for o in sorted(bad, key=spelling):
+                    message = f"object {spelling(o)} {flaw} {c.kind_iri.to_ntriples()}"
                     violations.append(
-                        Violation(focus, shape.target_class, c.predicate, message, offending=o)
+                        Violation(
+                            focus_term, shape.target_class, c.predicate, message, offending=terms[o]
+                        )
                     )
                 conforming = len(objects) - len(bad)
                 if conforming < c.min_count:
@@ -282,7 +295,11 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
                 message = f"expected {bound} conforming value(s), found {conforming}"
                 violations.append(
                     Violation(
-                        focus, shape.target_class, c.predicate, message, observed_count=conforming
+                        focus_term,
+                        shape.target_class,
+                        c.predicate,
+                        message,
+                        observed_count=conforming,
                     )
                 )
     return ValidationReport(violations)

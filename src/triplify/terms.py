@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -56,11 +57,22 @@ _NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f]')
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n"}
 
 
+def exact_int(digits: str) -> int:
+    """The integer a signed or unsigned run of decimal digits spells, of
+    any length: `int` refuses runs longer than the interpreter's limit
+    (4,300 digits by default), and `Decimal`, which has none, makes the
+    exact value then."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
+
+
 def _valid_date(lexical: str) -> bool:
     m = _DATE_LEXICAL.match(lexical)
     if not m:
         return False
-    year, month, day = int(m.group(1)), int(m.group(2)), int(m.group(3))
+    year, month, day = exact_int(m.group(1)), int(m.group(2)), int(m.group(3))
     if not 1 <= month <= 12:
         return False
     days = _MONTH_DAYS[month - 1]
@@ -81,7 +93,7 @@ def date_minutes(lexical: str) -> int:
     year, month, day, sign, hours, minutes = _DATE_LEXICAL.match(lexical).groups()
     # days from civil (H. Hinnant): years begin on March 1, so a leap
     # day is the last day of its year
-    y = int(year) - (int(month) <= 2)
+    y = exact_int(year) - (int(month) <= 2)
     era, year_of_era = divmod(y, 400)
     day_of_year = (153 * ((int(month) + 9) % 12) + 2) // 5 + int(day) - 1
     day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year

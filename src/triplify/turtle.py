@@ -7,7 +7,8 @@ blank nodes `_:x`, IRIs in angle brackets, prefixed names, string literals
 `^^` datatypes, `@lang` tags, and comments.
 
 Collections `( ... )` and other Turtle constructs outside this subset are
-rejected with a ParseError. Anonymous blank nodes get fresh labels
+rejected with a ParseError, and so are anonymous blank nodes nested more
+than MAX_NESTING levels deep. Anonymous blank nodes get fresh labels
 `b0, b1, ...` per parsed document, skipping any label the document uses
 explicitly; labeled blank nodes keep their labels, so a document that is
 also valid N-Triples parses to exactly the same triple set here.
@@ -27,6 +28,11 @@ from .terms import RDF_TYPE, BlankNode, Iri, PrefixMap, Term, Triple
 
 __all__ = ["parse_turtle", "resolve_iri"]
 
+# The deepest nesting of anonymous blank nodes `[ ... ]` a document may
+# have; each level is a few frames of the recursive descent, so this stays
+# far inside the interpreter's recursion limit.
+MAX_NESTING = 64
+
 
 class _Parser(TokenParser):
     def __init__(self, text: str, base: Optional[Iri]):
@@ -34,6 +40,7 @@ class _Parser(TokenParser):
         self.graph = Graph()
         self.used_labels = {tok.value for tok in self.tokens if tok.kind == "blank"}
         self.counter = 0
+        self.depth = 0  # anonymous blank nodes open around the current token
 
     def fresh_blank(self) -> BlankNode:
         while True:
@@ -126,9 +133,13 @@ class _Parser(TokenParser):
 
     def blank_node_property_list(self) -> BlankNode:
         open_tok = self.expect("[")
+        if self.depth == MAX_NESTING:
+            raise self.error(f"blank nodes nested deeper than {MAX_NESTING} levels", open_tok)
         node = self.fresh_blank()
+        self.depth += 1
         if not self.at("]"):
             self.predicate_object_list(node)
+        self.depth -= 1
         closing = self.next()
         if closing.kind != "]":
             raise self.error(

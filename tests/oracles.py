@@ -1,5 +1,8 @@
 """Independent result oracles the engine is checked against.
 
+The reference serializer spells each triple through `Triple.to_line`
+and sorts the lines; it shares no code with the term-ID writer.
+
 The reference conversion makes every term afresh, on every row, with
 `generate_term`: it keeps no table of terms already made.
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import datetime
 import itertools
 import re
+from decimal import Decimal
 
 from triplify import BlankNode, Graph, Iri, Literal, Triple, generate_term
 from triplify.convert import ConversionReport, _term_or_skip
@@ -29,6 +33,12 @@ from triplify.registry import Shape, ShapeConstraint, ValidationReport, Violatio
 from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DOUBLE, XSD_INTEGER, Term
 
 _NUMERIC = (XSD_INTEGER, XSD_DOUBLE)
+
+
+def serialize_every_line(g: Graph) -> str:
+    """What `serialize_ntriples` gives: every triple's own line, sorted,
+    each ended by a newline."""
+    return "".join(line + "\n" for line in sorted(t.to_line() for t in g))
 
 
 def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
@@ -149,13 +159,20 @@ def _date_instant(lexical: str) -> int:
     taken as Z). Years outside 1-9999 are moved into range by whole
     400-year Gregorian cycles of 146,097 days, so `datetime` can count."""
     m = re.fullmatch(r"(-?\d{4,})-(\d\d)-(\d\d)(Z|[+-]\d\d:\d\d)?", lexical)
-    year, month, day, zone = int(m[1]), int(m[2]), int(m[3]), m[4]
+    year, month, day, zone = int(Decimal(m[1])), int(m[2]), int(m[3]), m[4]
     cycles = (year - 2000) // 400
     days = datetime.date(year - 400 * cycles, month, day).toordinal() + 146097 * cycles
     offset = 0
     if zone not in (None, "Z"):
         offset = (int(zone[1:3]) * 60 + int(zone[4:6])) * (1 if zone[0] == "+" else -1)
     return days * 1440 - offset
+
+
+def _number(lit: Literal):
+    """The value of a numeric literal; Decimal reads integers of any length."""
+    if lit.datatype == XSD_INTEGER:
+        return int(Decimal(lit.lexical))
+    return float(lit.lexical)
 
 
 def _filter_holds(f: FilterExpr, binding) -> bool:
@@ -168,8 +185,8 @@ def _filter_holds(f: FilterExpr, binding) -> bool:
             if f.op == "=":
                 return False
             raise TypeMismatchError("non-numeric under ordering")
-        left = int(value.lexical) if value.datatype == XSD_INTEGER else float(value.lexical)
-        right = int(operand.lexical) if operand.datatype == XSD_INTEGER else float(operand.lexical)
+        left = _number(value)
+        right = _number(operand)
     elif operand.datatype == XSD_DATE:
         if not isinstance(value, Literal) or value.datatype != XSD_DATE:
             if f.op == "!=":

@@ -18,8 +18,8 @@ from triplify import (
     generate_synthetic,
     generate_term,
     iri_safe_encode,
-    load_csv,
     parse_mapping,
+    parse_ntriples,
     parse_template,
     parse_turtle,
     serialize_ntriples,
@@ -36,7 +36,7 @@ from triplify.errors import (
 from triplify.r2rml import MappingDocument, PredicateObjectMap, TermMap, TriplesMap
 from triplify.terms import RDF_TYPE, XSD_DATE, XSD_INTEGER
 
-from conftest import fixture_cases
+from conftest import fixture_case, fixture_cases
 from genutil import random_table, simple_mapping
 from oracles import convert_every_row
 
@@ -517,6 +517,18 @@ class TestConvert:
         _, report = convert(parse_mapping(*parse_turtle(text)), {"T": table})
         assert [(t.row, t.column) for t in report.skipped_terms] == [(1, "A")]
 
+    def test_date_cell_with_a_long_year_converts(self):
+        # 5,000 digits: past the 4,300 that `int` converts from text by default
+        date = "9" * 5000 + "-01-01"
+        tables = generate_synthetic(3, 1)
+        treatments = tables["TREATMENT"]
+        rows = [{**treatments.rows[0], "RT_START_DATE": date}] + treatments.rows[1:]
+        tables["TREATMENT"] = TableSource("TREATMENT", treatments.columns, rows)
+        g, report = convert(bundled_mapping(), tables)
+        assert report.skipped_terms == []
+        assert Literal(date, XSD_DATE) in {t.o for t in g}
+        assert parse_ntriples(serialize_ntriples(g)) == g
+
     def test_skipped_log_in_map_order_then_row_order(self):
         text = CANDIDATE_MAPPING + """
         ex:WeightMap
@@ -558,18 +570,6 @@ def assert_as_every_row(m, tables):
         want.triples_deduplicated,
     )
     return g, report
-
-
-def fixture_case(case_dir):
-    mapping_file = case_dir / "mapping.ttl"
-    if mapping_file.exists():
-        m = parse_mapping(*parse_turtle(mapping_file.read_text(encoding="utf-8")))
-    else:
-        m = bundled_mapping()
-    tables = {
-        p.stem: load_csv(p.read_text(encoding="utf-8"), p.stem) for p in case_dir.glob("*.csv")
-    }
-    return m, tables
 
 
 def dirty_registry(n, seed):

@@ -7,8 +7,25 @@ import sys
 import threading
 from pathlib import Path
 
-from triplify import Graph, Iri, Literal, Triple, merge
-from triplify.terms import XSD_INTEGER
+from triplify import (
+    BlankNode,
+    Graph,
+    Iri,
+    Literal,
+    Triple,
+    builtin_shapes,
+    bundled_mapping,
+    convert,
+    execute,
+    generate_synthetic,
+    merge,
+    parse_ntriples,
+    parse_query,
+    registry_prefixes,
+    serialize_ntriples,
+    validate_graph,
+)
+from triplify.terms import RDF_LANGSTRING, XSD_DATE, XSD_INTEGER, XSD_STRING
 
 from genutil import pooled_graph, random_graph, random_triple
 
@@ -142,28 +159,31 @@ class TestMatch:
             assert g.match(s, p, o) == _scan(pool, s, p, o)
             assert g.match(None, None, Iri(EX + "o1")) == _scan(pool, None, None, Iri(EX + "o1"))
 
-    def test_buckets_hold_each_triple_once_per_position(self):
-        # the planner reads bucket sizes and buckets through this view; it
-        # must equal a scan, also after writes that follow the first read
+
+class TestIndexBuild:
+    def test_index_holds_each_key_once_per_position(self):
+        # the planner, the validator and stats read buckets and their sizes
+        # through `_index`; each must equal a scan, also after writes that
+        # follow the first read
         rng = random.Random(7)
         g = pooled_graph(rng, 60)
-        g.buckets(0)
+        g._index(0)
         g.update(pooled_graph(rng, 60))
         g.add(random_triple(rng))
         pool = list(g)
         for pos in range(3):
-            view = g.buckets(pos)
-            assert sum(len(bucket) for bucket in view.values()) == len(g)
-            for term, bucket in view.items():
-                bound = [term if i == pos else None for i in range(3)]
-                assert list(bucket) == _scan(pool, *bound)
-        assert Iri(EX + "absent") not in g.buckets(1)
+            index = g._index(pos)
+            assert sum(len(bucket) for bucket in index.values()) == len(g)
+            for i, bucket in index.items():
+                bound = [g._terms[i] if k == pos else None for k in range(3)]
+                assert [g._triple(key) for key in bucket] == _scan(pool, *bound)
+        literal = next(t.o for t in pool if isinstance(t.o, Literal))
+        assert g._ids[literal] not in g._index(0) and g._ids[literal] not in g._index(1)
 
-
-class TestIndexBuild:
     def test_racing_first_reads_see_whole_indexes(self):
-        # eight readers start together on a graph no one has read yet, so
-        # they race to build its indexes; each must see them complete
+        # eight readers start together on a graph no one has read yet, each
+        # on one position in turn, so they race to build every index; each
+        # must see them complete
         rng = random.Random(31)
         subjects = [Iri(f"{EX}s{i}") for i in range(200)]
         predicates = [Iri(f"{EX}p{i}") for i in range(10)]
@@ -173,11 +193,16 @@ class TestIndexBuild:
             for _ in range(10_000)
         ]
         pool = list(Graph(triples))
-        probes = [
-            (t.s, None, None) if k == 0 else (None, t.p, None) if k == 1 else (None, None, t.o)
-            for k, t in enumerate(rng.sample(pool, 30))
+        # for each position, probes that bind only it
+        single = [
+            [
+                tuple(term if k == pos else None for k, term in enumerate((t.s, t.p, t.o)))
+                for t in rng.sample(pool, 10)
+            ]
+            for pos in range(3)
         ]
-        probes += [(t.s, t.p, None) for t in rng.sample(pool, 10)]
+        pairs = [(t.s, t.p, None) for t in rng.sample(pool, 10)]
+        probes = [probe for group in single for probe in group] + pairs
         expected = {probe: _scan(pool, *probe) for probe in probes}
         readers = 8
         old_interval = sys.getswitchinterval()
@@ -190,7 +215,8 @@ class TestIndexBuild:
 
                 def read(i):
                     start.wait(timeout=30)
-                    order = probes[i:] + probes[:i]
+                    first = i % 3  # the position this reader reads first
+                    order = [p for k in range(3) for p in single[(first + k) % 3]] + pairs
                     results[i] = {probe: g.match(*probe) for probe in order}
 
                 threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
@@ -201,6 +227,9 @@ class TestIndexBuild:
                 assert not any(thread.is_alive() for thread in threads)
                 for i, got in enumerate(results):
                     assert got == expected, f"trial {trial}, reader {i}"
+                fresh = Graph(triples)  # the same IDs, indexes built by one reader
+                for pos in range(3):
+                    assert g._index(pos) == fresh._index(pos), f"trial {trial}, position {pos}"
         finally:
             sys.setswitchinterval(old_interval)
 
@@ -253,3 +282,144 @@ class TestMerge:
         g1 = Graph([shared, _t("a", "p", "b")])
         g2 = Graph([shared, _t("c", "p", "d")])
         assert len(merge([g1, g2])) == 3
+
+
+class TestIndexLaziness:
+    """Each position's index is built the first time that position is read."""
+
+    @staticmethod
+    def _parsed_registry() -> Graph:
+        g, _ = convert(bundled_mapping(), generate_synthetic(20, 1))
+        return parse_ntriples(serialize_ntriples(g))
+
+    def test_validate_builds_only_the_predicate_index(self):
+        g = self._parsed_registry()
+        assert g._indexes == {}
+        validate_graph(g, builtin_shapes())
+        assert set(g._indexes) == {1}
+
+    def test_match_builds_the_indexes_of_its_bound_positions(self):
+        g = self._parsed_registry()
+        probe = next(iter(g))
+        g.match()
+        assert g._indexes == {}
+        g.match(o=probe.o)
+        assert set(g._indexes) == {2}
+        g.match(s=probe.s, p=probe.p)
+        assert set(g._indexes) == {0, 1, 2}
+
+    def test_merge_builds_no_index(self):
+        g = self._parsed_registry()
+        g._index(0)
+        other = Graph(list(g)[:10])
+        assert merge([g, other])._indexes == {}
+        assert merge([other, g])._indexes == {}
+
+    def test_a_query_reads_only_the_indexes_it_plans_with(self):
+        g = self._parsed_registry()
+        q = parse_query("SELECT ?p WHERE { ?p a ncit:C16960 . }", registry_prefixes())
+        assert len(execute(g, q).rows) == 20
+        assert set(g._indexes) == {1, 2}  # rdf:type's bucket and the class's
+
+
+# --- against a plain model -----------------------------------------------------
+
+
+def _universe():
+    """A small term universe, made afresh on every call: the graph meets
+    equal terms held as distinct objects."""
+    nodes = [Iri(f"{EX}n{i}") for i in range(4)] + [BlankNode(f"b{i}") for i in range(2)]
+    predicates = [Iri(f"{EX}p{i}") for i in range(3)]
+    literals = [
+        Literal("alpha"),
+        Literal("alpha", RDF_LANGSTRING, "en"),
+        Literal("5", XSD_INTEGER),
+        Literal("2020-06-01", XSD_DATE),
+    ]
+    return nodes, predicates, nodes + literals
+
+
+def _model_triple(rng: random.Random) -> Triple:
+    nodes, predicates, objects = _universe()
+    return Triple(rng.choice(nodes), rng.choice(predicates), rng.choice(objects))
+
+
+def _escaped(text: str, rng: random.Random) -> str:
+    """text with one character, at random, written as a \\u or \\U escape."""
+    k = rng.randrange(len(text))
+    code = ord(text[k])
+    escape = f"\\u{code:04X}" if rng.random() < 0.5 else f"\\U{code:08X}"
+    return text[:k] + escape + text[k + 1 :]
+
+
+def _spelling(term, rng: random.Random) -> str:
+    """One of the N-Triples spellings of term, at random."""
+    if isinstance(term, BlankNode):
+        return term.to_ntriples()
+    if isinstance(term, Iri):
+        return f"<{_escaped(term.value, rng) if rng.random() < 0.5 else term.value}>"
+    body = f'"{_escaped(term.lexical, rng) if rng.random() < 0.5 else term.lexical}"'
+    if term.language is not None:
+        return f"{body}@{term.language}"
+    if term.datatype == XSD_STRING and rng.random() < 0.5:
+        return body
+    return f"{body}^^{_spelling(term.datatype, rng)}"
+
+
+def _parsed(triples: list, rng: random.Random) -> Graph:
+    """The triples read back from N-Triples in varied spellings, some
+    lines repeated later in another spelling."""
+    lines = triples + rng.sample(triples, rng.randint(0, len(triples)))
+    text = "".join(
+        " ".join(_spelling(term, rng) for term in (t.s, t.p, t.o)) + " .\n" for t in lines
+    )
+    return parse_ntriples(text)
+
+
+class TestAgainstAModel:
+    """Random sequences of writes and reads give what a plain insertion-
+    ordered dict of triples and a linear scan give."""
+
+    def test_random_operation_sequences(self):
+        rng = random.Random(2026)
+        for trial in range(60):
+            g: Graph = Graph()
+            model: dict = {}
+            for step in range(rng.randint(1, 30)):
+                where = f"trial {trial}, step {step}"
+                op = rng.randrange(7)
+                batch = [_model_triple(rng) for _ in range(rng.randint(0, 6))]
+                if op == 0:
+                    t = _model_triple(rng)
+                    assert g.add(t) is (t not in model), where
+                    model[t] = None
+                elif op == 1:  # from an iterable
+                    g.update(iter(batch))
+                    model.update(dict.fromkeys(batch))
+                elif op == 2:  # from a graph with its own IDs, maybe parsed
+                    g.update(Graph(batch) if rng.random() < 0.5 else _parsed(batch, rng))
+                    model.update(dict.fromkeys(batch))
+                elif op == 3:
+                    g.update(g)
+                elif op == 4:
+                    probe = _model_triple(rng)
+                    terms = (probe.s, probe.p, probe.o)
+                    for mask in range(8):
+                        bound = [term if mask >> k & 1 else None for k, term in enumerate(terms)]
+                        assert g.match(*bound) == _scan(model, *bound), (where, mask)
+                elif op == 5:
+                    other = _parsed(batch, rng)
+                    want = list(dict.fromkeys([*model, *batch]))
+                    assert list(merge([g, other])) == want, where
+                    assert list(merge([other, g])) == list(dict.fromkeys([*batch, *model])), where
+                    assert merge([other, g]) == merge([g, other]), where
+                else:
+                    t = _model_triple(rng)
+                    assert (t in g) is (t in model), where
+                assert len(g) == len(model), where
+                assert list(g) == list(model), where
+                assert g == Graph(reversed(list(model))), where
+                assert g == _parsed(list(model), rng), where
+                outside = _model_triple(rng)
+                if model and outside not in model:
+                    assert g != Graph(list(model)[1:] + [outside]), where

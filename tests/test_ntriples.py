@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from triplify import Graph, Iri, Literal, Triple, parse_ntriples, serialize_ntriples
+from triplify import Graph, Iri, Literal, Triple, convert, parse_ntriples, serialize_ntriples
 from triplify.errors import ParseError
 from triplify.terms import XSD_INTEGER
 
-from genutil import random_graph
+from conftest import fixture_case, fixture_cases
+from genutil import fuzz_graph, random_graph
+from oracles import serialize_every_line
 
 
 class TestSerialize:
@@ -33,6 +35,19 @@ class TestSerialize:
         rng = random.Random(5)
         g = random_graph(rng, 200)
         assert serialize_ntriples(g) == serialize_ntriples(g)
+
+    def test_every_line_spelt_and_sorted_on_fuzz_graphs(self):
+        rng = random.Random(6)
+        for trial in range(30):
+            g = (fuzz_graph if trial % 2 else random_graph)(rng, 300)
+            assert serialize_ntriples(g) == serialize_every_line(g), f"trial {trial}"
+
+    @pytest.mark.parametrize("case_dir", fixture_cases(), ids=lambda p: p.name)
+    def test_every_line_spelt_and_sorted_on_fixtures(self, case_dir):
+        g, _ = convert(*fixture_case(case_dir))
+        text = serialize_ntriples(g)
+        assert text == serialize_every_line(g)
+        assert text == serialize_every_line(parse_ntriples(text))
 
 
 class TestParse:

@@ -297,10 +297,39 @@ class TestExecute:
         )
         assert solution_tuples(execute(g, q)) == [(Iri(EX + "new"),)]
 
+    def test_filters_over_integers_of_any_length(self):
+        huge = "9" * 5000  # past the 4,300 digits `int` converts from text by default
+        g = Graph(
+            [
+                Triple(Iri(EX + "big"), Iri(EX + "p"), Literal(huge, XSD_INTEGER)),
+                Triple(Iri(EX + "small"), Iri(EX + "p"), Literal("-" + huge, XSD_INTEGER)),
+                Triple(Iri(EX + "nan"), Iri(EX + "p"), Literal("NaN", XSD_DOUBLE)),
+            ]
+        )
+
+        def subjects(condition):
+            q = parse_query(
+                "PREFIX e: <http://ex.org/> PREFIX xsd: <http://www.w3.org/2001/XMLSchema#> "
+                f"SELECT ?s WHERE {{ ?s e:p ?v . FILTER(?v {condition}) }}"
+            )
+            got = solution_tuples(execute(g, q))
+            assert got == brute_force_solution(g, q), condition
+            return [row[0].value[len(EX) :] for row in got]
+
+        assert subjects("> 1") == ["big"]
+        assert subjects("< 1") == ["small"]
+        assert subjects(f">= {huge}") == ["big"]
+        assert subjects(f"> {huge}") == []
+        assert subjects("!= 1") == ["big", "nan", "small"]
+        # nothing orders against NaN, however long the other side
+        assert subjects('< "NaN"^^xsd:double') == []
+        assert subjects('>= "NaN"^^xsd:double') == []
+
     @pytest.mark.parametrize(
         "left, op, right",
         [
             ("10000-01-01", ">", "9999-12-31"),
+            pytest.param("9" * 5000 + "-01-01", ">", "9999-12-31", id="5000-digit-year"),
             ("2020-01-02+14:00", "<", "2020-01-01-12:00"),
             ("2020-01-01Z", "=", "2020-01-01"),
             ("2020-01-01", "=", "2020-01-01+00:00"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from triplify import BlankNode, Iri, Literal, PrefixMap, Triple
+from triplify import BlankNode, Iri, Literal, PrefixMap, Triple, parse_ntriples, parse_turtle
 from triplify.errors import (
     IllegalCharacterError,
     LexicalFormMismatchError,
@@ -17,8 +17,13 @@ from triplify.terms import (
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
+    date_minutes,
     escape_literal,
+    exact_int,
 )
+
+# 5,000 digits: past the 4,300 that `int` converts from text by default
+HUGE = "9" * 5000
 
 
 class TestMakeIri:
@@ -139,6 +144,38 @@ class TestLiteral:
     def test_value_equality(self):
         assert Literal("63", XSD_INTEGER) == Literal("63", XSD_INTEGER)
         assert Literal("63", XSD_INTEGER) != Literal("63")
+
+
+class TestLongIntegers:
+    """Digit runs of any length have their exact value."""
+
+    @pytest.mark.parametrize("text", ["0", "-17", "+42", "0012"])
+    def test_exact_int_of_a_short_run_is_int(self, text):
+        assert exact_int(text) == int(text)
+
+    def test_exact_int_of_a_long_run(self):
+        assert exact_int(HUGE) == 10**5000 - 1
+        assert exact_int("-" + HUGE) == -(10**5000 - 1)
+        assert exact_int("+1" + HUGE) == 2 * 10**5000 - 1
+
+    def test_date_with_a_long_year_is_valid(self):
+        assert Literal(HUGE + "-01-01", XSD_DATE).lexical == HUGE + "-01-01"
+        # leap years follow the year's value: 44...4 is one, 99...9 is not
+        assert Literal("4" * 5000 + "-02-29", XSD_DATE)
+        with pytest.raises(LexicalFormMismatchError):
+            Literal(HUGE + "-02-29", XSD_DATE)
+
+    def test_long_years_order_by_value(self):
+        assert date_minutes(HUGE + "-01-01") > date_minutes("9999-12-31")
+        assert date_minutes("-" + HUGE + "-01-01") < date_minutes("-9999-01-01")
+        assert date_minutes(HUGE + "-01-02") - date_minutes(HUGE + "-01-01") == 1440
+
+    def test_readers_take_a_date_with_a_long_year(self):
+        date = f'"{HUGE}-01-01"^^<http://www.w3.org/2001/XMLSchema#date>'
+        line = f"<http://e.org/s> <http://e.org/p> {date} .\n"
+        (triple,) = parse_ntriples(line)
+        (same,) = parse_turtle(line)[0]
+        assert triple == same and triple.o == Literal(HUGE + "-01-01", XSD_DATE)
 
 
 class TestTriple:

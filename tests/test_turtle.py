@@ -5,6 +5,7 @@ import pytest
 from triplify import Iri, Literal, Triple, parse_ntriples, parse_turtle
 from triplify.errors import ParseError, RelativeIriError, UnknownPrefixError
 from triplify.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER
+from triplify.turtle import MAX_NESTING
 
 
 def triples(text, base=None):
@@ -98,6 +99,26 @@ class TestBlankNodes:
     def test_bnode_as_subject_statement(self):
         g = triples("@prefix ex: <http://e.org/> . [ ex:p ex:o ] .")
         assert len(g) == 1
+
+    def test_nesting_up_to_the_limit_parses(self):
+        depth = MAX_NESTING
+        text = "@prefix ex: <http://e.org/> .\nex:s ex:p "
+        text += "[ ex:p " * depth + "ex:o" + " ]" * depth + " ."
+        assert len(triples(text)) == depth + 1
+
+    @pytest.mark.parametrize("as_subject", [False, True])
+    def test_nesting_past_the_limit_is_a_positioned_error(self, as_subject):
+        # 250 levels overflowed the recursive descent with a RecursionError
+        depth = 250
+        head = "[ ex:p " if as_subject else "ex:s ex:p "
+        text = "@prefix ex: <http://e.org/> .\n" + head + "[ ex:p " * depth + "ex:o" + " ]" * depth
+        text += " ] ." if as_subject else " ."
+        with pytest.raises(ParseError) as err:
+            parse_turtle(text)
+        # at the `[` that opens level MAX_NESTING + 1
+        column = len(head) + len("[ ex:p ") * (MAX_NESTING - as_subject) + 1
+        assert (err.value.line, err.value.column) == (2, column)
+        assert "nested" in str(err.value)
 
 
 class TestDirectives:
