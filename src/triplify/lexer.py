@@ -28,12 +28,21 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError, RelativeIriError, TriplifyError, UnknownPrefixError
-from .terms import _IRI_SCHEME, RDF_LANGSTRING, XSD_BOOLEAN, XSD_INTEGER, Iri, Literal, PrefixMap
+from .terms import (
+    _BLANK_LABEL,
+    _IRI_SCHEME,
+    RDF_LANGSTRING,
+    XSD_BOOLEAN,
+    XSD_INTEGER,
+    Iri,
+    Literal,
+    PrefixMap,
+)
 
 # Terminals shared by the Turtle, SPARQL and N-Triples readers.
 IRIREF = r'<[^\x00-\x20<>"{}|^`\\]*(?:\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^\x00-\x20<>"{}|^`\\]*)*>'
 STRING = r'"[^"\\\n\r]*(?:\\.[^"\\\n\r]*)*"'  # short, double-quoted
-BLANK = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
+BLANK = "_:" + _BLANK_LABEL.pattern
 LANGTAG = r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 
 _NAME_CHAR = r"(?:[\w\-]|%[0-9A-Fa-f]{2})"
@@ -53,7 +62,7 @@ _SHORT_ESCAPES = {
 _GRAMMAR = re.compile(
     rf"""
       (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
+    | (?P<comment>\#[^\r\n]*)
     | (?P<iriref>{IRIREF})
     | (?P<string>
           \"\"\"(?:"{{0,2}}(?:[^"\\]|\\.))*"{{0,2}}\"\"\"

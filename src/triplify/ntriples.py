@@ -7,9 +7,10 @@ node labels are preserved, so parse(serialize(g)) == g.
 
 The reader matches each line with one pattern composed from the term
 terminals of `triplify.lexer`, the term grammar Turtle and SPARQL use.
-As in Turtle and the RDF 1.1 grammar, an IRI may hold only `\\u`/`\\U`
-escapes (`<a\\'b>` is a ParseError), a string no raw CR, and a blank node
-label ends where its characters do (`_:a<http://e.org/p> ...` parses).
+As in Turtle and the RDF 1.1 grammar, a line (and a comment) ends at LF,
+CRLF or a lone CR, an IRI may hold only `\\u`/`\\U` escapes (`<a\\'b>` is
+a ParseError), a string no raw CR, and a blank node label ends where its
+characters do (`_:a<http://e.org/p> ...` parses).
 Each distinct term text is unescaped, validated and given a term ID once
 per document, where it first occurs; no `Triple` is built, as the
 line's slots already fix each term's position.
@@ -117,13 +118,13 @@ def parse_ntriples(text: str) -> Graph:
     """
     if text.startswith("\ufeff"):
         text = text[1:]
+    if "\r" in text:  # a line ends at LF, CRLF or CR; no token holds a raw CR
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     g = Graph()
     ids: dict = {}  # matched text (a tuple of groups for literals) -> ID
     datatypes: dict[str, Iri] = {}  # a datatype's matched text -> its IRI
     triples = g._triples  # a new graph, no index to keep current
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if line.endswith("\r"):
-            line = line[:-1]
         m = _LINE.fullmatch(line)
         if m is None:
             raise _syntax_error(line, lineno)

@@ -9,26 +9,30 @@ single or double quoted, IRIs may hold `\\u` escapes, and a `<` that does
 not open an IRI (`?a < 65`) is the comparison operator. Blank nodes in
 patterns act as variables with hidden names.
 
-Evaluation plans, then runs a nested-loop join over index buckets. The
-plan takes the patterns greedily, each time the one with the fewest
-expected matches per row: a constant expects the exact size of its index
-bucket (0 when absent, so the answer is empty at once), a variable bound
-by an earlier step its index's mean bucket size; ties keep written order.
-Rows are tuples of term IDs indexed by slot; the query's constants are
-resolved to the graph's IDs once per execution, and a constant the graph
-lacks matches nothing. A FILTER runs as soon as it and every FILTER
-written before it have their variables bound, so answers, and
-whether a query raises TypeMismatchError, are those of testing every
-filter in written order after all patterns, whatever order the patterns
-are written in. `explain` also reports the plan and the rows left after
-each step. Dates compare by value, as XSD `op:date-less-than` orders
-them; a date without a timezone is taken as Z. Result rows are
-deduplicated and canonically sorted; there is no ORDER BY.
+Evaluation plans, then runs a nested-loop join over index buckets. Rows
+are tuples of term IDs indexed by slot, the first slots holding the
+query's constants, resolved to the graph's IDs once per execution (a
+constant the graph lacks matches nothing). So every bound position of a
+pattern, constant or variable, reads a row slot, and a step's candidates
+are the bucket of one such slot's ID, or every triple. The plan takes
+the patterns greedily, each time the one with the fewest expected
+matches per row: a constant expects the exact size of its index bucket
+(0 when absent, so the answer is empty at once), a variable bound by an
+earlier step its index's mean bucket size; ties keep written order. A
+FILTER runs as soon as it and every FILTER written before it have their
+variables bound, so answers, and whether a query raises
+TypeMismatchError, are those of testing every filter in written order
+after all patterns, whatever order the patterns are written in.
+`explain` also reports the plan and the rows left after each step. Dates
+compare by value, as XSD `op:date-less-than` orders them; a date without
+a timezone is taken as Z. Result rows are deduplicated and canonically
+sorted; there is no ORDER BY.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
@@ -47,7 +51,14 @@ from .terms import (
     exact_int,
 )
 
-_NUMERIC_DATATYPES = (XSD_INTEGER, XSD_DOUBLE)
+# The datatypes a FILTER can order, by IRI text (a str hashes without a
+# Python call), each with its kind (only values of one kind compare) and
+# the value of a lexical form.
+_ORDERED: dict[str, tuple[str, Callable[[str], object]]] = {
+    XSD_INTEGER.value: ("numeric", exact_int),
+    XSD_DOUBLE.value: ("numeric", float),
+    XSD_DATE.value: ("date", date_minutes),
+}
 _ORDERING_OPS = ("<", "<=", ">", ">=")
 
 
@@ -202,10 +213,7 @@ class _QueryParser(TokenParser):
             raise self.error(f"expected comparison operator, got {op_tok.value!r}", op_tok)
         operand = self.operand(self.next())
         self.expect(")")
-        if op_tok.kind in _ORDERING_OPS and operand.datatype not in (
-            *_NUMERIC_DATATYPES,
-            XSD_DATE,
-        ):
+        if op_tok.kind in _ORDERING_OPS and operand.datatype.value not in _ORDERED:
             raise TypeMismatchError(
                 f"ordering operator {op_tok.kind!r} needs a numeric or date operand"
             )
@@ -231,24 +239,23 @@ def parse_query(text: str, prefixes: Optional[PrefixMap] = None) -> Query:
 
 # --- evaluation --------------------------------------------------------------
 #
-# A row is a tuple of term IDs, indexed by slot. Its first slots hold the
-# query's constants, in written order, resolved against the graph once
-# per execution (None for a constant the graph lacks, which matches
-# nothing), so one itemgetter reads from a row every value a step
-# compares; each step appends the IDs of the variables it binds.
-# Candidates are the graph's keys, (s, p, o) tuples of IDs.
+# A row is a tuple of term IDs, indexed by slot: the query's constants in
+# written order (None for one the graph lacks, which matches nothing),
+# then the variables each step binds. So every bound position of a
+# pattern reads a row slot; a step's candidates are the bucket of one of
+# them, or every triple, and one itemgetter reads from a row the values
+# of the others. Candidates are the graph's keys, (s, p, o) tuples of IDs.
 
 
 @dataclass(slots=True)
 class _Step:
     pattern: TriplePattern
     estimate: float  # expected matches per row
-    # where candidates come from: the bucket of the ID in slot `key` of
-    # `index`, else the fixed `candidates` (a constant's bucket, or the
-    # whole graph). No index holds a literal subject or a non-IRI
+    # candidates: the bucket in `index` of the row's ID in slot `key`, else
+    # all `triples`. No index holds a literal subject or a non-IRI
     # predicate, so a row binding one there matches nothing.
-    candidates: Collection[Key]
-    index: Optional[Index]
+    triples: Collection[Key]
+    index: Index
     key: Optional[int]
     # the other bound positions of a candidate, and the row's IDs for them
     tested: Optional[Callable[[Key], object]]
@@ -259,11 +266,11 @@ class _Step:
     ready: int  # filters, a written-order prefix, whose variables are bound after it
 
     def run(self, rows: list[tuple]) -> list[tuple]:
-        index, key, tested, wanted = self.index, self.key, self.tested, self.wanted
-        fresh, repeats = self.fresh, self.repeats
+        triples, index, key = self.triples, self.index, self.key
+        tested, wanted, fresh, repeats = self.tested, self.wanted, self.fresh, self.repeats
         out: list[tuple] = []
         for row in rows:
-            found = self.candidates if key is None else index.get(row[key], ())
+            found = triples if key is None else index.get(row[key], ())
             if tested is not None:
                 want = wanted(row)
                 found = [t for t in found if tested(t) == want]
@@ -280,14 +287,12 @@ class _Plan:
     row: tuple  # the row every answer extends: the constants' IDs
 
 
-_ONE_VALUE = {0: lambda t: (t[0],), 1: lambda t: (t[1],), 2: lambda t: (t[2],)}
-
-
-def _values(*positions: int) -> Callable[[Key], tuple]:
-    """A getter of a key's IDs at `positions`, always as a tuple
-    (itemgetter gives a bare value for one position)."""
+def _values(*positions: int) -> Callable[[Sequence], tuple]:
+    """A getter of the items at `positions`, always as a tuple
+    (itemgetter gives a bare item for one position)."""
     if len(positions) == 1:
-        return _ONE_VALUE[positions[0]]
+        (at,) = positions
+        return lambda t: (t[at],)
     return itemgetter(*positions) if positions else lambda t: ()
 
 
@@ -295,22 +300,19 @@ def _plan(g: Graph, q: Query) -> _Plan:
     """Order the patterns greedily, fewest expected matches per row first
     (ties in written order), and compile each into a step.
 
-    A pattern expects the least, over its positions, of a constant's
-    exact bucket size (0 when absent) and a bound variable's mean one;
-    the position giving the least supplies the step's candidates. An
-    index is read only where a pattern needs it.
+    A pattern expects the least, over its constants, of the exact bucket
+    size (0 when absent), and then over its bound variables, of the mean
+    one; the position giving the least, if any, is where the step's
+    candidates come from. An index is read only where a pattern needs it.
     """
     ids = g._ids
     size = len(g)
     row: list = []
-    # (pattern, slots read, least constant bucket, its position and size,
-    # (position, variable)s)
+    # (pattern, slots read, least constant bucket size and its position, variables)
     remaining = []
     for pat in q.patterns:
         read: list = [None, None, None]  # the slot each position reads, once bound
-        least: Collection[Key] = g._triples
-        least_at = None
-        exact = size
+        exact, exact_at = size, None
         variables = []
         for pos, term in enumerate((pat.s, pat.p, pat.o)):
             if isinstance(term, Var):
@@ -319,16 +321,16 @@ def _plan(g: Graph, q: Query) -> _Plan:
             read[pos] = len(row)
             i = ids.get(term)
             row.append(i)
-            bucket = () if i is None else g._index(pos).get(i, ())
-            if len(bucket) < exact:
-                least, least_at, exact = bucket, pos, len(bucket)
-        remaining.append((pat, read, least, least_at, exact, variables))
+            n = 0 if i is None else len(g._index(pos).get(i, ()))
+            if n < exact:
+                exact, exact_at = n, pos
+        remaining.append((pat, read, exact, exact_at, variables))
     slots: dict[str, int] = {}
     steps: list[_Step] = []
     while remaining:
         best = None
-        for i, (_, _, _, least_at, exact, variables) in enumerate(remaining):
-            estimate, via = exact, least_at
+        for i, (_, _, exact, exact_at, variables) in enumerate(remaining):
+            estimate, via = exact, exact_at
             for pos, name in variables:
                 if name in slots:
                     mean = size / len(g._index(pos)) if size else 0.0
@@ -336,7 +338,7 @@ def _plan(g: Graph, q: Query) -> _Plan:
                         estimate, via = mean, pos
             if best is None or estimate < best:
                 best, at, access = estimate, i, via
-        pat, read, candidates, least_at, _, variables = remaining.pop(at)
+        pat, read, _, _, variables = remaining.pop(at)
         fresh: dict[str, int] = {}  # variable -> first position binding it here
         repeats: list[tuple[int, int]] = []
         for pos, name in variables:
@@ -346,10 +348,10 @@ def _plan(g: Graph, q: Query) -> _Plan:
                 repeats.append((pos, fresh[name]))
             else:
                 fresh[name] = pos
-        index = key = None
-        if access != least_at:  # a bound variable's bucket, found per row
-            candidates, index, key = (), g._index(access), read[access]
-        # every candidate holds the value at `access`; the other bound
+        key = None if access is None else read[access]
+        # a step expecting no match (an absent constant) reads no index
+        index = g._index(access) if key is not None and best else {}
+        # every candidate holds the row's ID at `access`; the other bound
         # positions are tested
         tested, wanted = [], []
         for pos, slot in enumerate(read):
@@ -365,7 +367,7 @@ def _plan(g: Graph, q: Query) -> _Plan:
             _Step(
                 pat,
                 best,
-                candidates,
+                g._triples,
                 index,
                 key,
                 itemgetter(*tested) if tested else None,
@@ -412,12 +414,6 @@ def _solve(g: Graph, q: Query) -> tuple[_Plan, list[tuple], list[int]]:
     return plan, rows, counts
 
 
-def _numeric(lit: Literal) -> Union[int, float]:
-    if lit.datatype == XSD_INTEGER:
-        return exact_int(lit.lexical)
-    return float(lit.lexical)
-
-
 _COMPARE = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
@@ -429,45 +425,27 @@ def _filter_test(f: FilterExpr, g: Graph) -> Callable[[int], bool]:
     False and True."""
     op, operand, terms = f.op, f.operand, g._terms
     compare = _COMPARE[op]
-
-    def mismatch(term: Term, kind: str) -> bool:
-        if op in ("=", "!="):
-            return op == "!="
-        raise TypeMismatchError(f"cannot order {term.to_ntriples()} against a {kind} operand")
-
-    if operand.datatype in _NUMERIC_DATATYPES:
-        number = _numeric(operand)
-
-        def test(term: Term) -> bool:
-            if isinstance(term, Literal) and term.datatype in _NUMERIC_DATATYPES:
-                return compare(_numeric(term), number)
-            return mismatch(term, "numeric")
-
-    elif operand.datatype == XSD_DATE:
-        instant = date_minutes(operand.lexical)
-
-        def test(term: Term) -> bool:
-            if isinstance(term, Literal) and term.datatype == XSD_DATE:
-                return compare(date_minutes(term.lexical), instant)
-            return mismatch(term, "date")
-
-    else:
+    ordered = _ORDERED.get(operand.datatype.value)
+    if ordered is None:
         # equality on everything else is term equality: one ID, as the
         # operand, a literal, is the term it equals or absent from g
         equal_to = g._ids.get(operand)
         if op == "=":
             return lambda i: i == equal_to
         return lambda i: i != equal_to
+    kind, value = ordered
+    bound = value(operand.lexical)
 
-    outcomes: dict[int, bool] = {}
+    def test(term: Term) -> bool:
+        if isinstance(term, Literal):
+            theirs = _ORDERED.get(term.datatype.value)
+            if theirs is not None and theirs[0] == kind:
+                return compare(theirs[1](term.lexical), bound)
+        if op in ("=", "!="):
+            return op == "!="
+        raise TypeMismatchError(f"cannot order {term.to_ntriples()} against a {kind} operand")
 
-    def test_id(i: int) -> bool:
-        outcome = outcomes.get(i)
-        if outcome is None:
-            outcome = outcomes[i] = test(terms[i])
-        return outcome
-
-    return test_id
+    return cache(lambda i: test(terms[i]))
 
 
 def _spellings(terms: Sequence[Term], column: Sequence[int]) -> Iterable[str]:
@@ -482,9 +460,7 @@ def _evaluate(g: Graph, q: Query) -> tuple[Solution, _Plan, list[int]]:
     if q.count_var is not None:
         row = {q.count_var: Literal(str(len(rows)), XSD_INTEGER)}
         return Solution((q.count_var,), [row]), plan, counts
-    keys = list(dict.fromkeys(map(itemgetter(*(plan.slots[v] for v in q.variables)), rows)))
-    if len(q.variables) == 1:
-        keys = [(i,) for i in keys]
+    keys = list(dict.fromkeys(map(_values(*(plan.slots[v] for v in q.variables)), rows)))
     terms = g._terms
     if len(keys) > 1:  # rows sort by their terms spelt out
         spellings = zip(*(_spellings(terms, column) for column in zip(*keys)))

@@ -14,8 +14,10 @@ code.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from datetime import date, timedelta
+from decimal import Decimal
 from importlib import resources
 from typing import Iterator, Optional
 
@@ -31,6 +33,7 @@ from .terms import (
     Literal,
     PrefixMap,
     Term,
+    exact_int,
 )
 from .turtle import parse_turtle
 
@@ -155,11 +158,15 @@ class Shape:
     constraints: tuple[ShapeConstraint, ...]
 
 
+_COUNT = re.compile(r"[0-9]+")
+
+
 def load_shapes(text: str) -> list[Shape]:
     """Read `class TAB predicate TAB kind TAB min TAB max` lines.
 
-    kind is `class(curie)` or `literal(curie)`; max is a count or `*`.
-    CURIEs use the registry prefixes.
+    kind is `class(curie)` or `literal(curie)`; a count is a run of the
+    digits 0-9, of any length, and max may be `*`. CURIEs use the
+    registry prefixes.
     """
     prefixes = registry_prefixes()
     grouped: dict[Iri, list[ShapeConstraint]] = {}
@@ -170,15 +177,14 @@ def load_shapes(text: str) -> list[Shape]:
             kind, kind_curie = "literal", kind_text[8:-1]
         else:
             raise TriplifyError(f"{where}: bad kind {kind_text!r}")
-        try:
-            min_count = int(min_text)
-            max_count = None if max_text == "*" else int(max_text)
-        except ValueError:
+        if _COUNT.fullmatch(min_text) is None or (
+            max_text != "*" and _COUNT.fullmatch(max_text) is None
+        ):
             raise TriplifyError(
-                f"{where}: counts must be integers: {min_text!r}, {max_text!r}"
-            ) from None
-        if min_count < 0 or (max_count is not None and max_count < 0):
-            raise TriplifyError(f"{where}: counts must not be negative")
+                f"{where}: counts must be runs of the digits 0-9: {min_text!r}, {max_text!r}"
+            )
+        min_count = exact_int(min_text)
+        max_count = None if max_text == "*" else exact_int(max_text)
         if max_count is not None and min_count > max_count:
             raise TriplifyError(f"{where}: min exceeds max")
         grouped.setdefault(_expand(prefixes, cls, where), []).append(
@@ -286,10 +292,12 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
                         )
                     )
                 conforming = len(objects) - len(bad)
+                # a count is spelt through Decimal: str() refuses an int
+                # of more than 4,300 digits
                 if conforming < c.min_count:
-                    bound = f"at least {c.min_count}"
+                    bound = f"at least {Decimal(c.min_count)}"
                 elif c.max_count is not None and conforming > c.max_count:
-                    bound = f"at most {c.max_count}"
+                    bound = f"at most {Decimal(c.max_count)}"
                 else:
                     continue
                 message = f"expected {bound} conforming value(s), found {conforming}"

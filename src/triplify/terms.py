@@ -36,21 +36,21 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 _IRI_ILLEGAL = re.compile(r'[\x00-\x20<>"{}|^`\\\x7f\ud800-\udfff]')
 _IRI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 
-_BLANK_LABEL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?$")
+_BLANK_LABEL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?")
 
-_INTEGER_LEXICAL = re.compile(r"[+-]?[0-9]+$")
+_INTEGER_LEXICAL = re.compile(r"[+-]?[0-9]+")
 _DOUBLE_LEXICAL = re.compile(
-    r"(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN)$"
+    r"(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN)"
 )
-_BOOLEAN_LEXICAL = re.compile(r"(?:true|false|1|0)$")
+_BOOLEAN_LEXICAL = re.compile(r"true|false|1|0")
 _DATE_LEXICAL = re.compile(
-    r"(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})(?:Z|([+-])([0-9]{2}):([0-9]{2}))?$"
+    r"(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})(?:Z|([+-])([0-9]{2}):([0-9]{2}))?"
 )
 _MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
-_LANGUAGE_TAG = re.compile(r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*$")
+_LANGUAGE_TAG = re.compile(r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*")
 
 # Fast path: literals without any of these characters serialize as-is.
 _NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f]')
@@ -69,7 +69,7 @@ def exact_int(digits: str) -> int:
 
 
 def _valid_date(lexical: str) -> bool:
-    m = _DATE_LEXICAL.match(lexical)
+    m = _DATE_LEXICAL.fullmatch(lexical)
     if not m:
         return False
     year, month, day = exact_int(m.group(1)), int(m.group(2)), int(m.group(3))
@@ -90,7 +90,7 @@ def date_minutes(lexical: str) -> int:
     arithmetic, which holds for any year, `datetime.date`'s 1-9999 or not.
     Remembered per form, as a FILTER meets the same few dates many times.
     """
-    year, month, day, sign, hours, minutes = _DATE_LEXICAL.match(lexical).groups()
+    year, month, day, sign, hours, minutes = _DATE_LEXICAL.fullmatch(lexical).groups()
     # days from civil (H. Hinnant): years begin on March 1, so a leap
     # day is the last day of its year
     y = exact_int(year) - (int(month) <= 2)
@@ -149,9 +149,9 @@ XSD_DATE = Iri(XSD_NS + "date")
 XSD_BOOLEAN = Iri(XSD_NS + "boolean")
 
 _VALIDATED_LEXICALS = {
-    XSD_INTEGER: _INTEGER_LEXICAL.match,
-    XSD_DOUBLE: _DOUBLE_LEXICAL.match,
-    XSD_BOOLEAN: _BOOLEAN_LEXICAL.match,
+    XSD_INTEGER: _INTEGER_LEXICAL.fullmatch,
+    XSD_DOUBLE: _DOUBLE_LEXICAL.fullmatch,
+    XSD_BOOLEAN: _BOOLEAN_LEXICAL.fullmatch,
     XSD_DATE: _valid_date,
 }
 
@@ -163,7 +163,7 @@ class BlankNode:
     label: str
 
     def __post_init__(self):
-        if _BLANK_LABEL.match(self.label) is None:
+        if _BLANK_LABEL.fullmatch(self.label) is None:
             raise TriplifyError(f"invalid blank node label: {self.label!r}")
 
     def to_ntriples(self) -> str:
@@ -196,7 +196,7 @@ class Literal:
                 raise TriplifyError(
                     "language tags require the rdf:langString datatype"
                 )
-            if _LANGUAGE_TAG.match(self.language) is None:
+            if _LANGUAGE_TAG.fullmatch(self.language) is None:
                 raise TriplifyError(f"malformed language tag: {self.language!r}")
         elif self.datatype == RDF_LANGSTRING:
             raise TriplifyError("rdf:langString literals require a language tag")

@@ -482,6 +482,16 @@ class TestConvert:
         serialize_ntriples(g).encode("utf-8")
         report.skipped_log().encode("utf-8")
 
+    def test_language_tag_with_a_trailing_newline_is_skipped_and_reads_back(self):
+        # a tag with a trailing newline is malformed, so the literal is
+        # skipped and no output line breaks in two
+        tagged = CANDIDATE_MAPPING.replace("rr:datatype xsd:integer", 'rr:language "en\\n"')
+        table = TableSource("PATIENT", ("ID", "AGE"), [{"ID": "1", "AGE": "hello"}])
+        g, report = convert(parse_mapping(*parse_turtle(tagged)), {"PATIENT": table})
+        assert [(t.row, t.column) for t in report.skipped_terms] == [(1, "AGE")]
+        assert "language tag" in report.skipped_terms[0].reason
+        assert parse_ntriples(serialize_ntriples(g)) == g
+
     @pytest.mark.parametrize("term_type", ["IRI", "BlankNode", "Literal"])
     def test_skip_names_the_column_that_holds_the_lone_surrogate(self, term_type):
         text = f"""

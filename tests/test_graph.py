@@ -320,6 +320,11 @@ class TestIndexLaziness:
         q = parse_query("SELECT ?p WHERE { ?p a ncit:C16960 . }", registry_prefixes())
         assert len(execute(g, q).rows) == 20
         assert set(g._indexes) == {1, 2}  # rdf:type's bucket and the class's
+        # the cheapest step is a subject the graph lacks: it reads no subject index
+        g = self._parsed_registry()
+        q = parse_query("SELECT ?c WHERE { <http://e.org/absent> a ?c . }")
+        assert execute(g, q).rows == []
+        assert set(g._indexes) == {1}  # rdf:type's bucket size, for the estimate
 
 
 # --- against a plain model -----------------------------------------------------

@@ -92,6 +92,19 @@ class TestParse:
         g = parse_ntriples(lf.replace("\n", "\r\n"))
         assert len(g) == 2 and g == parse_ntriples(lf)
 
+    def test_cr_line_ends(self):
+        # a lone CR ends a line, and so a comment
+        lines = [
+            "<http://e.org/s> <http://e.org/p> \"x\" . # a note",
+            "# a comment",
+            "<http://e.org/s> <http://e.org/q> <http://e.org/o> .",
+        ]
+        g = parse_ntriples("\r".join(lines) + "\r")
+        assert len(g) == 2 and g == parse_ntriples("\n".join(lines))
+        with pytest.raises(ParseError) as err:
+            parse_ntriples("\r\n".join(lines) + "\r<http://e.org/s>\r")
+        assert err.value.line == 4
+
     def test_bad_escape_rejected(self):
         with pytest.raises(ParseError):
             parse_ntriples('<http://e.org/s> <http://e.org/p> "a\\qb" .\n')

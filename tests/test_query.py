@@ -535,6 +535,11 @@ class TestPlannedJoins:
             "SELECT ?s WHERE { ?s e:p ?s . ?s e:q e:o . }": ["x", "y"],
             "SELECT ?s WHERE { ?s ?s ?s . }": ["p"],
             "SELECT ?s ?o WHERE { ?s e:q ?o . ?s e:p ?s . }": None,
+            # ?r is bound first, but e:o's bucket (2) is below ?r's mean (3.5),
+            # so the second step's candidates come from e:o's bucket
+            "SELECT ?s WHERE { e:x ?r e:o . ?s ?r e:o . }": ["x", "y"],
+            # no position of ?b ?b ?b is bound: every triple is a candidate
+            "SELECT ?a ?b WHERE { ?a e:q e:o . ?b ?b ?b . }": None,
         }
         for text, want in cases.items():
             q = parse_query("PREFIX e: <http://ex.org/> " + text)
@@ -549,6 +554,10 @@ class TestPlannedJoins:
             "?s <http://ex.org/q> <http://ex.org/o>",
             "?s <http://ex.org/p> ?s",
         ]
+        _, plan = explain(g, parse_query(
+            "PREFIX e: <http://ex.org/> SELECT ?s WHERE { e:x ?r e:o . ?s ?r e:o . }"
+        ))
+        assert [s["estimate"] for s in plan["steps"]] == [2, 2]  # e:o's bucket, twice
 
     def test_absent_constant_ends_the_plan_at_its_step(self):
         g = Graph([Triple(_iri(f"n{i}"), _iri("p"), _iri(f"n{i + 1}")) for i in range(20)])

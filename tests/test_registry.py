@@ -144,6 +144,8 @@ class TestShapes:
             "ncit:C16960\troo:P100027\tliteral(integer)\t1\t*",
             "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t-3\t*",
             "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t-2\t-1",
+            "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t1_0\t*",
+            "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t\u0661\t*",
         ],
     )
     def test_loader_names_the_bad_line(self, line):
@@ -155,6 +157,15 @@ class TestShapes:
         (shape,) = load_shapes(text)
         (c,) = shape.constraints
         assert c.max_count is None and c.kind == "literal"
+        # a count of any length has its exact value
+        huge = "9" * 5000
+        (shape,) = load_shapes(text.replace("\t1\t*", f"\t0\t{huge}"))
+        (c,) = shape.constraints
+        assert (c.min_count, c.max_count) == (0, 10**5000 - 1)
+        (shape,) = load_shapes(text.replace("\t1\t*", f"\t{huge}\t*"))
+        focus = Graph([Triple(Iri("http://ex.org/p"), RDF_TYPE, shape.target_class)])
+        (v,) = validate_graph(focus, [shape]).violations
+        assert v.message == f"expected at least {huge} conforming value(s), found 0"
 
 
 class TestValidateGraph:

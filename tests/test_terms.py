@@ -111,7 +111,7 @@ class TestLiteral:
     def test_integer_lexicals(self, lexical):
         Literal(lexical, XSD_INTEGER)
 
-    @pytest.mark.parametrize("lexical", ["abc", "1.5", "", "1 "])
+    @pytest.mark.parametrize("lexical", ["abc", "1.5", "", "1 ", "63\n"])
     def test_bad_integer_lexicals(self, lexical):
         with pytest.raises(LexicalFormMismatchError):
             Literal(lexical, XSD_INTEGER)
@@ -120,7 +120,9 @@ class TestLiteral:
     def test_date_lexicals(self, lexical):
         Literal(lexical, XSD_DATE)
 
-    @pytest.mark.parametrize("lexical", ["2020-02-30", "2021-02-29", "2020-13-01", "20-01-01"])
+    @pytest.mark.parametrize(
+        "lexical", ["2020-02-30", "2021-02-29", "2020-13-01", "20-01-01", "2020-01-01\n"]
+    )
     def test_bad_date_lexicals(self, lexical):
         with pytest.raises(LexicalFormMismatchError):
             Literal(lexical, XSD_DATE)
@@ -130,16 +132,23 @@ class TestLiteral:
         Literal(lexical, XSD_DOUBLE)
 
     def test_bad_double_lexical(self):
-        with pytest.raises(LexicalFormMismatchError):
-            Literal("abc", XSD_DOUBLE)
+        for lexical in ("abc", "1.5\n"):
+            with pytest.raises(LexicalFormMismatchError):
+                Literal(lexical, XSD_DOUBLE)
 
     @pytest.mark.parametrize("lexical", ["true", "false", "1", "0"])
     def test_boolean_lexicals(self, lexical):
         Literal(lexical, XSD_BOOLEAN)
 
     def test_bad_boolean_lexical(self):
-        with pytest.raises(LexicalFormMismatchError):
-            Literal("yes", XSD_BOOLEAN)
+        for lexical in ("yes", "true\n"):
+            with pytest.raises(LexicalFormMismatchError):
+                Literal(lexical, XSD_BOOLEAN)
+
+    @pytest.mark.parametrize("tag", ["", "en-", "toolongtag", "en\n"])
+    def test_bad_language_tags(self, tag):
+        with pytest.raises(TriplifyError, match="language tag"):
+            Literal("hoi", RDF_LANGSTRING, tag)
 
     def test_value_equality(self):
         assert Literal("63", XSD_INTEGER) == Literal("63", XSD_INTEGER)
@@ -176,6 +185,13 @@ class TestLongIntegers:
         (triple,) = parse_ntriples(line)
         (same,) = parse_turtle(line)[0]
         assert triple == same and triple.o == Literal(HUGE + "-01-01", XSD_DATE)
+
+
+class TestBlankNode:
+    @pytest.mark.parametrize("label", ["", "-a", "a.", "a b", "a\n"])
+    def test_bad_labels(self, label):
+        with pytest.raises(TriplifyError, match="blank node label"):
+            BlankNode(label)
 
 
 class TestTriple:

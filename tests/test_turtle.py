@@ -68,6 +68,17 @@ class TestBasics:
         )
         assert len(g) == 1
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_a_comment_ends_at_any_line_end(self, end):
+        text = end.join(
+            [
+                "@prefix ex: <http://e.org/> . # bound",
+                "ex:s ex:p ex:o . # first",
+                "ex:s ex:p ex:o2 .",
+            ]
+        )
+        assert len(triples(text)) == 2
+
     def test_long_string(self):
         g = triples('@prefix ex: <http://e.org/> . ex:s ex:p """line one\nline "two"""" .')
         (t,) = list(g)
