@@ -40,8 +40,11 @@ def _fail(message: str, code: int) -> int:
 
 
 def _read(path: str) -> str:
+    """The file's text with its line ends as written: every reader takes
+    LF, CRLF and CR, and a CR inside a quoted value is part of it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise TriplifyError(
             f"{path}: not UTF-8 text: byte {exc.start} ({exc.reason})"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -29,7 +28,6 @@ from .errors import (
 from .graph import Graph
 from .r2rml import (
     MappingDocument,
-    RefObjectMap,
     Template,
     TermMap,
     TriplesMap,
@@ -220,18 +218,6 @@ def _term_or_skip(
     return None
 
 
-def _parent_subject(tm: TermMap, row: Row, _rownum: int) -> Optional[Term]:
-    """The subject a parent's subject map tm makes for a joined row, or None:
-    a parent subject that cannot be made gives no edge, and the parent's
-    own pass logs it."""
-    try:
-        return generate_term(tm, row)
-    except MissingColumnError:
-        raise
-    except TriplifyError:
-        return None
-
-
 # A term map compiled for one conversion: (row, 1-based row number) -> the
 # ID of its term in the conversion's graph, or None.
 Maker = Callable[[Row, int], Optional[int]]
@@ -241,73 +227,57 @@ TermTable = dict[TermMap, dict[object, int]]
 
 
 def _maker(
-    tm: TermMap, g: Graph, terms: TermTable, miss: Callable[[Row, int], Optional[Term]]
+    tm: TermMap, g: Graph, terms: TermTable, report: ConversionReport, map_id: str, what: str
 ) -> Maker:
     """tm compiled over the term table: a row whose source cells were met
-    before gets the ID of the term made then, and only a row with new
-    cells calls miss. generate_term is a pure function of tm and those
-    cells, so this gives the term miss would. A NULL or failed term is
-    never stored, so miss logs each such row's skip, in row order, as it
-    comes."""
+    before gets the ID of the term made then, which generate_term, a pure
+    function of tm and those cells, would make again. Other rows go to
+    _term_or_skip; a NULL or failed term is never stored, so each such
+    row's skip is logged to report, in row order."""
     intern = g._intern
     if tm.constant is not None:
         constant = intern(tm.constant)
         return lambda row, rownum: constant
-
-    def made(row: Row, rownum: int) -> Optional[int]:
-        term = miss(row, rownum)
-        return None if term is None else intern(term)
-
     columns = tm.source_columns()
-    if not columns:
-        return made
-    cells_of = itemgetter(*columns)
+    cells_of = itemgetter(*columns) if columns else lambda row: ()
     table = terms.setdefault(tm, {})
 
     def make(row: Row, rownum: int) -> Optional[int]:
         try:
             cells = cells_of(row)
-        except KeyError:  # miss raises MissingColumnError, or meets a NULL first
-            return made(row, rownum)
+        except KeyError:  # no term: _term_or_skip raises MissingColumnError, or meets a NULL first
+            cells = None
         i = table.get(cells)
         if i is None:
-            i = made(row, rownum)
-            if i is not None:
-                table[cells] = i
+            term = _term_or_skip(tm, row, report, map_id, rownum, what)
+            if term is None:
+                return None
+            i = table[cells] = intern(term)
         return i
 
     return make
 
 
-def _table(
-    tables: dict[str, TableSource], tm: TriplesMap, same_as: Optional[str] = None
-) -> TableSource:
-    """tm's logical table. A reference to tm with no join condition passes
-    its own table as same_as: it makes tm's subjects from its own rows."""
+def _table(tables: dict[str, TableSource], tm: TriplesMap) -> TableSource:
     table = tables.get(tm.logical_table)
     if table is None:
         raise MappingError(f"logical table {tm.logical_table!r} was not provided")
-    if same_as is not None and same_as != tm.logical_table:
-        raise MappingError(
-            f"reference to {tm.id.to_ntriples()} has no join condition "
-            f"and a different logical table"
-        )
     return table
 
 
-def _parent_rows(
-    rom: RefObjectMap, child_table: str, tables: dict[str, TableSource]
-) -> dict[tuple, list[Row]]:
-    """The parent's rows by the values of their join columns (NULL joins nothing)."""
-    if not rom.joins:
-        _table(tables, rom.parent, same_as=child_table)
-        return {}
-    index: dict[tuple, list[Row]] = {}
-    for prow in _table(tables, rom.parent).rows:
-        key = tuple(prow.get(pc) for _, pc in rom.joins)
+def _join_table(
+    joins: tuple[tuple[str, str], ...], parent_rows: list[Row], parent_of: Maker
+) -> dict[tuple, list[int]]:
+    """The ID of each parent row's subject, by the row's join values: NULL
+    joins nothing, and a subject that cannot be made gives no edge."""
+    ids: dict[tuple, list[int]] = {}
+    for rownum, prow in enumerate(parent_rows, start=1):
+        key = tuple(prow.get(pc) for _, pc in joins)
         if None not in key:
-            index.setdefault(key, []).append(prow)
-    return index
+            i = parent_of(prow, rownum)
+            if i is not None:
+                ids.setdefault(key, []).append(i)
+    return ids
 
 
 def apply_triples_map(
@@ -318,10 +288,11 @@ def apply_triples_map(
 ) -> None:
     """Run one triples map over its logical table, inserting into g.
 
-    The objects of a referencing object map are its parent's subject map
-    applied to each joined parent row, or to the row itself when there is
-    no join condition. A parent subject that cannot be made gives no edge;
-    the parent's own pass logs it.
+    A join is planned as a table from each parent row's join values to
+    its subject's ID, made for every parent row with no NULL join value;
+    a reference with no join condition makes the parent's subject from
+    the row itself. A parent subject that cannot be made gives no edge,
+    and the parent's own pass logs it.
     """
     _apply_triples_map(tm, tables, g, report, {})
 
@@ -336,27 +307,32 @@ def _apply_triples_map(
     """apply_triples_map, making its terms through the conversion's term table."""
     rows = _table(tables, tm).rows
     map_id = tm.id.to_ntriples()
+    parents_log = ConversionReport()  # parent subjects' skips: the parent's pass logs them
 
-    def compiled(term_map: TermMap, what: str) -> Maker:
-        return _maker(
-            term_map,
-            g,
-            terms,
-            lambda row, rownum: _term_or_skip(term_map, row, report, map_id, rownum, what),
-        )
+    def compiled(term_map: TermMap, what: str, log: ConversionReport = report) -> Maker:
+        return _maker(term_map, g, terms, log, map_id, what)
 
-    # plan: each term map compiled once, each parent's rows indexed once
+    # plan: each term map compiled once, each join's parent subjects made once
     subject_of = compiled(tm.subject_map, "subject")
     poms = []
     for pom in tm.predicate_object_maps:
+        predicate_of = compiled(pom.predicate, "predicate")
         rom = pom.object
         if isinstance(rom, TermMap):
-            poms.append((compiled(pom.predicate, "predicate"), compiled(rom, "object"), None))
+            poms.append((predicate_of, compiled(rom, "object"), None))
             continue
-        sm = rom.parent.subject_map
-        parent_of = _maker(sm, g, terms, partial(_parent_subject, sm))
-        ref = (parent_of, _parent_rows(rom, tm.logical_table, tables), [cc for cc, _ in rom.joins])
-        poms.append((compiled(pom.predicate, "predicate"), None, ref))
+        parent_rows = _table(tables, rom.parent).rows
+        parent_of = compiled(rom.parent.subject_map, "subject", parents_log)
+        if rom.joins:
+            join = ([cc for cc, _ in rom.joins], _join_table(rom.joins, parent_rows, parent_of))
+            poms.append((predicate_of, None, join))
+        elif rom.parent.logical_table == tm.logical_table:
+            poms.append((predicate_of, parent_of, None))
+        else:
+            raise MappingError(
+                f"reference to {rom.parent.id.to_ntriples()} has no join condition "
+                f"and a different logical table"
+            )
     report.rows_read += len(rows)
 
     add = g._add_key
@@ -379,24 +355,18 @@ def _apply_triples_map(
             typed.add(subject)
             for cls in classes:
                 emit((subject, rdf_type, cls))
-        for predicate_of, object_of, ref in poms:
+        for predicate_of, object_of, join in poms:
             predicate = predicate_of(row, rownum)
             if predicate is None:
                 continue
-            if object_of is not None:
+            if join is None:
                 obj = object_of(row, rownum)
                 if obj is not None:
                     emit((subject, predicate, obj))
                 continue
-            parent_of, parent_rows, child_columns = ref
-            if child_columns:
-                prows = parent_rows.get(tuple(map(row.get, child_columns)), ())
-            else:
-                prows = (row,)
-            for prow in prows:
-                obj = parent_of(prow, 0)
-                if obj is not None:
-                    emit((subject, predicate, obj))
+            child_columns, ids = join
+            for obj in ids.get(tuple(map(row.get, child_columns)), ()):
+                emit((subject, predicate, obj))
 
 
 def convert(

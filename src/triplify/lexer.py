@@ -151,9 +151,11 @@ def tokenize(text: str) -> list[Token]:
             raise ParseError("unterminated string literal", line, col)
         else:
             raise ParseError(f"unexpected character {raw!r}", line, col)
-        if "\n" in raw:  # whitespace or a long string
-            line += raw.count("\n")
-            line_start = start + raw.rfind("\n") + 1
+        if "\n" in raw or "\r" in raw:  # whitespace or a long string
+            # a line ends at CRLF, CR or LF; the text is not normalised, so a
+            # raw CR in a long string stays in its value
+            line += raw.count("\n") + raw.count("\r") - raw.count("\r\n")
+            line_start = start + max(raw.rfind("\n"), raw.rfind("\r")) + 1
     tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 

@@ -73,10 +73,12 @@ RR_PARENT = _rr("parent")
 RR_GRAPH_MAP = _rr("graphMap")
 RR_GRAPH = _rr("graph")
 
+# the properties that make their subject a triples map
+_MAP_PROPERTIES = (RR_LOGICAL_TABLE, RR_SUBJECT_MAP, RR_SUBJECT)
 # objects of rr:termType, not properties
 _TERM_TYPES = {Iri(RR_NS + kind): kind for kind in ("IRI", "BlankNode", "Literal")}
 
-# _KNOWN holds these too; _check_rejected tests them first
+# _KNOWN holds these too; _read_nodes tests them first
 _REJECTED = {
     RR_SQL_QUERY: "rr:sqlQuery is not supported; name a base table with rr:tableName",
     RR_GRAPH_MAP: "named graphs (rr:graphMap) are not supported",
@@ -216,31 +218,38 @@ class MappingDocument:
 
 # --- parsing ----------------------------------------------------------------
 
-def _values(doc: Graph, node: Term, prop: Iri) -> list[Term]:
-    # canonical order, so maps, POMs and their warnings come out reproducibly
-    return [t.o for t in sorted(doc.match(node, prop, None), key=Triple.to_line)]
+# Each node of a mapping graph with its objects by property, in canonical order.
+_Nodes = dict[Term, dict[Iri, list[Term]]]
 
 
-def _single(doc: Graph, node: Term, prop: Iri, owner: str) -> Optional[Term]:
+def _values(doc: _Nodes, node: Term, prop: Iri) -> list[Term]:
+    return doc.get(node, {}).get(prop, [])
+
+
+def _single(doc: _Nodes, node: Term, prop: Iri, owner: str) -> Optional[Term]:
     found = _values(doc, node, prop)
     if len(found) > 1:
         raise MappingError(f"{owner}: more than one {prop.value.rsplit('#', 1)[1]!r} value")
     return found[0] if found else None
 
 
-def _check_rejected(doc: Graph, warnings: list[str]) -> None:
+def _read_nodes(doc: Graph, warnings: list[str]) -> _Nodes:
+    """doc's objects by node and property, read in one pass in canonical
+    order, so maps, POMs and their warnings come out reproducibly."""
+    nodes: _Nodes = {}
     seen_unknown = set()
-    for t in sorted(doc, key=Triple.to_line):  # canonical order, so warnings are reproducible
+    for t in sorted(doc, key=Triple.to_line):
         p = t.p
-        if not p.value.startswith(RR_NS):
-            continue
-        if p in _REJECTED:
-            raise UnsupportedFeatureError(_REJECTED[p])
-        if p in _IGNORED:
-            warnings.append(_IGNORED[p])
-        elif p not in _KNOWN and p not in seen_unknown:
+        nodes.setdefault(t.s, {}).setdefault(p, []).append(t.o)
+        if p in _KNOWN:
+            if p in _REJECTED:
+                raise UnsupportedFeatureError(_REJECTED[p])
+            if p in _IGNORED:
+                warnings.append(_IGNORED[p])
+        elif p not in seen_unknown and p.value.startswith(RR_NS):
             seen_unknown.add(p)
             warnings.append(f"unknown R2RML property ignored: <{p.value}>")
+    return nodes
 
 
 def _constant_map(term: Term) -> TermMap:
@@ -255,7 +264,7 @@ def _constant_map(term: Term) -> TermMap:
 
 
 def _parse_term_map(
-    doc: Graph, node: Term, position: str, owner: str
+    doc: _Nodes, node: Term, position: str, owner: str
 ) -> TermMap:
     constant = _single(doc, node, RR_CONSTANT, owner)
     column_term = _single(doc, node, RR_COLUMN, owner)
@@ -317,7 +326,7 @@ def _parse_term_map(
     return tm
 
 
-def _parse_logical_table(doc: Graph, node: Term, owner: str) -> str:
+def _parse_logical_table(doc: _Nodes, node: Term, owner: str) -> str:
     lt = _single(doc, node, RR_LOGICAL_TABLE, owner)
     if lt is None:
         raise MissingLogicalTableError(f"{owner}: no rr:logicalTable")
@@ -329,7 +338,7 @@ def _parse_logical_table(doc: Graph, node: Term, owner: str) -> str:
     return name.lexical
 
 
-def _parse_subject(doc: Graph, node: Term, owner: str) -> tuple[TermMap, list[Iri]]:
+def _parse_subject(doc: _Nodes, node: Term, owner: str) -> tuple[TermMap, list[Iri]]:
     sm_nodes = _values(doc, node, RR_SUBJECT_MAP)
     const_subjects = _values(doc, node, RR_SUBJECT)
     if len(sm_nodes) + len(const_subjects) == 0:
@@ -354,7 +363,7 @@ def _parse_subject(doc: Graph, node: Term, owner: str) -> tuple[TermMap, list[Ir
 
 
 def _parse_poms(
-    doc: Graph, node: Term, owner: str, maps: dict[Term, TriplesMap]
+    doc: _Nodes, node: Term, owner: str, maps: dict[Term, TriplesMap]
 ) -> list[PredicateObjectMap]:
     out: list[PredicateObjectMap] = []
     for pom_node in _values(doc, node, RR_POM):
@@ -404,9 +413,8 @@ def _parse_poms(
 def parse_mapping(doc: Graph, prefixes: PrefixMap, source_name: str = "") -> MappingDocument:
     """Interpret an RDF graph as an R2RML mapping document."""
     warnings: list[str] = []
-    _check_rejected(doc, warnings)
-
-    map_nodes = {t.s for t in doc if t.p in (RR_LOGICAL_TABLE, RR_SUBJECT_MAP, RR_SUBJECT)}
+    nodes = _read_nodes(doc, warnings)
+    map_nodes = [n for n, props in nodes.items() if not props.keys().isdisjoint(_MAP_PROPERTIES)]
     if not map_nodes:
         raise MissingSubjectMapError("document contains no triples maps")
 
@@ -414,8 +422,8 @@ def parse_mapping(doc: Graph, prefixes: PrefixMap, source_name: str = "") -> Map
     maps: dict[Term, TriplesMap] = {}
     for node in sorted(map_nodes, key=lambda n: n.to_ntriples()):
         owner = f"triples map {node.to_ntriples()}"
-        table = _parse_logical_table(doc, node, owner)
-        subject_map, classes = _parse_subject(doc, node, owner)
+        table = _parse_logical_table(nodes, node, owner)
+        subject_map, classes = _parse_subject(nodes, node, owner)
         maps[node] = TriplesMap(
             id=node,
             logical_table=table,
@@ -424,7 +432,7 @@ def parse_mapping(doc: Graph, prefixes: PrefixMap, source_name: str = "") -> Map
         )
     for node, tm in maps.items():
         owner = f"triples map {node.to_ntriples()}"
-        tm.predicate_object_maps = _parse_poms(doc, node, owner, maps)
+        tm.predicate_object_maps = _parse_poms(nodes, node, owner, maps)
 
     return MappingDocument(
         triples_maps=list(maps.values()),

@@ -9,7 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from triplify import execute, parse_ntriples, parse_query
+from triplify import (
+    Literal,
+    convert,
+    execute,
+    load_csv,
+    parse_mapping,
+    parse_ntriples,
+    parse_query,
+    parse_turtle,
+    serialize_ntriples,
+)
 from triplify.cli import main
 from triplify.registry import bundled_mapping_text, predicate_categories
 from triplify.terms import RDF_TYPE
@@ -179,6 +189,41 @@ class TestConvert:
         assert code == 2
         assert stdout == ""
         assert str(first) in stderr and str(second) in stderr
+
+
+class TestLineEnds:
+    """The CLI reads a file with its line ends as written, so a value that
+    holds one converts as the library converts the file's text."""
+
+    MAPPING = (
+        "@prefix rr: <http://www.w3.org/ns/r2rml#> .\r\n"
+        '<http://ex.org/M> rr:logicalTable [ rr:tableName "T" ] ;\r\n'
+        '  rr:subjectMap [ rr:template "http://ex.org/{ID}" ] ;\r\n'
+        "  rr:predicateObjectMap [ rr:predicate <http://ex.org/p> ;\r\n"
+        "    OBJECT ] .\r\n"
+    )
+
+    def convert_both(self, capsys, tmp_path, mapping_text, csv_text):
+        """The graph `triplify convert` writes, checked equal to the library's."""
+        mapping, csv, out = tmp_path / "mapping.ttl", tmp_path / "T.csv", tmp_path / "out.nt"
+        mapping.write_bytes(mapping_text.encode("utf-8"))
+        csv.write_bytes(csv_text.encode("utf-8"))
+        code, _, stderr = run(capsys, "convert", str(mapping), str(csv), "-o", str(out))
+        assert code == 0, stderr
+        m = parse_mapping(*parse_turtle(mapping_text))
+        want, _ = convert(m, {"T": load_csv(csv_text, "T")})
+        assert out.read_bytes().decode("utf-8") == serialize_ntriples(want)
+        return want
+
+    def test_crlf_in_a_long_string_of_the_mapping(self, capsys, tmp_path):
+        mapping = self.MAPPING.replace("OBJECT", 'rr:object """a\r\nb"""')
+        g = self.convert_both(capsys, tmp_path, mapping, "ID\r\n1\r\n")
+        assert {t.o for t in g} == {Literal("a\r\nb")}
+
+    def test_crlf_in_a_quoted_csv_field(self, capsys, tmp_path):
+        mapping = self.MAPPING.replace("OBJECT", 'rr:objectMap [ rr:column "NOTE" ]')
+        g = self.convert_both(capsys, tmp_path, mapping, 'ID,NOTE\r\n1,"x\r\ny"\r\n2,"z\rw"\r\n')
+        assert {t.o for t in g} == {Literal("x\r\ny"), Literal("z\rw")}
 
 
 class TestValidate:

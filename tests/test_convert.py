@@ -33,7 +33,13 @@ from triplify.errors import (
     TriplifyError,
     ValidationFailedError,
 )
-from triplify.r2rml import MappingDocument, PredicateObjectMap, TermMap, TriplesMap
+from triplify.r2rml import (
+    MappingDocument,
+    PredicateObjectMap,
+    RefObjectMap,
+    TermMap,
+    TriplesMap,
+)
 from triplify.terms import RDF_TYPE, XSD_DATE, XSD_INTEGER
 
 from conftest import fixture_case, fixture_cases
@@ -572,6 +578,7 @@ def assert_as_every_row(m, tables):
     g, report = convert(m, tables)
     want_g, want = convert_every_row(m, tables)
     assert serialize_ntriples(g) == serialize_ntriples(want_g)
+    assert list(g) == list(want_g)  # insertion order, which iteration and match follow
     assert report.skipped_log() == want.skipped_log()
     assert report.skipped_terms == want.skipped_terms
     assert (report.rows_read, report.triples_emitted, report.triples_deduplicated) == (
@@ -645,6 +652,76 @@ class TestTermTable:
         apply_triples_map(tm, {"T": table}, g, report)
         assert len(g) == 0
         assert [(t.row, t.column) for t in report.skipped_terms] == [(1, ""), (2, "")]
+
+    def test_dirty_references_as_every_row(self):
+        tables = reference_tables(
+            [
+                {"ID": "1", "KEY": "k", "SITE": "lung"},
+                {"ID": "2", "KEY": None, "SITE": "skin"},  # a NULL child join key
+                {"ID": "3", "KEY": "d", "SITE": None},  # a NULL under the no-join reference
+                {"ID": "4", "KEY": "k", "SITE": "\ud800"},  # a site that cannot be made
+                {"ID": "1", "KEY": "m", "SITE": "lung"},
+            ],
+            [
+                {"TID": "a", "PATIENT_KEY": "k"},
+                {"TID": "b", "PATIENT_KEY": None},  # a NULL parent join key
+                {"TID": None, "PATIENT_KEY": "k"},  # a NULL parent subject
+                {"TID": "\udc00", "PATIENT_KEY": "m"},  # a lone-surrogate parent subject
+                {"TID": "c", "PATIENT_KEY": "d"},
+                {"TID": "c", "PATIENT_KEY": "d"},  # equal key and subject: a duplicate edge
+                {"TID": "e", "PATIENT_KEY": "m"},
+            ],
+        )
+        g, report = assert_as_every_row(parse_mapping(*parse_turtle(REFERENCE_MAPPING)), tables)
+        assert edges(g, "hasTreatment") == [
+            (EX + "patient/1", EX + "treatment/a"),
+            (EX + "patient/1", EX + "treatment/e"),
+            (EX + "patient/3", EX + "treatment/c"),
+            (EX + "patient/4", EX + "treatment/a"),
+        ]
+        assert report.triples_deduplicated == 2  # the duplicate edge and patient/1's site
+        assert [(t.map_id, t.row, t.column) for t in report.skipped_terms] == [
+            ("<http://ex.org/SiteMap>", 3, "SITE"),
+            ("<http://ex.org/SiteMap>", 4, "SITE"),
+            ("<http://ex.org/TreatmentMap>", 3, "TID"),
+            ("<http://ex.org/TreatmentMap>", 4, "TID"),
+        ]
+
+    def test_a_join_to_a_map_in_no_document(self):
+        # the parent map is reachable only through the reference: its
+        # subjects are made for the join, and their skips are not logged
+        parent = TriplesMap(
+            Iri(EX + "T"), "T", TermMap(term_kind="IRI", template=parse_template(EX + "t/{TID}"))
+        )
+        has = PredicateObjectMap(
+            TermMap("IRI", constant=Iri(EX + "has")),
+            RefObjectMap(parent, (("KEY", "PATIENT_KEY"),)),
+        )
+        child = TriplesMap(
+            Iri(EX + "P"),
+            "P",
+            TermMap(term_kind="IRI", template=parse_template(EX + "p/{ID}")),
+            predicate_object_maps=[has],
+        )
+        tables = {
+            "P": TableSource(
+                "P", ("ID", "KEY"), [{"ID": "1", "KEY": "k"}, {"ID": "2", "KEY": "x"}]
+            ),
+            "T": TableSource(
+                "T",
+                ("TID", "PATIENT_KEY"),
+                [{"TID": None, "PATIENT_KEY": "k"}, {"TID": "a", "PATIENT_KEY": "k"}],
+            ),
+        }
+        g, report = Graph(), ConversionReport()
+        apply_triples_map(child, tables, g, report)
+        assert list(g) == [Triple(Iri(EX + "p/1"), Iri(EX + "has"), Iri(EX + "t/a"))]
+        assert report.rows_read == 2 and report.skipped_terms == []
+        # a parent table without the parent subject's column raises, even
+        # when no child row joins
+        tables["T"] = TableSource("T", ("PATIENT_KEY",), [{"PATIENT_KEY": "z"}])
+        with pytest.raises(MissingColumnError):
+            apply_triples_map(child, tables, Graph(), ConversionReport())
 
     def test_a_repeated_subject_counts_each_class_triple_as_a_duplicate(self):
         sm = TermMap(term_kind="IRI", template=parse_template("http://ex.org/{ID}"))

@@ -83,6 +83,17 @@ class TestParseQuery:
         assert (err.value.line, err.value.column) == (1, 22)
         assert "line 1, column 22" in str(err.value)
 
+    @pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_every_line_end_counts_in_positions(self, eol):
+        from triplify.errors import RelativeIriError
+
+        lines = ["SELECT ?s", 'WHERE { ?s <http://ex.org/p> """a', 'b""" .', "?s <p> ?o . }"]
+        text = eol.join(lines)
+        with pytest.raises(RelativeIriError) as err:
+            parse_query(text)
+        assert (err.value.line, err.value.column) == (4, 4)
+        assert "line 4, column 4" in str(err.value)
+
     def test_syntax_error_has_position(self):
         with pytest.raises(ParseError) as err:
             parse_query("SELECT ?x WHERE {", PREFIXES)

@@ -157,6 +157,23 @@ class TestDirectives:
         assert (err.value.line, err.value.column) == (3, 11)
         assert "line 3, column 11" in str(err.value)
 
+    @pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_every_line_end_counts_in_positions(self, eol):
+        text = eol.join(["@prefix ex: <http://e.org/> .", "ex:s ex:p ex:o .", "ex:s ex:p nope:o ."])
+        with pytest.raises(UnknownPrefixError) as err:
+            triples(text)
+        assert (err.value.line, err.value.column) == (3, 11)
+        assert "line 3, column 11" in str(err.value)
+
+    @pytest.mark.parametrize("eol", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_line_end_in_a_long_string_counts_and_stays_in_its_value(self, eol):
+        text = f'@prefix ex: <http://e.org/> .{eol}ex:s ex:p """a{eol}b""" ;{eol}  ex:q nope:o .'
+        with pytest.raises(UnknownPrefixError) as err:
+            triples(text)
+        assert (err.value.line, err.value.column) == (4, 8)
+        g = triples(text.replace("nope:o", "ex:o"))
+        assert Literal(f"a{eol}b") in {t.o for t in g}
+
     def test_relative_iri_has_position(self):
         with pytest.raises(RelativeIriError) as err:
             triples("<http://e.org/s> <http://e.org/p>\n  <o> .")
