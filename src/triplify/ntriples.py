@@ -2,8 +2,9 @@
 
 Output is canonical: one triple per line, lines sorted lexicographically,
 UTF-8, no BOM. Parsing accepts any valid N-Triples document (plus full-line
-and trailing comments) and is the exact inverse of serialization: blank
-node labels are preserved, so parse(serialize(g)) == g.
+and trailing comments) but one whose blank node label holds a `:`, which
+the term grammar shared with Turtle leaves out. It is the exact inverse of
+serialization: blank node labels are preserved, so parse(serialize(g)) == g.
 
 The reader matches each line with one pattern composed from the term
 terminals of `triplify.lexer`, the term grammar Turtle and SPARQL use.
@@ -11,9 +12,10 @@ As in Turtle and the RDF 1.1 grammar, a line (and a comment) ends at LF,
 CRLF or a lone CR, an IRI may hold only `\\u`/`\\U` escapes (`<a\\'b>` is
 a ParseError), a string no raw CR, and a blank node label ends where its
 characters do (`_:a<http://e.org/p> ...` parses).
-Each distinct term text is unescaped, validated and given a term ID once
-per document, where it first occurs; no `Triple` is built, as the
-line's slots already fix each term's position.
+One table maps the text each term was matched from to its term ID: a
+text is unescaped, validated and given an ID once per document, where it
+first occurs; no `Triple` is built, as the line's slots already fix each
+term's position.
 """
 
 from __future__ import annotations
@@ -23,14 +25,16 @@ import re
 from .errors import ParseError, TriplifyError
 from .graph import Graph
 from .lexer import BLANK, IRIREF, LANGTAG, STRING, unescape
-from .terms import RDF_LANGSTRING, BlankNode, Iri, Literal
+from .terms import RDF_LANGSTRING, BlankNode, Iri, Literal, Term
 
-# The slots of a triple line, in order; groups: subject, predicate, IRI or
-# blank object, string object, its datatype, its language tag.
+# A literal; groups: its string, datatype IRI and language tag.
+_LITERAL = rf"({STRING})(?:\^\^[ \t]*({IRIREF})|({LANGTAG}))?"
+_LITERAL_PARTS = re.compile(_LITERAL)
+# The slots of a triple line, in order; groups 1-3: subject, predicate, object.
 _SLOTS = (
     ("subject IRI or blank node", rf"({IRIREF}|{BLANK})"),
     ("predicate IRI", rf"({IRIREF})"),
-    ("object term", rf"({IRIREF}|{BLANK})|({STRING})(?:\^\^[ \t]*({IRIREF})|({LANGTAG}))?"),
+    ("object term", rf"({IRIREF}|{BLANK}|{_LITERAL})"),
     ("'.' at end of triple", r"\."),
 )
 _LINE = re.compile(
@@ -75,36 +79,25 @@ def _build(lineno: int, column: int, factory, *args):
         raise ParseError(str(exc), lineno, column) from None
 
 
-def _node(g: Graph, ids: dict, raw: str, lineno: int, column: int) -> int:
-    """The ID of the IRI or blank node a matched IRIREF or BLANK spells,
-    the term made and interned at raw's first occurrence in `ids`."""
+def _term(raw: str, lineno: int, column: int, datatypes: dict[str, Iri]) -> Term:
+    """The term a slot's matched text spells, told by its first character
+    (`<`, `_` or `"`); a literal's datatype IRI is made once per text, and
+    a bad one is a ParseError at its `<`."""
     if raw[0] == "<":
-        term = _build(lineno, column, Iri, unescape(raw[1:-1], lineno, column))
-    else:
-        term = _build(lineno, column, BlankNode, raw[2:])
-    i = ids[raw] = g._intern(term)
-    return i
-
-
-def _literal(g: Graph, ids: dict, datatypes: dict, m: re.Match, lineno: int) -> int:
-    """The ID of the literal `m` matched as object, the term made and
-    interned at the first occurrence of its groups in `ids`."""
-    string, datatype, language = key = m.group(4, 5, 6)
-    column = m.start(4) + 1
+        return _build(lineno, column, Iri, unescape(raw[1:-1], lineno, column))
+    if raw[0] == "_":
+        return _build(lineno, column, BlankNode, raw[2:])
+    m = _LITERAL_PARTS.fullmatch(raw)
+    string, datatype, language = m.groups()
     lexical = unescape(string[1:-1], lineno, column)
     if language is not None:
-        term = _build(lineno, column, Literal, lexical, RDF_LANGSTRING, language[1:])
-    elif datatype is not None:
-        iri = datatypes.get(datatype)
-        if iri is None:
-            at = m.start(5) + 1
-            value = unescape(datatype[1:-1], lineno, at)
-            iri = datatypes[datatype] = _build(lineno, at, Iri, value)
-        term = _build(lineno, column, Literal, lexical, iri)
-    else:
-        term = _build(lineno, column, Literal, lexical)
-    i = ids[key] = g._intern(term)
-    return i
+        return _build(lineno, column, Literal, lexical, RDF_LANGSTRING, language[1:])
+    if datatype is None:
+        return _build(lineno, column, Literal, lexical)
+    iri = datatypes.get(datatype)
+    if iri is None:
+        iri = datatypes[datatype] = _term(datatype, lineno, column + m.start(2), datatypes)
+    return _build(lineno, column, Literal, lexical, iri)
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -121,7 +114,7 @@ def parse_ntriples(text: str) -> Graph:
     if "\r" in text:  # a line ends at LF, CRLF or CR; no token holds a raw CR
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     g = Graph()
-    ids: dict = {}  # matched text (a tuple of groups for literals) -> ID
+    ids: dict[str, int] = {}  # a term's matched text -> its ID
     datatypes: dict[str, Iri] = {}  # a datatype's matched text -> its IRI
     triples = g._triples  # a new graph, no index to keep current
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -133,17 +126,12 @@ def parse_ntriples(text: str) -> Graph:
             continue  # blank or comment-only line
         subject = ids.get(s)
         if subject is None:
-            subject = _node(g, ids, s, lineno, m.start(1) + 1)
+            subject = ids[s] = g._intern(_term(s, lineno, m.start(1) + 1, datatypes))
         predicate = ids.get(p)
         if predicate is None:
-            predicate = _node(g, ids, p, lineno, m.start(2) + 1)
-        if o is not None:
-            obj = ids.get(o)
-            if obj is None:
-                obj = _node(g, ids, o, lineno, m.start(3) + 1)
-        else:
-            obj = ids.get(m.group(4, 5, 6))
-            if obj is None:
-                obj = _literal(g, ids, datatypes, m, lineno)
+            predicate = ids[p] = g._intern(_term(p, lineno, m.start(2) + 1, datatypes))
+        obj = ids.get(o)
+        if obj is None:
+            obj = ids[o] = g._intern(_term(o, lineno, m.start(3) + 1, datatypes))
         triples[subject, predicate, obj] = None
     return g

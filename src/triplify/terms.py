@@ -36,15 +36,26 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 _IRI_ILLEGAL = re.compile(r'[\x00-\x20<>"{}|^`\\\x7f\ud800-\udfff]')
 _IRI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 
-_BLANK_LABEL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?")
+# RDF 1.1 Turtle BLANK_NODE_LABEL: PN_CHARS_U or a digit, then PN_CHARS and
+# dots, not ending in a dot. Ranges stop short of the surrogates.
+_PN_CHARS_U = (
+    r"A-Za-z_\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u02FF\u0370-\u037D\u037F-\u1FFF"
+    r"\u200C\u200D\u2070-\u218F\u2C00-\u2FEF\u3001-\uD7FF\uF900-\uFDCF\uFDF0-\uFFFD"
+    r"\U00010000-\U000EFFFF"
+)
+_PN_CHARS = _PN_CHARS_U + r"\-0-9\u00B7\u0300-\u036F\u203F\u2040"
+_BLANK_LABEL = re.compile(rf"[{_PN_CHARS_U}0-9](?:[{_PN_CHARS}.]*[{_PN_CHARS}])?")
 
 _INTEGER_LEXICAL = re.compile(r"[+-]?[0-9]+")
 _DOUBLE_LEXICAL = re.compile(
     r"(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN)"
 )
 _BOOLEAN_LEXICAL = re.compile(r"true|false|1|0")
+# XSD 1.1 Part 2 D.3.1: a year of more than four digits has no leading
+# zero; a timezone is Z or an offset from -14:00 to +14:00.
 _DATE_LEXICAL = re.compile(
-    r"(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})(?:Z|([+-])([0-9]{2}):([0-9]{2}))?"
+    r"(-?(?:[1-9][0-9]{3,}|0[0-9]{3}))-([0-9]{2})-([0-9]{2})"
+    r"(?:Z|([+-])((?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
 )
 _MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
@@ -54,7 +65,7 @@ _LANGUAGE_TAG = re.compile(r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*")
 
 # Fast path: literals without any of these characters serialize as-is.
 _NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f]')
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n"}
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"}
 
 
 def exact_int(digits: str) -> int:
@@ -90,7 +101,7 @@ def date_minutes(lexical: str) -> int:
     arithmetic, which holds for any year, `datetime.date`'s 1-9999 or not.
     Remembered per form, as a FILTER meets the same few dates many times.
     """
-    year, month, day, sign, hours, minutes = _DATE_LEXICAL.fullmatch(lexical).groups()
+    year, month, day, sign, offset = _DATE_LEXICAL.fullmatch(lexical).groups()
     # days from civil (H. Hinnant): years begin on March 1, so a leap
     # day is the last day of its year
     y = exact_int(year) - (int(month) <= 2)
@@ -98,8 +109,8 @@ def date_minutes(lexical: str) -> int:
     day_of_year = (153 * ((int(month) + 9) % 12) + 2) // 5 + int(day) - 1
     day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
     days = era * 146097 + day_of_era - 719468
-    offset = 0 if sign is None else int(hours) * 60 + int(minutes)
-    return days * 1440 - (offset if sign == "+" else -offset)
+    minutes = 0 if sign is None else int(offset[:2]) * 60 + int(offset[3:])
+    return days * 1440 - (minutes if sign == "+" else -minutes)
 
 
 def _escape_char(ch: str) -> str:
@@ -112,7 +123,8 @@ def _escape_char(ch: str) -> str:
 def escape_literal(text: str) -> str:
     """Escape a literal's lexical form for N-Triples output.
 
-    Quote, backslash and newline use their short escapes; every other
+    Quote, backslash, newline and carriage return use their short
+    escapes (RDF 1.1 N-Triples canonical form); every other
     control character becomes \\uXXXX; everything else passes through.
     """
     if _NEEDS_ESCAPE.search(text) is None:

@@ -471,6 +471,20 @@ class TestConvert:
         map_id, row, column, reason = log.strip().split("\t")
         assert row == "1" and column == "AGE" and reason
 
+    def test_date_form_xsd_forbids_is_skipped_and_logged(self):
+        dated = CANDIDATE_MAPPING.replace("xsd:integer", "xsd:date")
+        rows = [
+            {"ID": "1", "AGE": "2020-01-01+14:30"},
+            {"ID": "2", "AGE": "02020-01-01"},
+            {"ID": "3", "AGE": "2020-01-01+14:00"},
+        ]
+        table = TableSource("PATIENT", ("ID", "AGE"), rows)
+        g, report = convert(parse_mapping(*parse_turtle(dated)), {"PATIENT": table})
+        assert [(t.row, t.column) for t in report.skipped_terms] == [(1, "AGE"), (2, "AGE")]
+        assert {t.o for t in g if t.p == Iri(EX + "hasAge")} == {
+            Literal("2020-01-01+14:00", XSD_DATE)
+        }
+
     def test_lone_surrogate_in_iri_cell_is_skipped_and_logged(self):
         rows = [{"ID": "\ud800", "AGE": "1"}, {"ID": "2", "AGE": "3"}]
         table = TableSource("PATIENT", ("ID", "AGE"), rows)

@@ -154,6 +154,10 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_ntriples("<http://e.org/s> <rel> <http://e.org/o> .")
         assert (err.value.line, err.value.column) == (1, 18)
+        # a bad datatype IRI is reported where its `<` is
+        with pytest.raises(ParseError) as err:
+            parse_ntriples('<http://a> <http://b> "1"^^<rel> .')
+        assert (err.value.line, err.value.column) == (1, 28)
 
     def test_term_error_raises_where_that_term_first_occurs(self):
         # the lexical "x" is a good plain and tagged literal on lines 1-2
@@ -170,6 +174,16 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_ntriples("\n".join(lines + lines) + "\n")
         assert (err.value.line, err.value.column) == (3, 35)
+
+    def test_spacing_after_carets_is_one_term(self):
+        integer = "<http://www.w3.org/2001/XMLSchema#integer>"
+        g = parse_ntriples(
+            f'<http://e.org/a> <http://e.org/p> "1"^^{integer} .\n'
+            f'<http://e.org/b> <http://e.org/p> "1"^^ \t{integer} .\n'
+        )
+        (_, _, first), (_, _, second) = g._triples
+        assert first == second and len(g._terms) == 4
+        assert {t.o for t in g} == {Literal("1", XSD_INTEGER)}
 
     def test_literal_subject_rejected(self):
         with pytest.raises(ParseError):

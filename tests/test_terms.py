@@ -2,10 +2,20 @@
 
 import pytest
 
-from triplify import BlankNode, Iri, Literal, PrefixMap, Triple, parse_ntriples, parse_turtle
+from triplify import (
+    BlankNode,
+    Iri,
+    Literal,
+    PrefixMap,
+    Triple,
+    parse_ntriples,
+    parse_turtle,
+    serialize_ntriples,
+)
 from triplify.errors import (
     IllegalCharacterError,
     LexicalFormMismatchError,
+    ParseError,
     RelativeIriError,
     TriplifyError,
     UnknownPrefixError,
@@ -116,16 +126,33 @@ class TestLiteral:
         with pytest.raises(LexicalFormMismatchError):
             Literal(lexical, XSD_INTEGER)
 
-    @pytest.mark.parametrize("lexical", ["2020-02-29", "1999-12-31", "2020-01-01Z"])
+    # XSD 1.1 Part 2 D.3.1: a timezone offset runs to 14:00, and only a
+    # four-digit year may start with 0
+    @pytest.mark.parametrize(
+        "lexical",
+        ["2020-02-29", "1999-12-31", "2020-01-01Z", "2020-01-01+14:00", "2020-01-01-14:00",
+         "2020-01-01+13:59", "0000-01-01", "-0001-01-01", "12020-01-01"],
+    )
     def test_date_lexicals(self, lexical):
         Literal(lexical, XSD_DATE)
 
     @pytest.mark.parametrize(
-        "lexical", ["2020-02-30", "2021-02-29", "2020-13-01", "20-01-01", "2020-01-01\n"]
+        "lexical",
+        ["2020-02-30", "2021-02-29", "2020-13-01", "20-01-01", "2020-01-01\n",
+         "2020-01-01+14:30", "2020-01-01-15:00", "2020-01-01+13:60", "2020-01-01+99:99",
+         "02020-01-01", "-02020-01-01"],
     )
     def test_bad_date_lexicals(self, lexical):
         with pytest.raises(LexicalFormMismatchError):
             Literal(lexical, XSD_DATE)
+
+    def test_a_forbidden_date_is_a_positioned_parse_error(self):
+        date = "<http://www.w3.org/2001/XMLSchema#date>"
+        text = f'<http://e.org/s> <http://e.org/p> "2020-01-01"^^{date} .\n'
+        for bad in ("2020-01-01+14:30", "02020-01-01"):
+            with pytest.raises(ParseError, match="lexical form") as err:
+                parse_ntriples(text + f'<http://e.org/s> <http://e.org/p> "{bad}"^^{date} .\n')
+            assert (err.value.line, err.value.column) == (2, 35)
 
     @pytest.mark.parametrize("lexical", ["1.5", "-2.0e3", "INF", "NaN", ".5", "3"])
     def test_double_lexicals(self, lexical):
@@ -188,10 +215,25 @@ class TestLongIntegers:
 
 
 class TestBlankNode:
-    @pytest.mark.parametrize("label", ["", "-a", "a.", "a b", "a\n"])
+    @pytest.mark.parametrize("label", ["", "-a", "a.", "a b", "a\n", "\u00b7a", "a:b", "\ud800"])
     def test_bad_labels(self, label):
         with pytest.raises(TriplifyError, match="blank node label"):
             BlankNode(label)
+
+    @pytest.mark.parametrize("label", ["café", "a\u00b7b", "日本", "\u00e9.x", "_\u203f", "0\U00010000"])
+    def test_turtle_labels(self, label):
+        # RDF 1.1 Turtle BLANK_NODE_LABEL: PN_CHARS_U or a digit first,
+        # then PN_CHARS and inner dots
+        assert BlankNode(label).label == label
+
+    @pytest.mark.parametrize("label", ["café", "a\u00b7b"])
+    def test_non_ascii_labels_read_alike_and_round_trip(self, label):
+        line = f"_:{label} <http://e.org/p> _:{label} .\n"
+        g = parse_ntriples(line)
+        assert g == parse_turtle(line)[0]
+        (triple,) = g
+        assert triple.s == triple.o == BlankNode(label)
+        assert serialize_ntriples(g) == line
 
 
 class TestTriple:
@@ -218,9 +260,9 @@ class TestEscaping:
         assert escape_literal('a"b') == 'a\\"b'
         assert escape_literal("a\\b") == "a\\\\b"
         assert escape_literal("a\nb") == "a\\nb"
+        assert escape_literal("a\rb") == "a\\rb"
 
     def test_other_controls_as_uXXXX(self):
-        assert escape_literal("a\rb") == "a\\u000Db"
         assert escape_literal("a\tb") == "a\\u0009b"
         assert escape_literal("\x7f") == "\\u007F"
 

@@ -1,11 +1,15 @@
 """Turtle subset: everything an R2RML document needs, nothing more."""
 
+import random
+
 import pytest
 
-from triplify import Iri, Literal, Triple, parse_ntriples, parse_turtle
+from triplify import Iri, Literal, Triple, parse_ntriples, parse_turtle, serialize_ntriples
 from triplify.errors import ParseError, RelativeIriError, UnknownPrefixError
 from triplify.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER
 from triplify.turtle import MAX_NESTING
+
+from genutil import random_graph
 
 
 def triples(text, base=None):
@@ -272,3 +276,17 @@ class TestAgreementWithNTriples:
             "_:b7 <http://e.org/p> <http://e.org/o> .\n"
         )
         assert triples(text) == parse_ntriples(text)
+
+    def test_random_graph_documents_read_alike(self):
+        # the Turtle reader is the reference the N-Triples reader is held to
+        rng = random.Random(31)
+        for i in range(200):
+            text = serialize_ntriples(random_graph(rng, 40))
+            assert parse_ntriples(text) == triples(text), f"document {i}"
+
+    def test_fixture_documents_read_alike(self, fixtures_dir):
+        documents = sorted(fixtures_dir.glob("*/*.nt"))
+        assert documents
+        for path in documents:
+            text = path.read_text(encoding="utf-8")
+            assert parse_ntriples(text) == triples(text), path.parent.name
