@@ -31,6 +31,9 @@ from .errors import ParseError, RelativeIriError, TriplifyError, UnknownPrefixEr
 from .terms import (
     _BLANK_LABEL,
     _IRI_SCHEME,
+    _PN_CHARS,
+    _PN_CHARS_BASE,
+    _PN_CHARS_U,
     RDF_LANGSTRING,
     XSD_BOOLEAN,
     XSD_INTEGER,
@@ -45,7 +48,11 @@ STRING = r'"[^"\\\n\r]*(?:\\.[^"\\\n\r]*)*"'  # short, double-quoted
 BLANK = "_:" + _BLANK_LABEL.pattern
 LANGTAG = r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 
-_NAME_CHAR = r"(?:[\w\-]|%[0-9A-Fa-f]{2})"
+# RDF 1.1 Turtle PN_PREFIX and PN_LOCAL (SPARQL's are the same), with
+# `%hh` escapes but not the `\`-escaped punctuation of PN_LOCAL_ESC.
+_PLX = r"%[0-9A-Fa-f]{2}"
+_PN_PREFIX = rf"[{_PN_CHARS_BASE}](?:[{_PN_CHARS}.]*[{_PN_CHARS}])?"
+_PN_LOCAL = rf"(?:[{_PN_CHARS_U}:0-9]|{_PLX})(?:(?:[{_PN_CHARS}.:]|{_PLX})*(?:[{_PN_CHARS}:]|{_PLX}))?"
 
 _UNESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
 _SHORT_ESCAPES = {
@@ -78,7 +85,7 @@ _GRAMMAR = re.compile(
     | (?P<integer>[+-]?[0-9]+)
     | (?P<at>{LANGTAG})
     | (?P<symbol>\^\^|<=|>=|!=|[=<>.;,\[\](){{}}*])
-    | (?P<pname>(?:[^\W\d_](?:[\w.\-]*[\w\-])?)?:(?:(?:[\w:]|%[0-9A-Fa-f]{{2}})(?:(?:{_NAME_CHAR}|[.:])*(?:{_NAME_CHAR}|:))?)?)
+    | (?P<pname>(?:{_PN_PREFIX})?:(?:{_PN_LOCAL})?)
     | (?P<word>[A-Za-z]\w*)
     | (?P<error>.)
     """,

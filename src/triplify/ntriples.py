@@ -6,16 +6,26 @@ and trailing comments) but one whose blank node label holds a `:`, which
 the term grammar shared with Turtle leaves out. It is the exact inverse of
 serialization: blank node labels are preserved, so parse(serialize(g)) == g.
 
-The reader matches each line with one pattern composed from the term
-terminals of `triplify.lexer`, the term grammar Turtle and SPARQL use.
+A line is read one of two ways. A line in the canonical shape `S P O .`,
+which is every line the writer makes, is split at its first two spaces,
+and each of the three texts is checked for its slot: a text already in
+the term table by its first character alone (a subject is not a literal,
+a predicate is an IRI), a new text by a full match of that slot's term
+pattern. Every other line goes to one line pattern composed from the term
+terminals of `triplify.lexer`, the term grammar Turtle and SPARQL use:
+so does a line with tabs, runs of spaces or a comment, a blank node label
+touching the next term (`_:a<http://e.org/p> ...` parses), and every line
+with an error, which that pattern rescans to name the slot that broke.
+Both ways check the whole line before any of its terms is made, and end
+in one block that makes the line's new terms, so they give the same
+graph, term IDs and errors.
+
 As in Turtle and the RDF 1.1 grammar, a line (and a comment) ends at LF,
 CRLF or a lone CR, an IRI may hold only `\\u`/`\\U` escapes (`<a\\'b>` is
-a ParseError), a string no raw CR, and a blank node label ends where its
-characters do (`_:a<http://e.org/p> ...` parses).
-One table maps the text each term was matched from to its term ID: a
-text is unescaped, validated and given an ID once per document, where it
-first occurs; no `Triple` is built, as the line's slots already fix each
-term's position.
+a ParseError) and a string no raw CR. One table maps the text each term
+was read from to its term ID: a text is unescaped, validated and given an
+ID once per document, where it first occurs; no `Triple` is built, as
+the line's slots already fix each term's position.
 """
 
 from __future__ import annotations
@@ -41,6 +51,8 @@ _LINE = re.compile(
     r"[ \t]*(?:" + r"[ \t]*".join(f"(?:{slot})" for _, slot in _SLOTS) + r"[ \t]*)?(?:#.*)?"
 )
 _WS = re.compile(r"[ \t]*")
+# Each slot's term pattern alone, for a text of a canonical line.
+_SLOT_TERMS = tuple(re.compile(slot).fullmatch for _, slot in _SLOTS[:3])
 
 
 def serialize_ntriples(g: Graph) -> str:
@@ -103,6 +115,16 @@ def _term(raw: str, lineno: int, column: int, datatypes: dict[str, Iri]) -> Term
 def parse_ntriples(text: str) -> Graph:
     """Parse an N-Triples document into a graph (duplicate lines collapse).
 
+    A line in the canonical shape `S P O .` (single spaces, nothing after
+    the dot) is split at its first two spaces; a text already in the term
+    table must only start right for its slot (a subject is not a literal,
+    a predicate is an IRI), and a new one must fully match that slot's term
+    pattern. Any other line, and a line that fails one of these checks, is
+    matched by the full line pattern, which allows comments and any spacing
+    and names the slot a syntax error is in. All three slots are checked
+    before any term is made, so a line with a syntax error reports that
+    error, not a term error from an earlier slot.
+
     The reader hands the graph term IDs: each distinct IRI, blank node or
     literal text is unescaped, validated and interned once, where it
     first occurs, and every later occurrence reuses its ID. Interning is
@@ -115,23 +137,41 @@ def parse_ntriples(text: str) -> Graph:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     g = Graph()
     ids: dict[str, int] = {}  # a term's matched text -> its ID
+    get = ids.get
     datatypes: dict[str, Iri] = {}  # a datatype's matched text -> its IRI
     triples = g._triples  # a new graph, no index to keep current
+    subject_term, predicate_term, object_term = _SLOT_TERMS
     for lineno, line in enumerate(text.split("\n"), start=1):
-        m = _LINE.fullmatch(line)
-        if m is None:
-            raise _syntax_error(line, lineno)
-        s, p, o = m.group(1, 2, 3)
-        if s is None:
-            continue  # blank or comment-only line
-        subject = ids.get(s)
+        m = None
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[2][-2:] == " .":
+            s, p, o = parts
+            o = o[:-2]
+            subject, predicate, obj = get(s), get(p), get(o)
+            canonical = (
+                (s[0] != '"' if subject is not None else subject_term(s))
+                and (p[0] == "<" if predicate is not None else predicate_term(p))
+                and (obj is not None or object_term(o))
+            )
+        else:
+            canonical = False
+        if not canonical:
+            m = _LINE.fullmatch(line)
+            if m is None:
+                raise _syntax_error(line, lineno)
+            s, p, o = m.group(1, 2, 3)
+            if s is None:
+                continue  # blank or comment-only line
+            subject, predicate, obj = get(s), get(p), get(o)
+        # a text twice on one line is made twice if new; both get one ID
         if subject is None:
-            subject = ids[s] = g._intern(_term(s, lineno, m.start(1) + 1, datatypes))
-        predicate = ids.get(p)
+            column = m.start(1) + 1 if m else 1
+            subject = ids[s] = g._intern(_term(s, lineno, column, datatypes))
         if predicate is None:
-            predicate = ids[p] = g._intern(_term(p, lineno, m.start(2) + 1, datatypes))
-        obj = ids.get(o)
+            column = m.start(2) + 1 if m else len(s) + 2
+            predicate = ids[p] = g._intern(_term(p, lineno, column, datatypes))
         if obj is None:
-            obj = ids[o] = g._intern(_term(o, lineno, m.start(3) + 1, datatypes))
+            column = m.start(3) + 1 if m else len(s) + len(p) + 3
+            obj = ids[o] = g._intern(_term(o, lineno, column, datatypes))
         triples[subject, predicate, obj] = None
     return g

@@ -38,11 +38,12 @@ _IRI_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
 
 # RDF 1.1 Turtle BLANK_NODE_LABEL: PN_CHARS_U or a digit, then PN_CHARS and
 # dots, not ending in a dot. Ranges stop short of the surrogates.
-_PN_CHARS_U = (
-    r"A-Za-z_\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u02FF\u0370-\u037D\u037F-\u1FFF"
+_PN_CHARS_BASE = (
+    r"A-Za-z\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u02FF\u0370-\u037D\u037F-\u1FFF"
     r"\u200C\u200D\u2070-\u218F\u2C00-\u2FEF\u3001-\uD7FF\uF900-\uFDCF\uFDF0-\uFFFD"
     r"\U00010000-\U000EFFFF"
 )
+_PN_CHARS_U = _PN_CHARS_BASE + "_"
 _PN_CHARS = _PN_CHARS_U + r"\-0-9\u00B7\u0300-\u036F\u203F\u2040"
 _BLANK_LABEL = re.compile(rf"[{_PN_CHARS_U}0-9](?:[{_PN_CHARS}.]*[{_PN_CHARS}])?")
 

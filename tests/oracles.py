@@ -3,6 +3,10 @@
 The reference serializer spells each triple through `Triple.to_line`
 and sorts the lines; it shares no code with the term-ID writer.
 
+The reference N-Triples reader matches every line with the full line
+pattern, never splitting a line at its spaces; the columns it reports
+are where the pattern's groups start.
+
 The reference conversion makes every term afresh, on every row, with
 `generate_term`: it keeps no table of terms already made.
 
@@ -26,7 +30,8 @@ from decimal import Decimal
 
 from triplify import BlankNode, Graph, Iri, Literal, Triple, generate_term
 from triplify.convert import ConversionReport, _term_or_skip
-from triplify.errors import MissingColumnError, TriplifyError, TypeMismatchError
+from triplify.errors import MissingColumnError, ParseError, TriplifyError, TypeMismatchError
+from triplify.ntriples import _LINE, _syntax_error, _term
 from triplify.query import FilterExpr, Var
 from triplify.r2rml import TermMap
 from triplify.registry import Shape, ShapeConstraint, ValidationReport, Violation
@@ -39,6 +44,41 @@ def serialize_every_line(g: Graph) -> str:
     """What `serialize_ntriples` gives: every triple's own line, sorted,
     each ended by a newline."""
     return "".join(line + "\n" for line in sorted(t.to_line() for t in g))
+
+
+def parse_every_line(text: str) -> Graph:
+    """What `parse_ntriples` gives: every line read by `_LINE`, and each
+    slot's new text made into a term at the column its group starts."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    g = Graph()
+    ids: dict[str, int] = {}
+    datatypes: dict = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        m = _LINE.fullmatch(line)
+        if m is None:
+            raise _syntax_error(line, lineno)
+        if m.group(1) is None:
+            continue
+        key = []
+        for k in (1, 2, 3):
+            raw = m.group(k)
+            if raw not in ids:
+                ids[raw] = g._intern(_term(raw, lineno, m.start(k) + 1, datatypes))
+            key.append(ids[raw])
+        g._add_key(tuple(key))
+    return g
+
+
+def read_outcome(parse, text: str):
+    """What a reader gives for text, in full: the graph, its term and
+    triple order, or the ParseError's message, line and column."""
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    return g, list(g._terms), list(g._triples)
 
 
 def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:

@@ -36,6 +36,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(argv, stdout=subprocess.PIPE, hash_seed=None):
+    """`python -m triplify *argv` in a new process, reading this checkout's
+    `src`; `hash_seed` sets PYTHONHASHSEED."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    return subprocess.run(
+        [sys.executable, "-m", "triplify", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, encoding="utf-8", env=env,
+    )
+
+
 class TestConvert:
     def test_fixture_converts_to_oracle(self, capsys, tmp_path):
         out = tmp_path / "out.nt"
@@ -438,6 +451,56 @@ class TestQueryAcrossFiles:
         assert (plain, quiet) == (stdout, "")
 
 
+class TestGraphFilesInANewProcess:
+    """Graph files read by `python -m triplify`, as by the installed script."""
+
+    def test_a_lone_cr_ends_a_line_and_a_comment(self, tmp_path):
+        graph = tmp_path / "cr.nt"
+        lines = [
+            "<http://ex.org/a> <http://ex.org/p> <http://ex.org/b> . # one",
+            "# a comment",
+            '<http://ex.org/b> <http://ex.org/p> "2" .',
+        ]
+        graph.write_bytes("".join(line + "\r" for line in lines).encode("utf-8"))
+        stats = run_module(["stats", str(graph)])
+        assert stats.returncode == 0, stats.stderr
+        assert "triples\t2" in stats.stdout.splitlines()
+
+    def test_a_non_ascii_blank_label_reads_and_a_cr_is_written_back_escaped(self, tmp_path):
+        graph = tmp_path / "cafe.nt"
+        graph.write_bytes('_:café <http://ex.org/p> "x\\r\\ny" .\n'.encode("utf-8"))
+        stats = run_module(["stats", str(graph)])
+        assert stats.returncode == 0, stats.stderr
+        assert "triples\t1" in stats.stdout.splitlines()
+        query = run_module(
+            ["query", str(graph), "--query", "SELECT ?s ?o WHERE { ?s <http://ex.org/p> ?o . }"]
+        )
+        assert query.returncode == 0, query.stderr
+        assert '_:café\t"x\\r\\ny"' in query.stdout.splitlines()
+
+    def test_two_files_that_say_x_name_two_nodes_under_two_hash_seeds(self, tmp_path):
+        paths = []
+        for i in (1, 2):
+            path = tmp_path / f"x{i}.nt"
+            path.write_bytes(
+                f"_:x <{RDF_TYPE.value}> <http://ex.org/C> .\n"
+                f'_:x <http://ex.org/p> "{i}" .\n'.encode("utf-8")
+            )
+            paths.append(str(path))
+        select = "SELECT ?s WHERE { ?s a <http://ex.org/C> . }"
+        outputs = []
+        for seed in (1, 2):
+            query = run_module(["query", *paths, "--query", select], hash_seed=seed)
+            stats = run_module(["stats", *paths], hash_seed=seed)
+            assert query.returncode == stats.returncode == 0, query.stderr + stats.stderr
+            outputs.append((query.stdout, stats.stdout))
+        assert outputs[0] == outputs[1]
+        subjects, stats = outputs[0]
+        blanks = {line for line in subjects.splitlines()[1:] if line.startswith("_:")}
+        assert len(blanks) == 2
+        assert "class\t<http://ex.org/C>\t2" in stats.splitlines()
+
+
 class TestSynth:
     def test_deterministic_files(self, capsys, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
@@ -589,14 +652,6 @@ PATIENT_WITHOUT_EDGES = (
 class TestClosedStdout:
     """A reader that has gone away, as in `triplify stats g.nt | head -1`."""
 
-    def _run(self, argv, stdout):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "triplify.cli", *argv],
-            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
-        )
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -610,12 +665,12 @@ class TestClosedStdout:
         graph = tmp_path / "g.nt"
         graph.write_text(PATIENT_WITHOUT_EDGES)
         argv = [a.replace("GRAPH", str(graph)) for a in argv]
-        open_pipe = self._run(argv, subprocess.PIPE)
+        open_pipe = run_module(argv)
         assert open_pipe.stdout  # there is something to write
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            closed = self._run(argv, write_end)
+            closed = run_module(argv, write_end)
         finally:
             os.close(write_end)
         assert "Traceback" not in closed.stderr

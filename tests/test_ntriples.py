@@ -10,7 +10,7 @@ from triplify.terms import XSD_INTEGER
 
 from conftest import fixture_case, fixture_cases
 from genutil import fuzz_graph, random_graph
-from oracles import serialize_every_line
+from oracles import parse_every_line, read_outcome, serialize_every_line
 
 
 class TestSerialize:
@@ -197,6 +197,76 @@ class TestParse:
         )
         g = parse_ntriples(text)
         assert len(g) == 3
+
+
+S, P, O = "<http://e.org/s>", "<http://e.org/p>", "<http://e.org/o>"
+INTEGER = "<http://www.w3.org/2001/XMLSchema#integer>"
+# Documents on both sides of the canonical `S P O .` split and its checks.
+DOCUMENTS = {
+    "canonical": f'{S} {P} {O} .\n_:b {P} "x"@en .\n{S} {P} "1"^^{INTEGER} .\n{S} {P} _:b .\n',
+    "tabs": f"{S}\t{P}\t{O}\t.\n{S} {P} {O}\t.\n",
+    "double spaces": f"{S}  {P} {O} .\n{S} {P}  {O} .\n{S} {P} {O}  .\n",
+    "leading and trailing spaces": f" {S} {P} {O} .\n{S} {P} {O} . \n",
+    "trailing comment": f'{S} {P} {O} . # a note\n{S} {P} "x" . # " .\n{S} {P} {O} .#\n',
+    "blank touching predicate": f"_:a{P} {O} .\n_:a {P} {O} .\n",
+    "literals with spaces and dots": (
+        f'{S} {P} "a . b ." .\n{S} {P} " ." .\n{S} {P} "x y"@en .\n{S} {P} "1"^^ {INTEGER} .\n'
+    ),
+    "known literal as subject": f'{S} {P} "lit" .\n"lit" {P} {O} .\n',
+    "known literal as predicate": f'{S} {P} "lit" .\n{S} "lit" {O} .\n',
+    "object IRI as predicate": f"{S} {P} <http://e.org/q> .\n{S} <http://e.org/q> {O} .\n",
+    "known blank as predicate": f"{S} {P} _:b .\n{S} _:b {O} .\n",
+    "bad escape in subject, broken object": f"<http://e.org/\\uD800> {P} <http://e.org/o a> .\n",
+    "bad escape in subject": f"<http://e.org/\\uD800> {P} {O} .\n",
+    "relative subject, missing dot": f"<rel> {P} {O}\n",
+    "one text in two slots": f"_:a {P} _:a .\n{O} {O} {O} .\n",
+    "four terms": f"{S} {P} {O} {O} .\n",
+    "empty object": f"{S} {P}  .\n",
+    "lone dot": " .\n",
+}
+
+
+class TestCanonicalLines:
+    """The split read of canonical lines against `parse_every_line`, the
+    reference that reads every line with the full line pattern."""
+
+    @pytest.mark.parametrize("text", DOCUMENTS.values(), ids=DOCUMENTS.keys())
+    def test_same_graph_order_and_errors_as_the_line_pattern(self, text):
+        assert read_outcome(parse_ntriples, text) == read_outcome(parse_every_line, text)
+
+    def test_spacing_variants_of_random_graphs(self):
+        rng = random.Random(7120)
+        variants = [
+            lambda line: line.replace(" ", "\t", 1),
+            lambda line: line.replace(" ", "  ", rng.randrange(1, 4)),
+            lambda line: " " + line,
+            lambda line: line + " ",
+            lambda line: line + " # c",
+            lambda line: line[:-2] + "\t.",
+            lambda line: line.replace(" ", "", 1),
+        ]
+        for i in range(300):
+            lines = serialize_ntriples(fuzz_graph(rng, 12)).splitlines()
+            lines = [rng.choice(variants)(x) if rng.random() < 0.3 else x for x in lines]
+            text = "\n".join(lines) + "\n"
+            assert read_outcome(parse_ntriples, text) == read_outcome(parse_every_line, text), i
+
+    def test_a_known_text_is_checked_for_its_new_slot(self):
+        with pytest.raises(ParseError, match="subject") as err:
+            parse_ntriples(DOCUMENTS["known literal as subject"])
+        assert (err.value.line, err.value.column) == (2, 1)
+        with pytest.raises(ParseError, match="predicate IRI") as err:
+            parse_ntriples(DOCUMENTS["known blank as predicate"])
+        assert (err.value.line, err.value.column) == (2, 18)
+        assert len(parse_ntriples(DOCUMENTS["object IRI as predicate"])) == 2
+
+    def test_syntax_error_before_an_earlier_slot_term_error(self):
+        with pytest.raises(ParseError, match="object term") as err:
+            parse_ntriples(DOCUMENTS["bad escape in subject, broken object"])
+        assert (err.value.line, err.value.column) == (1, 40)
+        with pytest.raises(ParseError, match="surrogate") as err:
+            parse_ntriples(DOCUMENTS["bad escape in subject"])
+        assert (err.value.line, err.value.column) == (1, 1)
 
 
 class TestRoundTrip:

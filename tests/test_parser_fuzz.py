@@ -3,7 +3,9 @@ readers, and differential checks of the readers that share term syntax.
 
 Every mutated document must either parse or raise a TriplifyError; any
 other exception is a crash in the shared lexer or in one of the grammars.
-N-Triples is a subset of Turtle, so both readers must agree on it.
+N-Triples is a subset of Turtle, so both readers must agree on it, and
+the N-Triples reader must read a mutated document as the reference that
+matches every line with the full line pattern does.
 """
 
 import random
@@ -28,6 +30,7 @@ from triplify.errors import ParseError, TriplifyError
 from triplify.registry import bundled_mapping_text
 
 from genutil import mutate, mutated_shapes_texts, random_graph, random_query_text, random_table
+from oracles import parse_every_line, read_outcome
 
 
 def _survives(parse, text: str):
@@ -84,6 +87,9 @@ def test_mutated_ntriples_parse_or_raise_positioned_parse_errors():
         if not isinstance(out, Graph):
             assert isinstance(out, ParseError), (repr(out), text)
             assert out.line >= 1 and out.column >= 1, (str(out), text)
+        # the same graph, term order, triple order or error as a reader
+        # that matches every line with the full line pattern
+        assert read_outcome(parse_ntriples, text) == read_outcome(parse_every_line, text), text
 
 
 def test_mutated_csv_loads_or_raises_triplify_errors():

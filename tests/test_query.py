@@ -181,6 +181,16 @@ class TestSharedTermSyntax:
         q = parse_query("SELECT ?s WHERE { ?s <http://ex.org/caf\\u00E9> ?o . }")
         assert q.patterns[0].p == Iri(EX + "café")
 
+    @pytest.mark.parametrize("local", ["a·b", "a‿b"])
+    def test_prefixed_name_holds_every_pn_char(self, local):
+        q = parse_query(f"PREFIX e: <http://ex.org/> SELECT ?s WHERE {{ ?s e:{local} ?o . }}")
+        assert q.patterns[0].p == Iri(EX + local)
+
+    def test_prefixed_name_char_outside_pn_chars_is_a_positioned_error(self):
+        with pytest.raises(ParseError, match="unexpected character '½'") as err:
+            parse_query("PREFIX e: <http://ex.org/>\nSELECT ?s WHERE { ?s e:a½b ?o . }")
+        assert (err.value.line, err.value.column) == (2, 25)
+
     def test_turtle_prefix_directive_rejected(self):
         with pytest.raises(ParseError):
             parse_query("@prefix e: <http://ex.org/> . SELECT ?s WHERE { ?s e:p ?o . }")

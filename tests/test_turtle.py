@@ -155,6 +155,17 @@ class TestDirectives:
         with pytest.raises(UnknownPrefixError):
             triples("ex:s ex:p ex:o .")
 
+    @pytest.mark.parametrize("prefix, local", [("ex", "a·b"), ("ex", "a‿b"), ("e·x", "a"), ("e‿x", "a")])
+    def test_prefixed_name_holds_every_pn_char(self, prefix, local):
+        (t,) = list(triples(f"@prefix {prefix}: <http://e.org/> . {prefix}:{local} {prefix}:p {prefix}:o ."))
+        assert t.s == Iri(f"http://e.org/{local}")
+
+    def test_prefixed_name_char_outside_pn_chars_is_a_positioned_error(self):
+        # U+00BD is a Unicode number, so `\w`, but in no PN_CHARS range
+        with pytest.raises(ParseError, match="unexpected character '½'") as err:
+            triples("@prefix ex: <http://e.org/> .\nex:s ex:p ex:a½b .")
+        assert (err.value.line, err.value.column) == (2, 15)
+
     def test_unknown_prefix_has_position(self):
         with pytest.raises(UnknownPrefixError) as err:
             triples("@prefix ex: <http://e.org/> .\n\nex:s ex:p nope:o .")
