@@ -16,11 +16,12 @@ from pathlib import Path
 from typing import Optional
 
 from .convert import convert
-from .errors import MappingError, QueryError, TriplifyError
+from .errors import QueryError, TriplifyError
 from .graph import Graph, merge
 from .ntriples import parse_ntriples, serialize_ntriples
 from .query import execute, explain, parse_query
 from .registry import (
+    _CATEGORIES,
     builtin_shapes,
     generate_synthetic,
     load_shapes,
@@ -122,10 +123,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if any(d.severity == "error" for d in diagnostics):
         return 1
 
-    try:
-        g, report = convert(mapping, tables)
-    except MappingError as exc:
-        return _fail(str(exc), 1)
+    g, report = convert(mapping, tables)
     try:
         _write_output(serialize_ntriples(g), args.output)
         print(report.summary(), file=sys.stderr)
@@ -213,7 +211,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     counts = Counter()
     for p, category in predicate_categories().items():
         counts[category] += len(by_p.get(ids.get(p), ()))
-    for name in ("demographic", "tumour", "treatment", "core"):
+    for name in _CATEGORIES:
         lines.append(f"category\t{name}\t{counts[name]}")
     _write_output("".join(line + "\n" for line in lines))
     return 0

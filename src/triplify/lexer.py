@@ -93,6 +93,17 @@ _GRAMMAR = re.compile(
 )
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of a line-based document (N-Triples, the registry's TSV
+    files): a leading BOM is dropped, and a line ends at LF, CRLF or a
+    lone CR, so no line holds a raw CR."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def unescape(raw: str, line: int, column: int) -> str:
     """Decode an IRI or string token's escapes; a bad one is a ParseError there."""
     if "\\" not in raw:

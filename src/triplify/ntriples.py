@@ -34,7 +34,7 @@ import re
 
 from .errors import ParseError, TriplifyError
 from .graph import Graph
-from .lexer import BLANK, IRIREF, LANGTAG, STRING, unescape
+from .lexer import BLANK, IRIREF, LANGTAG, STRING, split_lines, unescape
 from .terms import RDF_LANGSTRING, BlankNode, Iri, Literal, Term
 
 # A literal; groups: its string, datatype IRI and language tag.
@@ -83,33 +83,31 @@ def _syntax_error(line: str, lineno: int) -> ParseError:
     return ParseError("unexpected text after '.'", lineno, _WS.match(line, i).end() + 1)
 
 
-def _build(lineno: int, column: int, factory, *args):
-    """factory(*args), with a TriplifyError re-raised as a ParseError there."""
-    try:
-        return factory(*args)
-    except TriplifyError as exc:
-        raise ParseError(str(exc), lineno, column) from None
-
-
 def _term(raw: str, lineno: int, column: int, datatypes: dict[str, Iri]) -> Term:
     """The term a slot's matched text spells, told by its first character
-    (`<`, `_` or `"`); a literal's datatype IRI is made once per text, and
-    a bad one is a ParseError at its `<`."""
-    if raw[0] == "<":
-        return _build(lineno, column, Iri, unescape(raw[1:-1], lineno, column))
-    if raw[0] == "_":
-        return _build(lineno, column, BlankNode, raw[2:])
-    m = _LITERAL_PARTS.fullmatch(raw)
-    string, datatype, language = m.groups()
-    lexical = unescape(string[1:-1], lineno, column)
-    if language is not None:
-        return _build(lineno, column, Literal, lexical, RDF_LANGSTRING, language[1:])
-    if datatype is None:
-        return _build(lineno, column, Literal, lexical)
-    iri = datatypes.get(datatype)
-    if iri is None:
-        iri = datatypes[datatype] = _term(datatype, lineno, column + m.start(2), datatypes)
-    return _build(lineno, column, Literal, lexical, iri)
+    (`<`, `_` or `"`); a term that cannot be made is a ParseError at
+    `column`. A literal's datatype IRI is made once per text, and a bad
+    one is a ParseError at its `<`."""
+    try:
+        if raw[0] == "<":
+            return Iri(unescape(raw[1:-1], lineno, column))
+        if raw[0] == "_":
+            return BlankNode(raw[2:])
+        m = _LITERAL_PARTS.fullmatch(raw)
+        string, datatype, language = m.groups()
+        lexical = unescape(string[1:-1], lineno, column)
+        if language is not None:
+            return Literal(lexical, RDF_LANGSTRING, language[1:])
+        if datatype is None:
+            return Literal(lexical)
+        iri = datatypes.get(datatype)
+        if iri is None:
+            iri = datatypes[datatype] = _term(datatype, lineno, column + m.start(2), datatypes)
+        return Literal(lexical, iri)
+    except ParseError:
+        raise  # a bad escape, or a bad datatype IRI, at its own column
+    except TriplifyError as exc:
+        raise ParseError(str(exc), lineno, column) from None
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -131,17 +129,13 @@ def parse_ntriples(text: str) -> Graph:
     by term, so two spellings of one term (`<http://e.org/\\u0041>` and
     `<http://e.org/A>`, `"a"` and `"a"^^xsd:string`) get one ID.
     """
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    if "\r" in text:  # a line ends at LF, CRLF or CR; no token holds a raw CR
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     g = Graph()
     ids: dict[str, int] = {}  # a term's matched text -> its ID
     get = ids.get
     datatypes: dict[str, Iri] = {}  # a datatype's matched text -> its IRI
     triples = g._triples  # a new graph, no index to keep current
     subject_term, predicate_term, object_term = _SLOT_TERMS
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         m = None
         parts = line.split(" ", 2)
         if len(parts) == 3 and parts[2][-2:] == " .":

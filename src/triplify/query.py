@@ -23,10 +23,13 @@ FILTER runs as soon as it and every FILTER written before it have their
 variables bound, so answers, and whether a query raises
 TypeMismatchError, are those of testing every filter in written order
 after all patterns, whatever order the patterns are written in.
-`explain` also reports the plan and the rows left after each step. Dates
-compare by value, as XSD `op:date-less-than` orders them; a date without
-a timezone is taken as Z. Result rows are deduplicated and canonically
-sorted; there is no ORDER BY.
+`explain` also reports the plan and the rows left after each step.
+A FILTER orders the datatypes `terms._DATATYPES` gives a kind of value:
+xsd:integer, xsd:decimal and xsd:double by numeric value, with each other,
+and xsd:date by value, as XSD `op:date-less-than` orders them (a date
+without a timezone is taken as Z). As in SPARQL 1.1, `1.5` is an
+xsd:decimal and `1.5e0` an xsd:double. Result rows are deduplicated and
+canonically sorted; there is no ORDER BY.
 """
 
 from __future__ import annotations
@@ -40,26 +43,21 @@ from .errors import TypeMismatchError, UnboundProjectionError
 from .graph import Graph, Index, Key, merge
 from .lexer import Token, TokenParser
 from .terms import (
+    _DATATYPES,
     RDF_TYPE,
-    XSD_DATE,
+    XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
     Literal,
     PrefixMap,
     Term,
-    date_minutes,
-    exact_int,
 )
 
-# The datatypes a FILTER can order, by IRI text (a str hashes without a
-# Python call), each with its kind (only values of one kind compare) and
-# the value of a lexical form.
-_ORDERED: dict[str, tuple[str, Callable[[str], object]]] = {
-    XSD_INTEGER.value: ("numeric", exact_int),
-    XSD_DOUBLE.value: ("numeric", float),
-    XSD_DATE.value: ("date", date_minutes),
-}
+# The FILTER operators; an ordering one needs an operand whose datatype
+# terms._DATATYPES gives a kind of value.
+_COMPARE = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 _ORDERING_OPS = ("<", "<=", ">", ">=")
+_UNORDERED = (None, None, None)  # the _DATATYPES entry of any other datatype
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,9 +107,6 @@ class Solution:
 
 
 # --- parser ----------------------------------------------------------------
-
-_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
-
 
 class _QueryParser(TokenParser):
     def __init__(self, text: str, prefixes: Optional[PrefixMap]):
@@ -201,7 +196,9 @@ class _QueryParser(TokenParser):
         return self.operand(tok)
 
     def operand(self, tok: Token) -> Literal:
-        if tok.kind in ("decimal", "double"):
+        if tok.kind == "decimal":
+            return Literal(tok.value, XSD_DECIMAL)
+        if tok.kind == "double":
             return Literal(tok.value, XSD_DOUBLE)
         return self.literal(tok, "a term")
 
@@ -209,11 +206,12 @@ class _QueryParser(TokenParser):
         self.expect("(")
         var_tok = self.expect("var")
         op_tok = self.next()
-        if op_tok.kind not in _COMPARISONS:
+        if op_tok.kind not in _COMPARE:
             raise self.error(f"expected comparison operator, got {op_tok.value!r}", op_tok)
         operand = self.operand(self.next())
         self.expect(")")
-        if op_tok.kind in _ORDERING_OPS and operand.datatype.value not in _ORDERED:
+        kind = _DATATYPES.get(operand.datatype.value, _UNORDERED)[1]
+        if op_tok.kind in _ORDERING_OPS and kind is None:
             raise TypeMismatchError(
                 f"ordering operator {op_tok.kind!r} needs a numeric or date operand"
             )
@@ -414,9 +412,6 @@ def _solve(g: Graph, q: Query) -> tuple[_Plan, list[tuple], list[int]]:
     return plan, rows, counts
 
 
-_COMPARE = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
-
-
 def _filter_test(f: FilterExpr, g: Graph) -> Callable[[int], bool]:
     """The filter as a test of its variable's term ID in g. The operand's
     value is computed once, and each ID's outcome once per call: the
@@ -425,23 +420,22 @@ def _filter_test(f: FilterExpr, g: Graph) -> Callable[[int], bool]:
     False and True."""
     op, operand, terms = f.op, f.operand, g._terms
     compare = _COMPARE[op]
-    ordered = _ORDERED.get(operand.datatype.value)
-    if ordered is None:
+    _, kind, value = _DATATYPES.get(operand.datatype.value, _UNORDERED)
+    if kind is None:
         # equality on everything else is term equality: one ID, as the
         # operand, a literal, is the term it equals or absent from g
         equal_to = g._ids.get(operand)
         if op == "=":
             return lambda i: i == equal_to
         return lambda i: i != equal_to
-    kind, value = ordered
     bound = value(operand.lexical)
 
     def test(term: Term) -> bool:
         if isinstance(term, Literal):
-            theirs = _ORDERED.get(term.datatype.value)
-            if theirs is not None and theirs[0] == kind:
-                return compare(theirs[1](term.lexical), bound)
-        if op in ("=", "!="):
+            _, theirs, their_value = _DATATYPES.get(term.datatype.value, _UNORDERED)
+            if theirs == kind:
+                return compare(their_value(term.lexical), bound)
+        if op not in _ORDERING_OPS:
             return op == "!="
         raise TypeMismatchError(f"cannot order {term.to_ntriples()} against a {kind} operand")
 

@@ -18,11 +18,13 @@ import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import Decimal
+from functools import cache
 from importlib import resources
 from typing import Iterator, Optional
 
 from .errors import TriplifyError
 from .graph import Graph
+from .lexer import split_lines
 from .r2rml import MappingDocument, parse_mapping
 from .tabular import TableSource
 from .terms import (
@@ -71,8 +73,9 @@ def _expand(prefixes: PrefixMap, curie: str, where: str) -> Iri:
 
 def _tsv_records(text: str, width: int, what: str) -> Iterator[tuple[str, list[str]]]:
     """("<what> line N", stripped fields) for each line that is neither
-    blank nor a `#` comment; a line without `width` fields is an error."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    blank nor a `#` comment; a line without `width` fields is an error.
+    Lines are split as N-Triples splits them (`lexer.split_lines`)."""
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -118,14 +121,14 @@ def load_vocabulary(text: str) -> list[VocabularyTerm]:
     return terms
 
 
-_vocabulary_cache: Optional[tuple[VocabularyTerm, ...]] = None
+@cache
+def _bundled(load, filename: str) -> tuple:
+    """What `load` reads from a bundled data file, read once per process."""
+    return tuple(load(_data_text(filename)))
 
 
 def builtin_vocabulary() -> list[VocabularyTerm]:
-    global _vocabulary_cache
-    if _vocabulary_cache is None:
-        _vocabulary_cache = tuple(load_vocabulary(_data_text("vocabulary.tsv")))
-    return list(_vocabulary_cache)
+    return list(_bundled(load_vocabulary, "vocabulary.tsv"))
 
 
 def term_by_label(label: str) -> VocabularyTerm:
@@ -199,14 +202,8 @@ def load_shapes(text: str) -> list[Shape]:
     return [Shape(cls, tuple(cs)) for cls, cs in grouped.items()]
 
 
-_shapes_cache: Optional[tuple[Shape, ...]] = None
-
-
 def builtin_shapes() -> list[Shape]:
-    global _shapes_cache
-    if _shapes_cache is None:
-        _shapes_cache = tuple(load_shapes(_data_text("shapes.tsv")))
-    return list(_shapes_cache)
+    return list(_bundled(load_shapes, "shapes.tsv"))
 
 
 # --- validation -----------------------------------------------------------------

@@ -4,11 +4,12 @@ Terms are immutable value objects, valid by construction:
 
 * every Iri is an absolute IRI free of forbidden characters,
 * every Literal's lexical form matches its datatype (for the datatypes
-  this package validates: integer, double, date, boolean),
+  in `_DATATYPES`: integer, decimal, double, date, boolean),
 * every Triple obeys the RDF position rules (no literal subjects,
   IRI predicates only).
 
-All positions reported in errors are 1-based.
+`_DATATYPES` is also where `query` finds which values a FILTER orders,
+and how. All positions reported in errors are 1-based.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import (
     IllegalCharacterError,
@@ -48,6 +49,7 @@ _PN_CHARS = _PN_CHARS_U + r"\-0-9\u00B7\u0300-\u036F\u203F\u2040"
 _BLANK_LABEL = re.compile(rf"[{_PN_CHARS_U}0-9](?:[{_PN_CHARS}.]*[{_PN_CHARS}])?")
 
 _INTEGER_LEXICAL = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_LEXICAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 _DOUBLE_LEXICAL = re.compile(
     r"(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN)"
 )
@@ -158,14 +160,20 @@ RDF_LANGSTRING = Iri(RDF_NS + "langString")
 XSD_STRING = Iri(XSD_NS + "string")
 XSD_INTEGER = Iri(XSD_NS + "integer")
 XSD_DOUBLE = Iri(XSD_NS + "double")
+XSD_DECIMAL = Iri(XSD_NS + "decimal")
 XSD_DATE = Iri(XSD_NS + "date")
 XSD_BOOLEAN = Iri(XSD_NS + "boolean")
 
-_VALIDATED_LEXICALS = {
-    XSD_INTEGER: _INTEGER_LEXICAL.fullmatch,
-    XSD_DOUBLE: _DOUBLE_LEXICAL.fullmatch,
-    XSD_BOOLEAN: _BOOLEAN_LEXICAL.fullmatch,
-    XSD_DATE: _valid_date,
+# Every datatype whose lexical forms are checked, by IRI text (a str
+# caches its hash, an Iri does not): the test of a lexical form, then,
+# for a datatype a FILTER can order, the kind of its values (only values
+# of one kind compare) and the value a lexical form spells.
+_DATATYPES: dict[str, tuple[Callable[[str], object], Optional[str], Optional[Callable]]] = {
+    XSD_INTEGER.value: (_INTEGER_LEXICAL.fullmatch, "numeric", exact_int),
+    XSD_DECIMAL.value: (_DECIMAL_LEXICAL.fullmatch, "numeric", float),
+    XSD_DOUBLE.value: (_DOUBLE_LEXICAL.fullmatch, "numeric", float),
+    XSD_DATE.value: (_valid_date, "date", date_minutes),
+    XSD_BOOLEAN.value: (_BOOLEAN_LEXICAL.fullmatch, None, None),
 }
 
 
@@ -213,8 +221,8 @@ class Literal:
                 raise TriplifyError(f"malformed language tag: {self.language!r}")
         elif self.datatype == RDF_LANGSTRING:
             raise TriplifyError("rdf:langString literals require a language tag")
-        check = _VALIDATED_LEXICALS.get(self.datatype)
-        if check is not None and not check(self.lexical):
+        checked = _DATATYPES.get(self.datatype.value)
+        if checked is not None and not checked[0](self.lexical):
             raise LexicalFormMismatchError(self.lexical, self.datatype.value)
 
     def to_ntriples(self) -> str:

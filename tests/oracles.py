@@ -35,9 +35,9 @@ from triplify.ntriples import _LINE, _syntax_error, _term
 from triplify.query import FilterExpr, Var
 from triplify.r2rml import TermMap
 from triplify.registry import Shape, ShapeConstraint, ValidationReport, Violation
-from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DOUBLE, XSD_INTEGER, Term
+from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Term
 
-_NUMERIC = (XSD_INTEGER, XSD_DOUBLE)
+_NUMERIC = (XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE)
 
 
 def serialize_every_line(g: Graph) -> str:

@@ -292,6 +292,19 @@ class TestValidate:
         )
         assert code == 0 and stdout == ""
 
+    def test_shapes_file_with_a_bom_and_a_comment(self, capsys, tmp_path, conforming_graph):
+        shapes = tmp_path / "shapes.tsv"
+        shapes.write_text(
+            "\ufeff# patients\r\nncit:C16960\troo:P100027\tliteral(xsd:integer)\t2\t2\r\n",
+            encoding="utf-8",
+            newline="",
+        )
+        code, stdout, stderr = run(
+            capsys, "validate", str(conforming_graph), "--shapes", str(shapes)
+        )
+        assert code == 1, stderr
+        assert len(stdout.splitlines()) == 6  # one per patient: one age, not two
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -499,6 +512,104 @@ class TestGraphFilesInANewProcess:
         blanks = {line for line in subjects.splitlines()[1:] if line.startswith("_:")}
         assert len(blanks) == 2
         assert "class\t<http://ex.org/C>\t2" in stats.splitlines()
+
+
+class TestEveryCommandInANewProcess:
+    """`python -m triplify` through synth, convert, validate, query and
+    stats, as by the installed script, on 40 synthetic patients plus one
+    with a NULL age and three treatment rows with an impossible date."""
+
+    EXPLAIN = (
+        "SELECT ?p ?age WHERE { ?p a ncit:C16960 . ?p roo:P100027 ?age . "
+        "?p roo:P100039 ?t . FILTER(?age >= 50) }"
+    )
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        """The directory holding mapping.ttl and tables/, and graph<seed>.nt
+        and skipped<seed>.tsv from `convert` under hash seeds 1 and 2."""
+        work = tmp_path_factory.mktemp("commands")
+        tables = work / "tables"
+        synth = run_module(["synth", str(tables), "--n", "40", "--seed", "1"])
+        assert synth.returncode == 0, synth.stderr
+        with open(tables / "PATIENT.csv", "a", encoding="utf-8") as f:
+            f.write("999,,C16576,C12420\n")
+        with open(tables / "TREATMENT.csv", "a", encoding="utf-8") as f:
+            for treatment in ("T999", "T998", "T997"):
+                f.write(f"{treatment},999,2021-02-30,photon,C104914\n")
+        (work / "mapping.ttl").write_text(bundled_mapping_text(), encoding="utf-8")
+        for seed in (1, 2):
+            argv = self.convert_argv(work, "mapping.ttl")
+            argv += ["-o", str(work / f"graph{seed}.nt")]
+            argv += ["--skipped-log", str(work / f"skipped{seed}.tsv")]
+            convert = run_module(argv, hash_seed=seed)
+            assert convert.returncode == 0, convert.stderr
+        return work
+
+    @staticmethod
+    def convert_argv(work, mapping, tables=("PATIENT", "TREATMENT")):
+        csv = [str(work / "tables" / f"{table}.csv") for table in tables]
+        return ["convert", str(work / mapping), *csv]
+
+    def test_convert_is_the_same_under_two_hash_seeds(self, work):
+        for name in ("graph{}.nt", "skipped{}.tsv"):
+            assert (work / name.format(1)).read_bytes() == (work / name.format(2)).read_bytes()
+
+    def test_four_skips_and_a_repeated_bad_date_logged_on_every_row_in_row_order(self, work):
+        log = (work / "skipped1.tsv").read_text(encoding="utf-8")
+        skips = [line.split("\t") for line in log.splitlines()]
+        assert len(skips) == 4
+        treatments = (work / "tables" / "TREATMENT.csv").read_text(encoding="utf-8")
+        rows = len(treatments.splitlines()) - 1
+        dates = [(int(row), column) for _, row, column, _ in skips if column == "RT_START_DATE"]
+        assert dates == [(n, "RT_START_DATE") for n in range(rows - 2, rows + 1)], skips
+
+    def test_validate_finds_the_null_age_and_the_three_dates_under_two_hash_seeds(self, work):
+        argv = ["validate", str(work / "graph1.nt")]
+        runs = [run_module(argv, hash_seed=seed) for seed in (1, 2)]
+        assert [r.returncode for r in runs] == [1, 1], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        lines = runs[0].stdout.splitlines()
+        assert len(lines) == 4
+        assert sum("roo/P100027>" in line for line in lines) == 1
+        assert sum("roo/P100041>" in line for line in lines) == 3
+
+    def test_count_query(self, work):
+        count = "SELECT (COUNT(*) AS ?n) WHERE { ?p a ncit:C16960 . }"
+        query = run_module(["query", str(work / "graph1.nt"), "--query", count])
+        assert query.returncode == 0, query.stderr
+        assert query.stdout.splitlines()[1] == '"41"^^<http://www.w3.org/2001/XMLSchema#integer>'
+
+    def test_explain_is_the_same_under_two_hash_seeds(self, work):
+        argv = ["query", str(work / "graph1.nt"), "--explain", "--query", self.EXPLAIN]
+        runs = [run_module(argv, hash_seed=seed) for seed in (1, 2)]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)
+        assert json.loads(runs[0].stderr)["steps"]
+
+    def test_stats(self, work):
+        stats = run_module(["stats", str(work / "graph1.nt")])
+        assert stats.returncode == 0, stats.stderr
+        patients = "class\t<http://purl.obolibrary.org/obo/NCIT_C16960>\t41"
+        assert patients in stats.stdout.splitlines()
+
+    def test_the_bundled_mapping_with_crlf_line_ends_converts_unchanged(self, work):
+        crlf = bundled_mapping_text().replace("\n", "\r\n")
+        (work / "crlf.ttl").write_text(crlf, encoding="utf-8", newline="")
+        convert = run_module([*self.convert_argv(work, "crlf.ttl"), "-o", str(work / "crlf.nt")])
+        assert convert.returncode == 0, convert.stderr
+        assert (work / "crlf.nt").read_bytes() == (work / "graph1.nt").read_bytes()
+
+    def test_a_cr_only_mapping_names_the_line_of_its_unknown_prefix(self, work):
+        lines = [
+            "@prefix rr: <http://www.w3.org/ns/r2rml#> .",
+            "# line 2",
+            'nope:M rr:logicalTable [ rr:tableName "PATIENT" ] .',
+        ]
+        (work / "cr.ttl").write_text("".join(line + "\r" for line in lines), newline="")
+        convert = run_module(self.convert_argv(work, "cr.ttl", ["PATIENT"]))
+        assert convert.returncode == 2
+        assert "line 3" in convert.stderr
 
 
 class TestSynth:

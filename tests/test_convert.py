@@ -40,7 +40,7 @@ from triplify.r2rml import (
     TermMap,
     TriplesMap,
 )
-from triplify.terms import RDF_TYPE, XSD_DATE, XSD_INTEGER
+from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
 
 from conftest import fixture_case, fixture_cases
 from genutil import random_table, simple_mapping
@@ -484,6 +484,14 @@ class TestConvert:
         assert {t.o for t in g if t.p == Iri(EX + "hasAge")} == {
             Literal("2020-01-01+14:00", XSD_DATE)
         }
+
+    def test_decimal_cell_outside_the_lexical_space_is_skipped_and_logged(self):
+        decimal = CANDIDATE_MAPPING.replace("xsd:integer", "xsd:decimal")
+        rows = [{"ID": "1", "AGE": "abc"}, {"ID": "2", "AGE": "1.5"}]
+        table = TableSource("PATIENT", ("ID", "AGE"), rows)
+        g, report = convert(parse_mapping(*parse_turtle(decimal)), {"PATIENT": table})
+        assert [(t.row, t.column) for t in report.skipped_terms] == [(1, "AGE")]
+        assert {t.o for t in g if t.p == Iri(EX + "hasAge")} == {Literal("1.5", XSD_DECIMAL)}
 
     def test_lone_surrogate_in_iri_cell_is_skipped_and_logged(self):
         rows = [{"ID": "\ud800", "AGE": "1"}, {"ID": "2", "AGE": "3"}]

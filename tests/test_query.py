@@ -24,7 +24,7 @@ from triplify.errors import (
     UnboundProjectionError,
 )
 from triplify.query import FilterExpr, Query, Var, explain
-from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
+from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
 
 from genutil import pooled_graph, random_query_text
 from oracles import brute_force_solution, solution_tuples
@@ -104,6 +104,24 @@ class TestParseQuery:
             parse_query(
                 'SELECT ?p WHERE { ?p roo:P100027 ?a . FILTER(?a > "abc") }', PREFIXES
             )
+
+    def test_a_filter_may_be_followed_by_a_dot(self):
+        q = parse_query(
+            "SELECT ?p WHERE { ?p roo:P100027 ?a . FILTER(?a > 50) . FILTER(?a < 60) . }",
+            PREFIXES,
+        )
+        assert [(f.op, f.operand.lexical) for f in q.filters] == [(">", "50"), ("<", "60")]
+
+    def test_a_blank_node_predicate_is_a_positioned_error(self):
+        with pytest.raises(ParseError, match="blank nodes cannot be predicates") as err:
+            parse_query("SELECT ?p WHERE { ?p _:b ?o . }", PREFIXES)
+        assert (err.value.line, err.value.column) == (1, 22)
+
+    def test_a_decimal_is_xsd_decimal_and_an_exponent_xsd_double(self):
+        # SPARQL 1.1 Query 4.1.2
+        q = parse_query("SELECT ?p WHERE { ?p roo:P100027 1.5 . FILTER(?p != 1.0e6) }", PREFIXES)
+        assert q.patterns[0].o == Literal("1.5", XSD_DECIMAL)
+        assert q.filters[0].operand == Literal("1.0e6", XSD_DOUBLE)
 
     def test_blank_nodes_act_as_variables(self):
         q = parse_query("SELECT ?p WHERE { ?p roo:P100039 _:t . }", PREFIXES)
@@ -304,6 +322,39 @@ class TestExecute:
         )
         got = solution_tuples(execute(g, q))
         assert got == [(Iri(EX + "a"),), (Iri(EX + "b"),)]
+
+    def test_decimals_order_with_integers_and_doubles(self):
+        values = {
+            "one": Literal("1", XSD_INTEGER),
+            "decimal": Literal("1.5", XSD_DECIMAL),
+            "integer": Literal("2", XSD_INTEGER),
+            "double": Literal("2.5", XSD_DOUBLE),
+        }
+        g = Graph(Triple(Iri(EX + name), Iri(EX + "p"), v) for name, v in values.items())
+
+        def subjects(condition):
+            q = parse_query(
+                "PREFIX e: <http://ex.org/> "
+                f"SELECT ?s WHERE {{ ?s e:p ?v . FILTER(?v {condition}) }}"
+            )
+            got = solution_tuples(execute(g, q))
+            assert got == brute_force_solution(g, q), condition
+            return [row[0].value[len(EX) :] for row in got]
+
+        assert subjects("> 1.5") == ["double", "integer"]
+        assert subjects(">= 1.5") == ["decimal", "double", "integer"]
+        assert subjects("= 1.50") == ["decimal"]
+        assert subjects("< 2.0e0") == ["decimal", "one"]
+
+    def test_a_decimal_in_a_pattern_matches_the_decimal_literal(self):
+        g = Graph(
+            [
+                Triple(Iri(EX + "decimal"), Iri(EX + "p"), Literal("1.5", XSD_DECIMAL)),
+                Triple(Iri(EX + "double"), Iri(EX + "p"), Literal("1.5", XSD_DOUBLE)),
+            ]
+        )
+        q = parse_query("PREFIX e: <http://ex.org/> SELECT ?s WHERE { ?s e:p 1.5 . }")
+        assert solution_tuples(execute(g, q)) == [(Iri(EX + "decimal"),)]
 
     def test_date_ordering_filter(self):
         g = Graph(

@@ -115,6 +115,30 @@ class TestVocabulary:
             load_vocabulary("C1\tneoplasm\tclass\ttumour\n")
 
 
+class TestTsvLines:
+    """Both TSV readers split lines as the N-Triples reader does."""
+
+    VOCABULARY = "ncit:C1\tneoplasm\tclass\ttumour"
+    SHAPE = "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t1\t*"
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_bom_is_dropped_and_every_line_end_counts(self, eol):
+        (term,) = load_vocabulary(f"\ufeff# vocabulary{eol}{self.VOCABULARY}{eol}")
+        assert term.label == "neoplasm"
+        (shape,) = load_shapes(f"\ufeff# shapes{eol}{self.SHAPE}{eol}")
+        assert shape.target_class == PATIENT_CLASS
+        with pytest.raises(TriplifyError, match="^shapes line 3: "):
+            load_shapes(f"\ufeff# shapes{eol}{self.SHAPE}{eol}{self.SHAPE}\tx{eol}")
+        with pytest.raises(TriplifyError, match="^vocabulary line 2: "):
+            load_vocabulary(f"{self.VOCABULARY}{eol}ncit:C2\tx\tclass{eol}")
+
+    # str.splitlines() would end a line at each of these
+    @pytest.mark.parametrize("ch", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1e"])
+    def test_a_label_holds_what_is_no_line_end(self, ch):
+        (term,) = load_vocabulary(f"ncit:C1\tneo{ch}plasm\tclass\ttumour\n")
+        assert term.label == f"neo{ch}plasm"
+
+
 class TestShapes:
     def test_treatment_cardinality_unbounded(self):
         (patient_shape,) = [s for s in builtin_shapes() if s.target_class == PATIENT_CLASS]

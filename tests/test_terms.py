@@ -24,6 +24,7 @@ from triplify.terms import (
     RDF_LANGSTRING,
     XSD_BOOLEAN,
     XSD_DATE,
+    XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
@@ -153,6 +154,23 @@ class TestLiteral:
             with pytest.raises(ParseError, match="lexical form") as err:
                 parse_ntriples(text + f'<http://e.org/s> <http://e.org/p> "{bad}"^^{date} .\n')
             assert (err.value.line, err.value.column) == (2, 35)
+
+    # XSD 1.1 Part 2 3.3.3: digits and at most one point; no exponent, INF or NaN
+    @pytest.mark.parametrize("lexical", ["1.5", "-0.5", "+.5", "1.", "42", "007.100"])
+    def test_decimal_lexicals(self, lexical):
+        Literal(lexical, XSD_DECIMAL)
+
+    @pytest.mark.parametrize("lexical", ["abc", "1e5", "INF", "NaN", ".", "", "1,5", "1.5\n"])
+    def test_bad_decimal_lexicals(self, lexical):
+        with pytest.raises(LexicalFormMismatchError):
+            Literal(lexical, XSD_DECIMAL)
+
+    def test_a_bad_decimal_is_a_positioned_parse_error(self):
+        decimal = "<http://www.w3.org/2001/XMLSchema#decimal>"
+        text = f'<http://e.org/s> <http://e.org/p> "1.5"^^{decimal} .\n'
+        with pytest.raises(ParseError, match="lexical form") as err:
+            parse_ntriples(text + f'<http://e.org/s> <http://e.org/p> "abc"^^{decimal} .\n')
+        assert (err.value.line, err.value.column) == (2, 35)
 
     @pytest.mark.parametrize("lexical", ["1.5", "-2.0e3", "INF", "NaN", ".5", "3"])
     def test_double_lexicals(self, lexical):
