@@ -36,6 +36,8 @@ from .terms import (
     _PN_CHARS_U,
     RDF_LANGSTRING,
     XSD_BOOLEAN,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
     XSD_INTEGER,
     Iri,
     Literal,
@@ -91,6 +93,11 @@ _GRAMMAR = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+# The datatype of each numeric token, in Turtle 1.1 and SPARQL 1.1 alike:
+# `1` is an xsd:integer, `1.5` an xsd:decimal and `1.0e6` an xsd:double.
+# Each token's text is a valid lexical form of its datatype.
+_NUMERIC = {"integer": XSD_INTEGER, "decimal": XSD_DECIMAL, "double": XSD_DOUBLE}
 
 
 def split_lines(text: str) -> list[str]:
@@ -272,8 +279,9 @@ class TokenParser:
             if self.at("langtag"):
                 return self.build(tok, Literal, tok.value, RDF_LANGSTRING, self.next().value)
             return self.build(tok, Literal, tok.value)
-        if tok.kind == "integer":
-            return Literal(tok.value, XSD_INTEGER)
+        datatype = _NUMERIC.get(tok.kind)
+        if datatype is not None:
+            return Literal(tok.value, datatype)
         if tok.kind == "word" and tok.value in ("true", "false"):
             return Literal(tok.value, XSD_BOOLEAN)
         raise self.error(f"expected {what}, got {tok.value!r}", tok)

@@ -9,21 +9,25 @@ single or double quoted, IRIs may hold `\\u` escapes, and a `<` that does
 not open an IRI (`?a < 65`) is the comparison operator. Blank nodes in
 patterns act as variables with hidden names.
 
-Evaluation plans, then runs a nested-loop join over index buckets. Rows
-are tuples of term IDs indexed by slot, the first slots holding the
-query's constants, resolved to the graph's IDs once per execution (a
-constant the graph lacks matches nothing). So every bound position of a
-pattern, constant or variable, reads a row slot, and a step's candidates
-are the bucket of one such slot's ID, or every triple. The plan takes
-the patterns greedily, each time the one with the fewest expected
-matches per row: a constant expects the exact size of its index bucket
-(0 when absent, so the answer is empty at once), a variable bound by an
-earlier step its index's mean bucket size; ties keep written order. A
-FILTER runs as soon as it and every FILTER written before it have their
-variables bound, so answers, and whether a query raises
-TypeMismatchError, are those of testing every filter in written order
-after all patterns, whatever order the patterns are written in.
-`explain` also reports the plan and the rows left after each step.
+Evaluation plans, then runs each step over all rows at once. Rows are
+tuples of term IDs indexed by slot, the first slots holding the query's
+constants, resolved to the graph's IDs once per execution (a constant
+the graph lacks matches nothing). So every bound position of a pattern,
+constant or variable, reads a row slot. A step that binds no variable
+keeps the rows whose (s, p, o) IDs are a triple of the graph, one key
+lookup per row; any other step is one comprehension over all rows,
+whose candidates are the bucket of one bound slot's ID, or every
+triple, with the other bound positions and any repeated variable tested
+in it. The plan takes the patterns greedily, each time the one with the
+fewest expected matches per row: a constant expects the exact size of
+its index bucket (0 when absent, so the answer is empty at once), a
+variable bound by an earlier step its index's mean bucket size; ties
+keep written order. A FILTER runs as soon as it and every FILTER
+written before it have their variables bound, so answers, and whether a
+query raises TypeMismatchError, are those of testing every filter in
+written order after all patterns, whatever order the patterns are
+written in. `explain` also reports the plan, each step's access (a key
+lookup, an index position or a scan) and the rows left after each step.
 A FILTER orders the datatypes `terms._DATATYPES` gives a kind of value:
 xsd:integer, xsd:decimal and xsd:double by numeric value, with each other,
 and xsd:date by value, as XSD `op:date-less-than` orders them (a date
@@ -37,16 +41,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from operator import eq, ge, gt, itemgetter, le, lt, ne
-from typing import Callable, Collection, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import TypeMismatchError, UnboundProjectionError
-from .graph import Graph, Index, Key, merge
-from .lexer import Token, TokenParser
+from .graph import Graph, Key, merge
+from .lexer import TokenParser
 from .terms import (
     _DATATYPES,
     RDF_TYPE,
-    XSD_DECIMAL,
-    XSD_DOUBLE,
     XSD_INTEGER,
     Literal,
     PrefixMap,
@@ -193,13 +195,6 @@ class _QueryParser(TokenParser):
             raise self.error("collections are not supported", tok)
         if tok.kind in ("iriref", "pname") or position != "object":
             return self.iri(tok, f"IRI or variable as {position}")
-        return self.operand(tok)
-
-    def operand(self, tok: Token) -> Literal:
-        if tok.kind == "decimal":
-            return Literal(tok.value, XSD_DECIMAL)
-        if tok.kind == "double":
-            return Literal(tok.value, XSD_DOUBLE)
         return self.literal(tok, "a term")
 
     def filter_expr(self) -> FilterExpr:
@@ -208,7 +203,7 @@ class _QueryParser(TokenParser):
         op_tok = self.next()
         if op_tok.kind not in _COMPARE:
             raise self.error(f"expected comparison operator, got {op_tok.value!r}", op_tok)
-        operand = self.operand(self.next())
+        operand = self.literal(self.next(), "a term")
         self.expect(")")
         kind = _DATATYPES.get(operand.datatype.value, _UNORDERED)[1]
         if op_tok.kind in _ORDERING_OPS and kind is None:
@@ -240,42 +235,56 @@ def parse_query(text: str, prefixes: Optional[PrefixMap] = None) -> Query:
 # A row is a tuple of term IDs, indexed by slot: the query's constants in
 # written order (None for one the graph lacks, which matches nothing),
 # then the variables each step binds. So every bound position of a
-# pattern reads a row slot; a step's candidates are the bucket of one of
-# them, or every triple, and one itemgetter reads from a row the values
-# of the others. Candidates are the graph's keys, (s, p, o) tuples of IDs.
+# pattern reads a row slot. A step whose positions are all bound reads
+# the row's (s, p, o) IDs as one key of the graph's triples; any other
+# step's candidates are the bucket of one bound position's ID, or every
+# triple, and one itemgetter reads from a row the IDs of the others.
+# Candidates are the graph's keys, (s, p, o) tuples of IDs.
 
 
 @dataclass(slots=True)
 class _Step:
     pattern: TriplePattern
     estimate: float  # expected matches per row
-    # candidates: the bucket in `index` of the row's ID in slot `key`, else
-    # all `triples`. No index holds a literal subject or a non-IRI
-    # predicate, so a row binding one there matches nothing.
-    triples: Collection[Key]
-    index: Index
-    key: Optional[int]
-    # the other bound positions of a candidate, and the row's IDs for them
+    # "key" when every position is bound, else the position ("s", "p" or
+    # "o") whose index bucket gives the candidates, or "all" for a scan
+    access: str
+    # "key": the graph's triples and a row's (s, p, o) IDs; a position:
+    # its index and a row's ID there; "all": one bucket of every triple,
+    # under the empty key every row has
+    index: Mapping[object, object]
+    key: Callable[[tuple], object]
+    # the other bound positions of a candidate, and the row's IDs for them;
+    # both None when a candidate has nothing to test
     tested: Optional[Callable[[Key], object]]
     wanted: Optional[Callable[[tuple], object]]
     # the IDs of the variables first bound here, in slot order
     fresh: Callable[[Key], tuple]
-    repeats: tuple[tuple[int, int], ...]  # positions that must hold equal IDs
+    # where a fresh variable repeats, those positions, which must hold the
+    # IDs at its `first` ones; both None when none repeats
+    repeated: Optional[Callable[[Key], object]]
+    first: Optional[Callable[[Key], object]]
     ready: int  # filters, a written-order prefix, whose variables are bound after it
 
     def run(self, rows: list[tuple]) -> list[tuple]:
-        triples, index, key = self.triples, self.index, self.key
-        tested, wanted, fresh, repeats = self.tested, self.wanted, self.fresh, self.repeats
-        out: list[tuple] = []
-        for row in rows:
-            found = triples if key is None else index.get(row[key], ())
-            if tested is not None:
-                want = wanted(row)
-                found = [t for t in found if tested(t) == want]
-            if repeats:
-                found = [t for t in found if all(t[a] == t[b] for a, b in repeats)]
-            out += [row + fresh(t) for t in found]
-        return out
+        """Every row extended by each of its matches, in one comprehension
+        over all rows. Neither the graph's triples nor an index holds a
+        literal subject, a non-IRI predicate or an absent constant's
+        None, so a row binding one there matches nothing."""
+        index, key, fresh, tested = self.index, self.key, self.fresh, self.tested
+        if self.access == "key":
+            return [row for row in rows if key(row) in index]
+        get = index.get
+        if tested is None:
+            return [row + fresh(t) for row in rows for t in get(key(row), ())]
+        wanted, repeated, first = self.wanted, self.repeated, self.first
+        return [
+            row + fresh(t)
+            for row in rows
+            for want in [wanted(row)]
+            for t in get(key(row), ())
+            if tested(t) == want and (repeated is None or repeated(t) == first(t))
+        ]
 
 
 @dataclass(slots=True)
@@ -290,8 +299,8 @@ def _values(*positions: int) -> Callable[[Sequence], tuple]:
     (itemgetter gives a bare item for one position)."""
     if len(positions) == 1:
         (at,) = positions
-        return lambda t: (t[at],)
-    return itemgetter(*positions) if positions else lambda t: ()
+        return itemgetter(slice(at, at + 1))
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
 
 
 def _plan(g: Graph, q: Query) -> _Plan:
@@ -335,10 +344,10 @@ def _plan(g: Graph, q: Query) -> _Plan:
                     if mean < estimate:
                         estimate, via = mean, pos
             if best is None or estimate < best:
-                best, at, access = estimate, i, via
+                best, at, position = estimate, i, via
         pat, read, _, _, variables = remaining.pop(at)
         fresh: dict[str, int] = {}  # variable -> first position binding it here
-        repeats: list[tuple[int, int]] = []
+        repeats: list[tuple[int, int]] = []  # (position, its variable's first)
         for pos, name in variables:
             if name in slots:
                 read[pos] = slots[name]
@@ -346,32 +355,40 @@ def _plan(g: Graph, q: Query) -> _Plan:
                 repeats.append((pos, fresh[name]))
             else:
                 fresh[name] = pos
-        key = None if access is None else read[access]
-        # a step expecting no match (an absent constant) reads no index
-        index = g._index(access) if key is not None and best else {}
-        # every candidate holds the row's ID at `access`; the other bound
-        # positions are tested
         tested, wanted = [], []
-        for pos, slot in enumerate(read):
-            if slot is not None and pos != access:
-                tested.append(pos)
-                wanted.append(slot)
+        if not fresh:
+            access, index, key = "key", g._triples, itemgetter(*read)
+        else:
+            if position is None:
+                access, index, key = "all", {(): g._triples}, _values()
+            else:
+                # a step expecting no match (an absent constant) reads no index
+                index = g._index(position) if best else {}
+                access, key = "spo"[position], itemgetter(read[position])
+            # every candidate holds the row's ID at `position`; the other
+            # bound positions are tested
+            for pos, slot in enumerate(read):
+                if slot is not None and pos != position:
+                    tested.append(pos)
+                    wanted.append(slot)
         for name in fresh:
             slots[name] = len(row) + len(slots)
         ready = 0
         while ready < len(q.filters) and q.filters[ready].var.name in slots:
             ready += 1
+        # a step whose only test is a repeat compares empty tuples for the rest
         steps.append(
             _Step(
                 pat,
                 best,
-                g._triples,
+                access,
                 index,
                 key,
-                itemgetter(*tested) if tested else None,
-                itemgetter(*wanted) if wanted else None,
+                itemgetter(*tested) if tested else _values() if repeats else None,
+                itemgetter(*wanted) if tested else _values() if repeats else None,
                 _values(*fresh.values()),
-                tuple(repeats),
+                itemgetter(*(pos for pos, _ in repeats)) if repeats else None,
+                itemgetter(*(first for _, first in repeats)) if repeats else None,
                 ready,
             )
         )
@@ -481,14 +498,17 @@ def _pattern_text(pat: TriplePattern) -> str:
 
 def explain(g: Graph, q: Query) -> tuple[Solution, dict]:
     """Evaluate as `execute` does, and say how: the steps in the order
-    chosen, each with its pattern, its estimate of matches per row and
-    the rows left after it and the filters it let run (None for a step
-    not reached because an earlier one left no rows)."""
+    chosen, each with its pattern, its estimate of matches per row, its
+    access ("key" for one lookup of its fully bound triple, "s", "p" or
+    "o" for the index whose bucket it reads, "all" for a scan) and the
+    rows left after it and the filters it let run (None for a step not
+    reached because an earlier one left no rows)."""
     solution, plan, counts = _evaluate(g, q)
     steps = [
         {
             "pattern": _pattern_text(step.pattern),
             "estimate": round(step.estimate, 3),
+            "access": step.access,
             "rows": counts[i] if i < len(counts) else None,
         }
         for i, step in enumerate(plan.steps)

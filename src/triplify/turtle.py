@@ -3,7 +3,7 @@
 Supported: @prefix / @base, the `a` keyword, predicate lists with `;`,
 object lists with `,`, anonymous blank nodes `[ ... ]` (nested), labeled
 blank nodes `_:x`, IRIs in angle brackets, prefixed names, string literals
-(short and long, single and double quoted), integer and boolean literals,
+(short and long, single and double quoted), numeric and boolean literals,
 `^^` datatypes, `@lang` tags, and comments.
 
 Collections `( ... )` and other Turtle constructs outside this subset are
@@ -121,12 +121,6 @@ class _Parser(TokenParser):
             return self.iri(tok)
         if tok.kind == "blank":
             return BlankNode(tok.value)
-        if tok.kind in ("decimal", "double"):
-            raise self.error(
-                "only integer numeric literals are supported; "
-                "write other numbers as typed strings",
-                tok,
-            )
         if tok.kind == "(":
             raise self.error("collections are not supported", tok)
         return self.literal(tok, "object")

@@ -454,8 +454,9 @@ class TestQueryAcrossFiles:
         assert stdout == execute(parse_ntriples(path.read_text()), parse_query(text)).to_tsv()
         assert json.loads(stderr) == {
             "steps": [
-                {"pattern": "?y <http://ex.org/q> ?n", "estimate": 1, "rows": 1},
-                {"pattern": "?x <http://ex.org/p> ?y", "estimate": 1.0, "rows": 1},
+                {"pattern": "?y <http://ex.org/q> ?n", "estimate": 1, "access": "p", "rows": 1},
+                # bound ?y: 3 triples over 3 objects
+                {"pattern": "?x <http://ex.org/p> ?y", "estimate": 1.0, "access": "o", "rows": 1},
             ]
         }
         _, again, stderr_again = run(capsys, "query", str(path), "--query", text, "--explain")

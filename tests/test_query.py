@@ -23,11 +23,11 @@ from triplify.errors import (
     TypeMismatchError,
     UnboundProjectionError,
 )
-from triplify.query import FilterExpr, Query, Var, explain
+from triplify.query import FilterExpr, Query, Var, _pattern_text, explain
 from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
 
 from genutil import pooled_graph, random_query_text
-from oracles import brute_force_solution, solution_tuples
+from oracles import brute_force, brute_force_solution, solution_tuples
 
 EX = "http://ex.org/"
 PREFIXES = registry_prefixes()
@@ -642,6 +642,7 @@ class TestPlannedJoins:
         assert plan["steps"][0] == {
             "pattern": "?c <http://ex.org/absent> ?d",
             "estimate": 0,
+            "access": "p",
             "rows": 0,
         }
         assert [s["rows"] for s in plan["steps"][1:]] == [None, None]
@@ -660,9 +661,14 @@ class TestPlannedJoins:
         assert solution.rows == execute(g, q).rows
         assert plan == {
             "steps": [
-                {"pattern": "?s <http://ex.org/small> <http://ex.org/c>", "estimate": 3, "rows": 3},
+                {
+                    "pattern": "?s <http://ex.org/small> <http://ex.org/c>",
+                    "estimate": 3,
+                    "access": "p",
+                    "rows": 3,
+                },
                 # bound ?s: 16 triples over 10 subjects
-                {"pattern": "?s <http://ex.org/big> ?v", "estimate": 1.6, "rows": 2},
+                {"pattern": "?s <http://ex.org/big> ?v", "estimate": 1.6, "access": "s", "rows": 2},
             ]
         }
         # equal estimates keep written order
@@ -674,6 +680,98 @@ class TestPlannedJoins:
             steps = explain(g, q)[1]["steps"]
             assert steps[0]["pattern"] == f"?s <http://ex.org/{first}> ?o"
             assert [s["rows"] for s in steps] == [3, 1]
+
+
+def _step_form_query(rng):
+    """A query of 1-3 patterns over the pooled universe, drawn so that the
+    step forms random_query_text rarely gives come up: constants-only
+    patterns, patterns whose variables an earlier step binds, a variable
+    repeated in one pattern, a variable bound to a literal reaching a
+    subject or predicate position, and constants no pooled graph holds."""
+    variables = ["?a", "?b", "?c"]
+    nodes = [f"ex:n{i}" for i in range(5)] + ["ex:absent"]
+    predicates = [f"ex:p{i}" for i in range(3)] + ["ex:absent"]
+    literals = ['"alpha"', "5", '"gamma"']
+    patterns = []
+    for _ in range(rng.randint(1, 3)):
+        s = rng.choice(variables * 2 + nodes)
+        p = rng.choice(variables + predicates * 2)
+        o = rng.choice(variables * 2 + nodes + literals)
+        patterns.append(f"{s} {p} {o} .")
+    used = sorted({word for pat in patterns for word in pat.split() if word in variables})
+    if not used:
+        patterns.append("?a ex:p0 ?b .")
+        used = ["?a", "?b"]
+    head = rng.choice([" ".join(used), rng.choice(used), "(COUNT(*) AS ?n)"])
+    return f"PREFIX ex: <http://ex.org/> SELECT {head} WHERE {{ {' '.join(patterns)} }}"
+
+
+# The forms a random draw seldom gives, each run on every graph of the
+# battery below.
+_RARE_STEP_FORMS = (
+    # constants only
+    "SELECT ?a WHERE { ex:n0 ex:p0 ex:n1 . ?a ex:p1 ?b . }",
+    # every variable bound earlier: a key lookup per row
+    "SELECT ?a ?b WHERE { ?a ex:p0 ?b . ?b ex:p1 ?a . }",
+    "SELECT ?a WHERE { ?a ex:p2 ex:n3 . ?a ex:p0 ?a . }",
+    # a repeat of a fresh variable
+    "SELECT ?a WHERE { ?a ex:p0 ?a . }",
+    "SELECT ?a ?b WHERE { ?b ex:p1 ex:n2 . ?a ?b ?a . }",
+    # a variable bound to a literal, in a subject or a predicate position
+    "SELECT ?a ?b WHERE { ex:n1 ex:p0 ?a . ?a ex:p1 ?b . }",
+    "SELECT ?a ?b WHERE { ex:n2 ?p ?a . ?b ?a ?c . }",
+    "SELECT ?a ?b WHERE { ?b ex:p2 ?a . ?a ?b ex:n0 . }",
+    # a constant absent from the graph, in a lookup and in an index read
+    'SELECT ?a WHERE { ?a ex:p0 ?b . ?a ex:p1 "gamma" . }',
+    "SELECT ?a WHERE { ?a ex:absent ?b . ?a ex:p0 ?c . }",
+    # no bound position: a scan, per row
+    "SELECT ?a ?b ?c ?d WHERE { ex:n1 ex:p0 ?a . ?b ?c ?d . }",
+)
+
+
+class TestStepForms:
+    """Each form a step can take (a key lookup, an index bucket, a scan;
+    tested positions and repeats) against brute-force enumeration."""
+
+    def test_battery_against_brute_force(self):
+        rng = random.Random(1818)
+        accesses = {"key": 0, "s": 0, "p": 0, "o": 0, "all": 0}
+        cases = 0
+        for case in range(300):
+            g = pooled_graph(rng, 40)
+            texts = [random_query_text(rng), _step_form_query(rng)]
+            if case % 30 == 0:
+                texts += ["PREFIX ex: <http://ex.org/> " + t for t in _RARE_STEP_FORMS]
+            for text in texts:
+                q = parse_query(text)
+                if rng.random() < 0.3:
+                    q = _with_filters(q, rng)
+                try:
+                    want = brute_force_solution(g, q)
+                except TypeMismatchError:
+                    want = TypeMismatchError
+                assert _outcome(g, q) == want, f"case {case}: {text}"
+                if want is not TypeMismatchError:
+                    for step in explain(g, q)[1]["steps"]:
+                        accesses[step["access"]] += 1
+                cases += 1
+        assert cases >= 500
+        assert all(accesses.values()), accesses
+
+    def test_explain_rows_count_the_planned_prefix(self):
+        g = pooled_graph(random.Random(9), 60)
+        q = parse_query(
+            "PREFIX ex: <http://ex.org/> SELECT ?a ?c WHERE "
+            "{ ?a ex:p0 ?b . ?b ex:p1 ?c . ?c ex:p2 ?a . ?a ?p ex:n1 . }"
+        )
+        by_text = {_pattern_text(pat): pat for pat in q.patterns}
+        steps = explain(g, q)[1]["steps"]
+        assert [s["access"] for s in steps] == ["p", "o", "key", "s"]
+        assert steps[-1]["rows"] > 0
+        planned = [by_text[s["pattern"]] for s in steps]
+        for i, step in enumerate(steps):
+            prefix = Query((), "n", tuple(planned[: i + 1]), ())
+            assert step["rows"] == len(brute_force(g, prefix)), step
 
 
 class TestMergeAndQuery:

@@ -59,6 +59,22 @@ class TestBasics:
         assert Literal("42", XSD_INTEGER) in objects
         assert Literal("true", XSD_BOOLEAN) in objects
 
+    @pytest.mark.parametrize(
+        "number, datatype",
+        [("1.5", "decimal"), ("-.5", "decimal"), ("1.0e6", "double"), ("2E-3", "double")],
+    )
+    def test_decimal_and_double_shortcuts(self, number, datatype):
+        # Turtle 1.1 reads a DECIMAL as xsd:decimal and a DOUBLE as xsd:double
+        xsd = "http://www.w3.org/2001/XMLSchema#"
+        short = triples(f"@prefix ex: <http://e.org/> . ex:s ex:p {number} .")
+        typed = triples(
+            f"@prefix ex: <http://e.org/> . @prefix xsd: <{xsd}> . "
+            f'ex:s ex:p "{number}"^^xsd:{datatype} .'
+        )
+        line = f'<http://e.org/s> <http://e.org/p> "{number}"^^<{xsd}{datatype}> .\n'
+        assert short == typed == parse_ntriples(line)
+        assert serialize_ntriples(short) == line
+
     def test_language_tag(self):
         g = triples('@prefix ex: <http://e.org/> . ex:s ex:p "hoi"@nl .')
         (t,) = list(g)
@@ -212,10 +228,6 @@ class TestErrors:
     def test_collections_rejected(self):
         with pytest.raises(ParseError):
             triples("@prefix ex: <http://e.org/> . ex:s ex:p (1 2) .")
-
-    def test_decimal_literals_rejected(self):
-        with pytest.raises(ParseError):
-            triples("@prefix ex: <http://e.org/> . ex:s ex:p 1.5 .")
 
     def test_unterminated_iri(self):
         with pytest.raises(ParseError):
