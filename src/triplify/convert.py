@@ -4,20 +4,30 @@ Dirty cells never abort a conversion: a term that cannot be produced
 (NULL input, bad lexical form, invalid IRI) is skipped and logged in the
 report, and the remaining terms of the row still convert. The output
 graph is a set, so it is independent of row order, triples-map order,
-and row duplication. Each triples map is one pass over its rows, so the
-report logs skips in triples-map order, then row order.
+and row duplication.
 
-Terms go into the graph as IDs: each distinct term is made and interned
-once per conversion, and each triple is added as a tuple of its three
-term IDs.
+A triples map runs a column at a time, in the style of a column store:
+each term map is made for all of the map's rows at once, as a list of
+term IDs, and each predicate-object map inserts its triples in one bulk
+insert. The report still logs skips in triples-map order, then row
+order, then term-map order within a row, and exactly the terms a
+row-by-row pass would try are tried: rows whose subject was skipped
+make no predicate, and rows whose predicate was skipped make no object.
+
+The graph's insertion order, which iteration and `match` follow, is per
+triples map: its class triples, in first-seen subject order, then each
+predicate-object map's triples in row order. Term IDs are handed out
+column by column. Each distinct term is made and interned once per
+conversion, and each triple is added as a tuple of its three term IDs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Optional
+from itertools import compress, repeat
+from operator import attrgetter, is_, is_not, itemgetter, methodcaller
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     MappingError,
@@ -25,7 +35,7 @@ from .errors import (
     TriplifyError,
     ValidationFailedError,
 )
-from .graph import Graph
+from .graph import Graph, Key
 from .r2rml import (
     MappingDocument,
     Template,
@@ -191,7 +201,7 @@ class ConversionReport:
 def _term_or_skip(
     tm: TermMap,
     row: Row,
-    report: ConversionReport,
+    log: list[SkippedTerm],
     map_id: str,
     rownum: int,
     what: str,
@@ -214,48 +224,68 @@ def _term_or_skip(
             return term
         column = next((c for c in tm.source_columns() if row.get(c) is None), "")
         reason = f"{what}: NULL input"
-    report.skipped_terms.append(SkippedTerm(map_id, rownum, column, reason))
+    log.append(SkippedTerm(map_id, rownum, column, reason))
     return None
 
 
-# A term map compiled for one conversion: (row, 1-based row number) -> the
-# ID of its term in the conversion's graph, or None.
-Maker = Callable[[Row, int], Optional[int]]
+# A term map compiled for one conversion: (rows, their 1-based row numbers,
+# the log for their skips) -> the ID of each row's term in the conversion's
+# graph, None where it was skipped.
+Column = Callable[[list[Row], Sequence[int], list[SkippedTerm]], list[Optional[int]]]
 # A conversion's term IDs: for each term map, the ID of the term made from
 # each tuple of source cells.
 TermTable = dict[TermMap, dict[object, int]]
 
 
-def _maker(
-    tm: TermMap, g: Graph, terms: TermTable, report: ConversionReport, map_id: str, what: str
-) -> Maker:
+def _column(tm: TermMap, g: Graph, terms: TermTable, map_id: str, what: str) -> Column:
     """tm compiled over the term table: a row whose source cells were met
     before gets the ID of the term made then, which generate_term, a pure
-    function of tm and those cells, would make again. Other rows go to
-    _term_or_skip; a NULL or failed term is never stored, so each such
-    row's skip is logged to report, in row order."""
+    function of tm and those cells, would make again. Only the other rows
+    go to _term_or_skip, in row order; a NULL or failed term is never
+    stored, so each such row's skip is logged."""
     intern = g._intern
     if tm.constant is not None:
         constant = intern(tm.constant)
-        return lambda row, rownum: constant
+        return lambda rows, rownums, log: [constant] * len(rows)
     columns = tm.source_columns()
     cells_of = itemgetter(*columns) if columns else lambda row: ()
     table = terms.setdefault(tm, {})
 
-    def make(row: Row, rownum: int) -> Optional[int]:
+    def row_cells(row: Row) -> object:
         try:
-            cells = cells_of(row)
+            return cells_of(row)
         except KeyError:  # no term: _term_or_skip raises MissingColumnError, or meets a NULL first
-            cells = None
-        i = table.get(cells)
-        if i is None:
-            term = _term_or_skip(tm, row, report, map_id, rownum, what)
-            if term is None:
-                return None
-            i = table[cells] = intern(term)
-        return i
+            return None
+
+    def make(
+        rows: list[Row], rownums: Sequence[int], log: list[SkippedTerm]
+    ) -> list[Optional[int]]:
+        try:
+            cells = list(map(cells_of, rows))
+        except KeyError:
+            cells = list(map(row_cells, rows))
+        ids = list(map(table.get, cells))
+        misses = list(compress(range(len(ids)), map(is_, ids, repeat(None))))
+        for k in misses:
+            i = table.get(cells[k])  # made for an earlier row of this call
+            if i is None:
+                term = _term_or_skip(tm, rows[k], log, map_id, rownums[k], what)
+                if term is None:
+                    continue
+                i = table[cells[k]] = intern(term)
+            ids[k] = i
+        return ids
 
     return make
+
+
+def _made(ids: list[Optional[int]], *aligned: list) -> list[list]:
+    """ids without its Nones, and each list aligned with it without the
+    entries at those places."""
+    if None not in ids:
+        return [ids, *aligned]
+    made = list(map(is_not, ids, repeat(None)))
+    return [list(compress(column, made)) for column in (ids, *aligned)]
 
 
 def _table(tables: dict[str, TableSource], tm: TriplesMap) -> TableSource:
@@ -265,18 +295,25 @@ def _table(tables: dict[str, TableSource], tm: TriplesMap) -> TableSource:
     return table
 
 
+def _join_values(columns: list[str], rows: list[Row]) -> list[tuple]:
+    """Each row's values in columns, as a tuple; None where a cell is NULL
+    or the row lacks the column."""
+    return list(zip(*(map(methodcaller("get", c), rows) for c in columns)))
+
+
 def _join_table(
-    joins: tuple[tuple[str, str], ...], parent_rows: list[Row], parent_of: Maker
+    joins: tuple[tuple[str, str], ...], parent_rows: list[Row], parent_of: Column
 ) -> dict[tuple, list[int]]:
     """The ID of each parent row's subject, by the row's join values: NULL
     joins nothing, and a subject that cannot be made gives no edge."""
+    values = _join_values([pc for _, pc in joins], parent_rows)
+    joinable = [None not in v for v in values]
+    rownums = list(compress(range(1, len(parent_rows) + 1), joinable))
+    subjects = parent_of(list(compress(parent_rows, joinable)), rownums, [])
     ids: dict[tuple, list[int]] = {}
-    for rownum, prow in enumerate(parent_rows, start=1):
-        key = tuple(prow.get(pc) for _, pc in joins)
-        if None not in key:
-            i = parent_of(prow, rownum)
-            if i is not None:
-                ids.setdefault(key, []).append(i)
+    for key, i in zip(compress(values, joinable), subjects):
+        if i is not None:
+            ids.setdefault(key, []).append(i)
     return ids
 
 
@@ -292,8 +329,9 @@ def apply_triples_map(
     its subject's ID, made for every parent row with no NULL join value;
     a reference with no join condition makes the parent's subject from
     the row itself. A parent subject that cannot be made gives no edge,
-    and the parent's own pass logs it.
+    and the parent's own map logs it.
     """
+    report.rows_read += len(_table(tables, tm).rows)
     _apply_triples_map(tm, tables, g, report, {})
 
 
@@ -304,13 +342,29 @@ def _apply_triples_map(
     report: ConversionReport,
     terms: TermTable,
 ) -> None:
-    """apply_triples_map, making its terms through the conversion's term table."""
+    """apply_triples_map, making its terms through the conversion's term
+    table, one column at a time.
+
+    The subject column comes first, and rows whose subject was skipped
+    are dropped. Then each predicate-object map makes its predicate
+    column, drops the rows whose predicate was skipped, makes its object
+    column and inserts its triples in row order by one bulk insert. The
+    columns log their skips one after another; a stable sort on row
+    number puts them in row order, and within a row in term-map order.
+
+    If a row lacks a column the map reads, the map runs again one row at
+    a time, so MissingColumnError is raised where row order meets the
+    gap, with the skips of the terms made before it logged.
+    """
     rows = _table(tables, tm).rows
     map_id = tm.id.to_ntriples()
-    parents_log = ConversionReport()  # parent subjects' skips: the parent's pass logs them
 
-    def compiled(term_map: TermMap, what: str, log: ConversionReport = report) -> Maker:
-        return _maker(term_map, g, terms, log, map_id, what)
+    def compiled(term_map: TermMap, what: str) -> Column:
+        return _column(term_map, g, terms, map_id, what)
+
+    def unlogged(column: Column) -> Column:
+        """column with its skips dropped: the parent's own map logs them."""
+        return lambda rows, rownums, log: column(rows, rownums, [])
 
     # plan: each term map compiled once, each join's parent subjects made once
     subject_of = compiled(tm.subject_map, "subject")
@@ -322,51 +376,55 @@ def _apply_triples_map(
             poms.append((predicate_of, compiled(rom, "object"), None))
             continue
         parent_rows = _table(tables, rom.parent).rows
-        parent_of = compiled(rom.parent.subject_map, "subject", parents_log)
+        parent_of = compiled(rom.parent.subject_map, "subject")
         if rom.joins:
             join = ([cc for cc, _ in rom.joins], _join_table(rom.joins, parent_rows, parent_of))
             poms.append((predicate_of, None, join))
         elif rom.parent.logical_table == tm.logical_table:
-            poms.append((predicate_of, parent_of, None))
+            poms.append((predicate_of, unlogged(parent_of), None))
         else:
             raise MappingError(
                 f"reference to {rom.parent.id.to_ntriples()} has no join condition "
                 f"and a different logical table"
             )
-    report.rows_read += len(rows)
-
-    add = g._add_key
-
-    def emit(key: tuple[int, int, int]) -> None:
-        if not add(key):
-            report.triples_deduplicated += 1
-
-    # run
     classes = tuple(map(g._intern, tm.subject_classes))
     rdf_type = g._intern(RDF_TYPE) if classes else None
-    typed: set[int] = set()  # the subjects whose class triples are already in g
-    for rownum, row in enumerate(rows, start=1):
-        subject = subject_of(row, rownum)
-        if subject is None:
-            continue
-        if subject in typed:
-            report.triples_deduplicated += len(classes)
-        elif classes:
-            typed.add(subject)
-            for cls in classes:
-                emit((subject, rdf_type, cls))
+
+    def insert(keys: list[Key]) -> None:
+        report.triples_deduplicated += len(keys) - g._add_keys(keys)
+
+    def run(rows: list[Row], rownums: Sequence[int], log: list[SkippedTerm]) -> None:
+        """Insert the triples of rows. The columns log their skips to log
+        one after another, each in row order."""
+        subjects, rows, rownums = _made(subject_of(rows, rownums, log), rows, rownums)
+        # class triples: each distinct subject's, in first-seen order
+        typed = [(s, rdf_type, c) for s in dict.fromkeys(subjects) for c in classes]
+        report.triples_deduplicated += len(subjects) * len(classes) - len(typed)
+        insert(typed)
         for predicate_of, object_of, join in poms:
-            predicate = predicate_of(row, rownum)
-            if predicate is None:
-                continue
+            predicates, prows, pnums, psubjects = _made(
+                predicate_of(rows, rownums, log), rows, rownums, subjects
+            )
             if join is None:
-                obj = object_of(row, rownum)
-                if obj is not None:
-                    emit((subject, predicate, obj))
-                continue
-            child_columns, ids = join
-            for obj in ids.get(tuple(map(row.get, child_columns)), ()):
-                emit((subject, predicate, obj))
+                objects = object_of(prows, pnums, log)
+                triples = zip(psubjects, predicates, objects)
+                keys = [(s, p, o) for s, p, o in triples if o is not None]
+            else:
+                child_columns, ids = join
+                parents = map(ids.get, _join_values(child_columns, prows), repeat(()))
+                keys = [(s, p, o) for s, p, os in zip(psubjects, predicates, parents) for o in os]
+            insert(keys)
+
+    log: list[SkippedTerm] = []
+    try:
+        run(rows, range(1, len(rows) + 1), log)
+    except MissingColumnError:
+        # one row at a time, whose skips are in term-map order as logged
+        for rownum, row in enumerate(rows, start=1):
+            run([row], [rownum], report.skipped_terms)
+    else:
+        log.sort(key=attrgetter("row"))  # stable: term-map order within a row
+        report.skipped_terms += log
 
 
 def convert(
@@ -376,7 +434,8 @@ def convert(
 
     Each distinct term (term map, source cells) is made once per call;
     the graph is handed its ID, which every triples map that makes it
-    again reuses.
+    again reuses. The report's rows_read counts each logical table once,
+    however many triples maps read it.
     """
     available = {name: set(t.columns) for name, t in tables.items()}
     diagnostics = validate_mapping(m, available)
@@ -388,5 +447,7 @@ def convert(
     terms: TermTable = {}
     for tm in m.triples_maps:
         _apply_triples_map(tm, tables, g, report, terms)
+    logical_tables = dict.fromkeys(tm.logical_table for tm in m.triples_maps)
+    report.rows_read = sum(len(tables[name].rows) for name in logical_tables)
     report.triples_emitted = len(g)
     return g, report

@@ -8,11 +8,17 @@ predicate, 2 object) has an index from an ID to the keys holding it
 there, a list in insertion order. An index is built the first time its
 position is read (`_index`), and later writes keep it current.
 
+A batch of keys goes in by one bulk insert, `_add_keys`: with no index
+built it is one `dict.update`, and where indexes exist only the keys
+that were new are appended to them. The converter inserts each
+predicate-object map's triples that way, and `update` and `merge` each
+other graph's.
+
 `Triple` is the public boundary: `add`, `update`, `match`, `in` and
 iteration take or give triples, and build them only there. Inside the
-package the readers hand in IDs (`_intern`, `_add_key`), and the
-validator, the query engine, `stats` and `serialize_ntriples` read
-`_terms`, `_ids` and `_index` directly. Iteration and `match` follow
+package the readers hand in IDs (`_intern`, `_add_key`, `_add_keys`),
+and the validator, the query engine, `stats` and `serialize_ntriples`
+read `_terms`, `_ids` and `_index` directly. Iteration and `match` follow
 insertion order and never sort: an RDF graph has no order of its own,
 so callers that print sort.
 
@@ -24,6 +30,7 @@ none sees a partial one.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .terms import Iri, Term, Triple
@@ -61,6 +68,22 @@ class Graph:
             index.setdefault(key[pos], []).append(key)
         return True
 
+    def _add_keys(self, keys: Iterable[Key]) -> int:
+        """Insert triples of IDs in order; returns how many were not already present."""
+        triples = self._triples
+        before = len(triples)
+        if not self._indexes:
+            triples.update(zip(keys, repeat(None)))
+            return len(triples) - before
+        new = []
+        for key in keys:
+            if key not in triples:
+                triples[key] = None
+                new.append(key)
+        for pos, index in self._indexes.items():
+            _fill(index, pos, new)
+        return len(new)
+
     def _index(self, position: int) -> Index:
         """Each ID at `position` (0 subject, 1 predicate, 2 object) with
         the keys holding it there, in insertion order; built on first read.
@@ -72,14 +95,7 @@ class Graph:
         index = self._indexes.get(position)
         if index is None:
             index = {}
-            get = index.get
-            for key in self._triples:
-                i = key[position]
-                bucket = get(i)
-                if bucket is None:
-                    index[i] = [key]
-                else:
-                    bucket.append(key)
+            _fill(index, position, self._triples)
             # published by one assignment, once complete
             self._indexes[position] = index
         return index
@@ -105,8 +121,8 @@ class Graph:
 
     def update(self, other: Iterable[Triple]) -> None:
         if not isinstance(other, Graph):
-            for t in other:
-                self.add(t)
+            intern = self._intern
+            self._add_keys((intern(t.s), intern(t.p), intern(t.o)) for t in other)
         elif not self._terms:
             # nothing to remap into: take other's ID space as it is
             self._terms = list(other._terms)
@@ -115,9 +131,7 @@ class Graph:
             self._indexes = {}
         else:
             remap = list(map(self._intern, other._terms))  # other's ID -> self's
-            add = self._add_key
-            for s, p, o in other._triples:
-                add((remap[s], remap[p], remap[o]))
+            self._add_keys((remap[s], remap[p], remap[o]) for s, p, o in other._triples)
 
     def match(
         self,
@@ -174,6 +188,18 @@ class Graph:
 
     def __repr__(self):
         return f"<Graph with {len(self._triples)} triples>"
+
+
+def _fill(index: Index, position: int, keys: Iterable[Key]) -> None:
+    """Append each key, in order, to the bucket of its ID at position."""
+    get = index.get
+    for key in keys:
+        i = key[position]
+        bucket = get(i)
+        if bucket is None:
+            index[i] = [key]
+        else:
+            bucket.append(key)
 
 
 def merge(graphs: Iterable[Graph]) -> Graph:

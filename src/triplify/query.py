@@ -31,14 +31,18 @@ lookup, an index position or a scan) and the rows left after each step.
 A FILTER orders the datatypes `terms._DATATYPES` gives a kind of value:
 xsd:integer, xsd:decimal and xsd:double by numeric value, with each other,
 and xsd:date by value, as XSD `op:date-less-than` orders them (a date
-without a timezone is taken as Z). As in SPARQL 1.1, `1.5` is an
-xsd:decimal and `1.5e0` an xsd:double. Result rows are deduplicated and
+without a timezone is taken as Z). Integers and decimals have exact
+values; a decimal met by a double is compared as a double (XPath numeric
+type promotion, SPARQL 1.1 section 17.3), and an integer meets a double
+by their exact values. As in SPARQL 1.1, `1.5` is an xsd:decimal and
+`1.5e0` an xsd:double. Result rows are deduplicated and
 canonically sorted; there is no ORDER BY.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cache
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -451,12 +455,21 @@ def _filter_test(f: FilterExpr, g: Graph) -> Callable[[int], bool]:
         if isinstance(term, Literal):
             _, theirs, their_value = _DATATYPES.get(term.datatype.value, _UNORDERED)
             if theirs == kind:
-                return compare(their_value(term.lexical), bound)
+                return compare(*_promoted(their_value(term.lexical), bound))
         if op not in _ORDERING_OPS:
             return op == "!="
         raise TypeMismatchError(f"cannot order {term.to_ntriples()} against a {kind} operand")
 
     return cache(lambda i: test(terms[i]))
+
+
+def _promoted(a: object, b: object) -> tuple[object, object]:
+    """Two values a FILTER compares, a decimal met by a double made a double."""
+    if isinstance(a, Decimal) and isinstance(b, float):
+        return float(a), b
+    if isinstance(a, float) and isinstance(b, Decimal):
+        return a, float(b)
+    return a, b
 
 
 def _spellings(terms: Sequence[Term], column: Sequence[int]) -> Iterable[str]:

@@ -3,18 +3,29 @@
 Cells are either NULL or text, and the two are different things: an
 unquoted empty CSV field is NULL (no value collected), while a quoted
 empty field `""` is the empty string. Python's csv module collapses the
-two, so records are read here, by one compiled pattern that matches a
-field and the separator after it. `TableSource` is the one place a
-header is checked; `load_csv` builds it from the header record first.
+two, so records are read here, in one of two ways:
+
+- A text with no `"` holds no quoted field, so each of its lines (LF,
+  CRLF or a lone CR ends one) is a record, split at its commas, and an
+  empty field is NULL. A last empty line, after the final line end, is
+  no record. Such a text always splits into records.
+- Any other text is read by one compiled pattern that matches a field
+  and the separator after it; it gives the same records on a text both
+  ways could read, and raises CsvError on a malformed quoted field.
+
+`TableSource` is the one place a header is checked; `load_csv` builds
+it from the header record first.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .errors import CsvError, DuplicateHeaderError, RaggedRowError
+from .lexer import split_lines
 
 Cell = Optional[str]
 Row = dict[str, Cell]
@@ -58,6 +69,12 @@ _FIELD = re.compile(
 
 def _parse_records(text: str) -> list[list[Cell]]:
     """Split CSV text into records of cells; NULL for unquoted empties."""
+    if '"' not in text:
+        lines = split_lines(text)
+        if not lines[-1]:
+            lines.pop()  # the text ended with a line end, or was empty
+        records = [line.split(",") for line in lines]
+        return [[f or None for f in r] if "" in r else r for r in records]
     if text.startswith("\ufeff"):
         text = text[1:]
     records: list[list[Cell]] = []
@@ -90,10 +107,12 @@ def load_csv(text: str, name: str = "") -> TableSource:
         raise CsvError("empty input: no header record")
     table = TableSource(name, tuple("" if c is None else c for c in records[0]))
     header = table.columns
-    for number, record in enumerate(records[1:], start=2):
-        if len(record) != len(header):
-            raise RaggedRowError(number, len(header), len(record))
-        table.rows.append(dict(zip(header, record)))
+    body = records[1:]
+    width = len(header)
+    if any(map(width.__ne__, map(len, body))):
+        number, record = next((n, r) for n, r in enumerate(body, 2) if len(r) != width)
+        raise RaggedRowError(number, width, len(record))
+    table.rows = list(map(dict, map(zip, repeat(header), body)))
     return table
 
 

@@ -170,7 +170,7 @@ XSD_BOOLEAN = Iri(XSD_NS + "boolean")
 # of one kind compare) and the value a lexical form spells.
 _DATATYPES: dict[str, tuple[Callable[[str], object], Optional[str], Optional[Callable]]] = {
     XSD_INTEGER.value: (_INTEGER_LEXICAL.fullmatch, "numeric", exact_int),
-    XSD_DECIMAL.value: (_DECIMAL_LEXICAL.fullmatch, "numeric", float),
+    XSD_DECIMAL.value: (_DECIMAL_LEXICAL.fullmatch, "numeric", Decimal),
     XSD_DOUBLE.value: (_DOUBLE_LEXICAL.fullmatch, "numeric", float),
     XSD_DATE.value: (_valid_date, "date", date_minutes),
     XSD_BOOLEAN.value: (_BOOLEAN_LEXICAL.fullmatch, None, None),

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from importlib import resources
 
-from triplify import BlankNode, Graph, Iri, Literal, TableSource, Triple
+from triplify import BlankNode, Graph, Iri, Literal, TableSource, Triple, write_csv
 from triplify.r2rml import (
     MappingDocument,
     PredicateObjectMap,
@@ -220,6 +220,28 @@ def simple_mapping() -> MappingDocument:
     return MappingDocument(triples_maps=[first, second], prefixes=PrefixMap())
 
 
+_QUOTE_FREE_CELLS = ("x", "42", "a b", "café", "日本", "\U0001f642", " ", "\t", "\ud800", "")
+_LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+def random_quote_free_csv(rng: random.Random) -> str:
+    """CSV text with no `"`: a header and rows of cells drawn from a pool
+    with NULLs and non-ASCII, a lone surrogate among them, joined by LF,
+    CRLF or a lone CR, sometimes with a BOM, blank lines, a row of the
+    wrong width or no final line end."""
+    width = rng.randint(1, 4)
+    lines = [",".join(f"C{i}" for i in range(width))]
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        cells = width if roll < 0.85 else rng.choice((0, width - 1, width + 1))
+        lines.append(",".join(rng.choice(_QUOTE_FREE_CELLS) for _ in range(cells)))
+    ends = [rng.choice(_LINE_ENDS) for _ in lines]
+    if rng.random() < 0.3:
+        ends[-1] = ""
+    bom = "\ufeff" if rng.random() < 0.2 else ""
+    return bom + "".join(map(str.__add__, lines, ends))
+
+
 # --- byte-level mutation ----------------------------------------------------
 
 # Bytes that change how the lexer splits text, plus a non-ASCII lead byte.
@@ -241,6 +263,14 @@ def mutate(rng: random.Random, data: bytes) -> bytes:
         else:
             buf[i:i] = buf[i : i + rng.randint(1, 16)]
     return bytes(buf)
+
+
+def mutated_csv_texts():
+    """600 seeded mutations of random tables written as CSV, each decoded."""
+    rng = random.Random(5120)
+    for _ in range(600):
+        seed = write_csv(random_table(rng)).encode("utf-8")
+        yield mutate(rng, seed).decode("utf-8", errors="replace")
 
 
 def mutated_shapes_texts():

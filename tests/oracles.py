@@ -3,6 +3,9 @@
 The reference serializer spells each triple through `Triple.to_line`
 and sorts the lines; it shares no code with the term-ID writer.
 
+The reference CSV reader reads every text, quoted or not, with the one
+field pattern `tabular` keeps for texts that hold a `"`.
+
 The reference N-Triples reader matches every line with the full line
 pattern, never splitting a line at its spaces; the columns it reports
 are where the pattern's groups start.
@@ -28,16 +31,66 @@ import itertools
 import re
 from decimal import Decimal
 
-from triplify import BlankNode, Graph, Iri, Literal, Triple, generate_term
+from triplify import BlankNode, Graph, Iri, Literal, TableSource, Triple, generate_term
 from triplify.convert import ConversionReport, _term_or_skip
-from triplify.errors import MissingColumnError, ParseError, TriplifyError, TypeMismatchError
+from triplify.errors import (
+    CsvError,
+    MissingColumnError,
+    ParseError,
+    RaggedRowError,
+    TriplifyError,
+    TypeMismatchError,
+)
 from triplify.ntriples import _LINE, _syntax_error, _term
 from triplify.query import FilterExpr, Var
 from triplify.r2rml import TermMap
 from triplify.registry import Shape, ShapeConstraint, ValidationReport, Violation
+from triplify.tabular import _FIELD
 from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Term
 
 _NUMERIC = (XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE)
+
+
+def _records_of_every_field(text: str) -> list[list]:
+    """CSV text as records, each field matched by `_FIELD`; NULL for an
+    unquoted empty field."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    records: list[list] = []
+    record: list = []
+    end = 0
+    for m in _FIELD.finditer(text):
+        if m.start() != end:  # a quote at `end` opened a field that never closes
+            raise CsvError(f"unterminated quoted field in record {len(records) + 1}")
+        quoted, bare, sep, junk = m.groups()
+        if junk is not None:
+            raise CsvError(
+                f"unexpected character {junk!r} after quoted field in record {len(records) + 1}"
+            )
+        if not record and m.start() == m.end():
+            break  # the input ended right after a record
+        end = m.end()
+        record.append(bare if quoted is None else quoted.replace('""', '"'))
+        if sep != ",":
+            records.append(record)
+            record = []
+            if not sep:
+                break
+    return records
+
+
+def load_every_field(text: str, name: str = "") -> TableSource:
+    """What `load_csv` gives: the records `_FIELD` matches, the first the
+    header, each other one a row of as many cells."""
+    records = _records_of_every_field(text)
+    if not records:
+        raise CsvError("empty input: no header record")
+    table = TableSource(name, tuple("" if c is None else c for c in records[0]))
+    for number, record in enumerate(records[1:], start=2):
+        if len(record) != len(table.columns):
+            raise RaggedRowError(number, len(table.columns), len(record))
+        table.rows.append(dict(zip(table.columns, record)))
+    return table
 
 
 def serialize_every_line(g: Graph) -> str:
@@ -84,9 +137,13 @@ def read_outcome(parse, text: str):
 def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
     """What `convert` gives for a mapping that validates: each row's terms
     made by `generate_term`, through `_term_or_skip` (which logs a skip),
-    and a joined parent row's subject made for every edge."""
+    and a joined parent row's subject made for every edge. Terms are made
+    row by row; the triples go in in the documented order: per triples
+    map, its class triples in row order, then each predicate-object map's
+    triples in row order."""
     g = Graph()
     report = ConversionReport()
+    log = report.skipped_terms
 
     def emit(t):
         if not g.add(t):
@@ -95,7 +152,6 @@ def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
     for tm in m.triples_maps:
         rows = tables[tm.logical_table].rows
         map_id = tm.id.to_ntriples()
-        report.rows_read += len(rows)
         parents = {}  # a referencing object map's parent rows by join key
         for pom in tm.predicate_object_maps:
             if not isinstance(pom.object, TermMap):
@@ -103,20 +159,22 @@ def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
                 for prow in tables[pom.object.parent.logical_table].rows:
                     key = tuple(prow[pc] for _, pc in pom.object.joins)
                     index.setdefault(key, []).append(prow)
+        typed = []  # the class triples, then each predicate-object map's triples
+        made = [[] for _ in tm.predicate_object_maps]
         for rownum, row in enumerate(rows, start=1):
-            subject = _term_or_skip(tm.subject_map, row, report, map_id, rownum, "subject")
+            subject = _term_or_skip(tm.subject_map, row, log, map_id, rownum, "subject")
             if subject is None:
                 continue
             for cls in tm.subject_classes:
-                emit(Triple(subject, RDF_TYPE, cls))
-            for pom in tm.predicate_object_maps:
-                predicate = _term_or_skip(pom.predicate, row, report, map_id, rownum, "predicate")
+                typed.append(Triple(subject, RDF_TYPE, cls))
+            for pom, out in zip(tm.predicate_object_maps, made):
+                predicate = _term_or_skip(pom.predicate, row, log, map_id, rownum, "predicate")
                 if predicate is None:
                     continue
                 if isinstance(pom.object, TermMap):
-                    obj = _term_or_skip(pom.object, row, report, map_id, rownum, "object")
+                    obj = _term_or_skip(pom.object, row, log, map_id, rownum, "object")
                     if obj is not None:
-                        emit(Triple(subject, predicate, obj))
+                        out.append(Triple(subject, predicate, obj))
                     continue
                 rom = pom.object
                 key = tuple(row[c] for c, _ in rom.joins)
@@ -134,7 +192,12 @@ def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
                     except TriplifyError:
                         continue
                     if obj is not None:
-                        emit(Triple(subject, predicate, obj))
+                        out.append(Triple(subject, predicate, obj))
+        for t in itertools.chain(typed, *made):
+            emit(t)
+    # each logical table counts once, however many triples maps read it
+    for name in {tm.logical_table for tm in m.triples_maps}:
+        report.rows_read += len(tables[name].rows)
     report.triples_emitted = len(g)
     return g, report
 
@@ -209,10 +272,22 @@ def _date_instant(lexical: str) -> int:
 
 
 def _number(lit: Literal):
-    """The value of a numeric literal; Decimal reads integers of any length."""
+    """The value of a numeric literal; Decimal reads integers of any length
+    and decimals exactly."""
     if lit.datatype == XSD_INTEGER:
         return int(Decimal(lit.lexical))
+    if lit.datatype == XSD_DECIMAL:
+        return Decimal(lit.lexical)
     return float(lit.lexical)
+
+
+def _numbers(left: Literal, right: Literal):
+    """The two values as XPath compares them: a decimal and a double both
+    as doubles, any other pair exactly."""
+    pair = {left.datatype, right.datatype}
+    if pair == {XSD_DECIMAL, XSD_DOUBLE}:
+        return float(left.lexical), float(right.lexical)
+    return _number(left), _number(right)
 
 
 def _filter_holds(f: FilterExpr, binding) -> bool:
@@ -225,8 +300,7 @@ def _filter_holds(f: FilterExpr, binding) -> bool:
             if f.op == "=":
                 return False
             raise TypeMismatchError("non-numeric under ordering")
-        left = _number(value)
-        right = _number(operand)
+        left, right = _numbers(value, operand)
     elif operand.datatype == XSD_DATE:
         if not isinstance(value, Literal) or value.datatype != XSD_DATE:
             if f.op == "!=":

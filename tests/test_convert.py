@@ -18,6 +18,7 @@ from triplify import (
     generate_synthetic,
     generate_term,
     iri_safe_encode,
+    merge,
     parse_mapping,
     parse_ntriples,
     parse_template,
@@ -744,6 +745,39 @@ class TestTermTable:
         tables["T"] = TableSource("T", ("PATIENT_KEY",), [{"PATIENT_KEY": "z"}])
         with pytest.raises(MissingColumnError):
             apply_triples_map(child, tables, Graph(), ConversionReport())
+
+    def test_two_object_maps_failing_on_two_rows_log_in_row_then_map_order(self):
+        sm = TermMap(term_kind="IRI", template=parse_template(EX + "{ID}"))
+        poms = [
+            PredicateObjectMap(
+                TermMap(term_kind="IRI", constant=Iri(EX + name)),
+                TermMap(term_kind="Literal", column=name, datatype=XSD_INTEGER),
+            )
+            for name in ("A", "B")
+        ]
+        tm = TriplesMap(Iri(EX + "M"), "T", sm, predicate_object_maps=poms)
+        rows = [{"ID": "1", "A": "x", "B": "y"}, {"ID": "2", "A": None, "B": "z"}]
+        table = TableSource("T", ("ID", "A", "B"), rows)
+        _, report = assert_as_every_row(MappingDocument([tm], PrefixMap()), {"T": table})
+        assert [(t.row, t.column) for t in report.skipped_terms] == [
+            (1, "A"),
+            (1, "B"),
+            (2, "A"),
+            (2, "B"),
+        ]
+
+    def test_maps_applied_to_a_graph_with_built_indexes_keep_them_whole(self):
+        m, tables = bundled_mapping(), generate_synthetic(30, 1)
+        g, report = Graph(), ConversionReport()
+        apply_triples_map(m.triples_maps[0], tables, g, report)
+        for pos in range(3):
+            g._index(pos)
+        for tm in m.triples_maps:  # the first again: every one of its triples is a duplicate
+            apply_triples_map(tm, tables, g, report)
+        assert g == convert(m, tables)[0]
+        fresh = merge([g])  # the same IDs, indexes built from the triples as they stand
+        for pos in range(3):
+            assert g._index(pos) == fresh._index(pos), pos
 
     def test_a_repeated_subject_counts_each_class_triple_as_a_duplicate(self):
         sm = TermMap(term_kind="IRI", template=parse_template("http://ex.org/{ID}"))

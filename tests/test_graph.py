@@ -180,6 +180,19 @@ class TestIndexBuild:
         literal = next(t.o for t in pool if isinstance(t.o, Literal))
         assert g._ids[literal] not in g._index(0) and g._ids[literal] not in g._index(1)
 
+    def test_bulk_inserts_into_built_indexes_leave_them_as_built_afresh(self):
+        rng = random.Random(8)
+        g = pooled_graph(rng, 60)
+        for pos in range(3):
+            g._index(pos)
+        g.update(pooled_graph(rng, 60))  # a graph with IDs of its own
+        batch = list(pooled_graph(rng, 30))
+        g.update(batch + batch + list(g)[:5])  # triples, repeated in the batch and already in g
+        g.update(g)
+        fresh = merge([g])  # the same IDs, indexes built from the triples as they stand
+        for pos in range(3):
+            assert g._index(pos) == fresh._index(pos), pos
+
     def test_racing_first_reads_see_whole_indexes(self):
         # eight readers start together on a graph no one has read yet, each
         # on one position in turn, so they race to build every index; each

@@ -24,12 +24,17 @@ from triplify import (
     parse_query,
     parse_turtle,
     serialize_ntriples,
-    write_csv,
 )
 from triplify.errors import ParseError, TriplifyError
 from triplify.registry import bundled_mapping_text
 
-from genutil import mutate, mutated_shapes_texts, random_graph, random_query_text, random_table
+from genutil import (
+    mutate,
+    mutated_csv_texts,
+    mutated_shapes_texts,
+    random_graph,
+    random_query_text,
+)
 from oracles import parse_every_line, read_outcome
 
 
@@ -93,10 +98,8 @@ def test_mutated_ntriples_parse_or_raise_positioned_parse_errors():
 
 
 def test_mutated_csv_loads_or_raises_triplify_errors():
-    rng = random.Random(5120)
-    for _ in range(600):
-        seed = write_csv(random_table(rng)).encode("utf-8")
-        _survives(load_csv, mutate(rng, seed).decode("utf-8", errors="replace"))
+    for text in mutated_csv_texts():
+        _survives(load_csv, text)
 
 
 def test_ntriples_and_turtle_readers_agree_on_ntriples():

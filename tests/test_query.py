@@ -346,6 +346,38 @@ class TestExecute:
         assert subjects("= 1.50") == ["decimal"]
         assert subjects("< 2.0e0") == ["decimal", "one"]
 
+    @staticmethod
+    def _kept(value, condition):
+        """Whether FILTER(?v condition) keeps a graph's one object, value;
+        checked against the brute-force evaluator."""
+        g = Graph([Triple(Iri(EX + "s"), Iri(EX + "p"), value)])
+        q = parse_query(
+            f"PREFIX e: <http://ex.org/> SELECT ?s WHERE {{ ?s e:p ?v . FILTER(?v {condition}) }}"
+        )
+        got = solution_tuples(execute(g, q))
+        assert got == brute_force_solution(g, q), condition
+        return bool(got)
+
+    def test_decimals_compare_exactly(self):
+        longer = Literal("0.1000000000000000000001", XSD_DECIMAL)
+        assert self._kept(longer, "> 0.1")
+        assert not self._kept(longer, "= 0.1")
+        assert self._kept(Literal("0.1", XSD_DECIMAL), "< 0.1000000000000000000001")
+        big = Literal("100000000000000000001", XSD_INTEGER)
+        assert self._kept(big, "> 100000000000000000000.0")
+
+    def test_a_decimal_met_by_a_double_compares_as_a_double(self):
+        assert self._kept(Literal("0.1", XSD_DECIMAL), "= 0.1e0")
+        assert self._kept(Literal("0.1", XSD_DOUBLE), "= 0.1")
+        assert not self._kept(Literal("0.1000000000000000000001", XSD_DECIMAL), "> 0.1e0")
+        assert self._kept(Literal("NaN", XSD_DOUBLE), "!= 1.5")
+        assert not self._kept(Literal("NaN", XSD_DOUBLE), "< 1.5")
+
+    def test_an_integer_meets_a_double_by_their_exact_values(self):
+        # 2**53 + 1 has no double; its nearest double is 2**53
+        assert self._kept(Literal("9007199254740993", XSD_INTEGER), "> 9007199254740992e0")
+        assert not self._kept(Literal("9007199254740993", XSD_INTEGER), "= 9007199254740992e0")
+
     def test_a_decimal_in_a_pattern_matches_the_decimal_literal(self):
         g = Graph(
             [

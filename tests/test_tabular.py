@@ -1,9 +1,14 @@
 """RFC 4180 CSV parsing with the NULL / empty-string distinction."""
 
+import random
+
 import pytest
 
 from triplify import TableSource, load_csv, write_csv
 from triplify.errors import CsvError, DuplicateHeaderError, RaggedRowError
+
+from genutil import mutated_csv_texts, random_quote_free_csv
+from oracles import load_every_field
 
 
 class TestLoadCsv:
@@ -119,3 +124,59 @@ class TestTableSource:
     def test_row_shape_enforced(self):
         with pytest.raises(CsvError):
             TableSource("T", ("A", "B"), [{"A": "1"}])
+
+
+def _outcome(load, text):
+    """The table load reads from text, or the type and message of its error."""
+    try:
+        table = load(text, "T")
+    except CsvError as exc:
+        return type(exc), str(exc)
+    return table.columns, table.rows
+
+
+class TestQuoteFreeReader:
+    """A text with no `"` is split at line ends and commas; every text
+    gives the table, or the error, of the reader that matches each field
+    with the one field pattern."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\ufeffID,AGE\n1,63\n",
+            "ID,AGE\n1,63\n2,64\n",
+            "ID,AGE\r\n1,63\r\n2,64\r\n",
+            "ID,AGE\r1,63\r2,64\r",
+            "ID,AGE\r\n1,63\n2,64\r3,65",
+            "ID,AGE\n1,63",
+            "ID,AGE\n1,\n,\n",
+            "ID,AGE\n1,",
+            "ID\n1\n\n2\n\n",
+            "ID\n\n",
+            "\n",
+            "\r\n\r\n",
+            "",
+            "\ufeff",
+            "ID,NOTE\n1,\ud800\n",
+            "ID,AGE\n1,63,extra\n",
+            "ID,AGE\n1\n",
+            "ID,AGE\n\n",
+            "ID,ID\n1\n",
+            'ID,AGE\n1,""\n',
+            'ID,AGE\n"1",\n2,\r\n',
+            'ID,NOTE\n1,say "hi"\n',
+        ],
+    )
+    def test_hand_written(self, text):
+        assert _outcome(load_csv, text) == _outcome(load_every_field, text)
+
+    def test_random_quote_free_tables(self):
+        rng = random.Random(6131)
+        for _ in range(1000):
+            text = random_quote_free_csv(rng)
+            assert '"' not in text
+            assert _outcome(load_csv, text) == _outcome(load_every_field, text), repr(text)
+
+    def test_mutated_csv(self):
+        for text in mutated_csv_texts():
+            assert _outcome(load_csv, text) == _outcome(load_every_field, text), repr(text)
