@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import attrgetter, is_, is_not, itemgetter, methodcaller
+from operator import attrgetter, is_, is_not, itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -209,8 +209,6 @@ def _term_or_skip(
     """The term tm makes for row, or None with the skip and its reason logged."""
     try:
         term = generate_term(tm, row)
-    except MissingColumnError:
-        raise
     except TriplifyError as exc:
         # of the cells read, only one that holds a lone surrogate is to blame
         columns = tm.source_columns()
@@ -251,19 +249,10 @@ def _column(tm: TermMap, g: Graph, terms: TermTable, map_id: str, what: str) -> 
     cells_of = itemgetter(*columns) if columns else lambda row: ()
     table = terms.setdefault(tm, {})
 
-    def row_cells(row: Row) -> object:
-        try:
-            return cells_of(row)
-        except KeyError:  # no term: _term_or_skip raises MissingColumnError, or meets a NULL first
-            return None
-
     def make(
         rows: list[Row], rownums: Sequence[int], log: list[SkippedTerm]
     ) -> list[Optional[int]]:
-        try:
-            cells = list(map(cells_of, rows))
-        except KeyError:
-            cells = list(map(row_cells, rows))
+        cells = list(map(cells_of, rows))
         ids = list(map(table.get, cells))
         misses = list(compress(range(len(ids)), map(is_, ids, repeat(None))))
         for k in misses:
@@ -295,10 +284,16 @@ def _table(tables: dict[str, TableSource], tm: TriplesMap) -> TableSource:
     return table
 
 
+def _require_columns(table: TableSource, columns: list[str]) -> None:
+    """Raise MissingColumnError for the first of columns that table lacks."""
+    for c in columns:
+        if c not in table.columns:
+            raise MissingColumnError(c)
+
+
 def _join_values(columns: list[str], rows: list[Row]) -> list[tuple]:
-    """Each row's values in columns, as a tuple; None where a cell is NULL
-    or the row lacks the column."""
-    return list(zip(*(map(methodcaller("get", c), rows) for c in columns)))
+    """Each row's values in columns, as a tuple; None where a cell is NULL."""
+    return list(zip(*(map(itemgetter(c), rows) for c in columns)))
 
 
 def _join_table(
@@ -329,7 +324,9 @@ def apply_triples_map(
     its subject's ID, made for every parent row with no NULL join value;
     a reference with no join condition makes the parent's subject from
     the row itself. A parent subject that cannot be made gives no edge,
-    and the parent's own map logs it.
+    and the parent's own map logs it. A column the map reads that its
+    table lacks raises MissingColumnError before any triple is inserted
+    or any skip logged, whatever the rows hold.
     """
     report.rows_read += len(_table(tables, tm).rows)
     _apply_triples_map(tm, tables, g, report, {})
@@ -345,21 +342,21 @@ def _apply_triples_map(
     """apply_triples_map, making its terms through the conversion's term
     table, one column at a time.
 
-    The subject column comes first, and rows whose subject was skipped
-    are dropped. Then each predicate-object map makes its predicate
-    column, drops the rows whose predicate was skipped, makes its object
-    column and inserts its triples in row order by one bulk insert. The
-    columns log their skips one after another; a stable sort on row
-    number puts them in row order, and within a row in term-map order.
-
-    If a row lacks a column the map reads, the map runs again one row at
-    a time, so MissingColumnError is raised where row order meets the
-    gap, with the skips of the terms made before it logged.
+    First the plan: each term map is compiled once, and a column it reads
+    that its table lacks raises MissingColumnError, as does a join column
+    its table lacks, before any triple is inserted or any skip logged.
+    Then the subject column, and rows whose subject was skipped are
+    dropped. Then each predicate-object map makes its predicate column,
+    drops the rows whose predicate was skipped, makes its object column
+    and inserts its triples in row order by one bulk insert. The columns
+    log their skips one after another; a stable sort on row number puts
+    them in row order, and within a row in term-map order.
     """
-    rows = _table(tables, tm).rows
+    table = _table(tables, tm)
     map_id = tm.id.to_ntriples()
 
-    def compiled(term_map: TermMap, what: str) -> Column:
+    def compiled(term_map: TermMap, what: str, source: TableSource) -> Column:
+        _require_columns(source, term_map.source_columns())
         return _column(term_map, g, terms, map_id, what)
 
     def unlogged(column: Column) -> Column:
@@ -367,64 +364,57 @@ def _apply_triples_map(
         return lambda rows, rownums, log: column(rows, rownums, [])
 
     # plan: each term map compiled once, each join's parent subjects made once
-    subject_of = compiled(tm.subject_map, "subject")
+    subject_of = compiled(tm.subject_map, "subject", table)
     poms = []
     for pom in tm.predicate_object_maps:
-        predicate_of = compiled(pom.predicate, "predicate")
+        predicate_of = compiled(pom.predicate, "predicate", table)
         rom = pom.object
         if isinstance(rom, TermMap):
-            poms.append((predicate_of, compiled(rom, "object"), None))
+            poms.append((predicate_of, compiled(rom, "object", table), None))
             continue
-        parent_rows = _table(tables, rom.parent).rows
-        parent_of = compiled(rom.parent.subject_map, "subject")
-        if rom.joins:
-            join = ([cc for cc, _ in rom.joins], _join_table(rom.joins, parent_rows, parent_of))
-            poms.append((predicate_of, None, join))
-        elif rom.parent.logical_table == tm.logical_table:
-            poms.append((predicate_of, unlogged(parent_of), None))
-        else:
+        parent = _table(tables, rom.parent)
+        if not rom.joins and rom.parent.logical_table != tm.logical_table:
             raise MappingError(
                 f"reference to {rom.parent.id.to_ntriples()} has no join condition "
                 f"and a different logical table"
             )
+        parent_of = compiled(rom.parent.subject_map, "subject", parent)
+        if not rom.joins:
+            poms.append((predicate_of, unlogged(parent_of), None))
+            continue
+        child_columns = [cc for cc, _ in rom.joins]
+        _require_columns(table, child_columns)
+        _require_columns(parent, [pc for _, pc in rom.joins])
+        join = (child_columns, _join_table(rom.joins, parent.rows, parent_of))
+        poms.append((predicate_of, None, join))
     classes = tuple(map(g._intern, tm.subject_classes))
     rdf_type = g._intern(RDF_TYPE) if classes else None
 
     def insert(keys: list[Key]) -> None:
         report.triples_deduplicated += len(keys) - g._add_keys(keys)
 
-    def run(rows: list[Row], rownums: Sequence[int], log: list[SkippedTerm]) -> None:
-        """Insert the triples of rows. The columns log their skips to log
-        one after another, each in row order."""
-        subjects, rows, rownums = _made(subject_of(rows, rownums, log), rows, rownums)
-        # class triples: each distinct subject's, in first-seen order
-        typed = [(s, rdf_type, c) for s in dict.fromkeys(subjects) for c in classes]
-        report.triples_deduplicated += len(subjects) * len(classes) - len(typed)
-        insert(typed)
-        for predicate_of, object_of, join in poms:
-            predicates, prows, pnums, psubjects = _made(
-                predicate_of(rows, rownums, log), rows, rownums, subjects
-            )
-            if join is None:
-                objects = object_of(prows, pnums, log)
-                triples = zip(psubjects, predicates, objects)
-                keys = [(s, p, o) for s, p, o in triples if o is not None]
-            else:
-                child_columns, ids = join
-                parents = map(ids.get, _join_values(child_columns, prows), repeat(()))
-                keys = [(s, p, o) for s, p, os in zip(psubjects, predicates, parents) for o in os]
-            insert(keys)
-
     log: list[SkippedTerm] = []
-    try:
-        run(rows, range(1, len(rows) + 1), log)
-    except MissingColumnError:
-        # one row at a time, whose skips are in term-map order as logged
-        for rownum, row in enumerate(rows, start=1):
-            run([row], [rownum], report.skipped_terms)
-    else:
-        log.sort(key=attrgetter("row"))  # stable: term-map order within a row
-        report.skipped_terms += log
+    rows, rownums = table.rows, range(1, len(table.rows) + 1)
+    subjects, rows, rownums = _made(subject_of(rows, rownums, log), rows, rownums)
+    # class triples: each distinct subject's, in first-seen order
+    typed = [(s, rdf_type, c) for s in dict.fromkeys(subjects) for c in classes]
+    report.triples_deduplicated += len(subjects) * len(classes) - len(typed)
+    insert(typed)
+    for predicate_of, object_of, join in poms:
+        predicates, prows, pnums, psubjects = _made(
+            predicate_of(rows, rownums, log), rows, rownums, subjects
+        )
+        if join is None:
+            objects = object_of(prows, pnums, log)
+            triples = zip(psubjects, predicates, objects)
+            keys = [(s, p, o) for s, p, o in triples if o is not None]
+        else:
+            child_columns, ids = join
+            parents = map(ids.get, _join_values(child_columns, prows), repeat(()))
+            keys = [(s, p, o) for s, p, os in zip(psubjects, predicates, parents) for o in os]
+        insert(keys)
+    log.sort(key=attrgetter("row"))  # stable: term-map order within a row
+    report.skipped_terms += log
 
 
 def convert(

@@ -5,18 +5,19 @@ place there, its ID; `_ids` maps a term back to its ID, so equal terms
 share one. A triple is stored as an `(s, p, o)` tuple of IDs, a key of
 the insertion-ordered dict `_triples`. Each position (0 subject, 1
 predicate, 2 object) has an index from an ID to the keys holding it
-there, a list in insertion order. An index is built the first time its
-position is read (`_index`), and later writes keep it current.
+there, a list in insertion order. An index is built from `_triples` the
+first time its position is read (`_index`). A write that adds a triple
+drops every built index, and the next read builds it again; a graph is
+loaded, then read, so no workload pays for that.
 
-A batch of keys goes in by one bulk insert, `_add_keys`: with no index
-built it is one `dict.update`, and where indexes exist only the keys
-that were new are appended to them. The converter inserts each
-predicate-object map's triples that way, and `update` and `merge` each
-other graph's.
+A batch of keys goes in by one bulk insert, `_add_keys`, one
+`dict.update`. The converter inserts each predicate-object map's
+triples that way, `add` inserts a batch of one, and `update` and
+`merge` insert each other graph's.
 
 `Triple` is the public boundary: `add`, `update`, `match`, `in` and
 iteration take or give triples, and build them only there. Inside the
-package the readers hand in IDs (`_intern`, `_add_key`, `_add_keys`),
+package the readers hand in IDs (`_intern`, `_add_keys`),
 and the validator, the query engine, `stats` and `serialize_ntriples`
 read `_terms`, `_ids` and `_index` directly. Iteration and `match` follow
 insertion order and never sort: an RDF graph has no order of its own,
@@ -57,32 +58,16 @@ class Graph:
             self._terms.append(term)
         return i
 
-    def _add_key(self, key: Key) -> bool:
-        """Insert one triple of IDs; returns True iff it was not already present."""
-        triples = self._triples
-        before = len(triples)
-        triples[key] = None
-        if len(triples) == before:
-            return False
-        for pos, index in self._indexes.items():
-            index.setdefault(key[pos], []).append(key)
-        return True
-
     def _add_keys(self, keys: Iterable[Key]) -> int:
-        """Insert triples of IDs in order; returns how many were not already present."""
+        """Insert triples of IDs in order; returns how many were not already
+        present. A write that adds one drops every built index."""
         triples = self._triples
         before = len(triples)
-        if not self._indexes:
-            triples.update(zip(keys, repeat(None)))
-            return len(triples) - before
-        new = []
-        for key in keys:
-            if key not in triples:
-                triples[key] = None
-                new.append(key)
-        for pos, index in self._indexes.items():
-            _fill(index, pos, new)
-        return len(new)
+        triples.update(zip(keys, repeat(None)))
+        added = len(triples) - before
+        if added:
+            self._indexes = {}
+        return added
 
     def _index(self, position: int) -> Index:
         """Each ID at `position` (0 subject, 1 predicate, 2 object) with
@@ -95,7 +80,14 @@ class Graph:
         index = self._indexes.get(position)
         if index is None:
             index = {}
-            _fill(index, position, self._triples)
+            get = index.get
+            for key in self._triples:
+                i = key[position]
+                bucket = get(i)
+                if bucket is None:
+                    index[i] = [key]
+                else:
+                    bucket.append(key)
             # published by one assignment, once complete
             self._indexes[position] = index
         return index
@@ -117,7 +109,7 @@ class Graph:
     def add(self, t: Triple) -> bool:
         """Insert one triple; returns True iff it was not already present."""
         intern = self._intern
-        return self._add_key((intern(t.s), intern(t.p), intern(t.o)))
+        return self._add_keys([(intern(t.s), intern(t.p), intern(t.o))]) == 1
 
     def update(self, other: Iterable[Triple]) -> None:
         if not isinstance(other, Graph):
@@ -188,18 +180,6 @@ class Graph:
 
     def __repr__(self):
         return f"<Graph with {len(self._triples)} triples>"
-
-
-def _fill(index: Index, position: int, keys: Iterable[Key]) -> None:
-    """Append each key, in order, to the bucket of its ID at position."""
-    get = index.get
-    for key in keys:
-        i = key[position]
-        bucket = get(i)
-        if bucket is None:
-            index[i] = [key]
-        else:
-            bucket.append(key)
 
 
 def merge(graphs: Iterable[Graph]) -> Graph:

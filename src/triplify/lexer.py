@@ -196,7 +196,7 @@ def resolve_iri(reference: str, base: Optional[Iri]) -> Iri:
     if base is None:
         raise RelativeIriError(f"relative IRI with no base: {reference!r}")
     b = base.value
-    if reference.startswith("#"):
+    if not reference or reference.startswith("#"):
         return Iri(b.split("#", 1)[0] + reference)
     if reference.startswith("?"):
         return Iri(re.split(r"[?#]", b, maxsplit=1)[0] + reference)

@@ -120,7 +120,7 @@ def parse_every_line(text: str) -> Graph:
             if raw not in ids:
                 ids[raw] = g._intern(_term(raw, lineno, m.start(k) + 1, datatypes))
             key.append(ids[raw])
-        g._add_key(tuple(key))
+        g._add_keys([tuple(key)])
     return g
 
 

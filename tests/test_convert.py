@@ -341,6 +341,21 @@ class TestReferences:
             ("<http://ex.org/TreatmentMap>", 1, "TID")
         ]
 
+    @pytest.mark.parametrize("table, column", [("PATIENT", "KEY"), ("TREATMENT", "PATIENT_KEY")])
+    def test_a_join_column_the_table_lacks_raises(self, table, column):
+        tables = reference_tables(
+            [{"ID": "1", "KEY": "k", "SITE": "lung"}], [{"TID": "a", "PATIENT_KEY": "k"}]
+        )
+        source = tables[table]
+        columns = tuple(c for c in source.columns if c != column)
+        rows = [{c: row[c] for c in columns} for row in source.rows]
+        tables[table] = TableSource(table, columns, rows)
+        g, report = Graph(), ConversionReport()
+        patient_map = self.mapping().map_by_id(Iri(EX + "PatientMap"))
+        with pytest.raises(MissingColumnError, match=repr(column)):
+            apply_triples_map(patient_map, tables, g, report)
+        assert len(g) == 0 and report.skipped_terms == []
+
     def test_missing_parent_table_is_a_mapping_error(self):
         m = self.mapping()
         tables = reference_tables([], [])
@@ -655,15 +670,24 @@ class TestTermTable:
         with pytest.raises(MissingColumnError):
             apply_triples_map(m.triples_maps[0], tables, Graph(), ConversionReport())
 
-    def test_a_null_before_a_missing_column_is_a_skip(self):
-        # generate_term meets the NULL in {A} before it looks for {B}
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [{"A": None}, {"A": None}, {"A": "x"}],
+            [{"A": None}, {"A": None}],  # every row NULL before the gap
+            [],
+        ],
+        ids=["null then cell", "all null", "no rows"],
+    )
+    def test_a_missing_column_raises_before_any_row_runs(self, rows):
+        # {A} is NULL on some or all rows, so no row's term needs {B}
         sm = TermMap(term_kind="IRI", template=parse_template("http://ex.org/{A}/{B}"))
-        tm = TriplesMap(Iri(EX + "M"), "T", sm)
-        table = TableSource("T", ("A",), [{"A": None}, {"A": None}, {"A": "x"}])
-        report = ConversionReport()
-        with pytest.raises(MissingColumnError):
-            apply_triples_map(tm, {"T": table}, Graph(), report)
-        assert [(t.row, t.column) for t in report.skipped_terms] == [(1, "A"), (2, "A")]
+        tm = TriplesMap(Iri(EX + "M"), "T", sm, subject_classes=[Iri(EX + "C")])
+        g, report = Graph(), ConversionReport()
+        with pytest.raises(MissingColumnError, match="'B'"):
+            apply_triples_map(tm, {"T": TableSource("T", ("A",), rows)}, g, report)
+        assert report.skipped_terms == []
+        assert len(g) == 0
 
     def test_a_term_map_without_source_is_skipped_on_every_row(self):
         sm = TermMap(term_kind="IRI", template=parse_template("http://ex.org/{ID}"))

@@ -328,6 +328,48 @@ class TestIndexLaziness:
         assert merge([g, other])._indexes == {}
         assert merge([other, g])._indexes == {}
 
+    @staticmethod
+    def _indexed(rng: random.Random) -> Graph:
+        g = pooled_graph(rng, 80)
+        for pos in range(3):
+            g._index(pos)
+        return g
+
+    def test_a_write_that_adds_a_triple_drops_the_built_indexes(self):
+        rng = random.Random(41)
+        writes = [
+            lambda g, t: g.add(t),
+            lambda g, t: g.update([t]),
+            lambda g, t: g.update(Graph([t])),
+            lambda g, t: g.update(list(g)[:3] + [t]),
+        ]
+        for write in writes:
+            g = self._indexed(rng)
+            t = Triple(Iri("http://fresh.org/s"), Iri("http://fresh.org/p"), Literal("new"))
+            write(g, t)
+            assert g._indexes == {}
+            pool = list(g)
+            for probe in rng.sample(pool, 10) + [t]:
+                for s, p, o in [(probe.s, None, None), (None, probe.p, None), (None, None, probe.o)]:
+                    assert g.match(s, p, o) == _scan(pool, s, p, o)
+
+    def test_a_write_that_adds_nothing_keeps_the_built_indexes(self):
+        rng = random.Random(42)
+        g = self._indexed(rng)
+        built = dict(g._indexes)
+        pool = list(g)
+        assert not g.add(pool[0])
+        g.update(pool[::2])
+        g.update(Graph(pool[1::3]))
+        g.update(g)
+        g.update([])
+        assert g._indexes.keys() == built.keys()
+        assert all(g._indexes[pos] is built[pos] for pos in range(3))
+        assert list(g) == pool
+        for probe in rng.sample(pool, 10):
+            for s, p, o in [(probe.s, None, None), (None, probe.p, None), (None, None, probe.o)]:
+                assert g.match(s, p, o) == _scan(pool, s, p, o)
+
     def test_a_query_reads_only_the_indexes_it_plans_with(self):
         g = self._parsed_registry()
         q = parse_query("SELECT ?p WHERE { ?p a ncit:C16960 . }", registry_prefixes())

@@ -158,6 +158,11 @@ class TestDirectives:
         (t,) = list(g)
         assert t.s == Iri("http://e.org/dir/x")
 
+    def test_empty_reference_is_the_base_document(self):
+        g = triples("@base <http://e.org/dir/doc#top> . <> <http://e.org/p> <#sec> .")
+        (t,) = list(g)
+        assert (t.s, t.o) == (Iri("http://e.org/dir/doc"), Iri("http://e.org/dir/doc#sec"))
+
     def test_relative_without_base(self):
         with pytest.raises(RelativeIriError):
             triples("<x> <http://e.org/p> <http://e.org/o> .")
@@ -275,6 +280,7 @@ class TestResolveIri:
             ("//h.org/p", "http://h.org/p"),
             ("/rooted", "http://e.org/rooted"),
             ("sibling", "http://e.org/a/b/sibling"),
+            ("", "http://e.org/a/b/doc?q=1"),
         ]
         for reference, expected in cases:
             assert resolve_iri(reference, base).value == expected, reference
