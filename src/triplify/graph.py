@@ -10,6 +10,13 @@ first time its position is read (`_index`). A write that adds a triple
 drops every built index, and the next read builds it again; a graph is
 loaded, then read, so no workload pays for that.
 
+Two more tables are derived from the whole graph for the query engine,
+kept in their own slot, `_tables`: `_ranks`, each term ID's place in the
+order of canonical N-Triples spellings, and `_literal_values`, each
+literal ID's value for each kind a FILTER orders. They follow the index
+rule: each is made on first read and dropped by the write that drops
+the indexes.
+
 A batch of keys goes in by one bulk insert, `_add_keys`, one
 `dict.update`. The converter inserts each predicate-object map's
 triples that way, `add` inserts a batch of one, and `update` and
@@ -34,20 +41,21 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
-from .terms import Iri, Term, Triple
+from .terms import _DATATYPES, Iri, Literal, Term, Triple
 
 Key = tuple[int, int, int]  # (subject, predicate, object) IDs
 Index = dict[int, list[Key]]
 
 
 class Graph:
-    __slots__ = ("_terms", "_ids", "_triples", "_indexes")
+    __slots__ = ("_terms", "_ids", "_triples", "_indexes", "_tables")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._terms: list[Term] = []  # ID -> term
         self._ids: dict[Term, int] = {}  # term -> ID
         self._triples: dict[Key, None] = {}
         self._indexes: dict[int, Index] = {}  # position -> index, once built
+        self._tables: dict[str, object] = {}  # "ranks", "values" -> table, once built
         self.update(triples)
 
     def _intern(self, term: Term) -> int:
@@ -67,6 +75,7 @@ class Graph:
         added = len(triples) - before
         if added:
             self._indexes = {}
+            self._tables = {}
         return added
 
     def _index(self, position: int) -> Index:
@@ -91,6 +100,37 @@ class Graph:
             # published by one assignment, once complete
             self._indexes[position] = index
         return index
+
+    def _ranks(self) -> tuple[list[int], list[Term]]:
+        """Each term ID's rank, its place when every term is sorted by its
+        canonical N-Triples spelling, and the term at each rank; built on
+        first read, by spelling each term once. Spellings are distinct, so
+        ranks are too: sorting by ranks is sorting by spellings."""
+        table = self._tables.get("ranks")
+        if table is None:
+            terms = self._terms
+            spellings = [term.to_ntriples() for term in terms]
+            order = sorted(range(len(terms)), key=spellings.__getitem__)
+            ranks = [0] * len(order)
+            for rank, i in enumerate(order):
+                ranks[i] = rank
+            table = self._tables["ranks"] = (ranks, list(map(terms.__getitem__, order)))
+        return table
+
+    def _literal_values(self, kind: str) -> dict[int, object]:
+        """Each literal ID whose datatype gives values of `kind` ("numeric"
+        or "date", per `terms._DATATYPES`), with its value; built for every
+        kind on first read, deriving each literal's value once."""
+        table = self._tables.get("values")
+        if table is None:
+            table = {k: {} for _, k, _ in _DATATYPES.values() if k is not None}
+            for i, term in enumerate(self._terms):
+                if isinstance(term, Literal):
+                    _, its_kind, value = _DATATYPES.get(term.datatype.value, (None, None, None))
+                    if its_kind is not None:
+                        table[its_kind][i] = value(term.lexical)
+            self._tables["values"] = table
+        return table[kind]
 
     def _triple(self, key: Key) -> Triple:
         terms = self._terms
@@ -121,6 +161,7 @@ class Graph:
             self._ids = dict(other._ids)  # reuses the stored hashes
             self._triples = dict(other._triples)
             self._indexes = {}
+            self._tables = {}
         else:
             remap = list(map(self._intern, other._terms))  # other's ID -> self's
             self._add_keys((remap[s], remap[p], remap[o]) for s, p, o in other._triples)

@@ -185,39 +185,80 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+# RFC 3986 appendix B: an IRI's scheme, authority, path, query and
+# fragment (None for a part that is absent); a reference has no scheme.
+_IRI_PARTS = re.compile(r"([^:/?#]+):(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?", re.DOTALL)
+_REFERENCE_PARTS = re.compile(r"(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?", re.DOTALL)
+
+
+def _remove_dot_segments(path: str) -> str:
+    """The path with its `.` and `..` segments applied (RFC 3986 §5.2.4)."""
+    out: list[str] = []
+    while path:
+        if path.startswith("../"):  # rule A
+            path = path[3:]
+        elif path.startswith("./"):
+            path = path[2:]
+        elif path.startswith("/./"):  # rule B
+            path = path[2:]
+        elif path == "/.":
+            path = "/"
+        elif path.startswith("/../"):  # rule C
+            path = path[3:]
+            if out:
+                out.pop()
+        elif path == "/..":
+            path = "/"
+            if out:
+                out.pop()
+        elif path in (".", ".."):  # rule D
+            path = ""
+        else:  # rule E: the first segment, with its leading "/" if any
+            cut = path.find("/", 1)
+            cut = len(path) if cut < 0 else cut
+            out.append(path[:cut])
+            path = path[cut:]
+    return "".join(out)
+
+
 def resolve_iri(reference: str, base: Optional[Iri]) -> Iri:
     """Resolve a possibly-relative IRI reference against a base.
 
-    Follows the usual scheme/authority/path merge; dot segments are kept
-    as written. Raises RelativeIriError when no base is available.
+    A relative reference is resolved by RFC 3986 §5.2.2, and the dot
+    segments of its merged path are removed (§5.2.4): `../g` against
+    `http://a/b/c/d;p?q` is `http://a/b/g`. An absolute IRI is taken as
+    written. Raises RelativeIriError when no base is available.
     """
     if _IRI_SCHEME.match(reference):
         return Iri(reference)
     if base is None:
         raise RelativeIriError(f"relative IRI with no base: {reference!r}")
-    b = base.value
-    if not reference or reference.startswith("#"):
-        return Iri(b.split("#", 1)[0] + reference)
-    if reference.startswith("?"):
-        return Iri(re.split(r"[?#]", b, maxsplit=1)[0] + reference)
-    scheme_end = b.index(":")
-    if reference.startswith("//"):
-        return Iri(b[: scheme_end + 1] + reference)
-    after_scheme = b[scheme_end + 1 :]
-    authority = ""
-    path_start = scheme_end + 1
-    if after_scheme.startswith("//"):
-        slash = after_scheme.find("/", 2)
-        authority = after_scheme if slash < 0 else after_scheme[:slash]
-        path_start = scheme_end + 1 + len(authority)
-    if reference.startswith("/"):
-        return Iri(b[:path_start] + reference)
-    path = re.split(r"[?#]", b[path_start:], maxsplit=1)[0]
-    cut = path.rfind("/")
-    prefix = b[:path_start] + (path[: cut + 1] if cut >= 0 else "")
-    if authority and not path:
-        prefix += "/"  # authority with empty path: merged path starts at /
-    return Iri(prefix + reference)
+    authority, path, query, fragment = _REFERENCE_PARTS.fullmatch(reference).groups()
+    scheme, base_authority, base_path, base_query, _ = _IRI_PARTS.fullmatch(base.value).groups()
+    if authority is None:
+        authority = base_authority
+        if not path:
+            path = base_path
+            if query is None:
+                query = base_query
+        else:
+            if not path.startswith("/"):  # merged with the base path (§5.2.3)
+                if base_authority is not None and not base_path:
+                    path = "/" + path
+                else:
+                    path = base_path[: base_path.rfind("/") + 1] + path
+            path = _remove_dot_segments(path)
+    else:
+        path = _remove_dot_segments(path)
+    text = scheme + ":"
+    if authority is not None:
+        text += "//" + authority
+    text += path
+    if query is not None:
+        text += "?" + query
+    if fragment is not None:
+        text += "#" + fragment
+    return Iri(text)
 
 
 class TokenParser:

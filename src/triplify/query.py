@@ -37,13 +37,22 @@ type promotion, SPARQL 1.1 section 17.3), and an integer meets a double
 by their exact values. As in SPARQL 1.1, `1.5` is an xsd:decimal and
 `1.5e0` an xsd:double. Result rows are deduplicated and
 canonically sorted; there is no ORDER BY.
+
+What follows the steps stays in term IDs, over two tables the graph
+makes once and drops on a write that adds a triple (see `graph`). A
+FILTER reads each literal's value from `Graph._literal_values`, compares
+it with the operand's once per distinct ID in the rows, and keeps a row
+by one set lookup. Answers sort by `Graph._ranks`, each term's place in
+the order of canonical N-Triples spellings: each answer column of IDs
+becomes a column of ranks, and the rank tuples sort as the spelt terms
+would. Only then are terms read, one answer dict filled a column at a
+time. A COUNT, or an answer of at most one row, reads no rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cache
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -410,7 +419,7 @@ def _solve(g: Graph, q: Query) -> tuple[_Plan, list[tuple], list[int]]:
     a filter raises, the rest wait until after the last step.
     """
     plan = _plan(g, q)
-    tests = [(plan.slots[f.var.name], _filter_test(f, g)) for f in q.filters]
+    filters = [_filter(f, g, plan.slots[f.var.name]) for f in q.filters]
     rows = [plan.row]
     counts: list[int] = []
     done = 0  # filters applied to every row
@@ -419,8 +428,8 @@ def _solve(g: Graph, q: Query) -> tuple[_Plan, list[tuple], list[int]]:
         rows = step.run(rows)
         if early:
             try:
-                for slot, test in tests[done : step.ready]:
-                    rows = [r for r in rows if test(r[slot])]
+                for keep in filters[done : step.ready]:
+                    rows = keep(rows)
                     done += 1
             except TypeMismatchError:
                 early = False
@@ -428,39 +437,45 @@ def _solve(g: Graph, q: Query) -> tuple[_Plan, list[tuple], list[int]]:
         if not rows:
             return plan, rows, counts
     # a row that raised still holds; this raises as the written order would
-    for slot, test in tests[done:]:
-        rows = [r for r in rows if test(r[slot])]
+    for keep in filters[done:]:
+        rows = keep(rows)
     return plan, rows, counts
 
 
-def _filter_test(f: FilterExpr, g: Graph) -> Callable[[int], bool]:
-    """The filter as a test of its variable's term ID in g. The operand's
-    value is computed once, and each ID's outcome once per call: the
-    outcome is a function of the term. Ordering a term of another type
-    raises TypeMismatchError, on every test of it; = and != on one are
-    False and True."""
-    op, operand, terms = f.op, f.operand, g._terms
-    compare = _COMPARE[op]
+def _filter(f: FilterExpr, g: Graph, slot: int) -> Callable[[list[tuple]], list[tuple]]:
+    """The filter as a function from rows to the rows it keeps, in order,
+    reading each row's term ID at `slot`.
+
+    The outcome is a function of the term, so it is found once per
+    distinct ID in the rows, by one comparison of the literal's value,
+    read from g's table of literal values (`Graph._literal_values`),
+    with the operand's; a row is then kept by one set lookup. Ordering a
+    term of another type raises TypeMismatchError, naming the first row's
+    such term; = and != on one are False and True."""
+    op, operand = f.op, f.operand
     _, kind, value = _DATATYPES.get(operand.datatype.value, _UNORDERED)
     if kind is None:
         # equality on everything else is term equality: one ID, as the
         # operand, a literal, is the term it equals or absent from g
         equal_to = g._ids.get(operand)
         if op == "=":
-            return lambda i: i == equal_to
-        return lambda i: i != equal_to
-    bound = value(operand.lexical)
+            return lambda rows: [r for r in rows if r[slot] == equal_to]
+        return lambda rows: [r for r in rows if r[slot] != equal_to]
+    compare, bound = _COMPARE[op], value(operand.lexical)
 
-    def test(term: Term) -> bool:
-        if isinstance(term, Literal):
-            _, theirs, their_value = _DATATYPES.get(term.datatype.value, _UNORDERED)
-            if theirs == kind:
-                return compare(*_promoted(their_value(term.lexical), bound))
-        if op not in _ORDERING_OPS:
-            return op == "!="
-        raise TypeMismatchError(f"cannot order {term.to_ntriples()} against a {kind} operand")
+    def keep(rows: list[tuple]) -> list[tuple]:
+        values = g._literal_values(kind)
+        ids = set(map(itemgetter(slot), rows))
+        typed = values.keys() & ids
+        if len(typed) < len(ids) and op in _ORDERING_OPS:
+            term = g._terms[next(r[slot] for r in rows if r[slot] not in values)]
+            raise TypeMismatchError(f"cannot order {term.to_ntriples()} against a {kind} operand")
+        kept = {i for i in typed if compare(*_promoted(values[i], bound))}
+        if op == "!=":
+            kept |= ids - typed
+        return [r for r in rows if r[slot] in kept]
 
-    return cache(lambda i: test(terms[i]))
+    return keep
 
 
 def _promoted(a: object, b: object) -> tuple[object, object]:
@@ -472,13 +487,6 @@ def _promoted(a: object, b: object) -> tuple[object, object]:
     return a, b
 
 
-def _spellings(terms: Sequence[Term], column: Sequence[int]) -> Iterable[str]:
-    """The N-Triples spelling of each term ID in a result column, made
-    once per distinct ID."""
-    spelt = {i: terms[i].to_ntriples() for i in set(column)}
-    return map(spelt.__getitem__, column)
-
-
 def _evaluate(g: Graph, q: Query) -> tuple[Solution, _Plan, list[int]]:
     plan, rows, counts = _solve(g, q)
     if q.count_var is not None:
@@ -486,11 +494,18 @@ def _evaluate(g: Graph, q: Query) -> tuple[Solution, _Plan, list[int]]:
         return Solution((q.count_var,), [row]), plan, counts
     keys = list(dict.fromkeys(map(_values(*(plan.slots[v] for v in q.variables)), rows)))
     terms = g._terms
-    if len(keys) > 1:  # rows sort by their terms spelt out
-        spellings = zip(*(_spellings(terms, column) for column in zip(*keys)))
-        keys = [key for _, key in sorted(zip(spellings, keys), key=itemgetter(0))]
-    rows = [dict(zip(q.variables, map(terms.__getitem__, key))) for key in keys]
-    return Solution(q.variables, rows), plan, counts
+    if len(keys) > 1:
+        # rows sort by their terms' spellings, that is by their ranks: each
+        # column of IDs is made a column of ranks, the rank tuples sort, and
+        # terms are then read by rank
+        ranks, terms = g._ranks()
+        keys = sorted(zip(*(map(ranks.__getitem__, column) for column in zip(*keys))))
+    # one dict per answer, filled a column at a time
+    answers: list[dict[str, Term]] = [{} for _ in keys]
+    for variable, column in zip(q.variables, zip(*keys)):
+        for answer, term in zip(answers, map(terms.__getitem__, column)):
+            answer[variable] = term
+    return Solution(q.variables, answers), plan, counts
 
 
 def execute(g: Graph, q: Query) -> Solution:

@@ -248,7 +248,8 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
     The graph is grouped once from its predicate index, by term ID: each
     class's members, and each constrained predicate's objects by subject.
     rdf:type, each predicate and each class are resolved to their IDs
-    once; only the predicate index is built.
+    once, and each constraint's groups are looked up once per shape, not
+    per focus node; only the predicate index is built.
     """
     terms, ids, by_p = g._terms, g._ids, g._index(1)
     members: dict[int, set[int]] = {}
@@ -266,11 +267,21 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
     violations: list[Violation] = []
     for shape in shapes:
         focuses = sorted(members.get(ids.get(shape.target_class), ()), key=spelling)
+        # each constraint with its objects by subject, and for a class
+        # constraint the class's members, looked up once per shape
+        checks = [
+            (
+                c,
+                values[c.predicate],
+                None if c.kind == "literal" else members.get(ids.get(c.kind_iri), ()),
+            )
+            for c in shape.constraints
+        ]
         for focus in focuses:
             focus_term = terms[focus]
-            for c in shape.constraints:
-                objects = values[c.predicate].get(focus, ())
-                if c.kind == "literal":
+            for c, by_subject, typed in checks:
+                objects = by_subject.get(focus, ())
+                if typed is None:
                     flaw, dt = "is not a literal of datatype", c.kind_iri
                     bad = [
                         o
@@ -279,7 +290,7 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
                     ]
                 else:
                     # members are subjects, so a literal is never one
-                    flaw, typed = "lacks required type", members.get(ids.get(c.kind_iri), ())
+                    flaw = "lacks required type"
                     bad = [o for o in objects if o not in typed]
                 for o in sorted(bad, key=spelling):
                     message = f"object {spelling(o)} {flaw} {c.kind_iri.to_ntriples()}"

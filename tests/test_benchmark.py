@@ -1,6 +1,7 @@
 """A short run of each benchmark workload passes the benchmark's own
 checks of its outputs. `perfbench/run.py` exits 0 even when a check
-fails; the last line of its standard output is the verdict."""
+fails; the last line of its standard output is the verdict. The stage
+script `bench/stages.py` writes a figure for every stage."""
 
 import json
 import subprocess
@@ -26,3 +27,33 @@ def test_a_short_run_is_correct_with_no_failed_operation(workload):
     assert done.returncode == 0, done.stderr
     verdict = json.loads(done.stdout.splitlines()[-1])
     assert verdict["correct"] is True and verdict["failed"] == 0, done.stdout
+
+
+def test_the_stage_script_reports_every_stage(tmp_path):
+    out = tmp_path / "stages.json"
+    done = subprocess.run(
+        [sys.executable, "bench/stages.py", str(out), "--sizes", "20", "30", "--seed", "3"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert list(report) == ["20", "30"]
+    stages = [
+        "synth",
+        "load_csv",
+        "convert",
+        "serialize_ntriples",
+        "parse_ntriples",
+        "validate_graph",
+        "query_join",
+        "query_filter",
+    ]
+    for size in report.values():
+        assert size["triples"] > 0
+        assert list(size["stages"]) == stages
+        for figures in size["stages"].values():
+            assert figures.keys() == {"cpu_s", "peak_mib"}
+            assert figures["cpu_s"] >= 0 and figures["peak_mib"] > 0

@@ -382,6 +382,63 @@ class TestIndexLaziness:
         assert set(g._indexes) == {1}  # rdf:type's bucket size, for the estimate
 
 
+class TestDerivedTables:
+    """The spelling ranks and literal values follow the index rule: made on
+    first read, kept by a write that adds nothing, dropped by one that adds."""
+
+    @staticmethod
+    def _tabled(rng: random.Random) -> Graph:
+        g = pooled_graph(rng, 80)
+        g._ranks()
+        g._literal_values("numeric")
+        return g
+
+    def test_ranks_order_terms_by_their_spellings(self):
+        g = pooled_graph(random.Random(43), 80)
+        ranks, by_rank = g._ranks()
+        assert sorted(ranks) == list(range(len(g._terms)))
+        assert [t.to_ntriples() for t in by_rank] == sorted(t.to_ntriples() for t in g._terms)
+        assert all(by_rank[ranks[i]] is term for i, term in enumerate(g._terms))
+
+    def test_literal_values_hold_each_ordered_literal_once(self):
+        g = Graph(
+            [
+                _t("s", "p", "o"),
+                Triple(Iri(EX + "s"), Iri(EX + "p"), Literal("05", XSD_INTEGER)),
+                Triple(Iri(EX + "s"), Iri(EX + "p"), Literal("1970-01-02", XSD_DATE)),
+                Triple(Iri(EX + "s"), Iri(EX + "p"), Literal("5")),
+            ]
+        )
+        ids = g._ids
+        assert g._literal_values("numeric") == {ids[Literal("05", XSD_INTEGER)]: 5}
+        assert g._literal_values("date") == {ids[Literal("1970-01-02", XSD_DATE)]: 1440}
+        assert set(g._tables) == {"values"}
+
+    def test_a_write_that_adds_a_triple_drops_the_tables(self):
+        rng = random.Random(44)
+        writes = [
+            lambda g, t: g.add(t),
+            lambda g, t: g.update([t]),
+            lambda g, t: g.update(Graph([t])),
+        ]
+        for write in writes:
+            g = self._tabled(rng)
+            write(g, Triple(Iri("http://fresh.org/s"), Iri("http://fresh.org/p"), Literal("new")))
+            assert g._tables == {}
+
+    def test_a_write_that_adds_nothing_keeps_the_tables(self):
+        g = self._tabled(random.Random(45))
+        ranks, values = g._ranks(), g._literal_values("numeric")
+        pool = list(g)
+        assert not g.add(pool[0])
+        g.update(pool[::2])
+        g.update(Graph(pool[1::3]))
+        g.update(g)
+        g.update([])
+        assert g._ranks() is ranks
+        assert g._literal_values("numeric") is values
+
+
 # --- against a plain model -----------------------------------------------------
 
 

@@ -156,7 +156,7 @@ class TestDirectives:
     def test_base_resolution(self):
         g = triples("@base <http://e.org/dir/> . <x> <p:y> <../z> .")
         (t,) = list(g)
-        assert t.s == Iri("http://e.org/dir/x")
+        assert (t.s, t.o) == (Iri("http://e.org/dir/x"), Iri("http://e.org/z"))
 
     def test_empty_reference_is_the_base_document(self):
         g = triples("@base <http://e.org/dir/doc#top> . <> <http://e.org/p> <#sec> .")
@@ -284,6 +284,67 @@ class TestResolveIri:
         ]
         for reference, expected in cases:
             assert resolve_iri(reference, base).value == expected, reference
+
+    # RFC 3986 §5.4: base and expected results copied from the RFC
+    RFC_BASE = "http://a/b/c/d;p?q"
+    RFC_NORMAL = [  # §5.4.1
+        ("g:h", "g:h"),
+        ("g", "http://a/b/c/g"),
+        ("./g", "http://a/b/c/g"),
+        ("g/", "http://a/b/c/g/"),
+        ("/g", "http://a/g"),
+        ("//g", "http://g"),
+        ("?y", "http://a/b/c/d;p?y"),
+        ("g?y", "http://a/b/c/g?y"),
+        ("#s", "http://a/b/c/d;p?q#s"),
+        ("g#s", "http://a/b/c/g#s"),
+        ("g?y#s", "http://a/b/c/g?y#s"),
+        (";x", "http://a/b/c/;x"),
+        ("g;x", "http://a/b/c/g;x"),
+        ("g;x?y#s", "http://a/b/c/g;x?y#s"),
+        ("", "http://a/b/c/d;p?q"),
+        (".", "http://a/b/c/"),
+        ("./", "http://a/b/c/"),
+        ("..", "http://a/b/"),
+        ("../", "http://a/b/"),
+        ("../g", "http://a/b/g"),
+        ("../..", "http://a/"),
+        ("../../", "http://a/"),
+        ("../../g", "http://a/g"),
+    ]
+    RFC_ABNORMAL = [  # §5.4.2, "http:g" as a strict parser reads it
+        ("../../../g", "http://a/g"),
+        ("../../../../g", "http://a/g"),
+        ("/./g", "http://a/g"),
+        ("/../g", "http://a/g"),
+        ("g.", "http://a/b/c/g."),
+        (".g", "http://a/b/c/.g"),
+        ("g..", "http://a/b/c/g.."),
+        ("..g", "http://a/b/c/..g"),
+        ("./../g", "http://a/b/g"),
+        ("./g/.", "http://a/b/c/g/"),
+        ("g/./h", "http://a/b/c/g/h"),
+        ("g/../h", "http://a/b/c/h"),
+        ("g;x=1/./y", "http://a/b/c/g;x=1/y"),
+        ("g;x=1/../y", "http://a/b/c/y"),
+        ("g?y/./x", "http://a/b/c/g?y/./x"),
+        ("g?y/../x", "http://a/b/c/g?y/../x"),
+        ("g#s/./x", "http://a/b/c/g#s/./x"),
+        ("g#s/../x", "http://a/b/c/g#s/../x"),
+        ("http:g", "http:g"),
+    ]
+
+    @pytest.mark.parametrize("reference, expected", RFC_NORMAL + RFC_ABNORMAL)
+    def test_rfc_3986_examples(self, reference, expected):
+        from triplify.turtle import resolve_iri
+
+        assert resolve_iri(reference, Iri(self.RFC_BASE)).value == expected
+
+    def test_dot_segments_of_a_base_without_authority(self):
+        from triplify.turtle import resolve_iri
+
+        assert resolve_iri("../x", Iri("urn:a/b/c")).value == "urn:a/x"
+        assert resolve_iri("../../../x", Iri("urn:a/b/c")).value == "urn:/x"
 
     def test_authority_only_base(self):
         from triplify.turtle import resolve_iri
