@@ -1,14 +1,15 @@
 """CPU time and traced memory peak of each stage of the triplify pipeline.
 
-    python3 bench/stages.py OUT.json [--sizes 2000 20000 70000] [--seed 1]
+    python3 bench/stages.py OUT.json [--sizes 2000 20000 70000]
 
 Run from a source checkout; triplify is imported from its `src/`. For
-each size, synthetic tables of that many patients go through synth,
-load_csv, convert, serialize_ntriples, parse_ntriples, validate_graph
-and two queries. Each stage runs twice, on equal inputs: once timed with
-process CPU time, once under tracemalloc for its peak. validate_graph and
-the queries each get a fresh copy of the parsed graph, with no index or
-table built yet. OUT maps each size to its triple count and stages.
+each size, synthetic tables of that many patients, from seed 1, go
+through synth, load_csv, convert, serialize_ntriples, parse_ntriples,
+validate_graph and two queries. Each stage runs twice, on equal inputs:
+once timed with process CPU time, once under tracemalloc for its peak.
+validate_graph and the queries each get a fresh copy of the parsed
+graph, with no index or table built yet. OUT maps each size to its
+triple count and stages.
 """
 
 import argparse
@@ -20,6 +21,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import triplify as T  # noqa: E402
+
+SEED = 1
 
 QUERIES = {
     "query_join": "SELECT ?p ?t WHERE { ?p roo:P100039 ?t . ?t roo:P100042 ncit:C15402 . }",
@@ -41,14 +44,14 @@ def measure(stage, make_input):
     return out, {"cpu_s": round(cpu, 4), "peak_mib": round(peak / 2**20, 2)}
 
 
-def run(n: int, seed: int) -> dict:
+def run(n: int) -> dict:
     stages = {}
 
     def step(name, stage, make_input=lambda: None):
         out, stages[name] = measure(stage, make_input)
         return out
 
-    tables = step("synth", lambda _: T.generate_synthetic(n, seed))
+    tables = step("synth", lambda _: T.generate_synthetic(n, SEED))
     texts = {name: T.write_csv(table) for name, table in tables.items()}
     loaded = step("load_csv", lambda _: {k: T.load_csv(text, k) for k, text in texts.items()})
     mapping = T.bundled_mapping()
@@ -68,7 +71,6 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path)
     parser.add_argument("--sizes", type=int, nargs="+", default=[2000, 20000, 70000])
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    report = {str(n): run(n, args.seed) for n in args.sizes}
+    report = {str(n): run(n) for n in args.sizes}
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -10,12 +10,12 @@ first time its position is read (`_index`). A write that adds a triple
 drops every built index, and the next read builds it again; a graph is
 loaded, then read, so no workload pays for that.
 
-Two more tables are derived from the whole graph for the query engine,
-kept in their own slot, `_tables`: `_ranks`, each term ID's place in the
-order of canonical N-Triples spellings, and `_literal_values`, each
-literal ID's value for each kind a FILTER orders. They follow the index
-rule: each is made on first read and dropped by the write that drops
-the indexes.
+Two more tables, kept in their own slot, `_tables`, remember per term
+ID what the query engine derives from a term: `_spelt`, its canonical
+N-Triples spelling, and `_valued`, the value a FILTER orders it by. They
+are filled an ID at a time, as a query first meets it, so one query
+pays only for the terms in its rows and the next reuses them. They
+follow the index rule: a write that adds a triple drops them.
 
 A batch of keys goes in by one bulk insert, `_add_keys`, one
 `dict.update`. The converter inserts each predicate-object map's
@@ -33,15 +33,16 @@ so callers that print sort.
 Construction is single-writer. Once written, a graph can be read from
 any number of threads; readers racing to the first read of a position
 may each build its index, but each publishes it by one assignment, so
-none sees a partial one.
+none sees a partial one. Readers racing to the same term ID of a
+table each store the same spelling or value.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import filterfalse, repeat
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
-from .terms import _DATATYPES, Iri, Literal, Term, Triple
+from .terms import _DATATYPES, _UNORDERED, Iri, Literal, Term, Triple
 
 Key = tuple[int, int, int]  # (subject, predicate, object) IDs
 Index = dict[int, list[Key]]
@@ -55,7 +56,7 @@ class Graph:
         self._ids: dict[Term, int] = {}  # term -> ID
         self._triples: dict[Key, None] = {}
         self._indexes: dict[int, Index] = {}  # position -> index, once built
-        self._tables: dict[str, object] = {}  # "ranks", "values" -> table, once built
+        self._tables: dict[str, dict] = {}  # "spellings", "values" -> table, once begun
         self.update(triples)
 
     def _intern(self, term: Term) -> int:
@@ -101,36 +102,37 @@ class Graph:
             self._indexes[position] = index
         return index
 
-    def _ranks(self) -> tuple[list[int], list[Term]]:
-        """Each term ID's rank, its place when every term is sorted by its
-        canonical N-Triples spelling, and the term at each rank; built on
-        first read, by spelling each term once. Spellings are distinct, so
-        ranks are too: sorting by ranks is sorting by spellings."""
-        table = self._tables.get("ranks")
-        if table is None:
-            terms = self._terms
-            spellings = [term.to_ntriples() for term in terms]
-            order = sorted(range(len(terms)), key=spellings.__getitem__)
-            ranks = [0] * len(order)
-            for rank, i in enumerate(order):
-                ranks[i] = rank
-            table = self._tables["ranks"] = (ranks, list(map(terms.__getitem__, order)))
-        return table
+    def _spelt(self, ids: Iterable[int]) -> dict[int, str]:
+        """The graph's table of canonical N-Triples spellings by term ID,
+        holding at least `ids`: a term is spelt the first time its ID is
+        asked for, and kept until a write drops the table."""
+        spelt = self._tables.get("spellings")
+        if spelt is None:
+            spelt = self._tables["spellings"] = {}
+        terms = self._terms
+        for i in filterfalse(spelt.__contains__, ids):
+            spelt[i] = terms[i].to_ntriples()
+        return spelt
 
-    def _literal_values(self, kind: str) -> dict[int, object]:
-        """Each literal ID whose datatype gives values of `kind` ("numeric"
-        or "date", per `terms._DATATYPES`), with its value; built for every
-        kind on first read, deriving each literal's value once."""
-        table = self._tables.get("values")
-        if table is None:
-            table = {k: {} for _, k, _ in _DATATYPES.values() if k is not None}
-            for i, term in enumerate(self._terms):
-                if isinstance(term, Literal):
-                    _, its_kind, value = _DATATYPES.get(term.datatype.value, (None, None, None))
-                    if its_kind is not None:
-                        table[its_kind][i] = value(term.lexical)
-            self._tables["values"] = table
-        return table[kind]
+    def _valued(self, ids: Iterable[int]) -> dict[int, tuple[Optional[str], object]]:
+        """The graph's table of FILTER values by term ID, holding at least
+        `ids`: a literal whose datatype orders (`terms._DATATYPES`) has its
+        kind, "numeric" or "date", and its value, any other term `(None,
+        None)`. A term's value is derived the first time its ID is asked
+        for, and kept until a write drops the table."""
+        valued = self._tables.get("values")
+        if valued is None:
+            valued = self._tables["values"] = {}
+        terms = self._terms
+        for i in filterfalse(valued.__contains__, ids):
+            term = terms[i]
+            kind = value = None
+            if isinstance(term, Literal):
+                _, kind, derive = _DATATYPES.get(term.datatype.value, _UNORDERED)
+                if kind is not None:
+                    value = derive(term.lexical)
+            valued[i] = (kind, value)
+        return valued
 
     def _triple(self, key: Key) -> Triple:
         terms = self._terms

@@ -39,20 +39,20 @@ by their exact values. As in SPARQL 1.1, `1.5` is an xsd:decimal and
 canonically sorted; there is no ORDER BY.
 
 What follows the steps stays in term IDs, over two tables the graph
-makes once and drops on a write that adds a triple (see `graph`). A
-FILTER reads each literal's value from `Graph._literal_values`, compares
-it with the operand's once per distinct ID in the rows, and keeps a row
-by one set lookup. Answers sort by `Graph._ranks`, each term's place in
-the order of canonical N-Triples spellings: each answer column of IDs
-becomes a column of ranks, and the rank tuples sort as the spelt terms
-would. Only then are terms read, one answer dict filled a column at a
-time. A COUNT, or an answer of at most one row, reads no rank.
+fills per ID as queries meet them and drops on a write that adds a
+triple (see `graph`). A FILTER reads each term's value from
+`Graph._valued`, compares it with the operand's once per distinct ID in
+the rows, and keeps a row by one set lookup. Answers sort by the
+spellings `Graph._spelt` holds, each term spelt once per graph, not
+once per query; only then are terms read. A COUNT, or an answer of at
+most one row, spells nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import repeat
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -61,6 +61,7 @@ from .graph import Graph, Key, merge
 from .lexer import TokenParser
 from .terms import (
     _DATATYPES,
+    _UNORDERED,
     RDF_TYPE,
     XSD_INTEGER,
     Literal,
@@ -72,7 +73,6 @@ from .terms import (
 # terms._DATATYPES gives a kind of value.
 _COMPARE = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 _ORDERING_OPS = ("<", "<=", ">", ">=")
-_UNORDERED = (None, None, None)  # the _DATATYPES entry of any other datatype
 
 
 @dataclass(frozen=True, slots=True)
@@ -447,11 +447,11 @@ def _filter(f: FilterExpr, g: Graph, slot: int) -> Callable[[list[tuple]], list[
     reading each row's term ID at `slot`.
 
     The outcome is a function of the term, so it is found once per
-    distinct ID in the rows, by one comparison of the literal's value,
-    read from g's table of literal values (`Graph._literal_values`),
-    with the operand's; a row is then kept by one set lookup. Ordering a
-    term of another type raises TypeMismatchError, naming the first row's
-    such term; = and != on one are False and True."""
+    distinct ID in the rows, by one comparison of the term's value, read
+    from g's table of values (`Graph._valued`), with the operand's; a
+    row is then kept by one set lookup. Ordering a term of another type
+    raises TypeMismatchError, naming the first row's such term; = and !=
+    on one are False and True."""
     op, operand = f.op, f.operand
     _, kind, value = _DATATYPES.get(operand.datatype.value, _UNORDERED)
     if kind is None:
@@ -464,15 +464,19 @@ def _filter(f: FilterExpr, g: Graph, slot: int) -> Callable[[list[tuple]], list[
     compare, bound = _COMPARE[op], value(operand.lexical)
 
     def keep(rows: list[tuple]) -> list[tuple]:
-        values = g._literal_values(kind)
         ids = set(map(itemgetter(slot), rows))
-        typed = values.keys() & ids
-        if len(typed) < len(ids) and op in _ORDERING_OPS:
-            term = g._terms[next(r[slot] for r in rows if r[slot] not in values)]
-            raise TypeMismatchError(f"cannot order {term.to_ntriples()} against a {kind} operand")
-        kept = {i for i in typed if compare(*_promoted(values[i], bound))}
-        if op == "!=":
-            kept |= ids - typed
+        valued = g._valued(ids)
+        kept = set()
+        for i in ids:
+            its_kind, its_value = valued[i]
+            if its_kind == kind:
+                if compare(*_promoted(its_value, bound)):
+                    kept.add(i)
+            elif op in _ORDERING_OPS:
+                term = g._terms[next(r[slot] for r in rows if valued[r[slot]][0] != kind)]
+                raise TypeMismatchError(f"cannot order {term.to_ntriples()} against a {kind} operand")
+            elif op == "!=":
+                kept.add(i)
         return [r for r in rows if r[slot] in kept]
 
     return keep
@@ -493,19 +497,15 @@ def _evaluate(g: Graph, q: Query) -> tuple[Solution, _Plan, list[int]]:
         row = {q.count_var: Literal(str(len(rows)), XSD_INTEGER)}
         return Solution((q.count_var,), [row]), plan, counts
     keys = list(dict.fromkeys(map(_values(*(plan.slots[v] for v in q.variables)), rows)))
-    terms = g._terms
     if len(keys) > 1:
-        # rows sort by their terms' spellings, that is by their ranks: each
-        # column of IDs is made a column of ranks, the rank tuples sort, and
-        # terms are then read by rank
-        ranks, terms = g._ranks()
-        keys = sorted(zip(*(map(ranks.__getitem__, column) for column in zip(*keys))))
-    # one dict per answer, filled a column at a time
-    answers: list[dict[str, Term]] = [{} for _ in keys]
-    for variable, column in zip(q.variables, zip(*keys)):
-        for answer, term in zip(answers, map(terms.__getitem__, column)):
-            answer[variable] = term
-    return Solution(q.variables, answers), plan, counts
+        # rows sort by their terms' spellings, read from the graph's table;
+        # two distinct keys differ in some spelling, so no key is compared
+        spellings = (map(g._spelt(column).__getitem__, column) for column in zip(*keys))
+        keys = list(map(itemgetter(-1), sorted(zip(*spellings, keys))))
+    terms = g._terms
+    columns = (map(terms.__getitem__, column) for column in zip(*keys))
+    rows = list(map(dict, map(zip, repeat(q.variables), zip(*columns))))
+    return Solution(q.variables, rows), plan, counts
 
 
 def execute(g: Graph, q: Query) -> Solution:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -95,14 +94,12 @@ def _valid_date(lexical: str) -> bool:
     return 1 <= day <= days
 
 
-@lru_cache(maxsize=4096)
 def date_minutes(lexical: str) -> int:
     """The starting instant of a valid xsd:date, in minutes from 1970-01-01Z.
 
     This is the order of XSD `op:date-less-than`: a date without a
     timezone is taken as Z. Days are counted in proleptic Gregorian
     arithmetic, which holds for any year, `datetime.date`'s 1-9999 or not.
-    Remembered per form, as a FILTER meets the same few dates many times.
     """
     year, month, day, sign, offset = _DATE_LEXICAL.fullmatch(lexical).groups()
     # days from civil (H. Hinnant): years begin on March 1, so a leap
@@ -175,6 +172,7 @@ _DATATYPES: dict[str, tuple[Callable[[str], object], Optional[str], Optional[Cal
     XSD_DATE.value: (_valid_date, "date", date_minutes),
     XSD_BOOLEAN.value: (_BOOLEAN_LEXICAL.fullmatch, None, None),
 }
+_UNORDERED = (None, None, None)  # the _DATATYPES entry of any other datatype
 
 
 @dataclass(frozen=True, slots=True)

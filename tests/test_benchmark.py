@@ -32,7 +32,7 @@ def test_a_short_run_is_correct_with_no_failed_operation(workload):
 def test_the_stage_script_reports_every_stage(tmp_path):
     out = tmp_path / "stages.json"
     done = subprocess.run(
-        [sys.executable, "bench/stages.py", str(out), "--sizes", "20", "30", "--seed", "3"],
+        [sys.executable, "bench/stages.py", str(out), "--sizes", "20", "30"],
         cwd=ROOT,
         capture_output=True,
         text=True,

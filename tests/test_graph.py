@@ -383,24 +383,26 @@ class TestIndexLaziness:
 
 
 class TestDerivedTables:
-    """The spelling ranks and literal values follow the index rule: made on
-    first read, kept by a write that adds nothing, dropped by one that adds."""
+    """The spelling and value tables are filled an ID at a time, as asked
+    for, and follow the index rule: kept by a write that adds nothing,
+    dropped by one that adds."""
 
     @staticmethod
     def _tabled(rng: random.Random) -> Graph:
         g = pooled_graph(rng, 80)
-        g._ranks()
-        g._literal_values("numeric")
+        g._spelt(range(0, len(g._terms), 2))
+        g._valued(range(0, len(g._terms), 3))
         return g
 
-    def test_ranks_order_terms_by_their_spellings(self):
+    def test_spellings_are_made_for_the_ids_asked_for(self):
         g = pooled_graph(random.Random(43), 80)
-        ranks, by_rank = g._ranks()
-        assert sorted(ranks) == list(range(len(g._terms)))
-        assert [t.to_ntriples() for t in by_rank] == sorted(t.to_ntriples() for t in g._terms)
-        assert all(by_rank[ranks[i]] is term for i, term in enumerate(g._terms))
+        spelt = g._spelt([3, 0, 3])
+        assert spelt == {i: g._terms[i].to_ntriples() for i in (0, 3)}
+        assert g._spelt([3, 5]) is spelt
+        assert spelt == {i: g._terms[i].to_ntriples() for i in (0, 3, 5)}
+        assert set(g._tables) == {"spellings"}
 
-    def test_literal_values_hold_each_ordered_literal_once(self):
+    def test_values_give_each_term_its_kind_and_value(self):
         g = Graph(
             [
                 _t("s", "p", "o"),
@@ -410,8 +412,8 @@ class TestDerivedTables:
             ]
         )
         ids = g._ids
-        assert g._literal_values("numeric") == {ids[Literal("05", XSD_INTEGER)]: 5}
-        assert g._literal_values("date") == {ids[Literal("1970-01-02", XSD_DATE)]: 1440}
+        asked = [ids[Iri(EX + "o")], ids[Literal("05", XSD_INTEGER)], ids[Literal("1970-01-02", XSD_DATE)], ids[Literal("5")]]
+        assert g._valued(asked) == dict(zip(asked, [(None, None), ("numeric", 5), ("date", 1440), (None, None)]))
         assert set(g._tables) == {"values"}
 
     def test_a_write_that_adds_a_triple_drops_the_tables(self):
@@ -428,15 +430,15 @@ class TestDerivedTables:
 
     def test_a_write_that_adds_nothing_keeps_the_tables(self):
         g = self._tabled(random.Random(45))
-        ranks, values = g._ranks(), g._literal_values("numeric")
+        spelt, valued = g._tables["spellings"], g._tables["values"]
         pool = list(g)
         assert not g.add(pool[0])
         g.update(pool[::2])
         g.update(Graph(pool[1::3]))
         g.update(g)
         g.update([])
-        assert g._ranks() is ranks
-        assert g._literal_values("numeric") is values
+        assert g._spelt([1]) is spelt
+        assert g._valued([1]) is valued
 
 
 # --- against a plain model -----------------------------------------------------

@@ -560,8 +560,9 @@ def _outcome(g, q):
 
 
 class TestPerGraphTables:
-    """Rows sort by the graph's spelling ranks and FILTERs read its literal
-    values; both tables are made once per graph and follow its writes."""
+    """Rows sort by the graph's table of spellings and FILTERs read its
+    table of values; both are filled for the IDs a query's rows hold, and
+    follow the graph's writes."""
 
     QUERY = "PREFIX e: <http://ex.org/> SELECT ?s ?v WHERE { ?s e:p ?v . FILTER(?v > 3) }"
 
@@ -576,7 +577,7 @@ class TestPerGraphTables:
         g = self._graph()
         q = parse_query(self.QUERY)
         before = execute(g, q).rows
-        assert set(g._tables) == {"ranks", "values"}
+        assert set(g._tables) == {"spellings", "values"}
         # a subject that spells before every other, and a value that passes
         early = Iri("http://a.org/s")
         g.add(Triple(early, Iri(EX + "p"), Literal("9.5", XSD_DECIMAL)))
@@ -606,7 +607,17 @@ class TestPerGraphTables:
         execute(g, parse_query("PREFIX e: <http://ex.org/> SELECT ?v WHERE { e:s3 e:p ?v . }"))
         assert g._tables == {}
         execute(g, parse_query("PREFIX e: <http://ex.org/> SELECT ?v WHERE { ?s e:p ?v . }"))
-        assert set(g._tables) == {"ranks"}
+        assert set(g._tables) == {"spellings"}
+
+    def test_a_query_fills_the_tables_only_for_its_rows(self):
+        g = self._graph()
+        g.add(Triple(Iri(EX + "other"), Iri(EX + "q"), Literal("1", XSD_INTEGER)))
+        rows = execute(g, parse_query(self.QUERY)).rows
+        ids = g._ids
+        # the filter meets each ?v; only the answers' terms are spelt
+        assert set(g._tables["values"]) == {ids[Literal(str(i), XSD_INTEGER)] for i in range(8)}
+        assert set(g._tables["spellings"]) == {ids[term] for row in rows for term in row.values()}
+        assert len(rows) == 4
 
 
 class TestPlannedJoins:
