@@ -31,7 +31,7 @@ from .registry import (
 )
 from .r2rml import parse_mapping, validate_mapping
 from .tabular import load_csv, write_csv
-from .terms import RDF_TYPE, BlankNode, Term
+from .terms import RDF_TYPE
 from .turtle import parse_turtle
 
 
@@ -53,12 +53,11 @@ def _read(path: str) -> str:
 
 
 def _scope_blank_nodes(g: Graph, prefix: str) -> Graph:
-    """The graph with every blank node label prefixed."""
+    """The graph with every blank node label prefixed; prefix is a run of
+    PN_CHARS_U and digits, so a prefixed label is still a valid one."""
 
-    def scoped(term: Term) -> Term:
-        if not isinstance(term, BlankNode):
-            return term
-        return BlankNode(prefix + term.label)
+    def scoped(spelling: str) -> str:
+        return f"_:{prefix}{spelling[2:]}" if spelling[0] == "_" else spelling
 
     return g._renamed(scoped)
 
@@ -205,12 +204,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return _fail(f"cannot load graph: {exc}", 2)
     terms, ids, by_p = g._terms, g._ids, g._index(1)
     lines = [f"triples\t{len(g)}"]
-    classes = Counter(o for _, _, o in by_p.get(ids.get(RDF_TYPE), ()))
-    for spelt, cls in sorted((terms[c].to_ntriples(), c) for c in classes):
+    classes = Counter(o for _, _, o in by_p.get(ids.get(RDF_TYPE.to_ntriples()), ()))
+    for spelt, cls in sorted((terms[c], c) for c in classes):
         lines.append(f"class\t{spelt}\t{classes[cls]}")
     counts = Counter()
     for p, category in predicate_categories().items():
-        counts[category] += len(by_p.get(ids.get(p), ()))
+        counts[category] += len(by_p.get(ids.get(p.to_ntriples()), ()))
     for name in _CATEGORIES:
         lines.append(f"category\t{name}\t{counts[name]}")
     _write_output("".join(line + "\n" for line in lines))

@@ -17,8 +17,10 @@ make no predicate, and rows whose predicate was skipped make no object.
 The graph's insertion order, which iteration and `match` follow, is per
 triples map: its class triples, in first-seen subject order, then each
 predicate-object map's triples in row order. Term IDs are handed out
-column by column. Each distinct term is made and interned once per
-conversion, and each triple is added as a tuple of its three term IDs.
+column by column. Each distinct term is spelt and interned once per
+conversion, with no term object made: a cell's text is checked as the
+term's constructor checks it and spelt as the graph stores it. Each
+triple is added as a tuple of its three term IDs.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from operator import attrgetter, is_, is_not, itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import (
+    CsvError,
     MappingError,
     MissingColumnError,
     TriplifyError,
@@ -53,6 +56,8 @@ from .terms import (
     Iri,
     Literal,
     Term,
+    check_iri,
+    literal_text,
 )
 
 # RFC 3987 ucschar: private-use planes excluded, surrogates excluded.
@@ -139,6 +144,33 @@ def _wrap(text: str, tm: TermMap) -> Term:
     return Literal(text, tm.datatype if tm.datatype is not None else XSD_STRING)
 
 
+def _spell(text: str, tm: TermMap) -> str:
+    """The canonical N-Triples spelling of `_wrap(text, tm)`, checked as
+    that term's constructor checks it, without making the term."""
+    if tm.term_kind == "IRI":
+        return f"<{check_iri(text)}>"
+    if tm.term_kind == "BlankNode":
+        # a label of [A-Za-z0-9_] only is always a BLANK_NODE_LABEL
+        return "_:" + _blank_label(text)
+    if tm.language is not None:
+        return literal_text(text, RDF_LANGSTRING.value, tm.language)
+    return literal_text(text, (tm.datatype or XSD_STRING).value)
+
+
+def _text(tm: TermMap, row: Row) -> Optional[str]:
+    """The text a term map without a constant makes its term from for one
+    row: its column's cell, or its template filled; None when a
+    referenced cell is NULL."""
+    if tm.column is not None:
+        try:
+            return row[tm.column]
+        except KeyError:
+            raise MissingColumnError(tm.column) from None
+    if tm.template is None:
+        raise MappingError("term map has no constant, column or template")
+    return expand_template(tm.template, row, tm.term_kind)
+
+
 def generate_term(tm: TermMap, row: Row) -> Optional[Term]:
     """Produce the term a term map yields for one row.
 
@@ -147,20 +179,15 @@ def generate_term(tm: TermMap, row: Row) -> Optional[Term]:
     """
     if tm.constant is not None:
         return tm.constant
-    if tm.column is not None:
-        try:
-            cell = row[tm.column]
-        except KeyError:
-            raise MissingColumnError(tm.column) from None
-        if cell is None:
-            return None
-        return _wrap(cell, tm)
-    if tm.template is None:
-        raise MappingError("term map has no constant, column or template")
-    text = expand_template(tm.template, row, tm.term_kind)
-    if text is None:
-        return None
-    return _wrap(text, tm)
+    text = _text(tm, row)
+    return None if text is None else _wrap(text, tm)
+
+
+def _spelling(tm: TermMap, row: Row) -> Optional[str]:
+    """`generate_term(tm, row)`'s canonical spelling, or None, made and
+    raising as it does, without making the term; tm has no constant."""
+    text = _text(tm, row)
+    return None if text is None else _spell(text, tm)
 
 
 # --- reporting ----------------------------------------------------------------
@@ -205,10 +232,12 @@ def _term_or_skip(
     map_id: str,
     rownum: int,
     what: str,
-) -> Optional[Term]:
-    """The term tm makes for row, or None with the skip and its reason logged."""
+    make: Callable[[TermMap, Row], object] = generate_term,
+) -> Optional[object]:
+    """The term tm makes for row, or None with the skip and its reason
+    logged; make is generate_term, or `_spelling` for the term's spelling."""
     try:
-        term = generate_term(tm, row)
+        term = make(tm, row)
     except TriplifyError as exc:
         # of the cells read, only one that holds a lone surrogate is to blame
         columns = tm.source_columns()
@@ -235,15 +264,30 @@ Column = Callable[[list[Row], Sequence[int], list[SkippedTerm]], list[Optional[i
 TermTable = dict[TermMap, dict[object, int]]
 
 
+def _cells(get: Callable[[Row], tuple], rows: list[Row], rownums: Sequence[int]) -> list:
+    """get(row) for each row. A row that lacks a column get reads, which
+    `TableSource` refuses but a row added to its `rows` later may, is a
+    CsvError naming its row number, as `TableSource` names it."""
+    try:
+        return list(map(get, rows))
+    except KeyError:
+        for row, rownum in zip(rows, rownums):
+            try:
+                get(row)
+            except KeyError:
+                raise CsvError(f"row {rownum} does not match the table columns") from None
+        raise
+
+
 def _column(tm: TermMap, g: Graph, terms: TermTable, map_id: str, what: str) -> Column:
     """tm compiled over the term table: a row whose source cells were met
-    before gets the ID of the term made then, which generate_term, a pure
+    before gets the ID of the term spelt then, which generate_term, a pure
     function of tm and those cells, would make again. Only the other rows
     go to _term_or_skip, in row order; a NULL or failed term is never
     stored, so each such row's skip is logged."""
     intern = g._intern
     if tm.constant is not None:
-        constant = intern(tm.constant)
+        constant = intern(tm.constant.to_ntriples())
         return lambda rows, rownums, log: [constant] * len(rows)
     columns = tm.source_columns()
     cells_of = itemgetter(*columns) if columns else lambda row: ()
@@ -252,16 +296,16 @@ def _column(tm: TermMap, g: Graph, terms: TermTable, map_id: str, what: str) -> 
     def make(
         rows: list[Row], rownums: Sequence[int], log: list[SkippedTerm]
     ) -> list[Optional[int]]:
-        cells = list(map(cells_of, rows))
+        cells = _cells(cells_of, rows, rownums)
         ids = list(map(table.get, cells))
         misses = list(compress(range(len(ids)), map(is_, ids, repeat(None))))
         for k in misses:
-            i = table.get(cells[k])  # made for an earlier row of this call
+            i = table.get(cells[k])  # spelt for an earlier row of this call
             if i is None:
-                term = _term_or_skip(tm, rows[k], log, map_id, rownums[k], what)
-                if term is None:
+                spelling = _term_or_skip(tm, rows[k], log, map_id, rownums[k], what, _spelling)
+                if spelling is None:
                     continue
-                i = table[cells[k]] = intern(term)
+                i = table[cells[k]] = intern(spelling)
             ids[k] = i
         return ids
 
@@ -291,9 +335,11 @@ def _require_columns(table: TableSource, columns: list[str]) -> None:
             raise MissingColumnError(c)
 
 
-def _join_values(columns: list[str], rows: list[Row]) -> list[tuple]:
+def _join_values(columns: list[str], rows: list[Row], rownums: Sequence[int]) -> list[tuple]:
     """Each row's values in columns, as a tuple; None where a cell is NULL."""
-    return list(zip(*(map(itemgetter(c), rows) for c in columns)))
+    get = itemgetter(*columns)
+    values = _cells(get, rows, rownums)
+    return values if len(columns) > 1 else [(v,) for v in values]
 
 
 def _join_table(
@@ -301,7 +347,7 @@ def _join_table(
 ) -> dict[tuple, list[int]]:
     """The ID of each parent row's subject, by the row's join values: NULL
     joins nothing, and a subject that cannot be made gives no edge."""
-    values = _join_values([pc for _, pc in joins], parent_rows)
+    values = _join_values([pc for _, pc in joins], parent_rows, range(1, len(parent_rows) + 1))
     joinable = [None not in v for v in values]
     rownums = list(compress(range(1, len(parent_rows) + 1), joinable))
     subjects = parent_of(list(compress(parent_rows, joinable)), rownums, [])
@@ -387,8 +433,8 @@ def _apply_triples_map(
         _require_columns(parent, [pc for _, pc in rom.joins])
         join = (child_columns, _join_table(rom.joins, parent.rows, parent_of))
         poms.append((predicate_of, None, join))
-    classes = tuple(map(g._intern, tm.subject_classes))
-    rdf_type = g._intern(RDF_TYPE) if classes else None
+    classes = tuple(g._intern(c.to_ntriples()) for c in tm.subject_classes)
+    rdf_type = g._intern(RDF_TYPE.to_ntriples()) if classes else None
 
     def insert(keys: list[Key]) -> None:
         report.triples_deduplicated += len(keys) - g._add_keys(keys)
@@ -410,7 +456,7 @@ def _apply_triples_map(
             keys = [(s, p, o) for s, p, o in triples if o is not None]
         else:
             child_columns, ids = join
-            parents = map(ids.get, _join_values(child_columns, prows), repeat(()))
+            parents = map(ids.get, _join_values(child_columns, prows, pnums), repeat(()))
             keys = [(s, p, o) for s, p, os in zip(psubjects, predicates, parents) for o in os]
         insert(keys)
     log.sort(key=attrgetter("row"))  # stable: term-map order within a row
@@ -422,7 +468,7 @@ def convert(
 ) -> tuple[Graph, ConversionReport]:
     """Run every triples map; requires a validation pass with zero errors.
 
-    Each distinct term (term map, source cells) is made once per call;
+    Each distinct term (term map, source cells) is spelt once per call;
     the graph is handed its ID, which every triples map that makes it
     again reuses. The report's rows_read counts each logical table once,
     however many triples maps read it.

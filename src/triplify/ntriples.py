@@ -5,6 +5,8 @@ UTF-8, no BOM. Parsing accepts any valid N-Triples document (plus full-line
 and trailing comments) but one whose blank node label holds a `:`, which
 the term grammar shared with Turtle leaves out. It is the exact inverse of
 serialization: blank node labels are preserved, so parse(serialize(g)) == g.
+A graph's term table already holds each term's canonical spelling, so
+writing joins those spellings and reading stores them.
 
 A line is read one of two ways. A line in the canonical shape `S P O .`,
 which is every line the writer makes, is split at its first two spaces,
@@ -16,26 +18,42 @@ terminals of `triplify.lexer`, the term grammar Turtle and SPARQL use:
 so does a line with tabs, runs of spaces or a comment, a blank node label
 touching the next term (`_:a<http://e.org/p> ...` parses), and every line
 with an error, which that pattern rescans to name the slot that broke.
-Both ways check the whole line before any of its terms is made, and end
-in one block that makes the line's new terms, so they give the same
+Both ways check the whole line before any of its terms is read, and end
+in one block that reads the line's new terms, so they give the same
 graph, term IDs and errors.
 
 As in Turtle and the RDF 1.1 grammar, a line (and a comment) ends at LF,
 CRLF or a lone CR, an IRI may hold only `\\u`/`\\U` escapes (`<a\\'b>` is
-a ParseError) and a string no raw CR. One table maps the text each term
-was read from to its term ID: a text is unescaped, validated and given an
-ID once per document, where it first occurs; no `Triple` is built, as
-the line's slots already fix each term's position.
+a ParseError) and a string no raw CR. A slot's text is read once per
+document, where it first occurs, and no term object is made. A text that
+is already the canonical spelling of a valid term is stored as read,
+after the checks the term's constructor makes (`_as_read`); that is every
+text the writer makes. Any other text, one with an escape, a datatype of
+xsd:string, a raw control character or a check that fails, is made into
+a term by `_term`, and stored as its canonical spelling or reported as
+that term's error, at its line and column.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Callable, Optional
 
 from .errors import ParseError, TriplifyError
 from .graph import Graph
 from .lexer import BLANK, IRIREF, LANGTAG, STRING, split_lines, unescape
-from .terms import RDF_LANGSTRING, BlankNode, Iri, Literal, Term
+from .terms import (
+    _DATATYPES,
+    _LANGUAGE_TAG,
+    RDF_LANGSTRING,
+    XSD_STRING,
+    BlankNode,
+    Iri,
+    Literal,
+    Term,
+    check_iri,
+    literal_parts,
+)
 
 # A literal; groups: its string, datatype IRI and language tag.
 _LITERAL = rf"({STRING})(?:\^\^[ \t]*({IRIREF})|({LANGTAG}))?"
@@ -53,18 +71,21 @@ _LINE = re.compile(
 _WS = re.compile(r"[ \t]*")
 # Each slot's term pattern alone, for a text of a canonical line.
 _SLOT_TERMS = tuple(re.compile(slot).fullmatch for _, slot in _SLOTS[:3])
+# What keeps a literal's text from being its canonical spelling, or from
+# being a valid literal: an escape, a character `escape_literal` escapes
+# (a control character or DEL), or a lone surrogate.
+_NOT_AS_READ = re.compile(r"[\\\x00-\x1f\x7f\ud800-\udfff]")
 
 
 def serialize_ntriples(g: Graph) -> str:
     """Render a graph as canonical N-Triples text.
 
-    Each term ID is spelt once; the lines are sorted as text.
+    The term table holds each term's spelling; the lines are sorted as text.
     """
     if not g._triples:
         return ""
-    spelt = [term.to_ntriples() for term in g._terms]
+    spelt = g._terms
     lines = [f"{spelt[s]} {spelt[p]} {spelt[o]} ." for s, p, o in g._triples]
-    del spelt  # freed before the text is joined
     lines.sort()
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
@@ -110,6 +131,58 @@ def _term(raw: str, lineno: int, column: int, datatypes: dict[str, Iri]) -> Term
         raise ParseError(str(exc), lineno, column) from None
 
 
+def _anything(lexical: str) -> bool:
+    return True
+
+
+def _nothing(lexical: str) -> bool:
+    return False
+
+
+def _datatype_test(tail: str) -> Callable[[str], object]:
+    """For the text after a literal's string, `^^` and its datatype: the
+    test its lexical form must pass to be stored as read. It passes
+    nothing when no such literal is: xsd:string (spelt without it),
+    rdf:langString (a literal with a tag), or an invalid IRI, which a
+    space after `^^` also makes, as `<` or a space then starts it."""
+    datatype = tail[3:-1]
+    if datatype in (XSD_STRING.value, RDF_LANGSTRING.value):
+        return _nothing
+    try:
+        check_iri(datatype)
+    except TriplifyError:
+        return _nothing
+    checked = _DATATYPES.get(datatype)
+    return _anything if checked is None else checked[0]
+
+
+def _as_read(raw: str, tests: dict[str, Callable[[str], object]]) -> Optional[str]:
+    """raw, a slot's matched text, when it is the canonical spelling of a
+    term its constructor accepts; else None. An IRI is checked as `Iri`
+    checks it; a blank node label needs no check, as the slot pattern is
+    BLANK_NODE_LABEL; a literal is checked as `Literal` checks it, its
+    datatype's test made once per datatype text, in `tests`."""
+    if raw[0] == "<":
+        try:
+            check_iri(raw[1:-1])
+        except TriplifyError:
+            return None
+        return raw
+    if raw[0] == "_":
+        return raw
+    if _NOT_AS_READ.search(raw) is not None:
+        return None
+    lexical, tail = literal_parts(raw)
+    if not tail:
+        return raw
+    if tail[0] == "@":
+        return raw if _LANGUAGE_TAG.fullmatch(tail, 1) else None
+    test = tests.get(tail)
+    if test is None:
+        test = tests[tail] = _datatype_test(tail)
+    return raw if test(lexical) else None
+
+
 def parse_ntriples(text: str) -> Graph:
     """Parse an N-Triples document into a graph (duplicate lines collapse).
 
@@ -120,21 +193,36 @@ def parse_ntriples(text: str) -> Graph:
     pattern. Any other line, and a line that fails one of these checks, is
     matched by the full line pattern, which allows comments and any spacing
     and names the slot a syntax error is in. All three slots are checked
-    before any term is made, so a line with a syntax error reports that
+    before any term is read, so a line with a syntax error reports that
     error, not a term error from an earlier slot.
 
-    The reader hands the graph term IDs: each distinct IRI, blank node or
-    literal text is unescaped, validated and interned once, where it
-    first occurs, and every later occurrence reuses its ID. Interning is
-    by term, so two spellings of one term (`<http://e.org/\\u0041>` and
-    `<http://e.org/A>`, `"a"` and `"a"^^xsd:string`) get one ID.
+    The graph's term table is the reader's: a text that is a term's
+    canonical spelling, and valid, is stored as it is read, with no term
+    made; every later occurrence finds its ID there. Any other text is
+    made into a term once, where it first occurs, and stored as that
+    term's spelling, so two spellings of one term (`<http://e.org/\\u0041>`
+    and `<http://e.org/A>`, `"a"` and `"a"^^xsd:string`) get one ID.
     """
     g = Graph()
-    ids: dict[str, int] = {}  # a term's matched text -> its ID
-    get = ids.get
+    get = g._ids.get  # a canonical text -> its ID
+    aliases: dict[str, int] = {}  # any other text read -> its term's ID
     datatypes: dict[str, Iri] = {}  # a datatype's matched text -> its IRI
+    tests: dict[str, Callable[[str], object]] = {}  # a literal's `^^<...>` -> its test
+    intern = g._intern
     triples = g._triples  # a new graph, no index to keep current
     subject_term, predicate_term, object_term = _SLOT_TERMS
+
+    def read(raw: str, lineno: int, column: int) -> int:
+        """The ID of a slot's text not in the term table as it stands."""
+        i = aliases.get(raw)
+        if i is None:
+            spelling = _as_read(raw, tests)
+            if spelling is not None:
+                return intern(spelling)
+            spelling = _term(raw, lineno, column, datatypes).to_ntriples()
+            i = aliases[raw] = intern(spelling)
+        return i
+
     for lineno, line in enumerate(split_lines(text), start=1):
         m = None
         parts = line.split(" ", 2)
@@ -157,15 +245,12 @@ def parse_ntriples(text: str) -> Graph:
             if s is None:
                 continue  # blank or comment-only line
             subject, predicate, obj = get(s), get(p), get(o)
-        # a text twice on one line is made twice if new; both get one ID
+        # a text twice on one line is read twice if new; both get one ID
         if subject is None:
-            column = m.start(1) + 1 if m else 1
-            subject = ids[s] = g._intern(_term(s, lineno, column, datatypes))
+            subject = read(s, lineno, m.start(1) + 1 if m else 1)
         if predicate is None:
-            column = m.start(2) + 1 if m else len(s) + 2
-            predicate = ids[p] = g._intern(_term(p, lineno, column, datatypes))
+            predicate = read(p, lineno, m.start(2) + 1 if m else len(s) + 2)
         if obj is None:
-            column = m.start(3) + 1 if m else len(s) + len(p) + 3
-            obj = ids[o] = g._intern(_term(o, lineno, column, datatypes))
+            obj = read(o, lineno, m.start(3) + 1 if m else len(s) + len(p) + 3)
         triples[subject, predicate, obj] = None
     return g

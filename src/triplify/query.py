@@ -38,21 +38,21 @@ by their exact values. As in SPARQL 1.1, `1.5` is an xsd:decimal and
 `1.5e0` an xsd:double. Result rows are deduplicated and
 canonically sorted; there is no ORDER BY.
 
-What follows the steps stays in term IDs, over two tables the graph
-fills per ID as queries meet them and drops on a write that adds a
-triple (see `graph`). A FILTER reads each term's value from
-`Graph._valued`, compares it with the operand's once per distinct ID in
-the rows, and keeps a row by one set lookup. Answers sort by the
-spellings `Graph._spelt` holds, each term spelt once per graph, not
-once per query; only then are terms read. A COUNT, or an answer of at
-most one row, spells nothing.
+What follows the steps stays in term IDs. A FILTER reads each term's
+value from `Graph._valued`, a table the graph fills per ID as queries
+meet them and drops on a write that adds a triple (see `graph`),
+compares it with the operand's once per distinct ID in the rows, and
+keeps a row by one set lookup. Answers sort by the spellings the
+graph's term table holds; only then are their terms made, by
+`Graph._made`, each once per graph, not once per query. A COUNT makes
+no term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import repeat
+from itertools import chain, repeat
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -339,7 +339,7 @@ def _plan(g: Graph, q: Query) -> _Plan:
                 variables.append((pos, term.name))
                 continue
             read[pos] = len(row)
-            i = ids.get(term)
+            i = ids.get(term.to_ntriples())
             row.append(i)
             n = 0 if i is None else len(g._index(pos).get(i, ()))
             if n < exact:
@@ -457,7 +457,7 @@ def _filter(f: FilterExpr, g: Graph, slot: int) -> Callable[[list[tuple]], list[
     if kind is None:
         # equality on everything else is term equality: one ID, as the
         # operand, a literal, is the term it equals or absent from g
-        equal_to = g._ids.get(operand)
+        equal_to = g._ids.get(operand.to_ntriples())
         if op == "=":
             return lambda rows: [r for r in rows if r[slot] == equal_to]
         return lambda rows: [r for r in rows if r[slot] != equal_to]
@@ -473,8 +473,8 @@ def _filter(f: FilterExpr, g: Graph, slot: int) -> Callable[[list[tuple]], list[
                 if compare(*_promoted(its_value, bound)):
                     kept.add(i)
             elif op in _ORDERING_OPS:
-                term = g._terms[next(r[slot] for r in rows if valued[r[slot]][0] != kind)]
-                raise TypeMismatchError(f"cannot order {term.to_ntriples()} against a {kind} operand")
+                spelling = g._terms[next(r[slot] for r in rows if valued[r[slot]][0] != kind)]
+                raise TypeMismatchError(f"cannot order {spelling} against a {kind} operand")
             elif op == "!=":
                 kept.add(i)
         return [r for r in rows if r[slot] in kept]
@@ -498,12 +498,12 @@ def _evaluate(g: Graph, q: Query) -> tuple[Solution, _Plan, list[int]]:
         return Solution((q.count_var,), [row]), plan, counts
     keys = list(dict.fromkeys(map(_values(*(plan.slots[v] for v in q.variables)), rows)))
     if len(keys) > 1:
-        # rows sort by their terms' spellings, read from the graph's table;
-        # two distinct keys differ in some spelling, so no key is compared
-        spellings = (map(g._spelt(column).__getitem__, column) for column in zip(*keys))
+        # rows sort by their terms' spellings, the graph's term table; two
+        # distinct keys differ in some spelling, so no key is compared
+        spellings = (map(g._terms.__getitem__, column) for column in zip(*keys))
         keys = list(map(itemgetter(-1), sorted(zip(*spellings, keys))))
-    terms = g._terms
-    columns = (map(terms.__getitem__, column) for column in zip(*keys))
+    made = g._made(chain.from_iterable(keys))
+    columns = (map(made.__getitem__, column) for column in zip(*keys))
     rows = list(map(dict, map(zip, repeat(q.variables), zip(*columns))))
     return Solution(q.variables, rows), plan, counts
 

@@ -32,10 +32,10 @@ from .terms import (
     RDF_TYPE,
     XSD_NS,
     Iri,
-    Literal,
     PrefixMap,
     Term,
     exact_int,
+    literal_test,
 )
 from .turtle import parse_turtle
 
@@ -249,56 +249,53 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
     class's members, and each constrained predicate's objects by subject.
     rdf:type, each predicate and each class are resolved to their IDs
     once, and each constraint's groups are looked up once per shape, not
-    per focus node; only the predicate index is built.
+    per focus node; only the predicate index is built. Focus nodes and
+    objects sort by the graph's spellings, a literal's datatype is read
+    from its spelling, and term objects are made only for the violations,
+    once they are all found.
     """
-    terms, ids, by_p = g._terms, g._ids, g._index(1)
+    terms, by_p = g._terms, g._index(1)
+
+    def id_of(term: Term) -> Optional[int]:
+        return g._ids.get(term.to_ntriples())
+
     members: dict[int, set[int]] = {}
-    for s, _, o in by_p.get(ids.get(RDF_TYPE), ()):
+    for s, _, o in by_p.get(id_of(RDF_TYPE), ()):
         members.setdefault(o, set()).add(s)
     values: dict[Iri, dict[int, list[int]]] = {}
     for p in dict.fromkeys(c.predicate for shape in shapes for c in shape.constraints):
         grouped = values[p] = {}
-        for s, _, o in by_p.get(ids.get(p), ()):
+        for s, _, o in by_p.get(id_of(p), ()):
             grouped.setdefault(s, []).append(o)
 
-    def spelling(i: int) -> str:
-        return terms[i].to_ntriples()
-
-    violations: list[Violation] = []
+    # each violation's fields, its focus and offending object as term IDs
+    found: list[tuple] = []
     for shape in shapes:
-        focuses = sorted(members.get(ids.get(shape.target_class), ()), key=spelling)
+        focuses = sorted(members.get(id_of(shape.target_class), ()), key=terms.__getitem__)
         # each constraint with its objects by subject, and for a class
         # constraint the class's members, looked up once per shape
         checks = [
             (
                 c,
                 values[c.predicate],
-                None if c.kind == "literal" else members.get(ids.get(c.kind_iri), ()),
+                literal_test(c.kind_iri.value) if c.kind == "literal" else None,
+                None if c.kind == "literal" else members.get(id_of(c.kind_iri), ()),
             )
             for c in shape.constraints
         ]
         for focus in focuses:
-            focus_term = terms[focus]
-            for c, by_subject, typed in checks:
+            for c, by_subject, of_datatype, typed in checks:
                 objects = by_subject.get(focus, ())
                 if typed is None:
-                    flaw, dt = "is not a literal of datatype", c.kind_iri
-                    bad = [
-                        o
-                        for o in objects
-                        if not isinstance(terms[o], Literal) or terms[o].datatype != dt
-                    ]
+                    flaw = "is not a literal of datatype"
+                    bad = [o for o in objects if not of_datatype(terms[o])]
                 else:
                     # members are subjects, so a literal is never one
                     flaw = "lacks required type"
                     bad = [o for o in objects if o not in typed]
-                for o in sorted(bad, key=spelling):
-                    message = f"object {spelling(o)} {flaw} {c.kind_iri.to_ntriples()}"
-                    violations.append(
-                        Violation(
-                            focus_term, shape.target_class, c.predicate, message, offending=terms[o]
-                        )
-                    )
+                for o in sorted(bad, key=terms.__getitem__):
+                    message = f"object {terms[o]} {flaw} {c.kind_iri.to_ntriples()}"
+                    found.append((focus, shape.target_class, c.predicate, message, None, o))
                 conforming = len(objects) - len(bad)
                 # a count is spelt through Decimal: str() refuses an int
                 # of more than 4,300 digits
@@ -309,16 +306,14 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
                 else:
                     continue
                 message = f"expected {bound} conforming value(s), found {conforming}"
-                violations.append(
-                    Violation(
-                        focus_term,
-                        shape.target_class,
-                        c.predicate,
-                        message,
-                        observed_count=conforming,
-                    )
-                )
-    return ValidationReport(violations)
+                found.append((focus, shape.target_class, c.predicate, message, conforming, None))
+    made = g._made(i for v in found for i in (v[0], v[5]) if i is not None)
+    return ValidationReport(
+        [
+            Violation(made[focus], cls, p, message, observed, None if o is None else made[o])
+            for focus, cls, p, message, observed, o in found
+        ]
+    )
 
 
 # --- synthetic data ---------------------------------------------------------------

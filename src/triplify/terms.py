@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import methodcaller
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -132,6 +133,18 @@ def escape_literal(text: str) -> str:
     return _NEEDS_ESCAPE.sub(lambda m: _escape_char(m.group(0)), text)
 
 
+def check_iri(text: str) -> str:
+    """text, if it is an absolute IRI free of forbidden characters, the
+    value an `Iri` holds; raises IllegalCharacterError or RelativeIriError
+    if not. `Iri` and the converter's IRI columns check text here."""
+    m = _IRI_ILLEGAL.search(text)
+    if m is not None:
+        raise IllegalCharacterError(text, m.start() + 1)
+    if _IRI_SCHEME.match(text) is None:
+        raise RelativeIriError(f"not an absolute IRI: {text!r}")
+    return text
+
+
 @dataclass(frozen=True, slots=True)
 class Iri:
     """An absolute IRI. Construction validates, never normalizes."""
@@ -139,11 +152,7 @@ class Iri:
     value: str
 
     def __post_init__(self):
-        m = _IRI_ILLEGAL.search(self.value)
-        if m is not None:
-            raise IllegalCharacterError(self.value, m.start() + 1)
-        if _IRI_SCHEME.match(self.value) is None:
-            raise RelativeIriError(f"not an absolute IRI: {self.value!r}")
+        check_iri(self.value)
 
     def to_ntriples(self) -> str:
         return f"<{self.value}>"
@@ -205,31 +214,10 @@ class Literal:
     language: Optional[str] = None
 
     def __post_init__(self):
-        m = _SURROGATE.search(self.lexical)
-        if m is not None:
-            raise TriplifyError(
-                f"lone surrogate {m.group()!r} at position {m.start() + 1} of a literal"
-            )
-        if self.language is not None:
-            if self.datatype != RDF_LANGSTRING:
-                raise TriplifyError(
-                    "language tags require the rdf:langString datatype"
-                )
-            if _LANGUAGE_TAG.fullmatch(self.language) is None:
-                raise TriplifyError(f"malformed language tag: {self.language!r}")
-        elif self.datatype == RDF_LANGSTRING:
-            raise TriplifyError("rdf:langString literals require a language tag")
-        checked = _DATATYPES.get(self.datatype.value)
-        if checked is not None and not checked[0](self.lexical):
-            raise LexicalFormMismatchError(self.lexical, self.datatype.value)
+        _check_literal(self.lexical, self.datatype.value, self.language)
 
     def to_ntriples(self) -> str:
-        body = f'"{escape_literal(self.lexical)}"'
-        if self.language is not None:
-            return f"{body}@{self.language}"
-        if self.datatype == XSD_STRING:
-            return body
-        return f"{body}^^{self.datatype.to_ntriples()}"
+        return _spell_literal(self.lexical, self.datatype.value, self.language)
 
     def __repr__(self):
         if self.language is not None:
@@ -237,6 +225,64 @@ class Literal:
         if self.datatype == XSD_STRING:
             return f"Literal({self.lexical!r})"
         return f"Literal({self.lexical!r}, {self.datatype.value!r})"
+
+
+def _check_literal(lexical: str, datatype: str, language: Optional[str]) -> None:
+    """Raise as `Literal(lexical, Iri(datatype), language)` does for a
+    literal that cannot be; datatype is a valid IRI's text."""
+    m = _SURROGATE.search(lexical)
+    if m is not None:
+        raise TriplifyError(
+            f"lone surrogate {m.group()!r} at position {m.start() + 1} of a literal"
+        )
+    if language is not None:
+        if datatype != RDF_LANGSTRING.value:
+            raise TriplifyError(
+                "language tags require the rdf:langString datatype"
+            )
+        if _LANGUAGE_TAG.fullmatch(language) is None:
+            raise TriplifyError(f"malformed language tag: {language!r}")
+    elif datatype == RDF_LANGSTRING.value:
+        raise TriplifyError("rdf:langString literals require a language tag")
+    checked = _DATATYPES.get(datatype)
+    if checked is not None and not checked[0](lexical):
+        raise LexicalFormMismatchError(lexical, datatype)
+
+
+def _spell_literal(lexical: str, datatype: str, language: Optional[str]) -> str:
+    body = f'"{escape_literal(lexical)}"'
+    if language is not None:
+        return f"{body}@{language}"
+    if datatype == XSD_STRING.value:
+        return body
+    return f"{body}^^<{datatype}>"
+
+
+def literal_text(lexical: str, datatype: str, language: Optional[str] = None) -> str:
+    """The canonical N-Triples spelling of `Literal(lexical, Iri(datatype),
+    language)`, checked as that constructor checks it, without making the
+    literal; datatype is a valid IRI's text."""
+    _check_literal(lexical, datatype, language)
+    return _spell_literal(lexical, datatype, language)
+
+
+def literal_parts(text: str) -> tuple[str, str]:
+    """A literal's N-Triples text split at its string's closing quote, the
+    last `"` in it: the string's body as written, and the rest, which is
+    empty, `@tag` or `^^<datatype>` in a canonical spelling."""
+    end = text.rindex('"')
+    return text[1:end], text[end + 1 :]
+
+
+def literal_test(datatype: str) -> Callable[[str], bool]:
+    """A test of a canonical N-Triples spelling: does it spell a literal
+    of the datatype whose IRI text is `datatype`? It reads the datatype
+    from the spelling's end, as no IRI, label or tag holds a `"`."""
+    if datatype == XSD_STRING.value:
+        return lambda spelling: spelling[0] == '"' and spelling[-1] == '"'
+    if datatype == RDF_LANGSTRING.value:
+        return lambda spelling: spelling[0] == '"' and spelling[-1] not in '">'
+    return methodcaller("endswith", f'"^^<{datatype}>')
 
 
 Term = Union[Iri, BlankNode, Literal]

@@ -101,7 +101,8 @@ def serialize_every_line(g: Graph) -> str:
 
 def parse_every_line(text: str) -> Graph:
     """What `parse_ntriples` gives: every line read by `_LINE`, and each
-    slot's new text made into a term at the column its group starts."""
+    slot's new text made into a term at the column its group starts, and
+    interned as that term's canonical spelling: no text is stored as read."""
     if text.startswith("\ufeff"):
         text = text[1:]
     text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -118,7 +119,8 @@ def parse_every_line(text: str) -> Graph:
         for k in (1, 2, 3):
             raw = m.group(k)
             if raw not in ids:
-                ids[raw] = g._intern(_term(raw, lineno, m.start(k) + 1, datatypes))
+                term = _term(raw, lineno, m.start(k) + 1, datatypes)
+                ids[raw] = g._intern(term.to_ntriples())
             key.append(ids[raw])
         g._add_keys([tuple(key)])
     return g

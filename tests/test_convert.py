@@ -27,6 +27,7 @@ from triplify import (
 )
 from triplify.convert import ConversionReport, apply_triples_map
 from triplify.errors import (
+    CsvError,
     LexicalFormMismatchError,
     MappingError,
     MissingColumnError,
@@ -356,6 +357,21 @@ class TestReferences:
             apply_triples_map(patient_map, tables, g, report)
         assert len(g) == 0 and report.skipped_terms == []
 
+    @pytest.mark.parametrize(
+        "table, column", [("PATIENT", "ID"), ("PATIENT", "KEY"), ("TREATMENT", "TID"), ("TREATMENT", "PATIENT_KEY")]
+    )
+    def test_a_row_added_later_that_lacks_a_column_is_a_csv_error(self, table, column):
+        # TableSource checks its rows when made; a row appended to them
+        # later is checked where its cells are read: a subject, a join's
+        # child, a join's parent and a parent's subject column
+        tables = reference_tables(
+            [{"ID": "1", "KEY": "k", "SITE": "lung"}], [{"TID": "a", "PATIENT_KEY": "k"}]
+        )
+        rows = tables[table].rows
+        rows.append({c: cell for c, cell in rows[0].items() if c != column})
+        with pytest.raises(CsvError, match="^row 2 does not match the table columns$"):
+            convert(self.mapping(), tables)
+
     def test_missing_parent_table_is_a_mapping_error(self):
         m = self.mapping()
         tables = reference_tables([], [])
@@ -411,6 +427,13 @@ class TestPredicateMaps:
 
 
 class TestConvert:
+    def test_a_row_appended_to_a_synthetic_table_is_a_csv_error_not_a_key_error(self):
+        tables = generate_synthetic(3, 1)
+        rows = tables["TREATMENT"].rows
+        rows.append({})
+        with pytest.raises(CsvError, match=f"^row {len(rows)} does not match the table columns$"):
+            convert(bundled_mapping(), tables)
+
     def test_empty_tables(self):
         table = TableSource("PATIENT", ("ID", "AGE"), [])
         g, report = convert(candidate_mapping(), {"PATIENT": table})

@@ -171,14 +171,15 @@ class TestIndexBuild:
         g.update(pooled_graph(rng, 60))
         g.add(random_triple(rng))
         pool = list(g)
+        made = g._made(range(len(g._terms)))
         for pos in range(3):
             index = g._index(pos)
             assert sum(len(bucket) for bucket in index.values()) == len(g)
             for i, bucket in index.items():
-                bound = [g._terms[i] if k == pos else None for k in range(3)]
-                assert [g._triple(key) for key in bucket] == _scan(pool, *bound)
-        literal = next(t.o for t in pool if isinstance(t.o, Literal))
-        assert g._ids[literal] not in g._index(0) and g._ids[literal] not in g._index(1)
+                bound = [made[i] if k == pos else None for k in range(3)]
+                assert list(g._triples_of(bucket)) == _scan(pool, *bound)
+        literal = g._ids[next(t.o for t in pool if isinstance(t.o, Literal)).to_ntriples()]
+        assert literal not in g._index(0) and literal not in g._index(1)
 
     def test_bulk_inserts_into_built_indexes_leave_them_as_built_afresh(self):
         rng = random.Random(8)
@@ -383,24 +384,29 @@ class TestIndexLaziness:
 
 
 class TestDerivedTables:
-    """The spelling and value tables are filled an ID at a time, as asked
+    """The made-term and value tables are filled an ID at a time, as asked
     for, and follow the index rule: kept by a write that adds nothing,
     dropped by one that adds."""
 
     @staticmethod
     def _tabled(rng: random.Random) -> Graph:
         g = pooled_graph(rng, 80)
-        g._spelt(range(0, len(g._terms), 2))
+        g._made(range(0, len(g._terms), 2))
         g._valued(range(0, len(g._terms), 3))
         return g
 
-    def test_spellings_are_made_for_the_ids_asked_for(self):
-        g = pooled_graph(random.Random(43), 80)
-        spelt = g._spelt([3, 0, 3])
-        assert spelt == {i: g._terms[i].to_ntriples() for i in (0, 3)}
-        assert g._spelt([3, 5]) is spelt
-        assert spelt == {i: g._terms[i].to_ntriples() for i in (0, 3, 5)}
-        assert set(g._tables) == {"spellings"}
+    def test_terms_are_made_for_the_ids_asked_for(self):
+        rng = random.Random(43)
+        triples = [random_triple(rng) for _ in range(80)]
+        g = Graph(triples)
+        # the term each spelling was made from: escapes, tags and datatypes
+        spelt = {t.to_ntriples(): t for triple in triples for t in (triple.s, triple.p, triple.o)}
+        made = g._made([3, 0, 3])
+        assert made == {i: spelt[g._terms[i]] for i in (0, 3)}
+        assert g._made([3, 5]) is made
+        assert made == {i: spelt[g._terms[i]] for i in (0, 3, 5)}
+        assert set(g._tables) == {"terms"}
+        assert g._made(range(len(g._terms))) == {i: spelt[t] for i, t in enumerate(g._terms)}
 
     def test_values_give_each_term_its_kind_and_value(self):
         g = Graph(
@@ -412,9 +418,11 @@ class TestDerivedTables:
             ]
         )
         ids = g._ids
-        asked = [ids[Iri(EX + "o")], ids[Literal("05", XSD_INTEGER)], ids[Literal("1970-01-02", XSD_DATE)], ids[Literal("5")]]
+        terms = [Iri(EX + "o"), Literal("05", XSD_INTEGER), Literal("1970-01-02", XSD_DATE), Literal("5")]
+        asked = [ids[t.to_ntriples()] for t in terms]
         assert g._valued(asked) == dict(zip(asked, [(None, None), ("numeric", 5), ("date", 1440), (None, None)]))
-        assert set(g._tables) == {"values"}
+        # the values are read from the terms made for them
+        assert set(g._tables) == {"terms", "values"}
 
     def test_a_write_that_adds_a_triple_drops_the_tables(self):
         rng = random.Random(44)
@@ -430,14 +438,14 @@ class TestDerivedTables:
 
     def test_a_write_that_adds_nothing_keeps_the_tables(self):
         g = self._tabled(random.Random(45))
-        spelt, valued = g._tables["spellings"], g._tables["values"]
+        made, valued = g._tables["terms"], g._tables["values"]
         pool = list(g)
         assert not g.add(pool[0])
         g.update(pool[::2])
         g.update(Graph(pool[1::3]))
         g.update(g)
         g.update([])
-        assert g._spelt([1]) is spelt
+        assert g._made([1]) is made
         assert g._valued([1]) is valued
 
 

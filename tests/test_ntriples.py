@@ -4,9 +4,20 @@ import random
 
 import pytest
 
-from triplify import Graph, Iri, Literal, Triple, convert, parse_ntriples, serialize_ntriples
+from triplify import (
+    Graph,
+    Iri,
+    Literal,
+    Triple,
+    bundled_mapping,
+    convert,
+    generate_synthetic,
+    parse_ntriples,
+    serialize_ntriples,
+)
+from triplify import ntriples
 from triplify.errors import ParseError
-from triplify.terms import XSD_INTEGER
+from triplify.terms import RDF_NS, XSD_INTEGER, XSD_NS
 
 from conftest import fixture_case, fixture_cases
 from genutil import fuzz_graph, random_graph
@@ -267,6 +278,60 @@ class TestCanonicalLines:
         with pytest.raises(ParseError, match="surrogate") as err:
             parse_ntriples(DOCUMENTS["bad escape in subject"])
         assert (err.value.line, err.value.column) == (1, 1)
+
+
+# The edges of the text the reader stores as read: each an object text,
+# and for a valid term a second text of it, spelt differently (None where
+# the text is an error).
+EDGES = {
+    "raw tab in a string": ('"a\tb"', '"a\\u0009b"'),
+    "raw DEL in a string": ('"a\x7fb"', '"a\\u007Fb"'),
+    "xsd:string datatype": (f'"a"^^<{XSD_NS}string>', '"a"'),
+    "upper-case \\u escape": ('"\\u00C9t\\u00C9"', '"\u00c9t\u00c9"'),
+    "lower-case \\u escape": ('"\\u00e9t\\u00e9"', '"\u00e9t\u00e9"'),
+    "DEL in an IRI": ("<http://e.org/a\x7fb>", None),
+    "relative IRI": ("<a>", None),
+    "9-letter language subtag": ('"x"@en-abcdefghi', None),
+    "rdf:langString without a tag": (f'"x"^^<{RDF_NS}langString>', None),
+    "not an xsd:integer": (f'"x"^^<{XSD_NS}integer>', None),
+    "escaped lone surrogate": ('"\\uD800"', None),
+    "datatype IRI with an escape": ('"1"^^<http://e.org/\\u0064t>', '"1"^^<http://e.org/dt>'),
+}
+SPELT_TWICE = {name: edge for name, edge in EDGES.items() if edge[1] is not None}
+
+
+class TestStoredAsRead:
+    """A text that is a term's canonical spelling is stored as read; any
+    other goes through `_term`. Either way the graph, its term table and
+    every error are those of `parse_every_line`, which makes every term."""
+
+    @pytest.mark.parametrize("text, other", EDGES.values(), ids=EDGES.keys())
+    def test_same_spelling_or_error_as_making_the_term(self, text, other):
+        for line in (f"{S} {P} {text} .", f"{S}\t{P}\t{text}\t."):  # split, then full pattern
+            document = f"{S} {P} {O} .\n{line}\n"
+            assert read_outcome(parse_ntriples, document) == read_outcome(parse_every_line, document)
+        if other is not None:
+            g = parse_ntriples(f"{S} {P} {text} .\n")
+            assert g._terms[2] == ntriples._term(text, 1, 35, {}).to_ntriples()
+
+    @pytest.mark.parametrize("text, other", SPELT_TWICE.values(), ids=SPELT_TWICE.keys())
+    def test_both_spellings_of_a_term_share_one_id(self, text, other):
+        for first, second in ((text, other), (other, text)):
+            g = parse_ntriples(f"{S} {P} {first} .\n{S} {P} {second} .\n")
+            assert len(g) == 1 and len(g._terms) == 3
+
+    def test_a_written_graph_is_read_back_without_making_a_term(self, monkeypatch):
+        g, _ = convert(bundled_mapping(), generate_synthetic(50, 1))
+        text = serialize_ntriples(g)
+        made = []
+        term = ntriples._term
+        monkeypatch.setattr(ntriples, "_term", lambda *args: made.append(args[0]) or term(*args))
+        assert parse_ntriples(text) == g
+        assert made == []
+        # only a text that is not a canonical spelling is made into a term,
+        # and with it its datatype IRI
+        parse_ntriples(f'{S} {P} "a"^^<{XSD_NS}string> .\n{S} {P} "a" .\n')
+        assert made == [f'"a"^^<{XSD_NS}string>', f"<{XSD_NS}string>"]
 
 
 class TestRoundTrip:

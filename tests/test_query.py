@@ -560,9 +560,9 @@ def _outcome(g, q):
 
 
 class TestPerGraphTables:
-    """Rows sort by the graph's table of spellings and FILTERs read its
-    table of values; both are filled for the IDs a query's rows hold, and
-    follow the graph's writes."""
+    """Answers hold terms from the graph's table of made terms and FILTERs
+    read its table of values; both are filled for the IDs a query's rows
+    hold, and follow the graph's writes."""
 
     QUERY = "PREFIX e: <http://ex.org/> SELECT ?s ?v WHERE { ?s e:p ?v . FILTER(?v > 3) }"
 
@@ -577,7 +577,7 @@ class TestPerGraphTables:
         g = self._graph()
         q = parse_query(self.QUERY)
         before = execute(g, q).rows
-        assert set(g._tables) == {"spellings", "values"}
+        assert set(g._tables) == {"terms", "values"}
         # a subject that spells before every other, and a value that passes
         early = Iri("http://a.org/s")
         g.add(Triple(early, Iri(EX + "p"), Literal("9.5", XSD_DECIMAL)))
@@ -601,22 +601,25 @@ class TestPerGraphTables:
             assert len(execute(g, eq).rows) == 1
             assert len(execute(g, ne).rows) == 8
 
-    def test_count_and_one_row_results_build_no_table(self):
+    def test_a_count_makes_no_term_and_an_answer_only_its_own(self):
         g = self._graph()
         execute(g, parse_query("PREFIX e: <http://ex.org/> SELECT (COUNT(*) AS ?n) WHERE { ?s e:p ?v . }"))
-        execute(g, parse_query("PREFIX e: <http://ex.org/> SELECT ?v WHERE { e:s3 e:p ?v . }"))
         assert g._tables == {}
-        execute(g, parse_query("PREFIX e: <http://ex.org/> SELECT ?v WHERE { ?s e:p ?v . }"))
-        assert set(g._tables) == {"spellings"}
+        (row,) = execute(g, parse_query("PREFIX e: <http://ex.org/> SELECT ?v WHERE { e:s3 e:p ?v . }")).rows
+        assert g._tables == {"terms": {g._ids[row["v"].to_ntriples()]: row["v"]}}
+        rows = execute(g, parse_query("PREFIX e: <http://ex.org/> SELECT ?v WHERE { ?s e:p ?v . }")).rows
+        assert set(g._tables) == {"terms"} and len(g._tables["terms"]) == len(rows) == 8
 
     def test_a_query_fills_the_tables_only_for_its_rows(self):
         g = self._graph()
         g.add(Triple(Iri(EX + "other"), Iri(EX + "q"), Literal("1", XSD_INTEGER)))
         rows = execute(g, parse_query(self.QUERY)).rows
         ids = g._ids
-        # the filter meets each ?v; only the answers' terms are spelt
-        assert set(g._tables["values"]) == {ids[Literal(str(i), XSD_INTEGER)] for i in range(8)}
-        assert set(g._tables["spellings"]) == {ids[term] for row in rows for term in row.values()}
+        # the filter meets each ?v; terms are made for those and the answers
+        values = {ids[Literal(str(i), XSD_INTEGER).to_ntriples()] for i in range(8)}
+        assert set(g._tables["values"]) == values
+        answers = {ids[term.to_ntriples()] for row in rows for term in row.values()}
+        assert set(g._tables["terms"]) == values | answers
         assert len(rows) == 4
 
 

@@ -1,5 +1,7 @@
 """RDF term construction rules and prefix expansion."""
 
+import random
+
 import pytest
 
 from triplify import (
@@ -31,7 +33,11 @@ from triplify.terms import (
     date_minutes,
     escape_literal,
     exact_int,
+    literal_test,
+    literal_text,
 )
+
+from genutil import random_term
 
 # 5,000 digits: past the 4,300 that `int` converts from text by default
 HUGE = "9" * 5000
@@ -286,3 +292,49 @@ class TestEscaping:
 
     def test_unicode_passes_through(self):
         assert escape_literal("café \U0001f642") == "café \U0001f642"
+
+
+class TestSpellings:
+    """What the graph and the converter read from, and write as, a term's
+    canonical spelling, against the term objects themselves."""
+
+    def test_a_literal_datatype_is_read_from_the_spelling(self):
+        rng = random.Random(12)
+        terms = [random_term(rng) for _ in range(400)] + [
+            Literal(""),
+            Literal('"'),
+            Literal("x", RDF_LANGSTRING, "en"),
+            Literal("x", Iri("http://e.org/d")),
+            Literal("x", Iri("http://e.org/dt")),
+            Iri("http://e.org/dt"),
+            BlankNode("dt"),
+        ]
+        datatypes = [XSD_STRING, RDF_LANGSTRING, XSD_INTEGER, Iri("http://e.org/d"), Iri("http://e.org/dt")]
+        for dt in datatypes:
+            test = literal_test(dt.value)
+            for t in terms:
+                assert test(t.to_ntriples()) == (isinstance(t, Literal) and t.datatype == dt), (dt, t)
+
+    @pytest.mark.parametrize(
+        "lexical, datatype, language",
+        [
+            ("a\tb\"\\", XSD_STRING, None),
+            ("63", XSD_INTEGER, None),
+            ("x", XSD_INTEGER, None),
+            ("x", RDF_LANGSTRING, "en-GB"),
+            ("x", RDF_LANGSTRING, None),
+            ("x", RDF_LANGSTRING, "toolongtag"),
+            ("x", XSD_STRING, "en"),
+            ("a\ud800", XSD_STRING, None),
+            ("", Iri("http://e.org/dt"), None),
+        ],
+    )
+    def test_literal_text_is_the_spelling_of_the_literal_or_its_error(self, lexical, datatype, language):
+        try:
+            want = Literal(lexical, datatype, language).to_ntriples()
+        except TriplifyError as exc:
+            with pytest.raises(type(exc)) as err:
+                literal_text(lexical, datatype.value, language)
+            assert str(err.value) == str(exc)
+        else:
+            assert literal_text(lexical, datatype.value, language) == want
