@@ -18,18 +18,33 @@ The graph's insertion order, which iteration and `match` follow, is per
 triples map: its class triples, in first-seen subject order, then each
 predicate-object map's triples in row order. Term IDs are handed out
 column by column. Each distinct term is spelt and interned once per
-conversion, with no term object made: a cell's text is checked as the
-term's constructor checks it and spelt as the graph stores it. Each
-triple is added as a tuple of its three term IDs.
+conversion, with no term object made, and a column is spelt, not a row:
+the distinct source cells of the rows the conversion's term table lacks
+go, in first-seen order, through a speller compiled once per term map,
+and their spellings into the graph by one bulk intern. Only the rows
+whose cells are NULL or fail go on to `_term_or_skip`, a row at a time,
+which logs each skip.
+
+A template fills by its `str.format` pattern, `Template._pattern`, the
+one expansion rule. R2RML (W3C 2012, 7.3) percent-encodes a template's
+cells in an IRI map, and what that leaves (RFC 3987 iunreserved, ucschar
+and `%XX`) holds no character `check_iri` refuses. So an IRI template
+whose first segment is a constant that starts with a scheme, and whose
+constants hold no refused character, is settled: its terms are not
+checked, and a batch of cells none of which needs encoding is spelt by
+the pattern alone. Every other term's text is checked as its
+constructor checks it, once per distinct cell. Each triple is added as
+a tuple of its three term IDs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from functools import partial
+from itertools import chain, compress, repeat
 from operator import attrgetter, is_, is_not, itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     CsvError,
@@ -49,6 +64,8 @@ from .r2rml import (
 from .tabular import Row, TableSource
 from .terms import (
     _SURROGATE,
+    _IRI_ILLEGAL,
+    _IRI_SCHEME,
     RDF_LANGSTRING,
     RDF_TYPE,
     XSD_STRING,
@@ -101,20 +118,17 @@ def expand_template(template: Template, row: Row, kind: str = "IRI") -> Optional
     Substituted values are IRI-safe percent-encoded when kind is "IRI"
     and copied verbatim otherwise.
     """
-    parts: list[str] = []
+    values: list[str] = []
     encode = kind == "IRI"
-    for seg in template.segments:
-        if not seg.is_column:
-            parts.append(seg.value)
-            continue
+    for column in template.columns():
         try:
-            cell = row[seg.value]
+            cell = row[column]
         except KeyError:
-            raise MissingColumnError(seg.value) from None
+            raise MissingColumnError(column) from None
         if cell is None:
             return None
-        parts.append(iri_safe_encode(cell) if encode else cell)
-    return "".join(parts)
+        values.append(iri_safe_encode(cell) if encode else cell)
+    return template._pattern.format(*values)
 
 
 # the characters a blank node label escapes
@@ -188,6 +202,71 @@ def _spelling(tm: TermMap, row: Row) -> Optional[str]:
     raising as it does, without making the term; tm has no constant."""
     text = _text(tm, row)
     return None if text is None else _spell(text, tm)
+
+
+def _settled(template: Template) -> bool:
+    """Whether every IRI-safe expansion of template passes check_iri: its
+    first segment is constant and starts with a scheme, and no constant
+    segment holds a character an IRI refuses. What iri_safe_encode puts
+    in its place (RFC 3987 iunreserved, ucschar and `%XX`) holds none."""
+    segments = template.segments
+    return (
+        bool(segments)
+        and not segments[0].is_column
+        and _IRI_SCHEME.match(segments[0].value) is not None
+        and not any(_IRI_ILLEGAL.search(seg.value) for seg in segments if not seg.is_column)
+    )
+
+
+def _each(spell: Callable[[object], str], values: list) -> list[Optional[str]]:
+    """spell(v) for each of values, None where it raises a TriplifyError."""
+    out: list[Optional[str]] = []
+    for v in values:
+        try:
+            out.append(spell(v))
+        except TriplifyError:
+            out.append(None)
+    return out
+
+
+def _star(f: Callable[..., str], args: tuple) -> str:
+    return f(*args)
+
+
+def _speller(tm: TermMap) -> Callable[[list], list[Optional[str]]]:
+    """tm, which has no constant, compiled to spell a batch of source
+    values, none NULL: each a cell, or a tuple of cells when tm reads other
+    than one column. For each value, the spelling `_spelling` makes from
+    a row that holds it, or None where that raises.
+
+    A settled template (`_settled`) of an IRI map spells without
+    check_iri, and a batch in which no cell needs percent-encoding spells
+    by the template's pattern alone. Every other map checks each term as
+    `_spell` does.
+    """
+    template = tm.template
+    if template is None:
+        if tm.column is None:
+            return lambda values: [None] * len(values)  # _text refuses such a map
+        return partial(_each, lambda cell: _spell(cell, tm))
+    pattern = template._pattern
+    if len(template.columns()) == 1:  # a value is the cell: no 1-tuple per cell
+        fill, spelt = pattern.format, f"<{pattern}>".format
+        encode, cells = iri_safe_encode, iter
+    else:
+        fill, spelt = partial(_star, pattern.format), partial(_star, f"<{pattern}>".format)
+        encode, cells = partial(map, iri_safe_encode), chain.from_iterable
+    if tm.term_kind != "IRI":
+        return partial(_each, lambda v: _spell(fill(v), tm))
+    if not _settled(template):
+        return partial(_each, lambda v: _spell(fill(encode(v)), tm))
+
+    def spell(values: list) -> list[Optional[str]]:
+        if _NOT_IUNRESERVED.search("".join(cells(values))) is None:
+            return list(map(spelt, values))
+        return _each(lambda v: spelt(encode(v)), values)
+
+    return spell
 
 
 # --- reporting ----------------------------------------------------------------
@@ -279,18 +358,30 @@ def _cells(get: Callable[[Row], tuple], rows: list[Row], rownums: Sequence[int])
         raise
 
 
+def _nones(ids: list[Optional[int]]) -> Iterator[int]:
+    """The places of the Nones in ids."""
+    return compress(range(len(ids)), map(is_, ids, repeat(None)))
+
+
 def _column(tm: TermMap, g: Graph, terms: TermTable, map_id: str, what: str) -> Column:
     """tm compiled over the term table: a row whose source cells were met
     before gets the ID of the term spelt then, which generate_term, a pure
-    function of tm and those cells, would make again. Only the other rows
-    go to _term_or_skip, in row order; a NULL or failed term is never
-    stored, so each such row's skip is logged."""
-    intern = g._intern
+    function of tm and those cells, would make again.
+
+    The other rows' distinct source cells with no NULL among them are
+    spelt in one batch (`_speller`), in first-seen order, and the
+    spellings interned by one bulk `Graph._intern_all`, which hands out
+    the IDs that interning them row by row would. Only the rows whose
+    cells were NULL or failed go to _term_or_skip, in row order; a NULL
+    or failed term is never stored, so each such row's skip is logged.
+    """
     if tm.constant is not None:
-        constant = intern(tm.constant.to_ntriples())
+        constant = g._intern(tm.constant.to_ntriples())
         return lambda rows, rownums, log: [constant] * len(rows)
     columns = tm.source_columns()
     cells_of = itemgetter(*columns) if columns else lambda row: ()
+    single = len(columns) == 1
+    spell = _speller(tm)
     table = terms.setdefault(tm, {})
 
     def make(
@@ -298,15 +389,20 @@ def _column(tm: TermMap, g: Graph, terms: TermTable, map_id: str, what: str) -> 
     ) -> list[Optional[int]]:
         cells = _cells(cells_of, rows, rownums)
         ids = list(map(table.get, cells))
-        misses = list(compress(range(len(ids)), map(is_, ids, repeat(None))))
-        for k in misses:
-            i = table.get(cells[k])  # spelt for an earlier row of this call
-            if i is None:
-                spelling = _term_or_skip(tm, rows[k], log, map_id, rownums[k], what, _spelling)
-                if spelling is None:
-                    continue
-                i = table[cells[k]] = intern(spelling)
-            ids[k] = i
+        if None not in ids:
+            return ids
+        new = dict.fromkeys(map(cells.__getitem__, _nones(ids)))
+        if single:
+            new.pop(None, None)
+            values = list(new)
+        else:
+            values = [v for v in new if None not in v]
+        spellings = spell(values)
+        made = list(map(is_not, spellings, repeat(None)))
+        table.update(zip(compress(values, made), g._intern_all(list(compress(spellings, made)))))
+        ids = list(map(table.get, cells))
+        for k in _nones(ids):
+            _term_or_skip(tm, rows[k], log, map_id, rownums[k], what, _spelling)
         return ids
 
     return make
@@ -451,9 +547,10 @@ def _apply_triples_map(
             predicate_of(rows, rownums, log), rows, rownums, subjects
         )
         if join is None:
-            objects = object_of(prows, pnums, log)
-            triples = zip(psubjects, predicates, objects)
-            keys = [(s, p, o) for s, p, o in triples if o is not None]
+            objects, psubjects, predicates = _made(
+                object_of(prows, pnums, log), psubjects, predicates
+            )
+            keys = list(zip(psubjects, predicates, objects))
         else:
             child_columns, ids = join
             parents = map(ids.get, _join_values(child_columns, prows, pnums), repeat(()))

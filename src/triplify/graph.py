@@ -29,8 +29,10 @@ triples that way, `add` inserts a batch of one, and `update` and
 `Triple`, `Iri`, `BlankNode` and `Literal` are the public boundary:
 `add`, `update`, `match`, `in` and iteration take or give triples,
 spell their terms on the way in and make them, through `_made`, on the
-way out, and nowhere else. Inside the package the readers hand in
-spellings and IDs (`_intern`, `_add_keys`), and the validator, the query
+way out, and nowhere else; iteration and `match` make theirs into a
+table of the call's own, so the graph keeps none of them. Inside the
+package the readers hand in spellings and IDs (`_intern`,
+`_intern_all`, `_add_keys`), and the validator, the query
 engine, `stats` and `serialize_ntriples` read `_terms`, `_ids` and
 `_index` directly. Iteration and `match` follow insertion order and
 never sort: an RDF graph has no order of its own, so callers that print
@@ -45,7 +47,7 @@ table each store an equal term or value.
 
 from __future__ import annotations
 
-from itertools import chain, filterfalse, repeat
+from itertools import chain, count, filterfalse, repeat
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .lexer import unescape
@@ -115,6 +117,16 @@ class Graph:
             self._terms.append(spelling)
         return i
 
+    def _intern_all(self, spellings: list[str]) -> list[int]:
+        """The IDs `_intern` gives spellings one at a time, in one bulk
+        step: each spelling with no ID yet, in first-seen order, gets the
+        next one."""
+        ids = self._ids
+        new = list(filterfalse(ids.__contains__, dict.fromkeys(spellings)))
+        ids.update(zip(new, count(len(self._terms))))
+        self._terms += new
+        return list(map(ids.__getitem__, spellings))
+
     def _add_keys(self, keys: Iterable[Key]) -> int:
         """Insert triples of IDs in order; returns how many were not already
         present. A write that adds one drops every built index."""
@@ -150,14 +162,16 @@ class Graph:
             self._indexes[position] = index
         return index
 
-    def _made(self, ids: Iterable[int]) -> dict[int, Term]:
+    def _made(self, ids: Iterable[int], made: Optional[dict[int, Term]] = None) -> dict[int, Term]:
         """The graph's table of term objects by term ID, holding at least
         `ids`: a term is made from its spelling the first time its ID is
         asked for, and kept until a write drops the table, so every
-        answer, triple or violation that holds an ID holds one object."""
-        made = self._tables.get("terms")
+        answer or violation that holds an ID holds one object. Given a
+        table `made` of the caller's own, fills that one instead."""
         if made is None:
-            made = self._tables["terms"] = {}
+            made = self._tables.get("terms")
+            if made is None:
+                made = self._tables["terms"] = {}
         terms = self._terms
         for i in filterfalse(made.__contains__, ids):
             made[i] = _term_of(terms[i])
@@ -186,8 +200,10 @@ class Graph:
         return valued
 
     def _triples_of(self, keys: Collection[Key]) -> Iterator[Triple]:
-        """The triple each key spells, its terms from `_made`."""
-        made = self._made(chain.from_iterable(keys))
+        """The triple each key spells, its terms made into a table of the
+        call's own, so equal terms within it are one object and the graph
+        keeps none of them."""
+        made = self._made(chain.from_iterable(keys), {})
         return (Triple(made[s], made[p], made[o]) for s, p, o in keys)
 
     def _renamed(self, rename: Callable[[str], str]) -> Graph:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional, Union
 
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     UnsupportedFeatureError,
 )
 from .graph import Graph
-from .terms import BlankNode, Iri, Literal, PrefixMap, Term, Triple
+from .terms import BlankNode, Iri, Literal, PrefixMap, Term
 
 RR_NS = "http://www.w3.org/ns/r2rml#"
 
@@ -100,9 +101,26 @@ class TemplateSegment:
 
 @dataclass(frozen=True, slots=True)
 class Template:
-    """An rr:template split into literal text and column references."""
+    """An rr:template split into literal text and column references.
+
+    `_pattern` is the template compiled once into a `str.format` pattern:
+    the k-th column reference is `{k}` and each brace of literal text is
+    doubled, so `_pattern.format(*values)` fills the columns in order with
+    values. It is the one expansion rule `convert` follows.
+    """
 
     segments: tuple[TemplateSegment, ...]
+    _pattern: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        parts, k = [], 0
+        for seg in self.segments:
+            if seg.is_column:
+                parts.append(f"{{{k}}}")
+                k += 1
+            else:
+                parts.append(seg.value.replace("{", "{{").replace("}", "}}"))
+        object.__setattr__(self, "_pattern", "".join(parts))
 
     def columns(self) -> list[str]:
         return [s.value for s in self.segments if s.is_column]
@@ -235,12 +253,23 @@ def _single(doc: _Nodes, node: Term, prop: Iri, owner: str) -> Optional[Term]:
 
 def _read_nodes(doc: Graph, warnings: list[str]) -> _Nodes:
     """doc's objects by node and property, read in one pass in canonical
-    order, so maps, POMs and their warnings come out reproducibly."""
+    order, so maps, POMs and their warnings come out reproducibly.
+
+    The order is that of the triples' N-Triples lines, had from their
+    keys sorted by their three spellings: where one spelling is a proper
+    prefix of another (`_:a`, `_:ab`; `"a"`, `"a"@en`), the character
+    that follows it is above the space that ends it in a line, as
+    canonical output holds no raw control character. Terms are made
+    through `Graph._made`, each once, into a table of the call's own.
+    """
+    spelt = doc._terms
+    keys = sorted(doc._triples, key=lambda k: (spelt[k[0]], spelt[k[1]], spelt[k[2]]))
+    made = doc._made(chain.from_iterable(keys), {})
     nodes: _Nodes = {}
     seen_unknown = set()
-    for t in sorted(doc, key=Triple.to_line):
-        p = t.p
-        nodes.setdefault(t.s, {}).setdefault(p, []).append(t.o)
+    for s, p, o in keys:
+        p = made[p]
+        nodes.setdefault(made[s], {}).setdefault(p, []).append(made[o])
         if p in _KNOWN:
             if p in _REJECTED:
                 raise UnsupportedFeatureError(_REJECTED[p])

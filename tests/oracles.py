@@ -11,7 +11,9 @@ pattern, never splitting a line at its spaces; the columns it reports
 are where the pattern's groups start.
 
 The reference conversion makes every term afresh, on every row, with
-`generate_term`: it keeps no table of terms already made.
+`generate_term`: it keeps no table of terms already made. The reference
+column spells a term map's column a row at a time, interning each new
+spelling as it is made, which fixes the term IDs a conversion hands out.
 
 The reference validator tests one focus and one constraint at a time:
 one `match` per pair, and a class test is a membership probe for the
@@ -32,7 +34,7 @@ import re
 from decimal import Decimal
 
 from triplify import BlankNode, Graph, Iri, Literal, TableSource, Triple, generate_term
-from triplify.convert import ConversionReport, _term_or_skip
+from triplify.convert import ConversionReport, _spelling, _term_or_skip
 from triplify.errors import (
     CsvError,
     MissingColumnError,
@@ -202,6 +204,31 @@ def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
         report.rows_read += len(tables[name].rows)
     report.triples_emitted = len(g)
     return g, report
+
+
+def column_every_row(tm, g: Graph, terms, map_id: str, what: str):
+    """What `convert._column` compiles tm to, spelling the rows a row at a
+    time: each row whose source cells are new goes through `_term_or_skip`
+    in row order, and its spelling, if any, is interned at once."""
+    if tm.constant is not None:
+        constant = g._intern(tm.constant.to_ntriples())
+        return lambda rows, rownums, log: [constant] * len(rows)
+    table = terms.setdefault(tm, {})
+    columns = tm.source_columns()
+
+    def make(rows, rownums, log):
+        ids = []
+        for row, rownum in zip(rows, rownums):
+            cells = tuple(row[c] for c in columns)
+            i = table.get(cells)
+            if i is None:
+                spelling = _term_or_skip(tm, row, log, map_id, rownum, what, _spelling)
+                if spelling is not None:
+                    i = table[cells] = g._intern(spelling)
+            ids.append(i)
+        return ids
+
+    return make
 
 
 def _conforms(g: Graph, o: Term, c: ShapeConstraint) -> bool:

@@ -1,5 +1,6 @@
 """The conversion engine against hand-expanded expectations."""
 
+import importlib
 import random
 
 import pytest
@@ -42,13 +43,15 @@ from triplify.r2rml import (
     TermMap,
     TriplesMap,
 )
-from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
+from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_INTEGER, check_iri
 
 from conftest import fixture_case, fixture_cases
 from genutil import random_table, simple_mapping
-from oracles import convert_every_row
+from oracles import column_every_row, convert_every_row
 
 EX = "http://ex.org/"
+# the module; the package's `convert` is the function
+convert_module = importlib.import_module("triplify.convert")
 
 
 class TestIriSafeEncode:
@@ -650,6 +653,18 @@ def assert_as_every_row(m, tables):
     return g, report
 
 
+def assert_as_row_by_row(m, tables):
+    """convert gives the graph, term IDs, insertion order and report of
+    spelling each term map's column a row at a time."""
+    g, report = convert(m, tables)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(convert_module, "_column", column_every_row)
+        want_g, want = convert(m, tables)
+    assert g._terms == want_g._terms
+    assert list(g._triples) == list(want_g._triples)
+    assert report == want
+
+
 def dirty_registry(n, seed):
     """generate_synthetic's tables with NULL ages and sexes and impossible dates."""
     tables = generate_synthetic(n, seed)
@@ -841,3 +856,126 @@ class TestTermTable:
         for t in g:
             for term in (t.s, t.o):
                 assert first.setdefault(term, term) is term
+
+
+# (term kind, template, datatype, language): the shapes a column is spelt by
+SPELLER_MAPS = [
+    ("IRI", "http://ex.org/p/{A}", None, None),  # settled
+    ("IRI", "{A}:x", None, None),  # first segment a column
+    ("IRI", "http://ex.org/a b/{A}", None, None),  # a constant holding a space
+    ("IRI", r"http://ex.org/\{{A}\}", None, None),  # a constant holding braces
+    ("IRI", "ex.org/{A}", None, None),  # no scheme, ever
+    ("IRI", "ex{A}:y", None, None),  # a scheme only some cells complete
+    ("IRI", "urn:{A}", None, None),
+    ("IRI", "http://ex.org/{A}-{B}/{A}", None, None),  # several columns
+    ("Literal", "{A}{B}", XSD_INTEGER, None),
+    ("Literal", "v {A}", None, "en"),
+    ("Literal", "{B}", None, None),
+    ("BlankNode", "b{A}{B}", None, None),
+]
+# cell parts, run together by random_cell, which also gives NULL: the
+# empty string, a space, characters that need percent-encoding, ucschar,
+# private use (not ucschar), a lone surrogate, a scheme
+SPELLER_CELLS = ["", " ", ":", "%", "\u00e9", "\ue000", "\ud800", "1", "-2", "a", "urn"]
+
+
+def random_cell(rng):
+    if rng.random() < 0.15:
+        return None
+    return "".join(rng.choice(SPELLER_CELLS) for _ in range(rng.randint(0, 3)))
+
+
+def speller_mapping(rng):
+    """A triples map over T(A, B): a random IRI or blank-node subject
+    template, then every SPELLER_MAPS shape and two column maps as objects."""
+    subject = rng.choice([m for m in SPELLER_MAPS if m[0] != "Literal"])
+    objects = [
+        TermMap(term_kind=kind, template=parse_template(t), datatype=dt, language=lang)
+        for kind, t, dt, lang in SPELLER_MAPS
+    ]
+    objects += [TermMap(term_kind="IRI", column="A"), TermMap(term_kind="Literal", column="B")]
+    poms = [
+        PredicateObjectMap(TermMap(term_kind="IRI", constant=Iri(f"{EX}p{k}")), om)
+        for k, om in enumerate(objects)
+    ]
+    sm = TermMap(term_kind=subject[0], template=parse_template(subject[1]))
+    tm = TriplesMap(Iri(EX + "M"), "T", sm, [Iri(EX + "C")], poms)
+    return MappingDocument([tm], PrefixMap())
+
+
+class TestSpeller:
+    """A column's new terms are spelt in one batch per term map and
+    interned in one step; output, skips and IDs are those of spelling
+    each row's term afresh."""
+
+    def test_random_templates_and_cells_as_every_row(self):
+        rng = random.Random(23)
+        for trial in range(150):
+            rows = [
+                {"A": random_cell(rng), "B": random_cell(rng)} for _ in range(rng.randint(0, 12))
+            ]
+            rows += rng.sample(rows, min(len(rows), 3))  # repeated cells
+            table = TableSource("T", ("A", "B"), rows)
+            m = speller_mapping(rng)
+            assert_as_every_row(m, {"T": table})
+            assert_as_row_by_row(m, {"T": table})
+
+    def test_dirty_registry_as_row_by_row(self):
+        assert_as_row_by_row(bundled_mapping(), dirty_registry(300, 1))
+
+    def test_bulk_interning_gives_the_ids_of_interning_one_at_a_time(self):
+        rng = random.Random(24)
+        pool = [f'"{i}"' for i in range(12)] + [f"<{EX}{i}>" for i in range(12)]
+        for _ in range(100):
+            one, bulk = Graph(), Graph()
+            for spelling in rng.sample(pool, rng.randint(0, 8)):
+                one._intern(spelling)
+                bulk._intern(spelling)
+            batch = [rng.choice(pool) for _ in range(rng.randint(0, 20))]  # repeats
+            assert bulk._intern_all(batch) == [one._intern(s) for s in batch]
+            assert bulk._terms == one._terms and bulk._ids == one._ids
+
+    @pytest.mark.parametrize(
+        "text, settled",
+        [
+            ("http://ex.org/{A}", True),
+            ("urn:{A}-{B}", True),
+            ("{A}:x", False),
+            ("{h:}x", False),  # a column whose name looks like a scheme
+            ("ex{A}:y", False),
+            ("http://ex.org/a b/{A}", False),
+            (r"http://ex.org/\{{A}", False),
+        ],
+    )
+    def test_settled_templates(self, text, settled):
+        assert convert_module._settled(parse_template(text)) is settled
+
+    def test_settled_templates_are_spelt_without_check_iri(self, monkeypatch):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return check_iri(text)
+
+        monkeypatch.setattr(convert_module, "check_iri", counted)
+        g, _ = convert(bundled_mapping(), dirty_registry(300, 1))
+        assert len(g) > 0 and calls == []
+        # a template that starts with a column checks each distinct term,
+        # and a failed one again on the row that logs its skip; so does an
+        # IRI column
+        sm = TermMap(term_kind="IRI", template=parse_template("{ID}:x"))
+        pom = PredicateObjectMap(
+            TermMap(term_kind="IRI", constant=Iri(EX + "p")), TermMap(term_kind="IRI", column="URL")
+        )
+        tm = TriplesMap(Iri(EX + "M"), "T", sm, predicate_object_maps=[pom])
+        rows = [
+            {"ID": "a", "URL": "urn:u"},
+            {"ID": "b", "URL": "urn:u"},
+            {"ID": "a", "URL": "urn:v"},
+            {"ID": "1", "URL": "urn:w"},
+        ]
+        table = TableSource("T", ("ID", "URL"), rows)
+        g, report = convert(MappingDocument([tm], PrefixMap()), {"T": table})
+        assert calls == ["a:x", "b:x", "1:x", "1:x", "urn:u", "urn:v"]
+        assert [(t.row, t.column) for t in report.skipped_terms] == [(4, "ID")]
+        assert len(g) == 3

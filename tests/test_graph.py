@@ -395,6 +395,17 @@ class TestDerivedTables:
         g._valued(range(0, len(g._terms), 3))
         return g
 
+    def test_iteration_and_match_keep_no_term_on_the_graph(self):
+        g = pooled_graph(random.Random(46), 80)
+        pool = list(g)
+        assert g.match() == pool and g.match(o=pool[0].o)
+        assert g._tables == {}
+        # within one call, equal terms are one object
+        first = {}
+        for t in g:
+            for term in (t.s, t.p, t.o):
+                assert first.setdefault(term, term) is term
+
     def test_terms_are_made_for_the_ids_asked_for(self):
         rng = random.Random(43)
         triples = [random_triple(rng) for _ in range(80)]

@@ -10,7 +10,11 @@ from pathlib import Path
 import pytest
 
 from triplify import (
+    BlankNode,
+    Graph,
     Iri,
+    Literal,
+    Triple,
     parse_mapping,
     parse_template,
     parse_turtle,
@@ -42,7 +46,9 @@ from triplify.r2rml import (
     RR_TABLE_NAME,
     RR_TEMPLATE,
     RefObjectMap,
+    _read_nodes,
 )
+from triplify.terms import RDF_LANGSTRING
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 RR = "@prefix rr: <http://www.w3.org/ns/r2rml#> .\n@prefix ex: <http://ex.org/> .\n"
@@ -252,6 +258,44 @@ class TestParseMapping:
             "http://ex.org/r",
         ]
         assert [w.rsplit("#", 1)[1] for w in m.warnings] == ["aa>", "zz>"]
+
+    def test_nodes_are_read_in_line_order(self):
+        # spellings that are prefixes of others: a blank label of a longer
+        # one, a literal of its tagged and typed forms, an IRI of none
+        rng = random.Random(9)
+        subjects = [BlankNode(label) for label in ("a", "ab", "a1")] + [
+            Iri("http://e.org/a"),
+            Iri("http://e.org/a/b"),
+        ]
+        predicates = [Iri(RR_NS + local) for local in ("madeUp", "madeUpToo", "sqlVersion")]
+        predicates += [Iri("http://e.org/p"), Iri("http://e.org/pq")]
+        objects = subjects + [
+            Literal("a"),
+            Literal("a", RDF_LANGSTRING, "en"),
+            Literal("a", RDF_LANGSTRING, "en-GB"),
+            Literal("a", Iri("http://e.org/d")),
+            Literal("a b"),
+            Literal("a\n"),
+        ]
+        for _ in range(50):
+            doc = Graph(
+                Triple(rng.choice(subjects), rng.choice(predicates), rng.choice(objects))
+                for _ in range(rng.randint(0, 40))
+            )
+            want, want_warnings, seen = {}, [], set()
+            for t in sorted(doc, key=Triple.to_line):  # the order of the lines
+                want.setdefault(t.s, {}).setdefault(t.p, []).append(t.o)
+                if t.p in _IGNORED:
+                    want_warnings.append(_IGNORED[t.p])
+                elif t.p.value.startswith(RR_NS) and t.p not in _KNOWN | seen:
+                    seen.add(t.p)
+                    want_warnings.append(f"unknown R2RML property ignored: <{t.p.value}>")
+            warnings = []
+            nodes = _read_nodes(doc, warnings)
+            assert [(s, list(props.items())) for s, props in nodes.items()] == [
+                (s, list(props.items())) for s, props in want.items()
+            ]
+            assert warnings == want_warnings
 
     def test_multiple_predicates_and_objects_flatten(self):
         text = RR + """
