@@ -5,8 +5,9 @@
 Run from a source checkout; triplify is imported from its `src/`. For
 each size, synthetic tables of that many patients, from seed 1, go
 through synth, load_csv, convert, serialize_ntriples, parse_ntriples,
-validate_graph and two queries. Each stage runs twice, on equal inputs:
-once timed with process CPU time, once under tracemalloc for its peak.
+validate_graph and two queries. Each stage runs REPEATS times timed with
+process CPU time, and its median is reported, then once more, on an
+equal input, under tracemalloc for its peak.
 validate_graph and the queries each get a fresh copy of the parsed
 graph, with no index or table built yet. OUT maps each size to its
 triple count and stages.
@@ -14,6 +15,7 @@ triple count and stages.
 
 import argparse
 import json
+import statistics
 import sys
 import time
 import tracemalloc
@@ -23,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import triplify as T  # noqa: E402
 
 SEED = 1
+REPEATS = 5  # timed runs of each stage; one run varies by 20% or more
 
 QUERIES = {
     "query_join": "SELECT ?p ?t WHERE { ?p roo:P100039 ?t . ?t roo:P100042 ncit:C15402 . }",
@@ -31,17 +34,21 @@ QUERIES = {
 
 
 def measure(stage, make_input):
-    """stage(make_input()) timed, then again under tracemalloc: its output and figures."""
-    arg = make_input()
-    start = time.process_time()
-    out = stage(arg)
-    cpu = time.process_time() - start
+    """stage(make_input()) timed REPEATS times, then again under
+    tracemalloc: its last output, its median CPU time and its peak."""
+    times = []
+    for _ in range(REPEATS):
+        out = arg = None  # the last run's output is freed before the next
+        arg = make_input()
+        start = time.process_time()
+        out = stage(arg)
+        times.append(time.process_time() - start)
     arg = make_input()
     tracemalloc.start()
     stage(arg)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return out, {"cpu_s": round(cpu, 4), "peak_mib": round(peak / 2**20, 2)}
+    return out, {"cpu_s": round(statistics.median(times), 4), "peak_mib": round(peak / 2**20, 2)}
 
 
 def run(n: int) -> dict:

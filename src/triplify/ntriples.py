@@ -25,39 +25,24 @@ graph, term IDs and errors.
 As in Turtle and the RDF 1.1 grammar, a line (and a comment) ends at LF,
 CRLF or a lone CR, an IRI may hold only `\\u`/`\\U` escapes (`<a\\'b>` is
 a ParseError) and a string no raw CR. A slot's text is read once per
-document, where it first occurs, and no term object is made. A text that
-is already the canonical spelling of a valid term is stored as read,
-after the checks the term's constructor makes (`_as_read`); that is every
-text the writer makes. Any other text, one with an escape, a datatype of
-xsd:string, a raw control character or a check that fails, is made into
-a term by `_term`, and stored as its canonical spelling or reported as
-that term's error, at its line and column.
+document, where it first occurs, by one rule (`_spelling`): its escapes
+decoded, checked as the term's constructor checks it (`terms.check_iri`,
+`terms.literal_text`), and stored as the term's canonical spelling, or
+reported as that term's error at its line and column. No term object is
+made. A text the writer made is its own spelling.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional
 
 from .errors import ParseError, TriplifyError
 from .graph import Graph
 from .lexer import BLANK, IRIREF, LANGTAG, STRING, split_lines, unescape
-from .terms import (
-    _DATATYPES,
-    _LANGUAGE_TAG,
-    RDF_LANGSTRING,
-    XSD_STRING,
-    BlankNode,
-    Iri,
-    Literal,
-    Term,
-    check_iri,
-    literal_parts,
-)
+from .terms import RDF_LANGSTRING, XSD_STRING, check_iri, literal_parts, literal_text
 
 # A literal; groups: its string, datatype IRI and language tag.
 _LITERAL = rf"({STRING})(?:\^\^[ \t]*({IRIREF})|({LANGTAG}))?"
-_LITERAL_PARTS = re.compile(_LITERAL)
 # The slots of a triple line, in order; groups 1-3: subject, predicate, object.
 _SLOTS = (
     ("subject IRI or blank node", rf"({IRIREF}|{BLANK})"),
@@ -71,10 +56,6 @@ _LINE = re.compile(
 _WS = re.compile(r"[ \t]*")
 # Each slot's term pattern alone, for a text of a canonical line.
 _SLOT_TERMS = tuple(re.compile(slot).fullmatch for _, slot in _SLOTS[:3])
-# What keeps a literal's text from being its canonical spelling, or from
-# being a valid literal: an escape, a character `escape_literal` escapes
-# (a control character or DEL), or a lone surrogate.
-_NOT_AS_READ = re.compile(r"[\\\x00-\x1f\x7f\ud800-\udfff]")
 
 
 def serialize_ntriples(g: Graph) -> str:
@@ -104,83 +85,36 @@ def _syntax_error(line: str, lineno: int) -> ParseError:
     return ParseError("unexpected text after '.'", lineno, _WS.match(line, i).end() + 1)
 
 
-def _term(raw: str, lineno: int, column: int, datatypes: dict[str, Iri]) -> Term:
-    """The term a slot's matched text spells, told by its first character
-    (`<`, `_` or `"`); a term that cannot be made is a ParseError at
-    `column`. A literal's datatype IRI is made once per text, and a bad
-    one is a ParseError at its `<`."""
+def _spelling(raw: str, lineno: int, column: int, datatypes: dict[str, str]) -> str:
+    """The canonical spelling of the term a slot's matched text spells,
+    told by its first character (`<`, `_` or `"`) and checked as the
+    term's constructor checks it; a text that spells no term is a
+    ParseError at `column`. A literal's datatype text is read once, into
+    `datatypes`, and a bad one is a ParseError at its `<`."""
     try:
         if raw[0] == "<":
-            return Iri(unescape(raw[1:-1], lineno, column))
+            if "\\" not in raw:
+                check_iri(raw[1:-1])
+                return raw
+            return f"<{check_iri(unescape(raw[1:-1], lineno, column))}>"
         if raw[0] == "_":
-            return BlankNode(raw[2:])
-        m = _LITERAL_PARTS.fullmatch(raw)
-        string, datatype, language = m.groups()
-        lexical = unescape(string[1:-1], lineno, column)
-        if language is not None:
-            return Literal(lexical, RDF_LANGSTRING, language[1:])
-        if datatype is None:
-            return Literal(lexical)
+            return raw  # the slot pattern is BLANK_NODE_LABEL
+        string, tail = literal_parts(raw)
+        lexical = unescape(string, lineno, column)
+        if not tail:
+            return literal_text(lexical, XSD_STRING.value)
+        if tail[0] == "@":
+            return literal_text(lexical, RDF_LANGSTRING.value, tail[1:])
+        datatype = tail[2:].lstrip(" \t")  # `^^`, maybe spaces or tabs, `<...>`
         iri = datatypes.get(datatype)
         if iri is None:
-            iri = datatypes[datatype] = _term(datatype, lineno, column + m.start(2), datatypes)
-        return Literal(lexical, iri)
+            where = column + len(raw) - len(datatype)
+            iri = datatypes[datatype] = _spelling(datatype, lineno, where, datatypes)[1:-1]
+        return literal_text(lexical, iri)
     except ParseError:
         raise  # a bad escape, or a bad datatype IRI, at its own column
     except TriplifyError as exc:
         raise ParseError(str(exc), lineno, column) from None
-
-
-def _anything(lexical: str) -> bool:
-    return True
-
-
-def _nothing(lexical: str) -> bool:
-    return False
-
-
-def _datatype_test(tail: str) -> Callable[[str], object]:
-    """For the text after a literal's string, `^^` and its datatype: the
-    test its lexical form must pass to be stored as read. It passes
-    nothing when no such literal is: xsd:string (spelt without it),
-    rdf:langString (a literal with a tag), or an invalid IRI, which a
-    space after `^^` also makes, as `<` or a space then starts it."""
-    datatype = tail[3:-1]
-    if datatype in (XSD_STRING.value, RDF_LANGSTRING.value):
-        return _nothing
-    try:
-        check_iri(datatype)
-    except TriplifyError:
-        return _nothing
-    checked = _DATATYPES.get(datatype)
-    return _anything if checked is None else checked[0]
-
-
-def _as_read(raw: str, tests: dict[str, Callable[[str], object]]) -> Optional[str]:
-    """raw, a slot's matched text, when it is the canonical spelling of a
-    term its constructor accepts; else None. An IRI is checked as `Iri`
-    checks it; a blank node label needs no check, as the slot pattern is
-    BLANK_NODE_LABEL; a literal is checked as `Literal` checks it, its
-    datatype's test made once per datatype text, in `tests`."""
-    if raw[0] == "<":
-        try:
-            check_iri(raw[1:-1])
-        except TriplifyError:
-            return None
-        return raw
-    if raw[0] == "_":
-        return raw
-    if _NOT_AS_READ.search(raw) is not None:
-        return None
-    lexical, tail = literal_parts(raw)
-    if not tail:
-        return raw
-    if tail[0] == "@":
-        return raw if _LANGUAGE_TAG.fullmatch(tail, 1) else None
-    test = tests.get(tail)
-    if test is None:
-        test = tests[tail] = _datatype_test(tail)
-    return raw if test(lexical) else None
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -196,18 +130,17 @@ def parse_ntriples(text: str) -> Graph:
     before any term is read, so a line with a syntax error reports that
     error, not a term error from an earlier slot.
 
-    The graph's term table is the reader's: a text that is a term's
-    canonical spelling, and valid, is stored as it is read, with no term
-    made; every later occurrence finds its ID there. Any other text is
-    made into a term once, where it first occurs, and stored as that
-    term's spelling, so two spellings of one term (`<http://e.org/\\u0041>`
-    and `<http://e.org/A>`, `"a"` and `"a"^^xsd:string`) get one ID.
+    A slot's text not yet in the term table is read once, where it
+    first occurs, into the canonical spelling of the term it spells, and
+    every later occurrence finds its ID: in the term table when the text
+    is that spelling, as every text the writer makes is, else among the
+    texts read. So two spellings of one term (`<http://e.org/\\u0041>` and
+    `<http://e.org/A>`, `"a"` and `"a"^^xsd:string`) get one ID.
     """
     g = Graph()
     get = g._ids.get  # a canonical text -> its ID
-    aliases: dict[str, int] = {}  # any other text read -> its term's ID
-    datatypes: dict[str, Iri] = {}  # a datatype's matched text -> its IRI
-    tests: dict[str, Callable[[str], object]] = {}  # a literal's `^^<...>` -> its test
+    aliases: dict[str, int] = {}  # a text read that is not its spelling -> its ID
+    datatypes: dict[str, str] = {}  # a datatype's matched text -> its IRI's text
     intern = g._intern
     triples = g._triples  # a new graph, no index to keep current
     subject_term, predicate_term, object_term = _SLOT_TERMS
@@ -216,11 +149,10 @@ def parse_ntriples(text: str) -> Graph:
         """The ID of a slot's text not in the term table as it stands."""
         i = aliases.get(raw)
         if i is None:
-            spelling = _as_read(raw, tests)
-            if spelling is not None:
-                return intern(spelling)
-            spelling = _term(raw, lineno, column, datatypes).to_ntriples()
-            i = aliases[raw] = intern(spelling)
+            spelling = _spelling(raw, lineno, column, datatypes)
+            i = intern(spelling)
+            if spelling != raw:
+                aliases[raw] = i
         return i
 
     for lineno, line in enumerate(split_lines(text), start=1):

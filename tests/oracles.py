@@ -8,7 +8,9 @@ field pattern `tabular` keeps for texts that hold a `"`.
 
 The reference N-Triples reader matches every line with the full line
 pattern, never splitting a line at its spaces; the columns it reports
-are where the pattern's groups start.
+are where the pattern's groups start. It makes every new slot text into
+an `Iri`, `BlankNode` or `Literal` and interns that term's spelling, so
+it shares no term-reading code with the engine's reader.
 
 The reference conversion makes every term afresh, on every row, with
 `generate_term`: it keeps no table of terms already made. The reference
@@ -43,14 +45,24 @@ from triplify.errors import (
     TriplifyError,
     TypeMismatchError,
 )
-from triplify.ntriples import _LINE, _syntax_error, _term
+from triplify.lexer import unescape
+from triplify.ntriples import _LINE, _LITERAL, _syntax_error
 from triplify.query import FilterExpr, Var
 from triplify.r2rml import TermMap
 from triplify.registry import Shape, ShapeConstraint, ValidationReport, Violation
 from triplify.tabular import _FIELD
-from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Term
+from triplify.terms import (
+    RDF_LANGSTRING,
+    RDF_TYPE,
+    XSD_DATE,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_INTEGER,
+    Term,
+)
 
 _NUMERIC = (XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE)
+_LITERAL_PARTS = re.compile(_LITERAL)
 
 
 def _records_of_every_field(text: str) -> list[list]:
@@ -101,10 +113,37 @@ def serialize_every_line(g: Graph) -> str:
     return "".join(line + "\n" for line in sorted(t.to_line() for t in g))
 
 
+def term_of(raw: str, lineno: int, column: int, datatypes: dict[str, Iri]) -> Term:
+    """The term a slot's matched text spells, told by its first character
+    (`<`, `_` or `"`); a term that cannot be made is a ParseError at
+    `column`. A literal's datatype IRI is made once per text, and a bad
+    one is a ParseError at its `<`."""
+    try:
+        if raw[0] == "<":
+            return Iri(unescape(raw[1:-1], lineno, column))
+        if raw[0] == "_":
+            return BlankNode(raw[2:])
+        m = _LITERAL_PARTS.fullmatch(raw)
+        string, datatype, language = m.groups()
+        lexical = unescape(string[1:-1], lineno, column)
+        if language is not None:
+            return Literal(lexical, RDF_LANGSTRING, language[1:])
+        if datatype is None:
+            return Literal(lexical)
+        iri = datatypes.get(datatype)
+        if iri is None:
+            iri = datatypes[datatype] = term_of(datatype, lineno, column + m.start(2), datatypes)
+        return Literal(lexical, iri)
+    except ParseError:
+        raise  # a bad escape, or a bad datatype IRI, at its own column
+    except TriplifyError as exc:
+        raise ParseError(str(exc), lineno, column) from None
+
+
 def parse_every_line(text: str) -> Graph:
     """What `parse_ntriples` gives: every line read by `_LINE`, and each
-    slot's new text made into a term at the column its group starts, and
-    interned as that term's canonical spelling: no text is stored as read."""
+    slot's new text made into a term by `term_of` at the column its group
+    starts, and interned as that term's canonical spelling."""
     if text.startswith("\ufeff"):
         text = text[1:]
     text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -121,7 +160,7 @@ def parse_every_line(text: str) -> Graph:
         for k in (1, 2, 3):
             raw = m.group(k)
             if raw not in ids:
-                term = _term(raw, lineno, m.start(k) + 1, datatypes)
+                term = term_of(raw, lineno, m.start(k) + 1, datatypes)
                 ids[raw] = g._intern(term.to_ntriples())
             key.append(ids[raw])
         g._add_keys([tuple(key)])

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from triplify import (
+    BlankNode,
     Graph,
     Iri,
     Literal,
@@ -15,13 +16,12 @@ from triplify import (
     parse_ntriples,
     serialize_ntriples,
 )
-from triplify import ntriples
 from triplify.errors import ParseError
 from triplify.terms import RDF_NS, XSD_INTEGER, XSD_NS
 
 from conftest import fixture_case, fixture_cases
 from genutil import fuzz_graph, random_graph
-from oracles import parse_every_line, read_outcome, serialize_every_line
+from oracles import parse_every_line, read_outcome, serialize_every_line, term_of
 
 
 class TestSerialize:
@@ -169,6 +169,9 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_ntriples('<http://a> <http://b> "1"^^<rel> .')
         assert (err.value.line, err.value.column) == (1, 28)
+        with pytest.raises(ParseError) as err:
+            parse_ntriples('<http://a> <http://b> "1"^^ \t<rel> .')
+        assert (err.value.line, err.value.column) == (1, 30)
 
     def test_term_error_raises_where_that_term_first_occurs(self):
         # the lexical "x" is a good plain and tagged literal on lines 1-2
@@ -296,14 +299,16 @@ EDGES = {
     "not an xsd:integer": (f'"x"^^<{XSD_NS}integer>', None),
     "escaped lone surrogate": ('"\\uD800"', None),
     "datatype IRI with an escape": ('"1"^^<http://e.org/\\u0064t>', '"1"^^<http://e.org/dt>'),
+    "tab after the carets": (f'"1"^^\t{INTEGER}', f'"1"^^{INTEGER}'),
 }
 SPELT_TWICE = {name: edge for name, edge in EDGES.items() if edge[1] is not None}
 
 
 class TestStoredAsRead:
-    """A text that is a term's canonical spelling is stored as read; any
-    other goes through `_term`. Either way the graph, its term table and
-    every error are those of `parse_every_line`, which makes every term."""
+    """A slot's text is read into the canonical spelling of its term, so
+    a text that is that spelling is stored as read. Either way the graph,
+    its term table and every error are those of `parse_every_line`, which
+    makes every term."""
 
     @pytest.mark.parametrize("text, other", EDGES.values(), ids=EDGES.keys())
     def test_same_spelling_or_error_as_making_the_term(self, text, other):
@@ -312,7 +317,7 @@ class TestStoredAsRead:
             assert read_outcome(parse_ntriples, document) == read_outcome(parse_every_line, document)
         if other is not None:
             g = parse_ntriples(f"{S} {P} {text} .\n")
-            assert g._terms[2] == ntriples._term(text, 1, 35, {}).to_ntriples()
+            assert g._terms[2] == term_of(text, 1, 35, {}).to_ntriples()
 
     @pytest.mark.parametrize("text, other", SPELT_TWICE.values(), ids=SPELT_TWICE.keys())
     def test_both_spellings_of_a_term_share_one_id(self, text, other):
@@ -322,16 +327,28 @@ class TestStoredAsRead:
 
     def test_a_written_graph_is_read_back_without_making_a_term(self, monkeypatch):
         g, _ = convert(bundled_mapping(), generate_synthetic(50, 1))
-        text = serialize_ntriples(g)
+        documents = [
+            serialize_ntriples(g),
+            # escapes, an xsd:string datatype and spacing after the carets
+            f'<http://e.org/\\u0041> {P} "a\\u00E9\\n"^^<{XSD_NS}string> .\n'
+            f'_:b {P} "1"^^ \t{INTEGER} .\n{S} {P} "x\ty"@en .\n',
+        ]
         made = []
-        term = ntriples._term
-        monkeypatch.setattr(ntriples, "_term", lambda *args: made.append(args[0]) or term(*args))
-        assert parse_ntriples(text) == g
+        for cls in (Iri, BlankNode, Literal):
+
+            def counted(self, check=cls.__post_init__):
+                made.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        read = [parse_ntriples(text) for text in documents]
         assert made == []
-        # only a text that is not a canonical spelling is made into a term,
-        # and with it its datatype IRI
-        parse_ntriples(f'{S} {P} "a"^^<{XSD_NS}string> .\n{S} {P} "a" .\n')
-        assert made == [f'"a"^^<{XSD_NS}string>', f"<{XSD_NS}string>"]
+        parse_every_line(documents[1])
+        assert made  # the count is live: the reference reader makes terms
+        monkeypatch.undo()
+        assert read[0] == g
+        for text, graph in zip(documents, read):
+            assert read_outcome(lambda _: graph, text) == read_outcome(parse_every_line, text)
 
 
 class TestRoundTrip:
