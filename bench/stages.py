@@ -6,8 +6,10 @@ Run from a source checkout; triplify is imported from its `src/`. For
 each size, synthetic tables of that many patients, from seed 1, go
 through synth, load_csv, convert, serialize_ntriples, parse_ntriples,
 validate_graph and two queries. Each stage runs REPEATS times timed with
-process CPU time, and its median is reported, then once more, on an
-equal input, under tracemalloc for its peak.
+process CPU time, and its median (`cpu_s`) and minimum (`cpu_min_s`)
+are reported, then once more, on an equal input, under tracemalloc for
+its peak. On a shared machine the minimum is the run least disturbed
+by other load.
 validate_graph and the queries each get a fresh copy of the parsed
 graph, with no index or table built yet. OUT maps each size to its
 triple count and stages.
@@ -35,7 +37,8 @@ QUERIES = {
 
 def measure(stage, make_input):
     """stage(make_input()) timed REPEATS times, then again under
-    tracemalloc: its last output, its median CPU time and its peak."""
+    tracemalloc: its last output, its median and least CPU time and its
+    peak."""
     times = []
     for _ in range(REPEATS):
         out = arg = None  # the last run's output is freed before the next
@@ -48,7 +51,11 @@ def measure(stage, make_input):
     stage(arg)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return out, {"cpu_s": round(statistics.median(times), 4), "peak_mib": round(peak / 2**20, 2)}
+    return out, {
+        "cpu_s": round(statistics.median(times), 4),
+        "cpu_min_s": round(min(times), 4),
+        "peak_mib": round(peak / 2**20, 2),
+    }
 
 
 def run(n: int) -> dict:

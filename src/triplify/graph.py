@@ -8,11 +8,15 @@ and a `str` caches its hash and is not tracked by the garbage collector,
 so a graph read back from N-Triples makes no term object. A triple is
 stored as an `(s, p, o)` tuple of IDs, a key of the insertion-ordered
 dict `_triples`. Each position (0 subject, 1 predicate, 2 object) has an
-index from an ID to the keys holding it there, a list in insertion
+index from an ID to the keys holding it there, a tuple in insertion
 order. An index is built from `_triples` the first time its position is
 read (`_index`). A write that adds a triple drops every built index, and
 the next read builds it again; a graph is loaded, then read, so no
-workload pays for that.
+workload pays for that. So no bucket is ever changed once published,
+and a bucket is a tuple, not a list: it is smaller, and a tuple of
+tuples of ints is untracked by the garbage collector once a collection
+has seen it, so the full collections a query's answer rows set off do
+not walk every bucket of the graph.
 
 Two more tables, kept in their own slot, `_tables`, remember per term
 ID what is derived from a spelling: `_made`, the term object it spells,
@@ -65,7 +69,7 @@ from .terms import (
 )
 
 Key = tuple[int, int, int]  # (subject, predicate, object) IDs
-Index = dict[int, list[Key]]
+Index = dict[int, tuple[Key, ...]]
 
 _new, _set = object.__new__, object.__setattr__
 
@@ -141,7 +145,8 @@ class Graph:
 
     def _index(self, position: int) -> Index:
         """Each ID at `position` (0 subject, 1 predicate, 2 object) with
-        the keys holding it there, in insertion order; built on first read.
+        a tuple of the keys holding it there, in insertion order; built on
+        first read.
 
         Every key is in exactly one bucket, so the mean bucket is
         `len(self) / len(index)`; an ID no triple holds there is absent.
@@ -149,15 +154,16 @@ class Graph:
         """
         index = self._indexes.get(position)
         if index is None:
-            index = {}
-            get = index.get
+            lists: dict[int, list[Key]] = {}
+            get = lists.get
             for key in self._triples:
                 i = key[position]
                 bucket = get(i)
                 if bucket is None:
-                    index[i] = [key]
+                    lists[i] = [key]
                 else:
                     bucket.append(key)
+            index = dict(zip(lists, map(tuple, lists.values())))
             # published by one assignment, once complete
             self._indexes[position] = index
         return index

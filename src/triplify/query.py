@@ -42,17 +42,20 @@ What follows the steps stays in term IDs. A FILTER reads each term's
 value from `Graph._valued`, a table the graph fills per ID as queries
 meet them and drops on a write that adds a triple (see `graph`),
 compares it with the operand's once per distinct ID in the rows, and
-keeps a row by one set lookup. Answers sort by the spellings the
-graph's term table holds; only then are their terms made, by
-`Graph._made`, each once per graph, not once per query. A COUNT makes
-no term.
+keeps a row by one set lookup; a value is converted only where a
+decimal meets a double. Answers sort by the spellings the graph's term
+table holds; only then are their terms made, by `Graph._made`, each once
+per graph, not once per query, and each answer row is one dict display
+of its terms, by a function made once per projection width
+(`_row_maker`). A COUNT makes no term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import chain, repeat
+from functools import cache
+from itertools import chain
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -252,7 +255,8 @@ def parse_query(text: str, prefixes: Optional[PrefixMap] = None) -> Query:
 # the row's (s, p, o) IDs as one key of the graph's triples; any other
 # step's candidates are the bucket of one bound position's ID, or every
 # triple, and one itemgetter reads from a row the IDs of the others.
-# Candidates are the graph's keys, (s, p, o) tuples of IDs.
+# Candidates are the graph's keys, (s, p, o) tuples of IDs; a bucket
+# is a tuple of them, never changed once its index is built.
 
 
 @dataclass(slots=True)
@@ -462,6 +466,10 @@ def _filter(f: FilterExpr, g: Graph, slot: int) -> Callable[[list[tuple]], list[
             return lambda rows: [r for r in rows if r[slot] == equal_to]
         return lambda rows: [r for r in rows if r[slot] != equal_to]
     compare, bound = _COMPARE[op], value(operand.lexical)
+    # a decimal met by a double is compared as a double; any other two
+    # values of one kind compare as they are (an integer meets either
+    # exactly), so only a value of this type is converted
+    promoted = {Decimal: float, float: Decimal}.get(type(bound))
 
     def keep(rows: list[tuple]) -> list[tuple]:
         ids = set(map(itemgetter(slot), rows))
@@ -469,26 +477,20 @@ def _filter(f: FilterExpr, g: Graph, slot: int) -> Callable[[list[tuple]], list[
         kept = set()
         for i in ids:
             its_kind, its_value = valued[i]
-            if its_kind == kind:
-                if compare(*_promoted(its_value, bound)):
+            if its_kind != kind:
+                if op in _ORDERING_OPS:
+                    spelling = g._terms[next(r[slot] for r in rows if valued[r[slot]][0] != kind)]
+                    raise TypeMismatchError(f"cannot order {spelling} against a {kind} operand")
+                if op == "!=":
                     kept.add(i)
-            elif op in _ORDERING_OPS:
-                spelling = g._terms[next(r[slot] for r in rows if valued[r[slot]][0] != kind)]
-                raise TypeMismatchError(f"cannot order {spelling} against a {kind} operand")
-            elif op == "!=":
+            elif type(its_value) is promoted:
+                if compare(float(its_value), float(bound)):
+                    kept.add(i)
+            elif compare(its_value, bound):
                 kept.add(i)
         return [r for r in rows if r[slot] in kept]
 
     return keep
-
-
-def _promoted(a: object, b: object) -> tuple[object, object]:
-    """Two values a FILTER compares, a decimal met by a double made a double."""
-    if isinstance(a, Decimal) and isinstance(b, float):
-        return float(a), b
-    if isinstance(a, float) and isinstance(b, Decimal):
-        return a, float(b)
-    return a, b
 
 
 def _evaluate(g: Graph, q: Query) -> tuple[Solution, _Plan, list[int]]:
@@ -503,9 +505,23 @@ def _evaluate(g: Graph, q: Query) -> tuple[Solution, _Plan, list[int]]:
         spellings = (map(g._terms.__getitem__, column) for column in zip(*keys))
         keys = list(map(itemgetter(-1), sorted(zip(*spellings, keys))))
     made = g._made(chain.from_iterable(keys))
-    columns = (map(made.__getitem__, column) for column in zip(*keys))
-    rows = list(map(dict, map(zip, repeat(q.variables), zip(*columns))))
+    rows = _row_maker(len(q.variables))(made, keys, *q.variables)
     return Solution(q.variables, rows), plan, counts
+
+
+@cache
+def _row_maker(width: int) -> Callable[..., list[dict[str, Term]]]:
+    """A function of a table of terms by ID, keys of `width` IDs and
+    `width` variable names, giving each key's answer row, each made by
+    one dict display: `{k0: made[v0], k1: made[v1]}` for width 2. The
+    names are arguments, never part of the source, so any name is safe;
+    a name repeated in the projection gets one entry, as its slots hold
+    one ID."""
+    names = [f"k{i}" for i in range(width)]
+    ids = [f"v{i}" for i in range(width)]
+    display = ", ".join(f"{k}: made[{v}]" for k, v in zip(names, ids))
+    rows = f"[{{{display}}} for ({', '.join(ids)},) in keys]"
+    return eval(f"lambda made, keys, {', '.join(names)}: {rows}", {})
 
 
 def execute(g: Graph, q: Query) -> Solution:

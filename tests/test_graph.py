@@ -176,6 +176,8 @@ class TestIndexBuild:
             index = g._index(pos)
             assert sum(len(bucket) for bucket in index.values()) == len(g)
             for i, bucket in index.items():
+                # a bucket never changes once built, so it is a tuple
+                assert type(bucket) is tuple
                 bound = [made[i] if k == pos else None for k in range(3)]
                 assert list(g._triples_of(bucket)) == _scan(pool, *bound)
         literal = g._ids[next(t.o for t in pool if isinstance(t.o, Literal)).to_ntriples()]

@@ -480,6 +480,43 @@ class TestOracleEquivalence:
                 if raised is None:
                     assert got == want, f"case {case}, run {run}"
 
+    def test_projections_of_every_width(self):
+        # answer rows are made per projection width; each width from 1 to
+        # 6, in and out of written order, and a repeated variable, over
+        # six variables of a graph small enough to enumerate once
+        rng = random.Random(2509)
+        nodes = [_iri(f"n{i}") for i in range(3)]
+        predicates = [_iri("p0"), _iri("p1")]
+        where = "WHERE { ?a ex:p0 ?b . ?b ?c ?d . ?d ex:p1 ?e . ?e ?f ?a . }"
+        projections = [
+            "?a", "?b ?a", "?a ?b ?c", "?f ?d ?b ?a", "?a ?b ?c ?d ?e",
+            "?a ?b ?c ?d ?e ?f", "?f ?e ?d ?c ?b ?a", "?a ?a ?b", "?c ?a ?c ?c",
+        ]
+        answered = 0
+        for case in range(4):
+            g = Graph(
+                Triple(rng.choice(nodes), rng.choice(predicates), rng.choice(nodes))
+                for _ in range(12)
+            )
+            bindings = brute_force(g, parse_query(f"PREFIX ex: <http://ex.org/> SELECT ?a {where}"))
+            for projection in projections:
+                q = parse_query(f"PREFIX ex: <http://ex.org/> SELECT {projection} {where}")
+                projected = {tuple(b[v] for v in q.variables) for b in bindings}
+                want = sorted(projected, key=lambda tup: tuple(t.to_ntriples() for t in tup))
+                solution = execute(g, q)
+                assert solution_tuples(solution) == want, f"case {case}: {projection}"
+                rows = solution.rows
+                if len(rows) < 2:
+                    continue
+                # each row is its own dict: changing one changes neither
+                # another nor the next execution's answer
+                first = dict(rows[0])
+                rows[1][q.variables[0]] = rows[1]["changed"] = Literal("changed")
+                assert rows[0] == first
+                assert solution_tuples(execute(g, q)) == want, f"case {case}: {projection}"
+                answered += 1
+        assert answered >= 30, answered
+
     def test_pattern_order_invariance(self):
         rng = random.Random(4321)
         for case in range(25):
