@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import Decimal
 from functools import cache
 from importlib import resources
+from itertools import compress
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import TriplifyError
@@ -245,14 +248,19 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
     reported individually, in canonical order, and do not count toward
     cardinality.
 
-    The graph is grouped once from its predicate index, by term ID: each
-    class's members, and each constrained predicate's objects by subject.
-    rdf:type, each predicate and each class are resolved to their IDs
-    once, and each constraint's groups are looked up once per shape, not
-    per focus node; only the predicate index is built. Focus nodes and
-    objects sort by the graph's spellings, a literal's datatype is read
-    from its spelling, and term objects are made only for the violations,
-    once they are all found.
+    The graph is read from its predicate index, by term ID, a constraint
+    at a time: each class's members are grouped once, and each
+    constrained predicate's bucket is screened once, for its values per
+    subject and its distinct objects. Each distinct constraint finds its
+    bad objects once, by the datatype a literal's spelling ends in or by
+    the class's members. A focus node is flagged when it holds a bad
+    object or its count of values lies outside the constraint's bounds;
+    one that is never flagged holds only conforming values, in bounds,
+    and conforms. Only the flagged focus nodes of a shape, in canonical
+    order, go through the per-focus check, with their objects grouped
+    from the buckets for them alone. Only the predicate index is built,
+    and term objects are made only for the violations, once they are all
+    found.
     """
     terms, by_p = g._terms, g._index(1)
 
@@ -262,37 +270,73 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
     members: dict[int, set[int]] = {}
     for s, _, o in by_p.get(id_of(RDF_TYPE), ()):
         members.setdefault(o, set()).add(s)
-    values: dict[Iri, dict[int, list[int]]] = {}
-    for p in dict.fromkeys(c.predicate for shape in shapes for c in shape.constraints):
-        grouped = values[p] = {}
-        for s, _, o in by_p.get(id_of(p), ()):
-            grouped.setdefault(s, []).append(o)
+
+    constraints = [c for shape in shapes for c in shape.constraints]
+    # each constrained predicate's bucket, its count of values per
+    # subject, its distinct objects and its largest count
+    screens: dict[Iri, tuple] = {}
+    for p in dict.fromkeys(c.predicate for c in constraints):
+        bucket = by_p.get(id_of(p), ())
+        counts = Counter(map(itemgetter(0), bucket))
+        objects = set(map(itemgetter(2), bucket))
+        screens[p] = bucket, counts, objects, max(counts.values(), default=0)
+    # each distinct (predicate, kind, kind IRI): its bad objects and the
+    # subjects that hold one
+    flaws: dict[tuple, tuple[set[int], set[int]]] = {}
+    for c in constraints:
+        key = (c.predicate, c.kind, c.kind_iri)
+        if key in flaws:
+            continue
+        bucket, _, objects, _ = screens[c.predicate]
+        if c.kind == "literal":
+            of_datatype = literal_test(c.kind_iri.value)
+            bad = {o for o in objects if not of_datatype(terms[o])}
+        else:
+            # members are subjects, so a literal is never one
+            bad = objects.difference(members.get(id_of(c.kind_iri), ()))
+        flaws[key] = bad, {s for s, _, o in bucket if o in bad} if bad else set()
 
     # each violation's fields, its focus and offending object as term IDs
     found: list[tuple] = []
     for shape in shapes:
-        focuses = sorted(members.get(id_of(shape.target_class), ()), key=terms.__getitem__)
-        # each constraint with its objects by subject, and for a class
-        # constraint the class's members, looked up once per shape
+        focuses = members.get(id_of(shape.target_class))
+        if not focuses:
+            continue
+        flaws_of = [flaws[c.predicate, c.kind, c.kind_iri] for c in shape.constraints]
+        flagged: set[int] = set()
+        for c, (_, holders) in zip(shape.constraints, flaws_of):
+            _, counts, _, most = screens[c.predicate]
+            flagged |= holders
+            lo, hi = c.min_count, c.max_count
+            if lo > 0:
+                flagged |= focuses.difference(counts)
+            # a holder's count is at least 1 and at most `most`
+            if lo > 1 or (hi is not None and most > hi):
+                flagged.update(
+                    s for s, n in counts.items() if n < lo or (hi is not None and n > hi)
+                )
+        flagged &= focuses
+        if not flagged:
+            continue
+        values: dict[Iri, dict[int, list[int]]] = {}
+        for p in dict.fromkeys(c.predicate for c in shape.constraints):
+            by_subject = values[p] = {}
+            bucket = screens[p][0]
+            for s, _, o in compress(bucket, map(flagged.__contains__, map(itemgetter(0), bucket))):
+                by_subject.setdefault(s, []).append(o)
         checks = [
             (
                 c,
+                "is not a literal of datatype" if c.kind == "literal" else "lacks required type",
                 values[c.predicate],
-                literal_test(c.kind_iri.value) if c.kind == "literal" else None,
-                None if c.kind == "literal" else members.get(id_of(c.kind_iri), ()),
+                bad_objects,
             )
-            for c in shape.constraints
+            for c, (bad_objects, _) in zip(shape.constraints, flaws_of)
         ]
-        for focus in focuses:
-            for c, by_subject, of_datatype, typed in checks:
+        for focus in sorted(flagged, key=terms.__getitem__):
+            for c, flaw, by_subject, bad_objects in checks:
                 objects = by_subject.get(focus, ())
-                if typed is None:
-                    flaw = "is not a literal of datatype"
-                    bad = [o for o in objects if not of_datatype(terms[o])]
-                else:
-                    # members are subjects, so a literal is never one
-                    flaw = "lacks required type"
-                    bad = [o for o in objects if o not in typed]
+                bad = [o for o in objects if o in bad_objects]
                 for o in sorted(bad, key=terms.__getitem__):
                     message = f"object {terms[o]} {flaw} {c.kind_iri.to_ntriples()}"
                     found.append((focus, shape.target_class, c.predicate, message, None, o))

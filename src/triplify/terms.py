@@ -68,6 +68,8 @@ _LANGUAGE_TAG = re.compile(r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*")
 
 # Fast path: literals without any of these characters serialize as-is.
 _NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f]')
+# A lone surrogate or a character to escape, found by one search
+_ESCAPE_OR_SURROGATE = re.compile(r'["\\\x00-\x1f\x7f\ud800-\udfff]')
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"}
 
 
@@ -217,7 +219,7 @@ class Literal:
         _check_literal(self.lexical, self.datatype.value, self.language)
 
     def to_ntriples(self) -> str:
-        return _spell_literal(self.lexical, self.datatype.value, self.language)
+        return _spell_literal(escape_literal(self.lexical), self.datatype.value, self.language)
 
     def __repr__(self):
         if self.language is not None:
@@ -235,6 +237,11 @@ def _check_literal(lexical: str, datatype: str, language: Optional[str]) -> None
         raise TriplifyError(
             f"lone surrogate {m.group()!r} at position {m.start() + 1} of a literal"
         )
+    _check_tag_and_form(lexical, datatype, language)
+
+
+def _check_tag_and_form(lexical: str, datatype: str, language: Optional[str]) -> None:
+    """`_check_literal` but for its surrogate check."""
     if language is not None:
         if datatype != RDF_LANGSTRING.value:
             raise TriplifyError(
@@ -249,8 +256,9 @@ def _check_literal(lexical: str, datatype: str, language: Optional[str]) -> None
         raise LexicalFormMismatchError(lexical, datatype)
 
 
-def _spell_literal(lexical: str, datatype: str, language: Optional[str]) -> str:
-    body = f'"{escape_literal(lexical)}"'
+def _spell_literal(escaped: str, datatype: str, language: Optional[str]) -> str:
+    """The spelling of a literal whose lexical form escapes to `escaped`."""
+    body = f'"{escaped}"'
     if language is not None:
         return f"{body}@{language}"
     if datatype == XSD_STRING.value:
@@ -261,9 +269,15 @@ def _spell_literal(lexical: str, datatype: str, language: Optional[str]) -> str:
 def literal_text(lexical: str, datatype: str, language: Optional[str] = None) -> str:
     """The canonical N-Triples spelling of `Literal(lexical, Iri(datatype),
     language)`, checked as that constructor checks it, without making the
-    literal; datatype is a valid IRI's text."""
+    literal; datatype is a valid IRI's text.
+
+    One search looks for a lone surrogate and a character to escape at
+    once; a lexical form that holds neither is its own escaped form."""
+    if _ESCAPE_OR_SURROGATE.search(lexical) is None:
+        _check_tag_and_form(lexical, datatype, language)
+        return _spell_literal(lexical, datatype, language)
     _check_literal(lexical, datatype, language)
-    return _spell_literal(lexical, datatype, language)
+    return _spell_literal(escape_literal(lexical), datatype, language)
 
 
 def literal_parts(text: str) -> tuple[str, str]:

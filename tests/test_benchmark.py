@@ -1,7 +1,8 @@
 """A short run of each benchmark workload passes the benchmark's own
 checks of its outputs. `perfbench/run.py` exits 0 even when a check
 fails; the last line of its standard output is the verdict. The stage
-script `bench/stages.py` writes a figure for every stage."""
+script `bench/stages.py` writes a figure for every stage, alone or paired
+against another source tree."""
 
 import json
 import subprocess
@@ -12,6 +13,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+STAGES = [
+    "synth",
+    "load_csv",
+    "convert",
+    "serialize_ntriples",
+    "parse_ntriples",
+    "validate_graph",
+    "query_join",
+    "query_filter",
+]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -41,19 +52,29 @@ def test_the_stage_script_reports_every_stage(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text(encoding="utf-8"))
     assert list(report) == ["20", "30"]
-    stages = [
-        "synth",
-        "load_csv",
-        "convert",
-        "serialize_ntriples",
-        "parse_ntriples",
-        "validate_graph",
-        "query_join",
-        "query_filter",
-    ]
     for size in report.values():
         assert size["triples"] > 0
-        assert list(size["stages"]) == stages
+        assert list(size["stages"]) == STAGES
         for figures in size["stages"].values():
             assert figures.keys() == {"cpu_s", "cpu_min_s", "peak_mib"}
             assert 0 <= figures["cpu_min_s"] <= figures["cpu_s"] and figures["peak_mib"] > 0
+
+
+def test_a_tree_paired_against_itself_reads_ratios_near_one(tmp_path):
+    out = tmp_path / "paired.json"
+    done = subprocess.run(
+        [sys.executable, "bench/stages.py", str(out), "--sizes", "40"]
+        + ["--against", str(ROOT), "--rounds", "5"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    (size,) = json.loads(out.read_text(encoding="utf-8")).values()
+    assert size["triples"] > 0 and size["rounds"] == 5
+    assert list(size["stages"]) == STAGES
+    for figures in size["stages"].values():
+        assert figures.keys() == {"ratio", "wins", "cpu_s", "against_cpu_s"}
+        # a loose band: the timings at this size are a fraction of a millisecond
+        assert 0.2 <= figures["ratio"] <= 5 and 0 <= figures["wins"] <= 5

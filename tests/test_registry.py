@@ -28,7 +28,7 @@ from triplify.registry import Shape, ShapeConstraint, term_by_label
 from triplify.terms import RDF_TYPE, XSD_DATE
 
 from conftest import fixture_cases
-from genutil import mutated_shapes_texts
+from genutil import mutated_shapes_texts, pooled_graph
 from oracles import validate_every_pair
 
 PATIENT_CLASS = Iri("http://purl.obolibrary.org/obo/NCIT_C16960")
@@ -362,6 +362,31 @@ HAND_MADE_SHAPES = {
         "ncit:C16960\troo:P100018\tclass(ncit:C99999)\t1\t1\n"
     ),
     "empty": [],
+    # the screen's edges: a count of 0 * is never out of bounds
+    "zero-or-more": load_shapes(
+        "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t0\t*\n"
+        "ncit:C16960\troo:P100018\tclass(ncit:C28421)\t0\t*\n"
+    ),
+    # max 0: every focus node that holds a value is out of bounds
+    "max-zero": load_shapes("ncit:C16960\troo:P100018\tclass(ncit:C28421)\t0\t0\n"),
+    "min-above-every-count": load_shapes(
+        "ncit:C15313\troo:P100041\tliteral(xsd:date)\t5\t*\n"
+        "ncit:C16960\troo:P100039\tclass(ncit:C15313)\t4\t9\n"
+    ),
+    # patients hold a bad age, but only treatments are checked for one
+    "bad-object-outside-target": load_shapes(
+        "ncit:C15313\troo:P100027\tliteral(xsd:integer)\t0\t*\n"
+        "ncit:C15313\troo:P100042\tclass(roo:C100077)\t1\t1\n"
+    ),
+    # the patient with an IRI age besides its own has two values, in
+    # bounds, but one conforming value, below the min
+    "bad-objects-drop-below-min": load_shapes(
+        "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t2\t2\n"
+    ),
+    "one-predicate-two-kinds": load_shapes(
+        "ncit:C16960\troo:P100039\tclass(ncit:C15313)\t1\t*\n"
+    )
+    + load_shapes("ncit:C16960\troo:P100039\tliteral(xsd:string)\t0\t*\n"),
 }
 
 
@@ -407,6 +432,32 @@ class TestValidateAgainstEveryPair:
         g = dirty_graph(300, 5)
         report = assert_same_report(g, HAND_MADE_SHAPES[name])
         assert report.conforms == (name == "empty")
+
+    def test_bad_objects_drop_a_focus_below_its_min(self):
+        report = validate_graph(dirty_graph(300, 5), HAND_MADE_SHAPES["bad-objects-drop-below-min"])
+        (offended,) = [v for v in report.violations if v.offending is not None]
+        counted = [v.observed_count for v in report.violations if v.focus == offended.focus]
+        assert counted == [None, 1]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_typed_graph(self, seed):
+        rng = random.Random(seed)
+        g = pooled_graph(rng, 40)
+        nodes = sorted({t.s for t in g} | {t.o for t in g if isinstance(t.o, Iri)}, key=str)
+        for _ in range(rng.randint(0, 12)):
+            if nodes:
+                g.add(Triple(rng.choice(nodes), RDF_TYPE, rng.choice(nodes[:3])))
+        shapes = shapes_over(g)
+        assert_same_report(g, shapes)
+        bounded = []
+        for shape in shapes:
+            constraints = []
+            for c in shape.constraints:
+                lo = rng.randint(0, 3)
+                hi = rng.choice([None, lo, lo + rng.randint(0, 2)])
+                constraints.append(ShapeConstraint(c.predicate, c.kind, c.kind_iri, lo, hi))
+            bounded.append(Shape(shape.target_class, tuple(constraints)))
+        assert_same_report(g, bounded)
 
 
 class TestGenerateSynthetic:

@@ -338,3 +338,21 @@ class TestSpellings:
             assert str(err.value) == str(exc)
         else:
             assert literal_text(lexical, datatype.value, language) == want
+
+    def test_literal_text_agrees_with_the_literal_over_random_forms(self):
+        # lone surrogates, controls, quotes and backslashes, alone or
+        # mixed with text a datatype accepts
+        pool = list('\ud800\udbff\udc00\udfff\x00\x07\x1f\x7f"\\\n\r\t') + list(
+            "ab09-+.eé\U0001f642"
+        )
+        datatypes = [XSD_STRING, RDF_LANGSTRING, XSD_INTEGER, XSD_DATE, Iri("http://e.org/dt")]
+        rng = random.Random(26)
+        for _ in range(3000):
+            lexical = "".join(rng.choice(pool) for _ in range(rng.randint(0, 6)))
+            if rng.random() < 0.2:
+                lexical = rng.choice(["12", "2020-01-31", "x"]) + lexical[:1]
+            datatype = rng.choice(datatypes)
+            language = rng.choice([None, None, "en", "en-GB", "not a tag"])
+            self.test_literal_text_is_the_spelling_of_the_literal_or_its_error(
+                lexical, datatype, language
+            )
