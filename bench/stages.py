@@ -1,7 +1,7 @@
 """CPU time and traced memory peak of each stage of the triplify pipeline.
 
     python3 bench/stages.py OUT.json [--sizes 2000 20000 70000]
-    python3 bench/stages.py OUT.json --against DIR [--rounds 7] [--sizes ...]
+    python3 bench/stages.py OUT.json --against DIR [--sizes ...]
 
 Run from a source checkout; triplify is imported from its `src/`. For
 each size, synthetic tables of that many patients, from seed 1, go
@@ -43,6 +43,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parents[1]
 SEED = 1
 REPEATS = 5  # timed runs of each stage; one run varies by 20% or more
+ROUNDS = 7  # paired rounds of each stage with --against
 TABLES = ("PATIENT", "TREATMENT")
 
 QUERIES = {
@@ -147,7 +148,7 @@ def work(n: int, inputs: Path) -> None:
         print(timed(*prepared), flush=True)
 
 
-def run_paired(n: int, against: Path, rounds: int) -> dict:
+def run_paired(n: int, against: Path) -> dict:
     texts, nt = make_texts(n)
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp)
@@ -176,7 +177,7 @@ def run_paired(n: int, against: Path, rounds: int) -> dict:
         try:
             for name in STAGES:
                 mine, theirs = [], []
-                for r in range(rounds):
+                for r in range(ROUNDS):
                     turns = [(workers[0], mine), (workers[1], theirs)]
                     for worker, times in turns[:: 1 if r % 2 == 0 else -1]:
                         times.append(ask(worker, name))
@@ -190,7 +191,7 @@ def run_paired(n: int, against: Path, rounds: int) -> dict:
             for worker in workers:
                 worker.stdin.close()
                 worker.wait()
-    return {"triples": triples, "rounds": rounds, "stages": stages}
+    return {"triples": triples, "rounds": ROUNDS, "stages": stages}
 
 
 if __name__ == "__main__":
@@ -198,7 +199,6 @@ if __name__ == "__main__":
     parser.add_argument("out", type=Path)
     parser.add_argument("--sizes", type=int, nargs="+", default=[2000, 20000, 70000])
     parser.add_argument("--against", type=Path, help="another source checkout to compare with")
-    parser.add_argument("--rounds", type=int, default=7, help="paired rounds per stage")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--inputs", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -209,9 +209,7 @@ if __name__ == "__main__":
     if args.against is not None:
         if not (args.against / "src" / "triplify").is_dir():
             parser.error(f"--against {args.against}: no src/triplify there")
-        if args.rounds < 1:
-            parser.error("--rounds must be at least 1")
-        report = {str(n): run_paired(n, args.against.resolve(), args.rounds) for n in args.sizes}
+        report = {str(n): run_paired(n, args.against.resolve()) for n in args.sizes}
     else:
         report = {str(n): run(n) for n in args.sizes}
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
