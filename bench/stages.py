@@ -22,8 +22,10 @@ worker process of its own that imports triplify from its tree: ROUNDS
 rounds of one timed call per tree, the tree that goes first alternating
 by round. For each stage the median of the per-round ratios of this
 tree's CPU time to DIR's (`ratio`, below 1 when this tree is faster),
-the rounds this tree took less time (`wins`) and each tree's median
-(`cpu_s`, `against_cpu_s`) are reported. Load on a shared machine moves
+the least and greatest of them (`ratio_lo`, `ratio_hi`), the rounds this
+tree took less time (`wins`) and each tree's median (`cpu_s`,
+`against_cpu_s`) are reported. A stage neither tree changed spreads its
+ratios about 1; a change shows as a spread that leaves 1 out. Load on a shared machine moves
 over minutes, so only a figure from one such paired run compares two
 trees.
 
@@ -181,8 +183,11 @@ def run_paired(n: int, against: Path) -> dict:
                     turns = [(workers[0], mine), (workers[1], theirs)]
                     for worker, times in turns[:: 1 if r % 2 == 0 else -1]:
                         times.append(ask(worker, name))
+                ratios = [a / b for a, b in zip(mine, theirs)]
                 stages[name] = {
-                    "ratio": round(statistics.median(a / b for a, b in zip(mine, theirs)), 3),
+                    "ratio": round(statistics.median(ratios), 3),
+                    "ratio_lo": round(min(ratios), 3),
+                    "ratio_hi": round(max(ratios), 3),
                     "wins": sum(a < b for a, b in zip(mine, theirs)),
                     "cpu_s": round(statistics.median(mine), 4),
                     "against_cpu_s": round(statistics.median(theirs), 4),

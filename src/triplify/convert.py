@@ -21,9 +21,12 @@ column by column. Each distinct term is spelt and interned once per
 conversion, with no term object made, and a column is spelt, not a row:
 the distinct source cells of the rows the conversion's term table lacks
 go, in first-seen order, through a speller compiled once per term map,
-and their spellings into the graph by one bulk intern. Only the rows
-whose cells are NULL or fail go on to `_term_or_skip`, a row at a time,
-which logs each skip.
+and their spellings into the graph by one bulk intern. That speller is
+the one rule from source cells to a term; `generate_term` follows it
+too. A value it cannot spell gives back its error, and each row whose
+cells are NULL or failed logs its skip from that result, so no row is
+spelt twice. A NULL in any cell a term map reads makes no term, whatever
+the other cells hold (R2RML, W3C 2012, 7.3).
 
 A template fills by its `str.format` pattern, `Template._pattern`, the
 one expansion rule. R2RML (W3C 2012, 7.3) percent-encodes a template's
@@ -43,7 +46,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, repeat
-from operator import attrgetter, is_, is_not, itemgetter
+from operator import attrgetter, is_, is_not, itemgetter, not_
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -53,7 +56,7 @@ from .errors import (
     TriplifyError,
     ValidationFailedError,
 )
-from .graph import Graph, Key
+from .graph import Graph, Key, _term_of
 from .r2rml import (
     MappingDocument,
     Template,
@@ -69,9 +72,6 @@ from .terms import (
     RDF_LANGSTRING,
     RDF_TYPE,
     XSD_STRING,
-    BlankNode,
-    Iri,
-    Literal,
     Term,
     check_iri,
     literal_text,
@@ -148,19 +148,10 @@ def _blank_label(text: str) -> str:
     return _NOT_LABEL_SAFE.sub(_label_escape, text)
 
 
-def _wrap(text: str, tm: TermMap) -> Term:
-    if tm.term_kind == "IRI":
-        return Iri(text)
-    if tm.term_kind == "BlankNode":
-        return BlankNode(_blank_label(text))
-    if tm.language is not None:
-        return Literal(text, RDF_LANGSTRING, tm.language)
-    return Literal(text, tm.datatype if tm.datatype is not None else XSD_STRING)
-
-
 def _spell(text: str, tm: TermMap) -> str:
-    """The canonical N-Triples spelling of `_wrap(text, tm)`, checked as
-    that term's constructor checks it, without making the term."""
+    """The canonical N-Triples spelling of the term tm makes from text,
+    checked as that term's constructor checks it, without making the
+    term."""
     if tm.term_kind == "IRI":
         return f"<{check_iri(text)}>"
     if tm.term_kind == "BlankNode":
@@ -171,37 +162,28 @@ def _spell(text: str, tm: TermMap) -> str:
     return literal_text(text, (tm.datatype or XSD_STRING).value)
 
 
-def _text(tm: TermMap, row: Row) -> Optional[str]:
-    """The text a term map without a constant makes its term from for one
-    row: its column's cell, or its template filled; None when a
-    referenced cell is NULL."""
-    if tm.column is not None:
-        try:
-            return row[tm.column]
-        except KeyError:
-            raise MissingColumnError(tm.column) from None
-    if tm.template is None:
-        raise MappingError("term map has no constant, column or template")
-    return expand_template(tm.template, row, tm.term_kind)
-
-
 def generate_term(tm: TermMap, row: Row) -> Optional[Term]:
     """Produce the term a term map yields for one row.
 
-    Returns None when a referenced cell is NULL. Raises on data that
-    cannot form the requested term (bad lexical form, invalid IRI).
+    Returns tm's constant, if it has one. Raises MissingColumnError for a
+    column the row lacks, returns None when a referenced cell is NULL,
+    and raises on data that cannot form the requested term (bad lexical
+    form, invalid IRI). The term is the one `convert` makes: the row's
+    cells go through tm's speller (`_speller`) as a batch of one.
     """
     if tm.constant is not None:
         return tm.constant
-    text = _text(tm, row)
-    return None if text is None else _wrap(text, tm)
-
-
-def _spelling(tm: TermMap, row: Row) -> Optional[str]:
-    """`generate_term(tm, row)`'s canonical spelling, or None, made and
-    raising as it does, without making the term; tm has no constant."""
-    text = _text(tm, row)
-    return None if text is None else _spell(text, tm)
+    columns = tm.source_columns()
+    try:
+        cells = tuple(row[c] for c in columns)
+    except KeyError as exc:
+        raise MissingColumnError(exc.args[0]) from None
+    if None in cells:
+        return None
+    (spelling,) = _speller(tm)([cells[0] if len(cells) == 1 else cells])
+    if isinstance(spelling, TriplifyError):
+        raise spelling
+    return _term_of(spelling)
 
 
 def _settled(template: Template) -> bool:
@@ -218,14 +200,15 @@ def _settled(template: Template) -> bool:
     )
 
 
-def _each(spell: Callable[[object], str], values: list) -> list[Optional[str]]:
-    """spell(v) for each of values, None where it raises a TriplifyError."""
-    out: list[Optional[str]] = []
+def _each(spell: Callable[[object], str], values: list) -> list[str | TriplifyError]:
+    """spell(v) for each of values, or the TriplifyError it raises."""
+    out: list[str | TriplifyError] = []
     for v in values:
         try:
             out.append(spell(v))
-        except TriplifyError:
-            out.append(None)
+        except TriplifyError as exc:
+            # its traceback would hold this frame, and so `out`, in a cycle
+            out.append(exc.with_traceback(None))
     return out
 
 
@@ -233,11 +216,12 @@ def _star(f: Callable[..., str], args: tuple) -> str:
     return f(*args)
 
 
-def _speller(tm: TermMap) -> Callable[[list], list[Optional[str]]]:
+def _speller(tm: TermMap) -> Callable[[list], list[str | TriplifyError]]:
     """tm, which has no constant, compiled to spell a batch of source
     values, none NULL: each a cell, or a tuple of cells when tm reads other
-    than one column. For each value, the spelling `_spelling` makes from
-    a row that holds it, or None where that raises.
+    than one column. For each value, the canonical spelling of the term
+    tm makes from it, or the TriplifyError that making it raises. This is
+    the one rule from source cells to a term.
 
     A settled template (`_settled`) of an IRI map spells without
     check_iri, and a batch in which no cell needs percent-encoding spells
@@ -247,7 +231,8 @@ def _speller(tm: TermMap) -> Callable[[list], list[Optional[str]]]:
     template = tm.template
     if template is None:
         if tm.column is None:
-            return lambda values: [None] * len(values)  # _text refuses such a map
+            error = MappingError("term map has no constant, column or template")
+            return lambda values: [error] * len(values)
         return partial(_each, lambda cell: _spell(cell, tm))
     pattern = template._pattern
     if len(template.columns()) == 1:  # a value is the cell: no 1-tuple per cell
@@ -261,7 +246,7 @@ def _speller(tm: TermMap) -> Callable[[list], list[Optional[str]]]:
     if not _settled(template):
         return partial(_each, lambda v: _spell(fill(encode(v)), tm))
 
-    def spell(values: list) -> list[Optional[str]]:
+    def spell(values: list) -> list[str | TriplifyError]:
         if _NOT_IUNRESERVED.search("".join(cells(values))) is None:
             return list(map(spelt, values))
         return _each(lambda v: spelt(encode(v)), values)
@@ -304,34 +289,21 @@ class ConversionReport:
 
 # --- execution ------------------------------------------------------------------
 
-def _term_or_skip(
-    tm: TermMap,
-    row: Row,
-    log: list[SkippedTerm],
-    map_id: str,
-    rownum: int,
-    what: str,
-    make: Callable[[TermMap, Row], object] = generate_term,
-) -> Optional[object]:
-    """The term tm makes for row, or None with the skip and its reason
-    logged; make is generate_term, or `_spelling` for the term's spelling."""
-    try:
-        term = make(tm, row)
-    except TriplifyError as exc:
-        # of the cells read, only one that holds a lone surrogate is to blame
-        columns = tm.source_columns()
-        column = next(
-            (c for c in columns if _SURROGATE.search(row.get(c) or "")),
-            columns[0] if columns else "",
-        )
-        reason = f"{what}: {exc}"
-    else:
-        if term is not None:
-            return term
-        column = next((c for c in tm.source_columns() if row.get(c) is None), "")
-        reason = f"{what}: NULL input"
-    log.append(SkippedTerm(map_id, rownum, column, reason))
-    return None
+def _skip(
+    tm: TermMap, row: Row, map_id: str, rownum: int, what: str, error: Optional[TriplifyError]
+) -> SkippedTerm:
+    """The log entry of the term tm did not make for row: with no error,
+    a NULL input, at the first NULL column; else the error, at the column
+    that holds a lone surrogate, the one cell read that is to blame, or
+    else at the first column."""
+    columns = tm.source_columns()
+    if error is None:
+        column = next((c for c in columns if row[c] is None), "")
+        return SkippedTerm(map_id, rownum, column, f"{what}: NULL input")
+    column = next(
+        (c for c in columns if _SURROGATE.search(row[c])), columns[0] if columns else ""
+    )
+    return SkippedTerm(map_id, rownum, column, f"{what}: {error}")
 
 
 # A term map compiled for one conversion: (rows, their 1-based row numbers,
@@ -371,9 +343,10 @@ def _column(tm: TermMap, g: Graph, terms: TermTable, map_id: str, what: str) -> 
     The other rows' distinct source cells with no NULL among them are
     spelt in one batch (`_speller`), in first-seen order, and the
     spellings interned by one bulk `Graph._intern_all`, which hands out
-    the IDs that interning them row by row would. Only the rows whose
-    cells were NULL or failed go to _term_or_skip, in row order; a NULL
-    or failed term is never stored, so each such row's skip is logged.
+    the IDs that interning them row by row would. The errors of the
+    cells that failed are kept for this batch only: a NULL or failed term
+    is never stored, so each row whose cells were NULL or failed logs its
+    skip (`_skip`), in row order, from its cells' error or its NULL.
     """
     if tm.constant is not None:
         constant = g._intern(tm.constant.to_ntriples())
@@ -398,11 +371,13 @@ def _column(tm: TermMap, g: Graph, terms: TermTable, map_id: str, what: str) -> 
         else:
             values = [v for v in new if None not in v]
         spellings = spell(values)
-        made = list(map(is_not, spellings, repeat(None)))
+        failed = list(map(isinstance, spellings, repeat(TriplifyError)))
+        errors = dict(compress(zip(values, spellings), failed))
+        made = list(map(not_, failed))
         table.update(zip(compress(values, made), g._intern_all(list(compress(spellings, made)))))
         ids = list(map(table.get, cells))
         for k in _nones(ids):
-            _term_or_skip(tm, rows[k], log, map_id, rownums[k], what, _spelling)
+            log.append(_skip(tm, rows[k], map_id, rownums[k], what, errors.get(cells[k])))
         return ids
 
     return make

@@ -13,9 +13,13 @@ an `Iri`, `BlankNode` or `Literal` and interns that term's spelling, so
 it shares no term-reading code with the engine's reader.
 
 The reference conversion makes every term afresh, on every row, with
-`generate_term`: it keeps no table of terms already made. The reference
-column spells a term map's column a row at a time, interning each new
-spelling as it is made, which fixes the term IDs a conversion hands out.
+`make_term`: it keeps no table of terms already made. `make_term` fills
+a template by the public `expand_template` and makes the term by its
+`Iri`, `BlankNode` or `Literal` constructor, with its own blank node
+label rule, so it shares no term-making code with the engine's speller;
+`term_or_skip` logs what it cannot make. The reference column spells a
+term map's column a row at a time, interning each new term's spelling
+as it is made, which fixes the term IDs a conversion hands out.
 
 The reference validator tests one focus and one constraint at a time:
 one `match` per pair, and a class test is a membership probe for the
@@ -35,10 +39,11 @@ import itertools
 import re
 from decimal import Decimal
 
-from triplify import BlankNode, Graph, Iri, Literal, TableSource, Triple, generate_term
-from triplify.convert import ConversionReport, _spelling, _term_or_skip
+from triplify import BlankNode, Graph, Iri, Literal, TableSource, Triple, expand_template
+from triplify.convert import ConversionReport, SkippedTerm
 from triplify.errors import (
     CsvError,
+    MappingError,
     MissingColumnError,
     ParseError,
     RaggedRowError,
@@ -63,6 +68,7 @@ from triplify.terms import (
 
 _NUMERIC = (XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE)
 _LITERAL_PARTS = re.compile(_LITERAL)
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _records_of_every_field(text: str) -> list[list]:
@@ -177,10 +183,75 @@ def read_outcome(parse, text: str):
     return g, list(g._terms), list(g._triples)
 
 
+def _label(text: str) -> str:
+    """A blank node label for text, one character at a time: a character
+    in [A-Za-z0-9] stays, and any other becomes `_` and the uppercase hex
+    of its UTF-8 bytes, so two texts never share a label."""
+    if not text:
+        raise TriplifyError("blank node label came out empty")
+    parts = []
+    for c in text:
+        if c.isascii() and c.isalnum():
+            parts.append(c)
+        elif _LONE_SURROGATE.fullmatch(c):
+            raise TriplifyError(f"cannot encode lone surrogate {c!r}")
+        else:
+            parts.append("_" + c.encode("utf-8").hex().upper())
+    return "".join(parts)
+
+
+def make_term(tm: TermMap, row) -> Term | None:
+    """What `generate_term` makes: tm's constant; else MissingColumnError
+    for a column row lacks, None when any cell tm reads is NULL (R2RML
+    7.3), and otherwise the term its constructor makes from the column's
+    cell or the filled template, raising what that constructor raises."""
+    if tm.constant is not None:
+        return tm.constant
+    columns = tm.source_columns()
+    for c in columns:
+        if c not in row:
+            raise MissingColumnError(c)
+    if any(row[c] is None for c in columns):
+        return None
+    if tm.column is not None:
+        text = row[tm.column]
+    elif tm.template is not None:
+        text = expand_template(tm.template, row, tm.term_kind)
+    else:
+        raise MappingError("term map has no constant, column or template")
+    if tm.term_kind == "IRI":
+        return Iri(text)
+    if tm.term_kind == "BlankNode":
+        return BlankNode(_label(text))
+    if tm.language is not None:
+        return Literal(text, RDF_LANGSTRING, tm.language)
+    return Literal(text) if tm.datatype is None else Literal(text, tm.datatype)
+
+
+def term_or_skip(tm: TermMap, row, log: list, map_id: str, rownum: int, what: str):
+    """The term `make_term` makes for row, or None with its skip logged:
+    a NULL input at the first NULL column, or the error at the column
+    that holds a lone surrogate, else at the first column read. A missing
+    column is raised, not logged."""
+    columns = tm.source_columns()
+    try:
+        term = make_term(tm, row)
+    except MissingColumnError:
+        raise
+    except TriplifyError as exc:
+        blamed = [c for c in columns if _LONE_SURROGATE.search(row[c])] or columns or [""]
+        log.append(SkippedTerm(map_id, rownum, blamed[0], f"{what}: {exc}"))
+        return None
+    if term is None:
+        null = [c for c in columns if row[c] is None]
+        log.append(SkippedTerm(map_id, rownum, null[0], f"{what}: NULL input"))
+    return term
+
+
 def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
     """What `convert` gives for a mapping that validates: each row's terms
-    made by `generate_term`, through `_term_or_skip` (which logs a skip),
-    and a joined parent row's subject made for every edge. Terms are made
+    made by `make_term`, through `term_or_skip` (which logs a skip), and
+    a joined parent row's subject made for every edge. Terms are made
     row by row; the triples go in in the documented order: per triples
     map, its class triples in row order, then each predicate-object map's
     triples in row order."""
@@ -205,17 +276,17 @@ def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
         typed = []  # the class triples, then each predicate-object map's triples
         made = [[] for _ in tm.predicate_object_maps]
         for rownum, row in enumerate(rows, start=1):
-            subject = _term_or_skip(tm.subject_map, row, log, map_id, rownum, "subject")
+            subject = term_or_skip(tm.subject_map, row, log, map_id, rownum, "subject")
             if subject is None:
                 continue
             for cls in tm.subject_classes:
                 typed.append(Triple(subject, RDF_TYPE, cls))
             for pom, out in zip(tm.predicate_object_maps, made):
-                predicate = _term_or_skip(pom.predicate, row, log, map_id, rownum, "predicate")
+                predicate = term_or_skip(pom.predicate, row, log, map_id, rownum, "predicate")
                 if predicate is None:
                     continue
                 if isinstance(pom.object, TermMap):
-                    obj = _term_or_skip(pom.object, row, log, map_id, rownum, "object")
+                    obj = term_or_skip(pom.object, row, log, map_id, rownum, "object")
                     if obj is not None:
                         out.append(Triple(subject, predicate, obj))
                     continue
@@ -229,7 +300,7 @@ def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
                     prows = parents[id(pom)].get(key, [])
                 for prow in prows:
                     try:
-                        obj = generate_term(rom.parent.subject_map, prow)
+                        obj = make_term(rom.parent.subject_map, prow)
                     except MissingColumnError:
                         raise
                     except TriplifyError:
@@ -246,9 +317,10 @@ def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
 
 
 def column_every_row(tm, g: Graph, terms, map_id: str, what: str):
-    """What `convert._column` compiles tm to, spelling the rows a row at a
-    time: each row whose source cells are new goes through `_term_or_skip`
-    in row order, and its spelling, if any, is interned at once."""
+    """What `convert._column` compiles tm to, making the rows' terms a row
+    at a time: each row whose source cells are new goes through
+    `term_or_skip` in row order, and its term's spelling, if any, is
+    interned at once."""
     if tm.constant is not None:
         constant = g._intern(tm.constant.to_ntriples())
         return lambda rows, rownums, log: [constant] * len(rows)
@@ -261,9 +333,9 @@ def column_every_row(tm, g: Graph, terms, map_id: str, what: str):
             cells = tuple(row[c] for c in columns)
             i = table.get(cells)
             if i is None:
-                spelling = _term_or_skip(tm, row, log, map_id, rownum, what, _spelling)
-                if spelling is not None:
-                    i = table[cells] = g._intern(spelling)
+                term = term_or_skip(tm, row, log, map_id, rownum, what)
+                if term is not None:
+                    i = table[cells] = g._intern(term.to_ntriples())
             ids.append(i)
         return ids
 

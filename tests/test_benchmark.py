@@ -72,6 +72,9 @@ def test_a_tree_paired_against_itself_reads_ratios_near_one(tmp_path):
     assert size["triples"] > 0 and size["rounds"] == rounds
     assert list(size["stages"]) == STAGES
     for figures in size["stages"].values():
-        assert figures.keys() == {"ratio", "wins", "cpu_s", "against_cpu_s"}
+        assert figures.keys() == {
+            "ratio", "ratio_lo", "ratio_hi", "wins", "cpu_s", "against_cpu_s"
+        }
+        assert figures["ratio_lo"] <= figures["ratio"] <= figures["ratio_hi"]
         # a loose band: the timings at this size are a fraction of a millisecond
         assert 0.2 <= figures["ratio"] <= 5 and 0 <= figures["wins"] <= rounds

@@ -47,7 +47,7 @@ from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_INTEGER, check_i
 
 from conftest import fixture_case, fixture_cases
 from genutil import random_table, simple_mapping
-from oracles import column_every_row, convert_every_row
+from oracles import column_every_row, convert_every_row, make_term
 
 EX = "http://ex.org/"
 # the module; the package's `convert` is the function
@@ -150,6 +150,30 @@ class TestGenerateTerm:
         tm = TermMap(term_kind="BlankNode", column="ID")
         with pytest.raises(TriplifyError, match="surrogate"):
             generate_term(tm, {"ID": "a\ud800"})
+
+    def test_random_maps_and_cells_as_the_reference(self):
+        # NULLs, lone surrogates, cells that need encoding and bad lexical
+        # forms, under every shape the speller compiles, and rows that lack
+        # a column
+        rng = random.Random(28)
+        for _ in range(200):
+            (tm,) = speller_mapping(rng).triples_maps
+            maps = [tm.subject_map, TermMap(term_kind="Literal")]
+            maps += [pom.object for pom in tm.predicate_object_maps]
+            row = {"A": random_cell(rng), "B": random_cell(rng)}
+            if rng.random() < 0.2:
+                del row[rng.choice("AB")]
+            for term_map in maps:
+                want = outcome(make_term, term_map, row)
+                assert outcome(generate_term, term_map, row) == want, (term_map, row)
+
+
+def outcome(make, tm, row):
+    """make(tm, row), or the type and message of the TriplifyError it raises."""
+    try:
+        return make(tm, row)
+    except TriplifyError as exc:
+        return type(exc), str(exc)
 
 
 CANDIDATE_MAPPING = """
@@ -564,20 +588,21 @@ class TestConvert:
 
     @pytest.mark.parametrize("term_type", ["IRI", "BlankNode", "Literal"])
     def test_skip_names_the_column_that_holds_the_lone_surrogate(self, term_type):
-        text = f"""
-        @prefix rr: <http://www.w3.org/ns/r2rml#> .
-        @prefix ex: <http://ex.org/> .
-        ex:M rr:logicalTable [ rr:tableName "T" ] ;
-          rr:subjectMap [ rr:template "http://ex.org/m/{{ID}}" ] ;
-          rr:predicateObjectMap [
-            rr:predicate ex:p ;
-            rr:objectMap [ rr:template "http://ex.org/{{A}}/{{B}}" ; rr:termType rr:{term_type} ]
-          ] .
-        """
-        table = TableSource("T", ("ID", "A", "B"), [{"ID": "1", "A": "a", "B": "b\ud800"}])
-        g, report = convert(parse_mapping(*parse_turtle(text)), {"T": table})
+        row = {"ID": "1", "A": "a", "B": "b\ud800"}
+        g, report = convert(*two_column_object(term_type, row))
         assert [(t.row, t.column) for t in report.skipped_terms] == [(1, "B")]
         assert "surrogate" in report.skipped_terms[0].reason
+        assert len(g) == 0
+
+    @pytest.mark.parametrize("term_type", ["IRI", "BlankNode", "Literal"])
+    def test_a_null_cell_is_logged_before_another_cell_s_error(self, term_type):
+        # R2RML 7.3: a NULL in any referenced column makes no term, so the
+        # row logs its NULL, not the error A's lone surrogate would cause
+        row = {"ID": "1", "A": "\ud800", "B": None}
+        g, report = convert(*two_column_object(term_type, row))
+        assert [(t.row, t.column, t.reason) for t in report.skipped_terms] == [
+            (1, "B", "object: NULL input")
+        ]
         assert len(g) == 0
 
     def test_skip_of_an_error_no_cell_causes_names_the_first_column(self):
@@ -635,6 +660,22 @@ class TestConvert:
             ("<http://ex.org/WeightMap>", "2", "ID"),
             ("<http://ex.org/WeightMap>", "3", "AGE"),
         ]
+
+
+def two_column_object(term_type, row):
+    """A mapping whose object of term_type fills `http://ex.org/{A}/{B}`,
+    and its table T(ID, A, B) of the one row."""
+    text = f"""
+    @prefix rr: <http://www.w3.org/ns/r2rml#> .
+    @prefix ex: <http://ex.org/> .
+    ex:M rr:logicalTable [ rr:tableName "T" ] ;
+      rr:subjectMap [ rr:template "http://ex.org/m/{{ID}}" ] ;
+      rr:predicateObjectMap [
+        rr:predicate ex:p ;
+        rr:objectMap [ rr:template "http://ex.org/{{A}}/{{B}}" ; rr:termType rr:{term_type} ]
+      ] .
+    """
+    return parse_mapping(*parse_turtle(text)), {"T": TableSource("T", ("ID", "A", "B"), [row])}
 
 
 def assert_as_every_row(m, tables):
@@ -960,9 +1001,9 @@ class TestSpeller:
         monkeypatch.setattr(convert_module, "check_iri", counted)
         g, _ = convert(bundled_mapping(), dirty_registry(300, 1))
         assert len(g) > 0 and calls == []
-        # a template that starts with a column checks each distinct term,
-        # and a failed one again on the row that logs its skip; so does an
-        # IRI column
+        # a template that starts with a column checks each distinct term
+        # once, a failed one too, whose row logs its skip from that one
+        # check; so does an IRI column
         sm = TermMap(term_kind="IRI", template=parse_template("{ID}:x"))
         pom = PredicateObjectMap(
             TermMap(term_kind="IRI", constant=Iri(EX + "p")), TermMap(term_kind="IRI", column="URL")
@@ -976,6 +1017,6 @@ class TestSpeller:
         ]
         table = TableSource("T", ("ID", "URL"), rows)
         g, report = convert(MappingDocument([tm], PrefixMap()), {"T": table})
-        assert calls == ["a:x", "b:x", "1:x", "1:x", "urn:u", "urn:v"]
+        assert calls == ["a:x", "b:x", "1:x", "urn:u", "urn:v"]
         assert [(t.row, t.column) for t in report.skipped_terms] == [(4, "ID")]
         assert len(g) == 3
