@@ -24,10 +24,12 @@ by round. For each stage the median of the per-round ratios of this
 tree's CPU time to DIR's (`ratio`, below 1 when this tree is faster),
 the least and greatest of them (`ratio_lo`, `ratio_hi`), the rounds this
 tree took less time (`wins`) and each tree's median (`cpu_s`,
-`against_cpu_s`) are reported. A stage neither tree changed spreads its
-ratios about 1; a change shows as a spread that leaves 1 out. Load on a shared machine moves
-over minutes, so only a figure from one such paired run compares two
-trees.
+`against_cpu_s`) are reported. After its rounds each worker runs the
+stage once more under tracemalloc, for each tree's peak (`peak_mib`,
+`against_peak_mib`). A stage neither tree changed spreads its ratios
+about 1; a change shows as a spread that leaves 1 out. Load on a shared
+machine moves over minutes, so only a figure from one such paired run
+compares two trees; a peak does not move with load.
 
 OUT maps each size to its triple count and stages.
 """
@@ -113,19 +115,24 @@ def timed(stage, make_input) -> float:
     return time.process_time() - start
 
 
-def measure(stage, make_input) -> dict:
-    """stage timed REPEATS times, then run again under tracemalloc: its
-    median and least CPU time and its peak."""
-    times = [timed(stage, make_input) for _ in range(REPEATS)]
+def traced(stage, make_input) -> float:
+    """The tracemalloc peak of one call of stage on a new input, in MiB."""
     arg = make_input()
     tracemalloc.start()
     stage(arg)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    return peak / 2**20
+
+
+def measure(stage, make_input) -> dict:
+    """stage timed REPEATS times, then run again under tracemalloc: its
+    median and least CPU time and its peak."""
+    times = [timed(stage, make_input) for _ in range(REPEATS)]
     return {
         "cpu_s": round(statistics.median(times), 4),
         "cpu_min_s": round(min(times), 4),
-        "peak_mib": round(peak / 2**20, 2),
+        "peak_mib": round(traced(stage, make_input), 2),
     }
 
 
@@ -137,17 +144,18 @@ def run(n: int) -> dict:
 
 def work(n: int, inputs: Path) -> None:
     """A worker: read stage names, one a line, and answer each with the
-    CPU time of one call of that stage. A stage's input is made when its
-    name first comes, and the previous stage's is dropped."""
+    CPU time of one call of that stage, or, for a name followed by
+    `peak`, with its tracemalloc peak in MiB. A stage's input is made
+    when its name first comes, and the previous stage's is dropped."""
     texts = {k: (inputs / f"{k}.csv").read_bytes().decode() for k in TABLES}
     nt = (inputs / "graph.nt").read_bytes().decode()
     current = prepared = None
     for line in sys.stdin:
-        name = line.strip()
+        name, *peak = line.split()
         if name != current:
             prepared = None  # the last stage's input is freed first
             current, prepared = name, prepare(name, n, texts, nt)
-        print(timed(*prepared), flush=True)
+        print((traced if peak else timed)(*prepared), flush=True)
 
 
 def run_paired(n: int, against: Path) -> dict:
@@ -183,6 +191,7 @@ def run_paired(n: int, against: Path) -> dict:
                     turns = [(workers[0], mine), (workers[1], theirs)]
                     for worker, times in turns[:: 1 if r % 2 == 0 else -1]:
                         times.append(ask(worker, name))
+                peak, against_peak = (ask(worker, f"{name} peak") for worker in workers)
                 ratios = [a / b for a, b in zip(mine, theirs)]
                 stages[name] = {
                     "ratio": round(statistics.median(ratios), 3),
@@ -191,6 +200,8 @@ def run_paired(n: int, against: Path) -> dict:
                     "wins": sum(a < b for a, b in zip(mine, theirs)),
                     "cpu_s": round(statistics.median(mine), 4),
                     "against_cpu_s": round(statistics.median(theirs), 4),
+                    "peak_mib": round(peak, 4),
+                    "against_peak_mib": round(against_peak, 4),
                 }
         finally:
             for worker in workers:

@@ -8,19 +8,35 @@ serialization: blank node labels are preserved, so parse(serialize(g)) == g.
 A graph's term table already holds each term's canonical spelling, so
 writing joins those spellings and reading stores them.
 
-A line is read one of two ways. A line in the canonical shape `S P O .`,
-which is every line the writer makes, is split at its first two spaces,
-and each of the three texts is checked for its slot: a text already in
-the term table by its first character alone (a subject is not a literal,
-a predicate is an IRI), a new text by a full match of that slot's term
-pattern. Every other line goes to one line pattern composed from the term
-terminals of `triplify.lexer`, the term grammar Turtle and SPARQL use:
-so does a line with tabs, runs of spaces or a comment, a blank node label
-touching the next term (`_:a<http://e.org/p> ...` parses), and every line
-with an error, which that pattern rescans to name the slot that broke.
-Both ways check the whole line before any of its terms is read, and end
-in one block that reads the line's new terms, so they give the same
-graph, term IDs and errors.
+A document is read in bulk first (`_read_written`) when it has the shape
+the writer gives it, that of canonical N-Triples (RDF 1.1 N-Triples,
+section 4): no BOM and no CR, and every line `S P O .` ended by LF. One
+loop splits each line at its first two spaces and gives each new text the
+next ID; then each distinct text is checked once, by kind, in batches.
+All IRIs are matched at once by the rule `terms.check_iri` states, with no
+`\\`, so an escaped IRI is refused; all blank node labels at once; and
+literals by the tail after their closing quote, each distinct tail once,
+each group's bodies searched at once for a character the writer escapes,
+and a clean group's lexical forms tested by its datatype's test. No
+subject may be a literal and every predicate must be an IRI. A document
+the bulk step refuses, whatever the reason, is read from its start by the
+line reader, the only reader of any other document and the only place
+that makes a positioned error; the two give the same graph, term IDs and
+triple order.
+
+The line reader reads a line one of two ways. A line in the canonical
+shape `S P O .` is split at its first two spaces, and each of the three
+texts is checked for its slot: a text already in the term table by its
+first character alone (a subject is not a literal, a predicate is an
+IRI), a new text by a full match of that slot's term pattern. Every other
+line goes to one line pattern composed from the term terminals of
+`triplify.lexer`, the term grammar Turtle and SPARQL use: so does a line
+with tabs, runs of spaces or a comment, a blank node label touching the
+next term (`_:a<http://e.org/p> ...` parses), and every line with an
+error, which that pattern rescans to name the slot that broke. Both ways
+check the whole line before any of its terms is read, and end in one
+block that reads the line's new terms, so they give the same graph, term
+IDs and errors.
 
 As in Turtle and the RDF 1.1 grammar, a line (and a comment) ends at LF,
 CRLF or a lone CR, an IRI may hold only `\\u`/`\\U` escapes (`<a\\'b>` is
@@ -35,11 +51,26 @@ made. A text the writer made is its own spelling.
 from __future__ import annotations
 
 import re
+from itertools import compress, count
+from operator import itemgetter, methodcaller
+from typing import Optional
 
 from .errors import ParseError, TriplifyError
 from .graph import Graph
 from .lexer import BLANK, IRIREF, LANGTAG, STRING, split_lines, unescape
-from .terms import RDF_LANGSTRING, XSD_STRING, check_iri, literal_parts, literal_text
+from .terms import (
+    _DATATYPES,
+    _ESCAPE_OR_SURROGATE,
+    _IRI_ILLEGAL,
+    _IRI_SCHEME,
+    _LANGUAGE_TAG,
+    _UNORDERED,
+    RDF_LANGSTRING,
+    XSD_STRING,
+    check_iri,
+    literal_parts,
+    literal_text,
+)
 
 # A literal; groups: its string, datatype IRI and language tag.
 _LITERAL = rf"({STRING})(?:\^\^[ \t]*({IRIREF})|({LANGTAG}))?"
@@ -56,6 +87,16 @@ _LINE = re.compile(
 _WS = re.compile(r"[ \t]*")
 # Each slot's term pattern alone, for a text of a canonical line.
 _SLOT_TERMS = tuple(re.compile(slot).fullmatch for _, slot in _SLOTS[:3])
+
+# An IRI as it is its own spelling, by the rule `check_iri` states: a
+# scheme, then no character `_IRI_ILLEGAL` holds, so no `\` and no escape.
+_IRI = rf"<{_IRI_SCHEME.pattern}[^{_IRI_ILLEGAL.pattern[1:]}*>"
+_DATATYPE = re.compile(rf"\^\^{_IRI}")
+# IRIs or blank node labels joined by LF, which no term holds, so a run
+# splits into its terms one way only.
+_IRIS = re.compile(rf"{_IRI}(?:\n{_IRI})*")
+_BLANKS = re.compile(rf"{BLANK}(?:\n{BLANK})*")
+_NOT_OWN_DATATYPE = {XSD_STRING.value, RDF_LANGSTRING.value}
 
 
 def serialize_ntriples(g: Graph) -> str:
@@ -117,18 +158,116 @@ def _spelling(raw: str, lineno: int, column: int, datatypes: dict[str, str]) -> 
         raise ParseError(str(exc), lineno, column) from None
 
 
+def _own_literals(literals: list[str]) -> bool:
+    """Is each literal text its own spelling? Grouped by the tail after
+    the last `"`, each distinct tail is checked once, and each group's
+    bodies are searched at once for a character the writer escapes or a
+    lone surrogate; a group holding neither is its own spelling if its
+    lexical forms pass the datatype's test, and any other literal if
+    `_spelling` gives it back."""
+    groups: dict[str, list[str]] = {}
+    for head, _, tail in map(methodcaller("rpartition", '"'), literals):
+        if not head:
+            return False  # its only `"` is its first character
+        groups.setdefault(tail, []).append(head[1:])
+    for tail, bodies in groups.items():
+        test = None
+        if tail[:1] == "@":
+            if _LANGUAGE_TAG.fullmatch(tail, 1) is None:
+                return False
+        elif tail:
+            if _DATATYPE.fullmatch(tail) is None or tail[3:-1] in _NOT_OWN_DATATYPE:
+                return False
+            test = _DATATYPES.get(tail[3:-1], _UNORDERED)[0]
+        if _ESCAPE_OR_SURROGATE.search("".join(bodies)) is None:
+            if test is not None and not all(map(test, bodies)):
+                return False
+            continue
+        try:
+            for body in bodies:
+                text = f'"{body}"{tail}'
+                if _spelling(text, 0, 0, {}) != text:
+                    return False
+        except TriplifyError:
+            return False
+    return True
+
+
+def _read_written(text: str) -> Optional[Graph]:
+    """The graph of a document in the shape `serialize_ntriples` writes,
+    read in bulk, or None, and the line reader reads it.
+
+    The shape: no BOM and no CR, every line `S P O .` and ended by LF.
+    One loop splits each line at its first two spaces and gives each text
+    its ID as the line reader would, in the same order. Then each distinct
+    text is checked once, by kind: it must be its term's own spelling in a
+    slot that term may hold."""
+    if not text.endswith(" .\n") or text.startswith("\ufeff") or "\r" in text:
+        return None
+    lines = text.split(" .\n")
+    lines.pop()  # the empty text after the last line's end
+    if text.count("\n") != len(lines):
+        return None  # a line holds a LF: a comment, a blank line or other spacing
+    g = Graph()
+    terms, ids, triples = g._terms, g._ids, g._triples
+    get, spell = ids.get, terms.append
+    try:
+        for line in lines:
+            s, p, o = line.split(" ", 2)
+            a = get(s)
+            if a is None:
+                a = ids[s] = len(terms)
+                spell(s)
+            b = get(p)
+            if b is None:
+                b = ids[p] = len(terms)
+                spell(p)
+            c = get(o)
+            if c is None:
+                c = ids[o] = len(terms)
+                spell(o)
+            triples[a, b, c] = None
+    except ValueError:
+        return None  # fewer than three texts on a line
+    del lines
+
+    try:
+        kinds = list(map(itemgetter(0), terms))
+    except IndexError:
+        return None  # an empty text
+    iris, blanks, literals = (list(compress(terms, map(k.__eq__, kinds))) for k in '<_"')
+    if len(iris) + len(blanks) + len(literals) != len(terms):
+        return None  # a text no term starts with
+    for run, texts in ((_IRIS, iris), (_BLANKS, blanks)):
+        if texts and run.fullmatch("\n".join(texts)) is None:
+            return None
+    if not _own_literals(literals):
+        return None
+    literal_ids = set(compress(count(), map('"'.__eq__, kinds)))
+    if not literal_ids.isdisjoint(map(itemgetter(0), triples)):
+        return None  # a literal subject
+    if any(kinds[i] != "<" for i in set(map(itemgetter(1), triples))):
+        return None  # a predicate that is not an IRI
+    return g
+
+
 def parse_ntriples(text: str) -> Graph:
     """Parse an N-Triples document into a graph (duplicate lines collapse).
 
-    A line in the canonical shape `S P O .` (single spaces, nothing after
-    the dot) is split at its first two spaces; a text already in the term
-    table must only start right for its slot (a subject is not a literal,
-    a predicate is an IRI), and a new one must fully match that slot's term
-    pattern. Any other line, and a line that fails one of these checks, is
-    matched by the full line pattern, which allows comments and any spacing
-    and names the slot a syntax error is in. All three slots are checked
-    before any term is read, so a line with a syntax error reports that
-    error, not a term error from an earlier slot.
+    A document in the shape the writer gives it is read in bulk, every
+    distinct text checked once, by kind; any other document, and one whose
+    texts fail a check there, is read from its start by the line reader.
+
+    The line reader: a line in the canonical shape `S P O .` (single
+    spaces, nothing after the dot) is split at its first two spaces; a
+    text already in the term table must only start right for its slot (a
+    subject is not a literal, a predicate is an IRI), and a new one must
+    fully match that slot's term pattern. Any other line, and a line that
+    fails one of these checks, is matched by the full line pattern, which
+    allows comments and any spacing and names the slot a syntax error is
+    in. All three slots are checked before any term is read, so a line
+    with a syntax error reports that error, not a term error from an
+    earlier slot.
 
     A slot's text not yet in the term table is read once, where it
     first occurs, into the canonical spelling of the term it spells, and
@@ -137,6 +276,9 @@ def parse_ntriples(text: str) -> Graph:
     texts read. So two spellings of one term (`<http://e.org/\\u0041>` and
     `<http://e.org/A>`, `"a"` and `"a"^^xsd:string`) get one ID.
     """
+    g = _read_written(text)
+    if g is not None:
+        return g
     g = Graph()
     get = g._ids.get  # a canonical text -> its ID
     aliases: dict[str, int] = {}  # a text read that is not its spelling -> its ID

@@ -250,10 +250,12 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
 
     The graph is read from its predicate index, by term ID, a constraint
     at a time: each class's members are grouped once, and each
-    constrained predicate's bucket is screened once, for its values per
-    subject and its distinct objects. Each distinct constraint finds its
-    bad objects once, by the datatype a literal's spelling ends in or by
-    the class's members. A focus node is flagged when it holds a bad
+    constrained predicate's bucket is screened once, for whether any
+    subject holds two values there and for its distinct objects. When
+    none does, that settles every count; else the values per subject are
+    counted, once, for the first constraint with a maximum or a minimum
+    above one. Each distinct constraint finds its bad objects once, by
+    the datatype a literal's spelling ends in or by the class's members. A focus node is flagged when it holds a bad
     object or its count of values lies outside the constraint's bounds;
     one that is never flagged holds only conforming values, in bounds,
     and conforms. Only the flagged focus nodes of a shape, in canonical
@@ -272,14 +274,17 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
         members.setdefault(o, set()).add(s)
 
     constraints = [c for shape in shapes for c in shape.constraints]
-    # each constrained predicate's bucket, its count of values per
-    # subject, its distinct objects and its largest count
+    # each constrained predicate's bucket, whether no subject holds two
+    # values there, and its distinct objects; its count of values per
+    # subject, with the largest count, is made the first time a bound
+    # needs it (`counted`). A set of a bucket's subjects is several times
+    # the size of the bucket, so none is kept.
     screens: dict[Iri, tuple] = {}
     for p in dict.fromkeys(c.predicate for c in constraints):
         bucket = by_p.get(id_of(p), ())
-        counts = Counter(map(itemgetter(0), bucket))
-        objects = set(map(itemgetter(2), bucket))
-        screens[p] = bucket, counts, objects, max(counts.values(), default=0)
+        single = len(set(map(itemgetter(0), bucket))) == len(bucket)
+        screens[p] = bucket, single, set(map(itemgetter(2), bucket))
+    counted: dict[Iri, tuple[Counter, int]] = {}
     # each distinct (predicate, kind, kind IRI): its bad objects and the
     # subjects that hold one
     flaws: dict[tuple, tuple[set[int], set[int]]] = {}
@@ -287,7 +292,7 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
         key = (c.predicate, c.kind, c.kind_iri)
         if key in flaws:
             continue
-        bucket, _, objects, _ = screens[c.predicate]
+        bucket, _, objects = screens[c.predicate]
         if c.kind == "literal":
             of_datatype = literal_test(c.kind_iri.value)
             bad = {o for o in objects if not of_datatype(terms[o])}
@@ -304,17 +309,27 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
             continue
         flaws_of = [flaws[c.predicate, c.kind, c.kind_iri] for c in shape.constraints]
         flagged: set[int] = set()
-        for c, (_, holders) in zip(shape.constraints, flaws_of):
-            _, counts, _, most = screens[c.predicate]
-            flagged |= holders
+        for c, (_, bad_holders) in zip(shape.constraints, flaws_of):
+            bucket, single, _ = screens[c.predicate]
+            flagged |= bad_holders
             lo, hi = c.min_count, c.max_count
             if lo > 0:
-                flagged |= focuses.difference(counts)
-            # a holder's count is at least 1 and at most `most`
-            if lo > 1 or (hi is not None and most > hi):
-                flagged.update(
-                    s for s, n in counts.items() if n < lo or (hi is not None and n > hi)
-                )
+                flagged |= focuses.difference(map(itemgetter(0), bucket))
+            if single:
+                # every holder has one value
+                if lo > 1 or hi == 0:
+                    flagged.update(map(itemgetter(0), bucket))
+                continue
+            if lo > 1 or hi is not None:
+                if c.predicate not in counted:
+                    counts = Counter(map(itemgetter(0), bucket))
+                    counted[c.predicate] = counts, max(counts.values())
+                counts, most = counted[c.predicate]
+                # a holder's count is at least 1 and at most `most`
+                if lo > 1 or most > hi:
+                    flagged.update(
+                        s for s, n in counts.items() if n < lo or (hi is not None and n > hi)
+                    )
         flagged &= focuses
         if not flagged:
             continue

@@ -73,8 +73,12 @@ def test_a_tree_paired_against_itself_reads_ratios_near_one(tmp_path):
     assert list(size["stages"]) == STAGES
     for figures in size["stages"].values():
         assert figures.keys() == {
-            "ratio", "ratio_lo", "ratio_hi", "wins", "cpu_s", "against_cpu_s"
+            "ratio", "ratio_lo", "ratio_hi", "wins", "cpu_s", "against_cpu_s",
+            "peak_mib", "against_peak_mib",
         }
         assert figures["ratio_lo"] <= figures["ratio"] <= figures["ratio_hi"]
         # a loose band: the timings at this size are a fraction of a millisecond
         assert 0.2 <= figures["ratio"] <= 5 and 0 <= figures["wins"] <= rounds
+        # a peak does not drift with load: one tree's two peaks agree
+        peak, against_peak = figures["peak_mib"], figures["against_peak_mib"]
+        assert peak > 0 and abs(peak - against_peak) <= 0.01 * max(peak, against_peak)

@@ -17,11 +17,13 @@ from triplify import (
     serialize_ntriples,
 )
 from triplify.errors import ParseError
+from triplify.ntriples import _read_written
 from triplify.terms import RDF_NS, XSD_INTEGER, XSD_NS
 
 from conftest import fixture_case, fixture_cases
 from genutil import fuzz_graph, random_graph
 from oracles import parse_every_line, read_outcome, serialize_every_line, term_of
+from test_registry import dirty_graph
 
 
 class TestSerialize:
@@ -349,6 +351,80 @@ class TestStoredAsRead:
         assert read[0] == g
         for text, graph in zip(documents, read):
             assert read_outcome(lambda _: graph, text) == read_outcome(parse_every_line, text)
+
+
+def written_documents() -> dict[str, str]:
+    """Writer outputs: random and fuzz graphs, every fixture case's
+    conversion and a dirty synthetic graph."""
+    rng = random.Random(30)
+    documents = {}
+    for trial in range(40):
+        make = fuzz_graph if trial % 2 else random_graph
+        documents[f"{make.__name__} {trial}"] = serialize_ntriples(make(rng, 150))
+    for case_dir in fixture_cases():
+        documents[case_dir.name] = serialize_ntriples(convert(*fixture_case(case_dir))[0])
+    documents["dirty synthetic"] = serialize_ntriples(dirty_graph(60, 3))
+    return documents
+
+
+WRITTEN = written_documents()
+DATE = f"<{XSD_NS}date>"
+CANONICAL = {"canonical", "object IRI as predicate", "one text in two slots"}
+# Documents the bulk step refuses: every other `DOCUMENTS` entry, and
+# every `EDGES` text, which the writer spells another way or not at all.
+REFUSED = {name: text for name, text in DOCUMENTS.items() if name not in CANONICAL}
+REFUSED.update({f"edge: {name}": f"{S} {P} {text} .\n" for name, (text, _) in EDGES.items()})
+_FIRST = WRITTEN["case01_basic"]
+REFUSED.update(
+    {
+        "CRLF line ends": _FIRST.replace("\n", "\r\n"),
+        "a BOM": "\ufeff" + _FIRST,
+        "no final newline": _FIRST[:-1],
+        "a comment line": "# exported\n" + _FIRST,
+        "two IRIs as one text": f"{S} {P} {O} .\n{S} {P} {O}{O} .\n",
+        "two labels as one text": f"{S} {P} {O} .\n{S} {P} _:a _:b .\n",
+        "a lone quote": f"{S} {P} {O} .\n{S} {P} \" .\n",
+        "an empty text": f"{S} {P} {O} .\n{S}  {O} .\n",
+    }
+)
+# Written documents but for their last line, so the whole loop runs
+# before the term checks refuse.
+LAST_LINE = {
+    "relative IRI": f"{S} {P} <rel> .",
+    "not a date": f'{S} {P} "2021-02-29"^^{DATE} .',
+    "xsd:string datatype": f'{S} {P} "x"^^<{XSD_NS}string> .',
+    "literal subject": f'"x" {P} {O} .',
+    "blank node predicate": f"{S} _:b {O} .",
+}
+REFUSED.update(
+    {f"last line: {name}": WRITTEN["case12_registry"] + line + "\n" for name, line in LAST_LINE.items()}
+)
+
+
+class TestWrittenInBulk:
+    """The bulk step reads every document the writer makes, as the line
+    reader would, and refuses every other, which the line reader reads."""
+
+    @pytest.mark.parametrize("text", WRITTEN.values(), ids=WRITTEN.keys())
+    def test_a_written_document_is_read_in_bulk(self, text):
+        g = _read_written(text)
+        assert g is not None
+        assert read_outcome(lambda _: g, text) == read_outcome(parse_every_line, text)
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL))
+    def test_a_canonical_document_is_read_in_bulk(self, name):
+        assert _read_written(DOCUMENTS[name]) is not None
+
+    def test_a_leap_day_is_read_in_bulk(self):
+        text = WRITTEN["case12_registry"] + f'{S} {P} "2020-02-29"^^{DATE} .\n'
+        g = _read_written(text)
+        assert g is not None
+        assert read_outcome(lambda _: g, text) == read_outcome(parse_every_line, text)
+
+    @pytest.mark.parametrize("text", REFUSED.values(), ids=REFUSED.keys())
+    def test_any_other_document_goes_to_the_line_reader(self, text):
+        assert _read_written(text) is None
+        assert read_outcome(parse_ntriples, text) == read_outcome(parse_every_line, text)
 
 
 class TestRoundTrip:
