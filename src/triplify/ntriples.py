@@ -10,19 +10,20 @@ writing joins those spellings and reading stores them.
 
 A document is read in bulk first (`_read_written`) when it has the shape
 the writer gives it, that of canonical N-Triples (RDF 1.1 N-Triples,
-section 4): no BOM and no CR, and every line `S P O .` ended by LF. One
-loop splits each line at its first two spaces and gives each new text the
-next ID; then each distinct text is checked once, by kind, in batches.
-All IRIs are matched at once by the rule `terms.check_iri` states, with no
-`\\`, so an escaped IRI is refused; all blank node labels at once; and
-literals by the tail after their closing quote, each distinct tail once,
-each group's bodies searched at once for a character the writer escapes,
-and a clean group's lexical forms tested by its datatype's test. No
-subject may be a literal and every predicate must be an IRI. A document
-the bulk step refuses, whatever the reason, is read from its start by the
-line reader, the only reader of any other document and the only place
-that makes a positioned error; the two give the same graph, term IDs and
-triple order.
+section 4): no BOM and no CR, every line `S P O .` ended by LF, and no
+escape the writer never makes and no xsd:string datatype, which one scan
+of the text finds (`terms.holds_unwritten_spelling`). One loop splits
+each line at its first two spaces and gives each new text the next ID;
+then each distinct text is checked once, by kind, in batches. All IRIs
+are matched at once by `terms.IRI_SPELLING`, the rule `terms.check_iri`
+states with no `\\`, so an escaped IRI is refused; all blank node labels
+at once; and literals grouped by the tail after their closing quote, each
+group by `terms.own_literal_spellings`. No subject may be a literal and
+every predicate must be an IRI. A document the bulk step refuses,
+whatever the reason, is read from its start by the line reader, the only
+reader of any other document and the only place that makes a positioned
+error; the two give the same graph, term IDs and triple order. So a
+document with an error the term checks find is split twice.
 
 The line reader reads a line one of two ways. A line in the canonical
 shape `S P O .` is split at its first two spaces, and each of the three
@@ -59,17 +60,14 @@ from .errors import ParseError, TriplifyError
 from .graph import Graph
 from .lexer import BLANK, IRIREF, LANGTAG, STRING, split_lines, unescape
 from .terms import (
-    _DATATYPES,
-    _ESCAPE_OR_SURROGATE,
-    _IRI_ILLEGAL,
-    _IRI_SCHEME,
-    _LANGUAGE_TAG,
-    _UNORDERED,
+    IRI_SPELLING,
     RDF_LANGSTRING,
     XSD_STRING,
     check_iri,
+    holds_unwritten_spelling,
     literal_parts,
     literal_text,
+    own_literal_spellings,
 )
 
 # A literal; groups: its string, datatype IRI and language tag.
@@ -88,15 +86,10 @@ _WS = re.compile(r"[ \t]*")
 # Each slot's term pattern alone, for a text of a canonical line.
 _SLOT_TERMS = tuple(re.compile(slot).fullmatch for _, slot in _SLOTS[:3])
 
-# An IRI as it is its own spelling, by the rule `check_iri` states: a
-# scheme, then no character `_IRI_ILLEGAL` holds, so no `\` and no escape.
-_IRI = rf"<{_IRI_SCHEME.pattern}[^{_IRI_ILLEGAL.pattern[1:]}*>"
-_DATATYPE = re.compile(rf"\^\^{_IRI}")
 # IRIs or blank node labels joined by LF, which no term holds, so a run
 # splits into its terms one way only.
-_IRIS = re.compile(rf"{_IRI}(?:\n{_IRI})*")
+_IRIS = re.compile(rf"{IRI_SPELLING}(?:\n{IRI_SPELLING})*")
 _BLANKS = re.compile(rf"{BLANK}(?:\n{BLANK})*")
-_NOT_OWN_DATATYPE = {XSD_STRING.value, RDF_LANGSTRING.value}
 
 
 def serialize_ntriples(g: Graph) -> str:
@@ -158,52 +151,21 @@ def _spelling(raw: str, lineno: int, column: int, datatypes: dict[str, str]) -> 
         raise ParseError(str(exc), lineno, column) from None
 
 
-def _own_literals(literals: list[str]) -> bool:
-    """Is each literal text its own spelling? Grouped by the tail after
-    the last `"`, each distinct tail is checked once, and each group's
-    bodies are searched at once for a character the writer escapes or a
-    lone surrogate; a group holding neither is its own spelling if its
-    lexical forms pass the datatype's test, and any other literal if
-    `_spelling` gives it back."""
-    groups: dict[str, list[str]] = {}
-    for head, _, tail in map(methodcaller("rpartition", '"'), literals):
-        if not head:
-            return False  # its only `"` is its first character
-        groups.setdefault(tail, []).append(head[1:])
-    for tail, bodies in groups.items():
-        test = None
-        if tail[:1] == "@":
-            if _LANGUAGE_TAG.fullmatch(tail, 1) is None:
-                return False
-        elif tail:
-            if _DATATYPE.fullmatch(tail) is None or tail[3:-1] in _NOT_OWN_DATATYPE:
-                return False
-            test = _DATATYPES.get(tail[3:-1], _UNORDERED)[0]
-        if _ESCAPE_OR_SURROGATE.search("".join(bodies)) is None:
-            if test is not None and not all(map(test, bodies)):
-                return False
-            continue
-        try:
-            for body in bodies:
-                text = f'"{body}"{tail}'
-                if _spelling(text, 0, 0, {}) != text:
-                    return False
-        except TriplifyError:
-            return False
-    return True
-
-
 def _read_written(text: str) -> Optional[Graph]:
     """The graph of a document in the shape `serialize_ntriples` writes,
     read in bulk, or None, and the line reader reads it.
 
-    The shape: no BOM and no CR, every line `S P O .` and ended by LF.
-    One loop splits each line at its first two spaces and gives each text
+    The shape: no BOM and no CR, every line `S P O .` and ended by LF,
+    and no spelling the writer never makes that one scan of the text
+    finds (`holds_unwritten_spelling`), a foreign document's usual mark,
+    so such a document is refused before the loop runs. One loop splits each line at its first two spaces and gives each text
     its ID as the line reader would, in the same order. Then each distinct
     text is checked once, by kind: it must be its term's own spelling in a
     slot that term may hold."""
     if not text.endswith(" .\n") or text.startswith("\ufeff") or "\r" in text:
         return None
+    if holds_unwritten_spelling(text):
+        return None  # an escape the writer never makes, or an xsd:string datatype
     lines = text.split(" .\n")
     lines.pop()  # the empty text after the last line's end
     if text.count("\n") != len(lines):
@@ -241,7 +203,12 @@ def _read_written(text: str) -> Optional[Graph]:
     for run, texts in ((_IRIS, iris), (_BLANKS, blanks)):
         if texts and run.fullmatch("\n".join(texts)) is None:
             return None
-    if not _own_literals(literals):
+    groups: dict[str, list[str]] = {}  # literals by the tail after the last `"`
+    for head, _, tail in map(methodcaller("rpartition", '"'), literals):
+        if not head:
+            return None  # its only `"` is its first character
+        groups.setdefault(tail, []).append(head[1:])
+    if not all(map(own_literal_spellings, groups, groups.values())):
         return None
     literal_ids = set(compress(count(), map('"'.__eq__, kinds)))
     if not literal_ids.isdisjoint(map(itemgetter(0), triples)):

@@ -9,7 +9,18 @@ from __future__ import annotations
 import random
 from importlib import resources
 
-from triplify import BlankNode, Graph, Iri, Literal, TableSource, Triple, write_csv
+from triplify import (
+    BlankNode,
+    Graph,
+    Iri,
+    Literal,
+    TableSource,
+    Triple,
+    bundled_mapping,
+    convert,
+    generate_synthetic,
+    write_csv,
+)
 from triplify.r2rml import (
     MappingDocument,
     PredicateObjectMap,
@@ -17,9 +28,11 @@ from triplify.r2rml import (
     TriplesMap,
     parse_template,
 )
+from triplify.registry import term_by_label
 from triplify.terms import (
     PrefixMap,
     RDF_LANGSTRING,
+    RDF_TYPE,
     XSD_BOOLEAN,
     XSD_DATE,
     XSD_INTEGER,
@@ -109,6 +122,50 @@ def fuzz_graph(rng: random.Random, max_triples: int) -> Graph:
 # --- small-universe graphs and queries (brute-force friendly) -------------
 
 QUERY_PREFIXES = PrefixMap({"ex": "http://ex.org/"})
+
+
+def dirty_graph(n, seed):
+    """generate_synthetic(n, seed) converted after NULL ages, NULL sexes
+    and impossible dates are put in its cells, then given objects of the
+    wrong kind."""
+    tables = generate_synthetic(n, seed)
+    rng = random.Random(seed)
+    patients, treatments = tables["PATIENT"].rows, tables["TREATMENT"].rows
+    dirt = max(1, n // 50)
+    for row in rng.sample(patients, dirt):
+        row["AGE"] = None
+    for row in rng.sample(patients, dirt):
+        row["SEX"] = None
+    for row in rng.sample(treatments, dirt):
+        row["RT_START_DATE"] = "2021-02-30"
+    g, _ = convert(bundled_mapping(), tables)
+
+    def some(cls):
+        return rng.choice([t.s for t in g.match(None, RDF_TYPE, cls)])
+
+    def iri(label):
+        return term_by_label(label).iri
+
+    neoplasm, treatment = iri("Neoplasm"), iri("has treatment")
+    patient_class = Iri("http://purl.obolibrary.org/obo/NCIT_C16960")
+    treatment_class = Iri("http://purl.obolibrary.org/obo/NCIT_C15313")
+    typed_blank = BlankNode("typed")
+    for t in (
+        # a literal where a class is required
+        Triple(some(patient_class), iri("has biological sex"), Literal("C16576")),
+        # an IRI where a literal is required
+        Triple(some(patient_class), iri("has age"), Iri("http://ex.org/age")),
+        # an untyped IRI
+        Triple(some(patient_class), iri("has disease"), Iri("http://ex.org/untyped")),
+        # an IRI of another class
+        Triple(some(treatment_class), iri("has radiotherapy modality"), some(neoplasm)),
+        # blank nodes, one untyped and one of the required class
+        Triple(some(patient_class), treatment, BlankNode("untyped")),
+        Triple(some(patient_class), treatment, typed_blank),
+        Triple(typed_blank, RDF_TYPE, treatment_class),
+    ):
+        g.add(t)
+    return g
 
 
 def pooled_graph(rng: random.Random, max_triples: int) -> Graph:

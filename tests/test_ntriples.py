@@ -17,13 +17,13 @@ from triplify import (
     serialize_ntriples,
 )
 from triplify.errors import ParseError
+from triplify import ntriples
 from triplify.ntriples import _read_written
-from triplify.terms import RDF_NS, XSD_INTEGER, XSD_NS
+from triplify.terms import RDF_NS, XSD_INTEGER, XSD_NS, holds_unwritten_spelling
 
 from conftest import fixture_case, fixture_cases
-from genutil import fuzz_graph, random_graph
+from genutil import dirty_graph, fuzz_graph, random_graph
 from oracles import parse_every_line, read_outcome, serialize_every_line, term_of
-from test_registry import dirty_graph
 
 
 class TestSerialize:
@@ -392,10 +392,21 @@ REFUSED.update(
 LAST_LINE = {
     "relative IRI": f"{S} {P} <rel> .",
     "not a date": f'{S} {P} "2021-02-29"^^{DATE} .',
-    "xsd:string datatype": f'{S} {P} "x"^^<{XSD_NS}string> .',
+    "an escape of LF by its code": f'{S} {P} "a\\u000A" .',
     "literal subject": f'"x" {P} {O} .',
     "blank node predicate": f"{S} _:b {O} .",
 }
+# Last lines one scan of the text refuses before the loop runs: an escape
+# the writer never makes, or an xsd:string datatype.
+UNWRITTEN = {
+    "a \\u escape of a letter": f'{S} {P} "caf\\u00E9" .',
+    "a lowercase \\u escape": f'{S} {P} "a\\u001f" .',
+    "a \\U escape": f'{S} {P} "\\U0001F642" .',
+    "a \\t escape after an escaped backslash": f'{S} {P} "a\\\\\\tb" .',
+    "an escaped IRI": f"<http://e.org/\\u0041> {P} {O} .",
+    "xsd:string datatype": f'{S} {P} "x"^^<{XSD_NS}string> .',
+}
+LAST_LINE.update({f"unwritten: {name}": line for name, line in UNWRITTEN.items()})
 REFUSED.update(
     {f"last line: {name}": WRITTEN["case12_registry"] + line + "\n" for name, line in LAST_LINE.items()}
 )
@@ -420,6 +431,17 @@ class TestWrittenInBulk:
         g = _read_written(text)
         assert g is not None
         assert read_outcome(lambda _: g, text) == read_outcome(parse_every_line, text)
+
+    def test_one_scan_finds_only_unwritten_spellings(self, monkeypatch):
+        assert not any(map(holds_unwritten_spelling, WRITTEN.values()))
+        # the writer's escapes, one of them after an escaped backslash
+        written = f'{S} {P} "\\"\\\\\\n\\r\\u0009\\u007F\\\\t\\\\u00E9" .\n'
+        assert not holds_unwritten_spelling(written)
+        assert _read_written(written) is not None
+        monkeypatch.setattr(ntriples, "Graph", None)  # the loop would fail at once
+        for name, line in UNWRITTEN.items():
+            assert holds_unwritten_spelling(line), name
+            assert _read_written(WRITTEN["case12_registry"] + line + "\n") is None, name
 
     @pytest.mark.parametrize("text", REFUSED.values(), ids=REFUSED.keys())
     def test_any_other_document_goes_to_the_line_reader(self, text):

@@ -28,7 +28,7 @@ from triplify.registry import Shape, ShapeConstraint, term_by_label
 from triplify.terms import RDF_TYPE, XSD_DATE
 
 from conftest import fixture_cases
-from genutil import mutated_shapes_texts, pooled_graph
+from genutil import dirty_graph, mutated_shapes_texts, pooled_graph
 from oracles import validate_every_pair
 
 PATIENT_CLASS = Iri("http://purl.obolibrary.org/obo/NCIT_C16960")
@@ -279,49 +279,6 @@ class TestValidateGraph:
         (v,) = report.violations
         assert (v.focus, v.predicate, v.observed_count, v.offending) == (focus, age, 2, None)
         assert v.message == "expected at most 1 conforming value(s), found 2"
-
-
-def dirty_graph(n, seed):
-    """generate_synthetic(n, seed) converted after NULL ages, NULL sexes
-    and impossible dates are put in its cells, then given objects of the
-    wrong kind."""
-    tables = generate_synthetic(n, seed)
-    rng = random.Random(seed)
-    patients, treatments = tables["PATIENT"].rows, tables["TREATMENT"].rows
-    dirt = max(1, n // 50)
-    for row in rng.sample(patients, dirt):
-        row["AGE"] = None
-    for row in rng.sample(patients, dirt):
-        row["SEX"] = None
-    for row in rng.sample(treatments, dirt):
-        row["RT_START_DATE"] = "2021-02-30"
-    g, _ = convert(bundled_mapping(), tables)
-
-    def some(cls):
-        return rng.choice([t.s for t in g.match(None, RDF_TYPE, cls)])
-
-    def iri(label):
-        return term_by_label(label).iri
-
-    neoplasm, treatment = iri("Neoplasm"), iri("has treatment")
-    treatment_class = Iri("http://purl.obolibrary.org/obo/NCIT_C15313")
-    typed_blank = BlankNode("typed")
-    for t in (
-        # a literal where a class is required
-        Triple(some(PATIENT_CLASS), iri("has biological sex"), Literal("C16576")),
-        # an IRI where a literal is required
-        Triple(some(PATIENT_CLASS), iri("has age"), Iri("http://ex.org/age")),
-        # an untyped IRI
-        Triple(some(PATIENT_CLASS), iri("has disease"), Iri("http://ex.org/untyped")),
-        # an IRI of another class
-        Triple(some(treatment_class), iri("has radiotherapy modality"), some(neoplasm)),
-        # blank nodes, one untyped and one of the required class
-        Triple(some(PATIENT_CLASS), treatment, BlankNode("untyped")),
-        Triple(some(PATIENT_CLASS), treatment, typed_blank),
-        Triple(typed_blank, RDF_TYPE, treatment_class),
-    ):
-        g.add(t)
-    return g
 
 
 def shapes_over(g):
