@@ -8,6 +8,10 @@ each size, synthetic tables of that many patients, from seed 1, go
 through synth, load_csv, convert, serialize_ntriples, parse_ntriples,
 validate_graph and two queries. The tables' CSV texts and their
 N-Triples text are made once; each stage's input is made from them.
+Two more stages read copies of that text the writer would not make:
+parse_foreign one with a comment first line, CRLF line ends and an
+escaped literal last, and parse_broken one with a relative IRI on its
+last line, whose ParseError the stage returns.
 validate_graph and the queries each get a fresh copy of the parsed
 graph, with no index or table built yet.
 
@@ -60,6 +64,8 @@ STAGES = (
     "convert",
     "serialize_ntriples",
     "parse_ntriples",
+    "parse_foreign",
+    "parse_broken",
     "validate_graph",
     *QUERIES,
 )
@@ -99,12 +105,28 @@ def prepare(name: str, n: int, texts: dict[str, str], nt: str):
         return T.serialize_ntriples, lambda: graph
     if name == "parse_ntriples":
         return T.parse_ntriples, lambda: nt
+    if name == "parse_foreign":
+        foreign = "# exported\n" + nt + '<http://e.org/s> <http://e.org/p> "caf\\u00E9" .\n'
+        foreign = foreign.replace("\n", "\r\n")
+        return T.parse_ntriples, lambda: foreign
+    if name == "parse_broken":
+        broken = nt + "<http://e.org/s> <http://e.org/p> <rel> .\n"
+        return refused, lambda: broken
     parsed = T.parse_ntriples(nt)
     if name == "validate_graph":
         shapes = T.builtin_shapes()
         return lambda g: T.validate_graph(g, shapes), lambda: T.merge([parsed])
     q = T.parse_query(QUERIES[name], T.registry_prefixes())
     return lambda g: T.execute(g, q), lambda: T.merge([parsed])
+
+
+def refused(text: str):
+    """The ParseError that parsing text raises."""
+    try:
+        T.parse_ntriples(text)
+    except T.errors.ParseError as exc:
+        return exc
+    raise AssertionError("a broken document was read")
 
 
 def timed(stage, make_input) -> float:

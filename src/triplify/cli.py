@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -53,8 +54,11 @@ def _read(path: str) -> str:
 
 
 def _scope_blank_nodes(g: Graph, prefix: str) -> Graph:
-    """The graph with every blank node label prefixed; prefix is a run of
-    PN_CHARS_U and digits, so a prefixed label is still a valid one."""
+    """The graph with every blank node label prefixed, or the graph itself
+    when it holds no blank node; prefix is a run of PN_CHARS_U and digits,
+    so a prefixed label is still a valid one."""
+    if "_" not in map(itemgetter(0), g._terms):
+        return g
 
     def scoped(spelling: str) -> str:
         return f"_:{prefix}{spelling[2:]}" if spelling[0] == "_" else spelling

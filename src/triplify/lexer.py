@@ -100,15 +100,21 @@ _GRAMMAR = re.compile(
 _NUMERIC = {"integer": XSD_INTEGER, "decimal": XSD_DECIMAL, "double": XSD_DOUBLE}
 
 
-def split_lines(text: str) -> list[str]:
-    """The lines of a line-based document (N-Triples, the registry's TSV
-    files): a leading BOM is dropped, and a line ends at LF, CRLF or a
-    lone CR, so no line holds a raw CR."""
+def normalize_line_ends(text: str) -> str:
+    """A line-based document (N-Triples, the registry's TSV files) with
+    its leading BOM dropped and each line end, LF, CRLF or a lone CR,
+    made LF, so no line holds a raw CR; the text itself when it holds
+    neither."""
     if text.startswith("\ufeff"):
         text = text[1:]
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+    return text
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of a line-based document, ended as `normalize_line_ends` ends them."""
+    return normalize_line_ends(text).split("\n")
 
 
 def unescape(raw: str, line: int, column: int) -> str:

@@ -8,45 +8,46 @@ serialization: blank node labels are preserved, so parse(serialize(g)) == g.
 A graph's term table already holds each term's canonical spelling, so
 writing joins those spellings and reading stores them.
 
-A document is read in bulk first (`_read_written`) when it has the shape
-the writer gives it, that of canonical N-Triples (RDF 1.1 N-Triples,
-section 4): no BOM and no CR, every line `S P O .` ended by LF, and no
-escape the writer never makes and no xsd:string datatype, which one scan
-of the text finds (`terms.holds_unwritten_spelling`). One loop splits
-each line at its first two spaces and gives each new text the next ID;
-then each distinct text is checked once, by kind, in batches. All IRIs
-are matched at once by `terms.IRI_SPELLING`, the rule `terms.check_iri`
-states with no `\\`, so an escaped IRI is refused; all blank node labels
-at once; and literals grouped by the tail after their closing quote, each
-group by `terms.own_literal_spellings`. No subject may be a literal and
-every predicate must be an IRI. A document the bulk step refuses,
-whatever the reason, is read from its start by the line reader, the only
-reader of any other document and the only place that makes a positioned
-error; the two give the same graph, term IDs and triple order. So a
-document with an error the term checks find is split twice.
+As in Turtle and the RDF 1.1 grammar, a leading BOM is dropped, a line
+(and a comment) ends at LF, CRLF or a lone CR, an IRI may hold only
+`\\u`/`\\U` escapes (`<a\\'b>` is a ParseError) and a string no raw CR.
 
-The line reader reads a line one of two ways. A line in the canonical
-shape `S P O .` is split at its first two spaces, and each of the three
-texts is checked for its slot: a text already in the term table by its
-first character alone (a subject is not a literal, a predicate is an
-IRI), a new text by a full match of that slot's term pattern. Every other
-line goes to one line pattern composed from the term terminals of
-`triplify.lexer`, the term grammar Turtle and SPARQL use: so does a line
-with tabs, runs of spaces or a comment, a blank node label touching the
-next term (`_:a<http://e.org/p> ...` parses), and every line with an
-error, which that pattern rescans to name the slot that broke. Both ways
-check the whole line before any of its terms is read, and end in one
-block that reads the line's new terms, so they give the same graph, term
-IDs and errors.
+One reader reads every document, in three steps (`_read`).
 
-As in Turtle and the RDF 1.1 grammar, a line (and a comment) ends at LF,
-CRLF or a lone CR, an IRI may hold only `\\u`/`\\U` escapes (`<a\\'b>` is
-a ParseError) and a string no raw CR. A slot's text is read once per
-document, where it first occurs, by one rule (`_spelling`): its escapes
-decoded, checked as the term's constructor checks it (`terms.check_iri`,
-`terms.literal_text`), and stored as the term's canonical spelling, or
-reported as that term's error at its line and column. No term object is
-made. A text the writer made is its own spelling.
+1. The lines (`_lines`). When every line is `S P O .`, as in a document
+   the writer made, the text is split at ` .\\n`. Else, when every line
+   but the blank and comment-only ones ends in ` .`, those lines are cut
+   there. Any other document is read a line at a time by one line
+   pattern composed from the term terminals of `triplify.lexer`, the
+   term grammar Turtle and SPARQL use, which allows any spacing, comments
+   and a blank node label touching the next term (`_:a<http://e.org/p>`);
+   each match is joined as `S P O`, up to the first line it refuses.
+2. One loop splits each `S P O` at its first two spaces and gives each
+   new text the next ID, subject, predicate, object, line by line.
+3. Each distinct text is checked once, by kind, in batches (`_check`).
+   All IRIs are matched at once by `terms.IRI_SPELLING`, the rule
+   `terms.check_iri` states with no `\\`; all blank node labels at once;
+   literals grouped by the tail after their closing quote, each group by
+   `terms.own_literal_spellings`. A text no batch settles (an escape,
+   `^^xsd:string`, spacing after `^^`, a raw tab, or an error) must fully
+   match the object slot's term pattern, and is read by one rule
+   (`_spelling`): its escapes decoded, checked as the term's constructor
+   checks it (`terms.check_iri`, `terms.literal_text`), and put at its ID
+   as the term's canonical spelling. When two texts spell one term, the
+   IDs are renumbered by first occurrence, so the two share one. No
+   subject may be a literal and every predicate must be an IRI. No term
+   object is made.
+
+Whichever way the lines were found, the graph, its term IDs and its
+triple order are those of reading every line by the line pattern. When
+a text is refused or a slot rule breaks, a second loop, paid only then,
+finds the first line that holds one (`_raise_first_error`), and reads
+that line alone by the line pattern and `_spelling`, which raise its
+ParseError at its line and column: no error on a line depends on an
+earlier one. A line with no error there is one the split misread (other
+spacing, a label touching the next term), and the line pattern reads
+the whole document, as it does when a split line holds fewer than three
+texts.
 """
 
 from __future__ import annotations
@@ -58,17 +59,9 @@ from typing import Optional
 
 from .errors import ParseError, TriplifyError
 from .graph import Graph
-from .lexer import BLANK, IRIREF, LANGTAG, STRING, split_lines, unescape
-from .terms import (
-    IRI_SPELLING,
-    RDF_LANGSTRING,
-    XSD_STRING,
-    check_iri,
-    holds_unwritten_spelling,
-    literal_parts,
-    literal_text,
-    own_literal_spellings,
-)
+from .lexer import BLANK, IRIREF, LANGTAG, STRING, normalize_line_ends, split_lines, unescape
+from .terms import IRI_SPELLING, RDF_LANGSTRING, XSD_STRING, check_iri
+from .terms import literal_parts, literal_text, own_literal_spellings
 
 # A literal; groups: its string, datatype IRI and language tag.
 _LITERAL = rf"({STRING})(?:\^\^[ \t]*({IRIREF})|({LANGTAG}))?"
@@ -83,8 +76,8 @@ _LINE = re.compile(
     r"[ \t]*(?:" + r"[ \t]*".join(f"(?:{slot})" for _, slot in _SLOTS) + r"[ \t]*)?(?:#.*)?"
 )
 _WS = re.compile(r"[ \t]*")
-# Each slot's term pattern alone, for a text of a canonical line.
-_SLOT_TERMS = tuple(re.compile(slot).fullmatch for _, slot in _SLOTS[:3])
+# The object slot's term pattern, which the text of every term matches.
+_TERM = re.compile(_SLOTS[2][1]).fullmatch
 
 # IRIs or blank node labels joined by LF, which no term holds, so a run
 # splits into its terms one way only.
@@ -151,25 +144,130 @@ def _spelling(raw: str, lineno: int, column: int, datatypes: dict[str, str]) -> 
         raise ParseError(str(exc), lineno, column) from None
 
 
-def _read_written(text: str) -> Optional[Graph]:
-    """The graph of a document in the shape `serialize_ntriples` writes,
-    read in bulk, or None, and the line reader reads it.
+def _lines(text: str, matched: bool) -> tuple[list[str], Optional[ParseError], bool]:
+    """Each triple line's `S P O` text, in order; the syntax error of the
+    line that ends the document early, if one does; and whether the lines
+    were matched.
 
-    The shape: no BOM and no CR, every line `S P O .` and ended by LF,
-    and no spelling the writer never makes that one scan of the text
-    finds (`holds_unwritten_spelling`), a foreign document's usual mark,
-    so such a document is refused before the loop runs. One loop splits each line at its first two spaces and gives each text
-    its ID as the line reader would, in the same order. Then each distinct
-    text is checked once, by kind: it must be its term's own spelling in a
-    slot that term may hold."""
-    if not text.endswith(" .\n") or text.startswith("\ufeff") or "\r" in text:
-        return None
-    if holds_unwritten_spelling(text):
-        return None  # an escape the writer never makes, or an xsd:string datatype
-    lines = text.split(" .\n")
-    lines.pop()  # the empty text after the last line's end
-    if text.count("\n") != len(lines):
-        return None  # a line holds a LF: a comment, a blank line or other spacing
+    Split (unless `matched`): the text is cut at ` .\\n`. A piece that
+    holds a LF keeps only its last line, and the lines it drops must be
+    blank or comment-only, as must the lines after the last cut, but for
+    a last line with no line end that ends in ` .`. Matched (when they are
+    not): each line is read by `_LINE` and its three slots are joined by
+    single spaces, up to the first line `_LINE` refuses. Neither the text
+    with its line ends made LF nor any list but the one returned is kept:
+    the split loop's peak is the graph it builds."""
+    text = normalize_line_ends(text)
+    if not matched:
+        lines = text.split(" .\n")
+        *skipped, last = lines.pop().split("\n")  # the lines after the last cut
+        if text.count("\n") != len(lines) + len(skipped):  # a piece holds a LF
+            for i in [i for i, line in enumerate(lines) if "\n" in line]:
+                *dropped, lines[i] = lines[i].split("\n")
+                skipped += dropped
+        if last[-2:] == " .":
+            lines.append(last[:-2])
+        else:
+            skipped.append(last)
+        if all(line[:1] in ("", "#") for line in skipped):
+            return lines, None, False
+        del lines
+    lines = text.split("\n")
+    n = 0  # the triple lines read, each put in place of a line read
+    for lineno, line in enumerate(lines, start=1):
+        m = _LINE.fullmatch(line)
+        if m is None:
+            del lines[n:]
+            return lines, _syntax_error(line, lineno), True
+        if m.group(1) is not None:
+            lines[n] = " ".join(m.group(1, 2, 3))
+            n += 1
+    del lines[n:]
+    return lines, None, True
+
+
+def _check(g: Graph) -> Optional[set[str]]:
+    """Check each distinct text of a graph the split loop read once, by
+    kind, in batches; return None when every text spells a term in every
+    slot it holds, else the texts refused (none when only a slot rule
+    breaks). A text no batch settles is read by `_spelling` and, when it
+    is not its term's spelling, that spelling is put at its ID; texts that
+    spell one term then share the ID of the first of them."""
+    terms = g._terms
+    kinds = list(map(itemgetter(slice(1)), terms))  # "" for an empty text
+    iris, blanks, literals = (list(compress(terms, map(k.__eq__, kinds))) for k in '<_"')
+    unsettled = []  # the texts no batch settles
+    if len(iris) + len(blanks) + len(literals) != len(terms):
+        unsettled += [t for t in terms if t[:1] not in ("<", "_", '"')]
+    for run, texts in ((_IRIS, iris), (_BLANKS, blanks)):
+        if texts and run.fullmatch("\n".join(texts)) is None:
+            unsettled += texts
+    groups: dict[str, list[str]] = {}  # literal bodies by the tail after the last `"`
+    for head, _, tail in map(methodcaller("rpartition", '"'), literals):
+        if head:
+            groups.setdefault(tail, []).append(head[1:])
+        else:
+            unsettled.append('"' + tail)  # its only `"` is its first character
+    for tail, bodies in groups.items():
+        if not own_literal_spellings(tail, bodies):
+            unsettled += [f'"{body}"{tail}' for body in bodies]
+
+    ids = g._ids
+    refused = set()
+    datatypes: dict[str, str] = {}  # a datatype's matched text -> its IRI's text
+    for text in unsettled:
+        try:  # no position: a refused text's error is raised from its line
+            spelling = _TERM(text) and _spelling(text, 0, 0, datatypes)
+        except TriplifyError:
+            spelling = None
+        if not spelling:
+            refused.add(text)
+        elif spelling != text:
+            terms[ids[text]] = spelling
+    triples = g._triples
+    literal_ids = set(compress(count(), map('"'.__eq__, kinds)))
+    no_literal_subject = literal_ids.isdisjoint(map(itemgetter(0), triples))
+    iri_predicates = all(kinds[i] == "<" for i in set(map(itemgetter(1), triples)))
+    if refused or not (no_literal_subject and iri_predicates):
+        return refused
+    if unsettled:
+        ids = g._ids = {}
+        new = [ids.setdefault(t, len(ids)) for t in terms]
+        if len(ids) < len(terms):  # two texts spell one term
+            g._terms = list(ids)
+            g._triples = {(new[s], new[p], new[o]): None for s, p, o in triples}
+    return None
+
+
+def _raise_first_error(text: str, refused: set[str], matched: bool) -> None:
+    """Raise the ParseError of the first line, read as `_lines` read it,
+    that holds a refused text or breaks a slot rule: that line alone is
+    read by `_LINE` and `_spelling`. Return when it holds no error there,
+    as the split misread it, or when no line does."""
+    for lineno, line in enumerate(split_lines(text), start=1):
+        if matched:  # each line before the one sought matches
+            texts = _LINE.fullmatch(line).group(1, 2, 3)
+            if texts[0] is None:
+                continue
+        elif line[:1] in ("", "#"):
+            continue
+        else:
+            texts = line[:-2].split(" ", 2)
+        if refused.isdisjoint(texts) and texts[0][0] != '"' and texts[1][0] == "<":
+            continue
+        m = _LINE.fullmatch(line)
+        if m is None:
+            raise _syntax_error(line, lineno)
+        if m.group(1) is not None:
+            for k in (1, 2, 3):
+                _spelling(m.group(k), lineno, m.start(k) + 1, {})
+        return
+
+
+def _read(text: str, matched: bool) -> Optional[Graph]:
+    """The graph of a document, its lines found as `_lines` finds them, or
+    None when the split misreads one."""
+    lines, stop, matched = _lines(text, matched)
     g = Graph()
     terms, ids, triples = g._terms, g._ids, g._triples
     get, spell = ids.get, terms.append
@@ -190,108 +288,29 @@ def _read_written(text: str) -> Optional[Graph]:
                 spell(o)
             triples[a, b, c] = None
     except ValueError:
-        return None  # fewer than three texts on a line
-    del lines
-
-    try:
-        kinds = list(map(itemgetter(0), terms))
-    except IndexError:
-        return None  # an empty text
-    iris, blanks, literals = (list(compress(terms, map(k.__eq__, kinds))) for k in '<_"')
-    if len(iris) + len(blanks) + len(literals) != len(terms):
-        return None  # a text no term starts with
-    for run, texts in ((_IRIS, iris), (_BLANKS, blanks)):
-        if texts and run.fullmatch("\n".join(texts)) is None:
-            return None
-    groups: dict[str, list[str]] = {}  # literals by the tail after the last `"`
-    for head, _, tail in map(methodcaller("rpartition", '"'), literals):
-        if not head:
-            return None  # its only `"` is its first character
-        groups.setdefault(tail, []).append(head[1:])
-    if not all(map(own_literal_spellings, groups, groups.values())):
-        return None
-    literal_ids = set(compress(count(), map('"'.__eq__, kinds)))
-    if not literal_ids.isdisjoint(map(itemgetter(0), triples)):
-        return None  # a literal subject
-    if any(kinds[i] != "<" for i in set(map(itemgetter(1), triples))):
-        return None  # a predicate that is not an IRI
+        return None  # a split line of fewer than three texts
+    del lines  # the graph's peak is reached with no line list alive
+    refused = _check(g)
+    if refused is not None:
+        _raise_first_error(text, refused, matched)
+        return None  # the split misread that line
+    if stop is not None:
+        raise stop
     return g
 
 
 def parse_ntriples(text: str) -> Graph:
     """Parse an N-Triples document into a graph (duplicate lines collapse).
 
-    A document in the shape the writer gives it is read in bulk, every
-    distinct text checked once, by kind; any other document, and one whose
-    texts fail a check there, is read from its start by the line reader.
-
-    The line reader: a line in the canonical shape `S P O .` (single
-    spaces, nothing after the dot) is split at its first two spaces; a
-    text already in the term table must only start right for its slot (a
-    subject is not a literal, a predicate is an IRI), and a new one must
-    fully match that slot's term pattern. Any other line, and a line that
-    fails one of these checks, is matched by the full line pattern, which
-    allows comments and any spacing and names the slot a syntax error is
-    in. All three slots are checked before any term is read, so a line
-    with a syntax error reports that error, not a term error from an
-    earlier slot.
-
-    A slot's text not yet in the term table is read once, where it
-    first occurs, into the canonical spelling of the term it spells, and
-    every later occurrence finds its ID: in the term table when the text
-    is that spelling, as every text the writer makes is, else among the
-    texts read. So two spellings of one term (`<http://e.org/\\u0041>` and
-    `<http://e.org/A>`, `"a"` and `"a"^^xsd:string`) get one ID.
+    The lines are split, or, when no split reads them, matched one at a
+    time by the line pattern; one loop numbers each line's three texts,
+    and then each distinct text is checked once, by kind, in batches (see
+    the module docstring). A text that is not its term's spelling is read
+    once into that spelling, so two spellings of one term
+    (`<http://e.org/\\u0041>` and `<http://e.org/A>`, `"a"` and
+    `"a"^^xsd:string`) get one ID. An error is raised at the first line
+    that holds one, with that line's position, as a line-by-line reader
+    would raise it.
     """
-    g = _read_written(text)
-    if g is not None:
-        return g
-    g = Graph()
-    get = g._ids.get  # a canonical text -> its ID
-    aliases: dict[str, int] = {}  # a text read that is not its spelling -> its ID
-    datatypes: dict[str, str] = {}  # a datatype's matched text -> its IRI's text
-    intern = g._intern
-    triples = g._triples  # a new graph, no index to keep current
-    subject_term, predicate_term, object_term = _SLOT_TERMS
-
-    def read(raw: str, lineno: int, column: int) -> int:
-        """The ID of a slot's text not in the term table as it stands."""
-        i = aliases.get(raw)
-        if i is None:
-            spelling = _spelling(raw, lineno, column, datatypes)
-            i = intern(spelling)
-            if spelling != raw:
-                aliases[raw] = i
-        return i
-
-    for lineno, line in enumerate(split_lines(text), start=1):
-        m = None
-        parts = line.split(" ", 2)
-        if len(parts) == 3 and parts[2][-2:] == " .":
-            s, p, o = parts
-            o = o[:-2]
-            subject, predicate, obj = get(s), get(p), get(o)
-            canonical = (
-                (s[0] != '"' if subject is not None else subject_term(s))
-                and (p[0] == "<" if predicate is not None else predicate_term(p))
-                and (obj is not None or object_term(o))
-            )
-        else:
-            canonical = False
-        if not canonical:
-            m = _LINE.fullmatch(line)
-            if m is None:
-                raise _syntax_error(line, lineno)
-            s, p, o = m.group(1, 2, 3)
-            if s is None:
-                continue  # blank or comment-only line
-            subject, predicate, obj = get(s), get(p), get(o)
-        # a text twice on one line is read twice if new; both get one ID
-        if subject is None:
-            subject = read(s, lineno, m.start(1) + 1 if m else 1)
-        if predicate is None:
-            predicate = read(p, lineno, m.start(2) + 1 if m else len(s) + 2)
-        if obj is None:
-            obj = read(o, lineno, m.start(3) + 1 if m else len(s) + len(p) + 3)
-        triples[subject, predicate, obj] = None
-    return g
+    g = _read(text, False)
+    return g if g is not None else _read(text, True)

@@ -75,13 +75,6 @@ _NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f]')
 # A lone surrogate or a character to escape, found by one search
 _ESCAPE_OR_SURROGATE = re.compile(r'["\\\x00-\x1f\x7f\ud800-\udfff]')
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"}
-# The escapes `escape_literal` writes, and the character each stands for.
-_WRITTEN = r'(?:["\\nr]|u00[01][0-9A-F]|u007F)'  # what follows the `\`
-_WRITTEN_ESCAPE = re.compile(rf"\\{_WRITTEN}")
-# An escape it never writes: a run of `\` read in pairs from its first,
-# so its last opening `\` is one that no written escape's tail follows.
-_UNWRITTEN_ESCAPE = re.compile(rf"\\(?<!\\\\)(?:\\\\)*+(?!{_WRITTEN})")
-_UNESCAPES = {escaped: ch for ch, escaped in _ESCAPES.items()}
 
 
 def exact_int(digits: str) -> int:
@@ -291,26 +284,21 @@ def literal_text(lexical: str, datatype: str, language: Optional[str] = None) ->
     return _spell_literal(escape_literal(lexical), datatype, language)
 
 
-def _unescape_written(m: re.Match) -> str:
-    escaped = m.group()
-    return _UNESCAPES.get(escaped) or chr(int(escaped[2:], 16))
-
-
 def own_literal_spellings(tail: str, bodies: list[str]) -> bool:
     """Is `"body"tail` the canonical spelling of its literal, as
     `literal_text` spells it, for every body? `tail` is checked once:
     empty, `@tag`, or `^^<datatype>` for a datatype other than xsd:string
-    and rdf:langString, in `IRI_SPELLING`. Then one search of the bodies
-    looks for a character the writer escapes or a lone surrogate; if none
-    holds one, each is its own spelling when its datatype's test passes
-    it, else each body is decoded and spelt again."""
-    language = None
+    and rdf:langString, in `IRI_SPELLING`. Then one search of the joined
+    bodies looks for a character the writer escapes or a lone surrogate.
+    A group where it finds one is refused, written escapes and all, and
+    its literals are spelt one at a time; in any other group each body is
+    its own spelling when its datatype's test passes it."""
     if not tail:
         datatype = XSD_STRING.value
     elif tail[0] == "@":
         if _LANGUAGE_TAG.fullmatch(tail, 1) is None:
             return False
-        datatype, language = RDF_LANGSTRING.value, tail[1:]
+        datatype = RDF_LANGSTRING.value
     else:
         datatype = tail[3:-1]
         if (
@@ -319,30 +307,9 @@ def own_literal_spellings(tail: str, bodies: list[str]) -> bool:
             or datatype in (XSD_STRING.value, RDF_LANGSTRING.value)
         ):
             return False
-    if _ESCAPE_OR_SURROGATE.search("".join(bodies)) is None:
-        test = _DATATYPES.get(datatype, _UNORDERED)[0]
-        return test is None or all(map(test, bodies))
-    try:
-        for body in bodies:
-            lexical = _WRITTEN_ESCAPE.sub(_unescape_written, body)
-            if literal_text(lexical, datatype, language) != f'"{body}"{tail}':
-                return False
-    except TriplifyError:
-        return False
-    return True
-
-
-def holds_unwritten_spelling(text: str) -> bool:
-    """Does a document's text hold a spelling `literal_text` never makes:
-    a `\\` that starts none of the escapes it writes (`\\t`, `\\u00E9`,
-    any escape in an IRI), or an xsd:string datatype? A run of `\\` is
-    read in pairs, so `\\\\t` holds none. A document it finds one in
-    holds a term that is not its own spelling, or no term, but for one
-    whose literal body spells an xsd:string datatype."""
-    if f'"^^<{XSD_STRING.value}>' in text:
-        return True
-    first = text.find("\\")
-    return first >= 0 and _UNWRITTEN_ESCAPE.search(text, first) is not None
+    test = _DATATYPES.get(datatype, _UNORDERED)[0]
+    clean = _ESCAPE_OR_SURROGATE.search("".join(bodies)) is None
+    return clean and (test is None or all(map(test, bodies)))
 
 
 def literal_parts(text: str) -> tuple[str, str]:

@@ -1,6 +1,7 @@
 """Exit-code contract and stream discipline of the command line."""
 
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from triplify import (
     parse_turtle,
     serialize_ntriples,
 )
+from triplify import cli
 from triplify.cli import main
 from triplify.registry import bundled_mapping_text, predicate_categories
 from triplify.terms import RDF_TYPE
@@ -437,6 +439,29 @@ class TestQueryAcrossFiles:
         assert stdout.splitlines() == ["?s", "_:b0"]
         code, stdout, _ = run(capsys, "stats", *paths)
         assert code == 0 and stdout.splitlines()[0] == "triples\t2"
+
+    def test_blank_free_files_are_loaded_as_parsed(self, tmp_path, monkeypatch):
+        texts = ['<http://ex.org/a> <http://ex.org/p> "x" .\n', "_:x <http://ex.org/q> _:y .\n"]
+        paths = []
+        for i, text in enumerate(texts * 2):
+            paths.append(tmp_path / f"{i}.nt")
+            paths[-1].write_text(text)
+        parsed = []
+
+        def parse(text):
+            parsed.append(parse_ntriples(text))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "parse_ntriples", parse)
+        loaded = cli._load_graphs([str(paths[0]), str(paths[2])])
+        assert all(map(operator.is_, loaded, parsed))
+        loaded = cli._load_graphs([str(paths[0]), str(paths[1]), str(paths[3])])
+        assert loaded[0] is parsed[2] and parsed[3] is not loaded[1]
+        assert [serialize_ntriples(g) for g in loaded] == [
+            texts[0],
+            "_:f2_x <http://ex.org/q> _:f2_y .\n",
+            "_:f3_x <http://ex.org/q> _:f3_y .\n",
+        ]
 
     def test_explain_prints_the_plan_to_stderr(self, capsys, tmp_path):
         path = tmp_path / "g.nt"

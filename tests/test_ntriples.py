@@ -18,8 +18,7 @@ from triplify import (
 )
 from triplify.errors import ParseError
 from triplify import ntriples
-from triplify.ntriples import _read_written
-from triplify.terms import RDF_NS, XSD_INTEGER, XSD_NS, holds_unwritten_spelling
+from triplify.terms import RDF_NS, XSD_INTEGER, XSD_NS
 
 from conftest import fixture_case, fixture_cases
 from genutil import dirty_graph, fuzz_graph, random_graph
@@ -370,17 +369,20 @@ def written_documents() -> dict[str, str]:
 WRITTEN = written_documents()
 DATE = f"<{XSD_NS}date>"
 CANONICAL = {"canonical", "object IRI as predicate", "one text in two slots"}
-# Documents the bulk step refuses: every other `DOCUMENTS` entry, and
-# every `EDGES` text, which the writer spells another way or not at all.
-REFUSED = {name: text for name, text in DOCUMENTS.items() if name not in CANONICAL}
-REFUSED.update({f"edge: {name}": f"{S} {P} {text} .\n" for name, (text, _) in EDGES.items()})
+# Every other `DOCUMENTS` entry, every `EDGES` text, and more documents
+# that the writer would not make.
+OTHER = {name: text for name, text in DOCUMENTS.items() if name not in CANONICAL}
+OTHER.update({f"edge: {name}": f"{S} {P} {text} .\n" for name, (text, _) in EDGES.items()})
 _FIRST = WRITTEN["case01_basic"]
-REFUSED.update(
+OTHER.update(
     {
         "CRLF line ends": _FIRST.replace("\n", "\r\n"),
+        "CR line ends": _FIRST.replace("\n", "\r"),
         "a BOM": "\ufeff" + _FIRST,
         "no final newline": _FIRST[:-1],
         "a comment line": "# exported\n" + _FIRST,
+        "a comment line ending in ' .'": "# exported as N-Triples .\n" + _FIRST,
+        "a blank line": "\n" + _FIRST,
         "two IRIs as one text": f"{S} {P} {O} .\n{S} {P} {O}{O} .\n",
         "two labels as one text": f"{S} {P} {O} .\n{S} {P} _:a _:b .\n",
         "a lone quote": f"{S} {P} {O} .\n{S} {P} \" .\n",
@@ -388,17 +390,13 @@ REFUSED.update(
     }
 )
 # Written documents but for their last line, so the whole loop runs
-# before the term checks refuse.
+# before the term checks find the line.
 LAST_LINE = {
     "relative IRI": f"{S} {P} <rel> .",
     "not a date": f'{S} {P} "2021-02-29"^^{DATE} .',
     "an escape of LF by its code": f'{S} {P} "a\\u000A" .',
     "literal subject": f'"x" {P} {O} .',
     "blank node predicate": f"{S} _:b {O} .",
-}
-# Last lines one scan of the text refuses before the loop runs: an escape
-# the writer never makes, or an xsd:string datatype.
-UNWRITTEN = {
     "a \\u escape of a letter": f'{S} {P} "caf\\u00E9" .',
     "a lowercase \\u escape": f'{S} {P} "a\\u001f" .',
     "a \\U escape": f'{S} {P} "\\U0001F642" .',
@@ -406,47 +404,126 @@ UNWRITTEN = {
     "an escaped IRI": f"<http://e.org/\\u0041> {P} {O} .",
     "xsd:string datatype": f'{S} {P} "x"^^<{XSD_NS}string> .',
 }
-LAST_LINE.update({f"unwritten: {name}": line for name, line in UNWRITTEN.items()})
-REFUSED.update(
-    {f"last line: {name}": WRITTEN["case12_registry"] + line + "\n" for name, line in LAST_LINE.items()}
+OTHER.update(
+    {f"last line: {k}": WRITTEN["case12_registry"] + line + "\n" for k, line in LAST_LINE.items()}
 )
+# The documents of `OTHER` the line pattern reads: those whose lines the
+# split cannot cut, and those with a line the split misreads, which the
+# line pattern then reads again; the split reads every other.
+UNCUT = {"tabs", "trailing comment", "leading and trailing spaces", "relative subject, missing dot"}
+MISREAD = {"double spaces", "blank touching predicate", "lone dot", "a comment line ending in ' .'"}
 
 
-class TestWrittenInBulk:
-    """The bulk step reads every document the writer makes, as the line
-    reader would, and refuses every other, which the line reader reads."""
+@pytest.fixture
+def ways(monkeypatch):
+    """How `parse_ntriples` found a document's lines, one entry a read:
+    by the split (False) or by the line pattern (True). A second read
+    follows a line the split misread."""
+    seen = []
+    lines = ntriples._lines
+
+    def spied(text, matched):
+        found = lines(text, matched)
+        seen.append(found[2])
+        return found
+
+    monkeypatch.setattr(ntriples, "_lines", spied)
+    return seen
+
+
+# Flaws put in a written document's lines: the lines each puts in, in
+# order, at random places ...
+INSERTED = {f"line: {name}": (line,) for name, line in LAST_LINE.items()}
+INSERTED.update({f"edge: {name}": (f"{S} {P} {text} .",) for name, (text, _) in EDGES.items()})
+for _name, (_text, _other) in SPELT_TWICE.items():
+    INSERTED[f"both spellings: {_name}"] = (f"{S} {P} {_text} .", f"{S} {P} {_other} .")
+    INSERTED[f"both spellings, reversed: {_name}"] = (f"{S} {P} {_other} .", f"{S} {P} {_text} .")
+INSERTED.update({"a comment line": ("# exported",), "a blank line": ("",)})
+# ... or a change to one of its lines.
+CHANGED = {
+    "a tab-spaced line": lambda line: line.replace(" ", "\t", 1),
+    "a double space": lambda line: line.replace(" ", "  ", 1),
+    "a trailing comment": lambda line: line + " # c",
+    "an IRI spelt with an escape": lambda line: line.replace("<h", "<\\u0068", 1),
+}
+BASES = [text.splitlines() for text in WRITTEN.values() if text]
+
+
+def flawed(rng: random.Random) -> tuple[list[str], list[str]]:
+    """The lines of a written document with 1-4 flaws at random lines, and
+    the flaws' names."""
+    lines = list(rng.choice(BASES))
+    names = rng.choices(sorted(INSERTED) + sorted(CHANGED), k=rng.randint(1, 4))
+    for name in names:
+        if name in CHANGED:
+            i = rng.randrange(len(lines))
+            lines[i] = CHANGED[name](lines[i])
+            continue
+        places = sorted(rng.randrange(len(lines) + 1) for _ in INSERTED[name])
+        for place, line in reversed(list(zip(places, INSERTED[name]))):
+            lines.insert(place, line)
+    return lines, names
+
+
+class TestOneReader:
+    """The split reads every document the writer makes and any other whose
+    lines it can cut; the line pattern reads the rest. Either way the
+    graph, its IDs and triple order, or the error, are those of
+    `parse_every_line`, which reads every line by the line pattern."""
 
     @pytest.mark.parametrize("text", WRITTEN.values(), ids=WRITTEN.keys())
-    def test_a_written_document_is_read_in_bulk(self, text):
-        g = _read_written(text)
-        assert g is not None
-        assert read_outcome(lambda _: g, text) == read_outcome(parse_every_line, text)
+    def test_a_written_document_is_read_by_the_split(self, text, ways):
+        assert read_outcome(parse_ntriples, text) == read_outcome(parse_every_line, text)
+        assert ways == [False]
 
     @pytest.mark.parametrize("name", sorted(CANONICAL))
-    def test_a_canonical_document_is_read_in_bulk(self, name):
-        assert _read_written(DOCUMENTS[name]) is not None
-
-    def test_a_leap_day_is_read_in_bulk(self):
-        text = WRITTEN["case12_registry"] + f'{S} {P} "2020-02-29"^^{DATE} .\n'
-        g = _read_written(text)
-        assert g is not None
-        assert read_outcome(lambda _: g, text) == read_outcome(parse_every_line, text)
-
-    def test_one_scan_finds_only_unwritten_spellings(self, monkeypatch):
-        assert not any(map(holds_unwritten_spelling, WRITTEN.values()))
-        # the writer's escapes, one of them after an escaped backslash
-        written = f'{S} {P} "\\"\\\\\\n\\r\\u0009\\u007F\\\\t\\\\u00E9" .\n'
-        assert not holds_unwritten_spelling(written)
-        assert _read_written(written) is not None
-        monkeypatch.setattr(ntriples, "Graph", None)  # the loop would fail at once
-        for name, line in UNWRITTEN.items():
-            assert holds_unwritten_spelling(line), name
-            assert _read_written(WRITTEN["case12_registry"] + line + "\n") is None, name
-
-    @pytest.mark.parametrize("text", REFUSED.values(), ids=REFUSED.keys())
-    def test_any_other_document_goes_to_the_line_reader(self, text):
-        assert _read_written(text) is None
+    def test_a_canonical_document_is_read_by_the_split(self, name, ways):
+        text = DOCUMENTS[name]
         assert read_outcome(parse_ntriples, text) == read_outcome(parse_every_line, text)
+        assert ways == [False]
+
+    def test_a_leap_day_and_the_writers_escapes_are_read_by_the_split(self, ways):
+        for line in (
+            f'{S} {P} "2020-02-29"^^{DATE} .',
+            f'{S} {P} "\\"\\\\\\n\\r\\u0009\\u007F\\\\t\\\\u00E9" .',
+        ):
+            text = WRITTEN["case12_registry"] + line + "\n"
+            assert read_outcome(parse_ntriples, text) == read_outcome(parse_every_line, text)
+        assert ways == [False, False]
+
+    @pytest.mark.parametrize("name", sorted(OTHER))
+    def test_any_other_document_is_read_by_its_way(self, name, ways):
+        text = OTHER[name]
+        assert read_outcome(parse_ntriples, text) == read_outcome(parse_every_line, text)
+        assert ways == ([True] if name in UNCUT else [False, True] if name in MISREAD else [False])
+
+    def test_an_error_is_found_on_its_line_without_the_line_pattern(self, ways, monkeypatch):
+        text = WRITTEN["case12_registry"] + LAST_LINE["relative IRI"] + "\n"
+        last = text.count("\n")
+        matched = []
+
+        class Spy:
+            def fullmatch(self, line, pattern=ntriples._LINE):
+                matched.append(line)
+                return pattern.fullmatch(line)
+
+        monkeypatch.setattr(ntriples, "_LINE", Spy())
+        with pytest.raises(ParseError) as err:
+            parse_ntriples(text)
+        assert (err.value.line, err.value.column) == (last, 35)
+        assert ways == [False] and matched == [LAST_LINE["relative IRI"]]
+
+    def test_flaws_at_random_lines_read_as_the_line_pattern_reads_them(self):
+        rng = random.Random(31)
+        for i in range(250):
+            lines, names = flawed(rng)
+            for end in ("\n", "\r\n"):
+                text = end.join(lines) + end
+                assert read_outcome(parse_ntriples, text) == read_outcome(parse_every_line, text), (
+                    i,
+                    names,
+                    end,
+                )
 
 
 class TestRoundTrip:
