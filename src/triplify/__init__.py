@@ -10,10 +10,7 @@ mapping, synthetic data) exercises the whole chain.
 from .convert import (
     ConversionReport,
     SkippedTerm,
-    apply_triples_map,
     convert,
-    expand_template,
-    generate_term,
     iri_safe_encode,
 )
 from .errors import TriplifyError
@@ -100,15 +97,12 @@ __all__ = [
     "Var",
     "Violation",
     "VocabularyTerm",
-    "apply_triples_map",
     "builtin_shapes",
     "builtin_vocabulary",
     "bundled_mapping",
     "convert",
     "execute",
-    "expand_template",
     "generate_synthetic",
-    "generate_term",
     "iri_safe_encode",
     "load_csv",
     "load_shapes",

@@ -1,5 +1,11 @@
 """Apply a mapping to tables, producing the graph and a conversion report.
 
+`convert` is the one way a mapping runs. It first checks the mapping
+against the tables' columns by `validate_mapping`, the one rule for what
+a mapping reads from its tables, and raises ValidationFailedError naming
+every problem before it reads a row. After that check the plan reads a
+table as `tables[name]` and checks no column.
+
 Dirty cells never abort a conversion: a term that cannot be produced
 (NULL input, bad lexical form, invalid IRI) is skipped and logged in the
 report, and the remaining terms of the row still convert. The output
@@ -22,11 +28,11 @@ conversion, with no term object made, and a column is spelt, not a row:
 the distinct source cells of the rows the conversion's term table lacks
 go, in first-seen order, through a speller compiled once per term map,
 and their spellings into the graph by one bulk intern. That speller is
-the one rule from source cells to a term; `generate_term` follows it
-too. A value it cannot spell gives back its error, and each row whose
-cells are NULL or failed logs its skip from that result, so no row is
-spelt twice. A NULL in any cell a term map reads makes no term, whatever
-the other cells hold (R2RML, W3C 2012, 7.3).
+the one rule from source cells to a term. A value it cannot spell gives
+back its error, and each row whose cells are NULL or failed logs its
+skip from that result, so no row is spelt twice. A NULL in any cell a
+term map reads makes no term, whatever the other cells hold (R2RML, W3C
+2012, 7.3).
 
 A template fills by its `str.format` pattern, `Template._pattern`, the
 one expansion rule. R2RML (W3C 2012, 7.3) percent-encodes a template's
@@ -52,11 +58,10 @@ from typing import Callable, Iterator, Optional, Sequence
 from .errors import (
     CsvError,
     MappingError,
-    MissingColumnError,
     TriplifyError,
     ValidationFailedError,
 )
-from .graph import Graph, Key, _term_of
+from .graph import Graph, Key
 from .r2rml import (
     MappingDocument,
     Template,
@@ -72,7 +77,6 @@ from .terms import (
     RDF_LANGSTRING,
     RDF_TYPE,
     XSD_STRING,
-    Term,
     check_iri,
     literal_text,
 )
@@ -112,25 +116,6 @@ def iri_safe_encode(text: str) -> str:
     return _NOT_IUNRESERVED.sub(_percent_encode, text)
 
 
-def expand_template(template: Template, row: Row, kind: str = "IRI") -> Optional[str]:
-    """Fill a template from a row; None when any referenced cell is NULL.
-
-    Substituted values are IRI-safe percent-encoded when kind is "IRI"
-    and copied verbatim otherwise.
-    """
-    values: list[str] = []
-    encode = kind == "IRI"
-    for column in template.columns():
-        try:
-            cell = row[column]
-        except KeyError:
-            raise MissingColumnError(column) from None
-        if cell is None:
-            return None
-        values.append(iri_safe_encode(cell) if encode else cell)
-    return template._pattern.format(*values)
-
-
 # the characters a blank node label escapes
 _NOT_LABEL_SAFE = re.compile(r"[^A-Za-z0-9]")
 
@@ -160,30 +145,6 @@ def _spell(text: str, tm: TermMap) -> str:
     if tm.language is not None:
         return literal_text(text, RDF_LANGSTRING.value, tm.language)
     return literal_text(text, (tm.datatype or XSD_STRING).value)
-
-
-def generate_term(tm: TermMap, row: Row) -> Optional[Term]:
-    """Produce the term a term map yields for one row.
-
-    Returns tm's constant, if it has one. Raises MissingColumnError for a
-    column the row lacks, returns None when a referenced cell is NULL,
-    and raises on data that cannot form the requested term (bad lexical
-    form, invalid IRI). The term is the one `convert` makes: the row's
-    cells go through tm's speller (`_speller`) as a batch of one.
-    """
-    if tm.constant is not None:
-        return tm.constant
-    columns = tm.source_columns()
-    try:
-        cells = tuple(row[c] for c in columns)
-    except KeyError as exc:
-        raise MissingColumnError(exc.args[0]) from None
-    if None in cells:
-        return None
-    (spelling,) = _speller(tm)([cells[0] if len(cells) == 1 else cells])
-    if isinstance(spelling, TriplifyError):
-        raise spelling
-    return _term_of(spelling)
 
 
 def _settled(template: Template) -> bool:
@@ -337,8 +298,10 @@ def _nones(ids: list[Optional[int]]) -> Iterator[int]:
 
 def _column(tm: TermMap, g: Graph, terms: TermTable, map_id: str, what: str) -> Column:
     """tm compiled over the term table: a row whose source cells were met
-    before gets the ID of the term spelt then, which generate_term, a pure
-    function of tm and those cells, would make again.
+    before gets the ID of the term spelt then, which `_speller`, a pure
+    function of tm and those cells, would spell again. Every column tm
+    reads is one its table has: `convert` has checked that by
+    `validate_mapping`, and `_cells` names a row added later that lacks it.
 
     The other rows' distinct source cells with no NULL among them are
     spelt in one batch (`_speller`), in first-seen order, and the
@@ -392,20 +355,6 @@ def _made(ids: list[Optional[int]], *aligned: list) -> list[list]:
     return [list(compress(column, made)) for column in (ids, *aligned)]
 
 
-def _table(tables: dict[str, TableSource], tm: TriplesMap) -> TableSource:
-    table = tables.get(tm.logical_table)
-    if table is None:
-        raise MappingError(f"logical table {tm.logical_table!r} was not provided")
-    return table
-
-
-def _require_columns(table: TableSource, columns: list[str]) -> None:
-    """Raise MissingColumnError for the first of columns that table lacks."""
-    for c in columns:
-        if c not in table.columns:
-            raise MissingColumnError(c)
-
-
 def _join_values(columns: list[str], rows: list[Row], rownums: Sequence[int]) -> list[tuple]:
     """Each row's values in columns, as a tuple; None where a cell is NULL."""
     get = itemgetter(*columns)
@@ -429,26 +378,6 @@ def _join_table(
     return ids
 
 
-def apply_triples_map(
-    tm: TriplesMap,
-    tables: dict[str, TableSource],
-    g: Graph,
-    report: ConversionReport,
-) -> None:
-    """Run one triples map over its logical table, inserting into g.
-
-    A join is planned as a table from each parent row's join values to
-    its subject's ID, made for every parent row with no NULL join value;
-    a reference with no join condition makes the parent's subject from
-    the row itself. A parent subject that cannot be made gives no edge,
-    and the parent's own map logs it. A column the map reads that its
-    table lacks raises MissingColumnError before any triple is inserted
-    or any skip logged, whatever the rows hold.
-    """
-    report.rows_read += len(_table(tables, tm).rows)
-    _apply_triples_map(tm, tables, g, report, {})
-
-
 def _apply_triples_map(
     tm: TriplesMap,
     tables: dict[str, TableSource],
@@ -456,12 +385,15 @@ def _apply_triples_map(
     report: ConversionReport,
     terms: TermTable,
 ) -> None:
-    """apply_triples_map, making its terms through the conversion's term
+    """Run one triples map of a validated mapping over its logical table,
+    inserting into g and making its terms through the conversion's term
     table, one column at a time.
 
-    First the plan: each term map is compiled once, and a column it reads
-    that its table lacks raises MissingColumnError, as does a join column
-    its table lacks, before any triple is inserted or any skip logged.
+    First the plan: each term map is compiled once, and each join's
+    parent subjects are made once, into a table from each parent row's
+    join values to its subject's ID; a reference with no join condition
+    makes the parent's subject from the row itself. A parent subject that
+    cannot be made gives no edge, and the parent's own map logs it.
     Then the subject column, and rows whose subject was skipped are
     dropped. Then each predicate-object map makes its predicate column,
     drops the rows whose predicate was skipped, makes its object column
@@ -469,40 +401,28 @@ def _apply_triples_map(
     log their skips one after another; a stable sort on row number puts
     them in row order, and within a row in term-map order.
     """
-    table = _table(tables, tm)
+    table = tables[tm.logical_table]
     map_id = tm.id.to_ntriples()
-
-    def compiled(term_map: TermMap, what: str, source: TableSource) -> Column:
-        _require_columns(source, term_map.source_columns())
-        return _column(term_map, g, terms, map_id, what)
 
     def unlogged(column: Column) -> Column:
         """column with its skips dropped: the parent's own map logs them."""
         return lambda rows, rownums, log: column(rows, rownums, [])
 
     # plan: each term map compiled once, each join's parent subjects made once
-    subject_of = compiled(tm.subject_map, "subject", table)
+    subject_of = _column(tm.subject_map, g, terms, map_id, "subject")
     poms = []
     for pom in tm.predicate_object_maps:
-        predicate_of = compiled(pom.predicate, "predicate", table)
+        predicate_of = _column(pom.predicate, g, terms, map_id, "predicate")
         rom = pom.object
         if isinstance(rom, TermMap):
-            poms.append((predicate_of, compiled(rom, "object", table), None))
+            poms.append((predicate_of, _column(rom, g, terms, map_id, "object"), None))
             continue
-        parent = _table(tables, rom.parent)
-        if not rom.joins and rom.parent.logical_table != tm.logical_table:
-            raise MappingError(
-                f"reference to {rom.parent.id.to_ntriples()} has no join condition "
-                f"and a different logical table"
-            )
-        parent_of = compiled(rom.parent.subject_map, "subject", parent)
+        parent_of = _column(rom.parent.subject_map, g, terms, map_id, "subject")
         if not rom.joins:
             poms.append((predicate_of, unlogged(parent_of), None))
             continue
-        child_columns = [cc for cc, _ in rom.joins]
-        _require_columns(table, child_columns)
-        _require_columns(parent, [pc for _, pc in rom.joins])
-        join = (child_columns, _join_table(rom.joins, parent.rows, parent_of))
+        parent_rows = tables[rom.parent.logical_table].rows
+        join = ([cc for cc, _ in rom.joins], _join_table(rom.joins, parent_rows, parent_of))
         poms.append((predicate_of, None, join))
     classes = tuple(g._intern(c.to_ntriples()) for c in tm.subject_classes)
     rdf_type = g._intern(RDF_TYPE.to_ntriples()) if classes else None
@@ -538,7 +458,11 @@ def _apply_triples_map(
 def convert(
     m: MappingDocument, tables: dict[str, TableSource]
 ) -> tuple[Graph, ConversionReport]:
-    """Run every triples map; requires a validation pass with zero errors.
+    """Run every triples map of m over tables, the one way a mapping runs.
+
+    m is first checked against the tables' columns by `validate_mapping`;
+    if it reports any error, ValidationFailedError names every one before
+    a row is read.
 
     Each distinct term (term map, source cells) is spelt once per call;
     the graph is handed its ID, which every triples map that makes it

@@ -123,12 +123,6 @@ class DuplicateHeaderError(CsvError):
 
 # --- conversion ------------------------------------------------------------
 
-class MissingColumnError(TriplifyError):
-    def __init__(self, column: str):
-        self.column = column
-        super().__init__(f"row has no column {column!r}")
-
-
 class ValidationFailedError(TriplifyError):
     """convert() was called while validate_mapping still reports errors."""
 

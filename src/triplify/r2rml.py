@@ -125,15 +125,6 @@ class Template:
     def columns(self) -> list[str]:
         return [s.value for s in self.segments if s.is_column]
 
-    def unparse(self) -> str:
-        parts = []
-        for seg in self.segments:
-            if seg.is_column:
-                parts.append("{" + seg.value + "}")
-            else:
-                parts.append(seg.value.replace("{", "\\{").replace("}", "\\}"))
-        return "".join(parts)
-
 
 # A column reference, an escaped brace, a stray brace, or literal text.
 _TEMPLATE_PART = re.compile(r"\{([^{}]*)\}|\\([{}])|([{}])|([^\\{}]+|\\)")
@@ -226,12 +217,6 @@ class MappingDocument:
     prefixes: PrefixMap
     source_name: str = ""
     warnings: list[str] = field(default_factory=list)
-
-    def map_by_id(self, term: Term) -> TriplesMap:
-        for tm in self.triples_maps:
-            if tm.id == term:
-                return tm
-        raise KeyError(term)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -486,10 +471,18 @@ class Diagnostic:
 def validate_mapping(
     m: MappingDocument, available_columns: dict[str, set[str]]
 ) -> list[Diagnostic]:
-    """Check a mapping against the tables it will run on.
+    """Check a mapping against the tables it will run on: the one rule for
+    what a mapping reads from its tables.
+
+    Each map's logical table must be provided, and every column its term
+    maps and join conditions read must be one of that table's. A parent
+    triples map that is not one of `m.triples_maps`, reachable only
+    through a reference, is checked at that reference: its logical table,
+    and its subject map's columns, are errors of the referring map. A
+    parent in the document is checked as its own map.
 
     Errors block conversion; warnings do not. An empty error set is the
-    precondition of convert().
+    precondition of convert(), which reads no row until it holds.
     """
     out: list[Diagnostic] = []
     used_tables: set[str] = set()
@@ -525,6 +518,11 @@ def validate_mapping(
                 rom = pom.object
                 parent_table = rom.parent.logical_table
                 used_tables.add(parent_table)
+                if not any(rom.parent is other for other in m.triples_maps):
+                    if parent_table not in available_columns:
+                        err(tm_id, f"logical table {parent_table!r} was not provided")
+                    parent_subject = rom.parent.subject_map
+                    check_columns(tm_id, parent_table, parent_subject, "parent subject map")
                 parent_cols = available_columns.get(parent_table)
                 child_cols = available_columns.get(tm.logical_table)
                 if not rom.joins and parent_table != tm.logical_table:

@@ -353,10 +353,6 @@ class Triple:
         if not isinstance(self.o, (Iri, BlankNode, Literal)):
             raise TriplifyError(f"bad object: {self.o!r}")
 
-    def to_line(self) -> str:
-        """The N-Triples line for this triple (no trailing newline)."""
-        return f"{self.s.to_ntriples()} {self.p.to_ntriples()} {self.o.to_ntriples()} ."
-
 
 class PrefixMap:
     """Mutable prefix-to-namespace registry with CURIE expansion.
@@ -394,15 +390,6 @@ class PrefixMap:
         out = PrefixMap()
         out._entries.update(self._entries)
         return out
-
-    def items(self):
-        return self._entries.items()
-
-    def __contains__(self, prefix: str) -> bool:
-        return prefix in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrefixMap) and self._entries == other._entries

@@ -1,7 +1,8 @@
 """Independent result oracles the engine is checked against.
 
-The reference serializer spells each triple through `Triple.to_line`
-and sorts the lines; it shares no code with the term-ID writer.
+The reference serializer spells each triple's line from its terms'
+`to_ntriples`, by `line_of`, and sorts the lines; it shares no code
+with the term-ID writer.
 
 The reference CSV reader reads every text, quoted or not, with the one
 field pattern `tabular` keeps for texts that hold a `"`.
@@ -14,9 +15,10 @@ it shares no term-reading code with the engine's reader.
 
 The reference conversion makes every term afresh, on every row, with
 `make_term`: it keeps no table of terms already made. `make_term` fills
-a template by the public `expand_template` and makes the term by its
-`Iri`, `BlankNode` or `Literal` constructor, with its own blank node
-label rule, so it shares no term-making code with the engine's speller;
+a template by its own code, `fill`, one character at a time, and makes
+the term by its `Iri`, `BlankNode` or `Literal` constructor, with its
+own blank node label rule, so it shares no term-making code with the
+engine's speller, neither the template's pattern nor its percent-encoding;
 `term_or_skip` logs what it cannot make. The reference column spells a
 term map's column a row at a time, interning each new term's spelling
 as it is made, which fixes the term IDs a conversion hands out.
@@ -39,12 +41,11 @@ import itertools
 import re
 from decimal import Decimal
 
-from triplify import BlankNode, Graph, Iri, Literal, TableSource, Triple, expand_template
+from triplify import BlankNode, Graph, Iri, Literal, TableSource, Triple
 from triplify.convert import ConversionReport, SkippedTerm
 from triplify.errors import (
     CsvError,
     MappingError,
-    MissingColumnError,
     ParseError,
     RaggedRowError,
     TriplifyError,
@@ -113,10 +114,15 @@ def load_every_field(text: str, name: str = "") -> TableSource:
     return table
 
 
+def line_of(t: Triple) -> str:
+    """t's N-Triples line, without its newline."""
+    return f"{t.s.to_ntriples()} {t.p.to_ntriples()} {t.o.to_ntriples()} ."
+
+
 def serialize_every_line(g: Graph) -> str:
     """What `serialize_ntriples` gives: every triple's own line, sorted,
     each ended by a newline."""
-    return "".join(line + "\n" for line in sorted(t.to_line() for t in g))
+    return "".join(line + "\n" for line in sorted(map(line_of, g)))
 
 
 def term_of(raw: str, lineno: int, column: int, datatypes: dict[str, Iri]) -> Term:
@@ -200,23 +206,53 @@ def _label(text: str) -> str:
     return "".join(parts)
 
 
+# RFC 3987 ucschar, range by range as the RFC lists them
+_UCSCHAR = [(0xA0, 0xD7FF), (0xF900, 0xFDCF), (0xFDF0, 0xFFEF)]
+_UCSCHAR += [(plane * 0x10000, plane * 0x10000 + 0xFFFD) for plane in range(1, 14)]
+_UCSCHAR += [(0xE1000, 0xEFFFD)]
+
+
+def _iri_safe(c: str) -> str:
+    """c as an IRI template's cell holds it: kept when RFC 3987 iunreserved
+    (an ASCII letter or digit, `-._~`, or ucschar), else its UTF-8 bytes
+    as `%XX` in uppercase hex."""
+    if c.isascii() and (c.isalnum() or c in "-._~"):
+        return c
+    if any(lo <= ord(c) <= hi for lo, hi in _UCSCHAR):
+        return c
+    if _LONE_SURROGATE.fullmatch(c):
+        raise TriplifyError(f"cannot encode lone surrogate {c!r}")
+    return "".join(f"%{b:02X}" for b in c.encode("utf-8"))
+
+
+def fill(tm: TermMap, row) -> str:
+    """tm's template filled from row, none of whose cells is NULL: each
+    constant segment as it is, and each column's cell, in an IRI map each
+    of its characters made IRI-safe by `_iri_safe` (R2RML 7.3)."""
+    parts = []
+    for seg in tm.template.segments:
+        if not seg.is_column:
+            parts.append(seg.value)
+        elif tm.term_kind == "IRI":
+            parts.extend(map(_iri_safe, row[seg.value]))
+        else:
+            parts.append(row[seg.value])
+    return "".join(parts)
+
+
 def make_term(tm: TermMap, row) -> Term | None:
-    """What `generate_term` makes: tm's constant; else MissingColumnError
-    for a column row lacks, None when any cell tm reads is NULL (R2RML
-    7.3), and otherwise the term its constructor makes from the column's
-    cell or the filled template, raising what that constructor raises."""
+    """The term `convert` makes by tm from row: tm's constant; else None
+    when any cell tm reads is NULL (R2RML 7.3), and otherwise the term
+    its constructor makes from the column's cell or the filled template,
+    raising what that constructor raises."""
     if tm.constant is not None:
         return tm.constant
-    columns = tm.source_columns()
-    for c in columns:
-        if c not in row:
-            raise MissingColumnError(c)
-    if any(row[c] is None for c in columns):
+    if any(row[c] is None for c in tm.source_columns()):
         return None
     if tm.column is not None:
         text = row[tm.column]
     elif tm.template is not None:
-        text = expand_template(tm.template, row, tm.term_kind)
+        text = fill(tm, row)
     else:
         raise MappingError("term map has no constant, column or template")
     if tm.term_kind == "IRI":
@@ -231,13 +267,10 @@ def make_term(tm: TermMap, row) -> Term | None:
 def term_or_skip(tm: TermMap, row, log: list, map_id: str, rownum: int, what: str):
     """The term `make_term` makes for row, or None with its skip logged:
     a NULL input at the first NULL column, or the error at the column
-    that holds a lone surrogate, else at the first column read. A missing
-    column is raised, not logged."""
+    that holds a lone surrogate, else at the first column read."""
     columns = tm.source_columns()
     try:
         term = make_term(tm, row)
-    except MissingColumnError:
-        raise
     except TriplifyError as exc:
         blamed = [c for c in columns if _LONE_SURROGATE.search(row[c])] or columns or [""]
         log.append(SkippedTerm(map_id, rownum, blamed[0], f"{what}: {exc}"))
@@ -301,8 +334,6 @@ def convert_every_row(m, tables) -> tuple[Graph, ConversionReport]:
                 for prow in prows:
                     try:
                         obj = make_term(rom.parent.subject_map, prow)
-                    except MissingColumnError:
-                        raise
                     except TriplifyError:
                         continue
                     if obj is not None:

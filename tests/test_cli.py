@@ -577,6 +577,19 @@ class TestEveryCommandInANewProcess:
         csv = [str(work / "tables" / f"{table}.csv") for table in tables]
         return ["convert", str(work / mapping), *csv]
 
+    def test_a_mapping_column_the_table_lacks_exits_1_and_names_it(self, work, tmp_path):
+        # the check runs before a row is read: no output file is written
+        text = bundled_mapping_text()
+        assert text.count('rr:column "AGE"') == 1
+        mapping = tmp_path / "ages.ttl"
+        mapping.write_text(text.replace('rr:column "AGE"', 'rr:column "AGES"'), encoding="utf-8")
+        out = tmp_path / "ages.nt"
+        argv = ["convert", str(mapping), *self.convert_argv(work, "mapping.ttl")[2:]]
+        result = run_module(argv + ["-o", str(out)])
+        assert result.returncode == 1
+        assert not out.exists()
+        assert "object map references column 'AGES' absent from table 'PATIENT'" in result.stderr
+
     def test_convert_is_the_same_under_two_hash_seeds(self, work):
         for name in ("graph{}.nt", "skipped{}.tsv"):
             assert (work / name.format(1)).read_bytes() == (work / name.format(2)).read_bytes()

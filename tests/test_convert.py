@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import re
 
 import pytest
 
@@ -15,10 +16,9 @@ from triplify import (
     Triple,
     bundled_mapping,
     convert,
-    expand_template,
     generate_synthetic,
-    generate_term,
     iri_safe_encode,
+    load_csv,
     merge,
     parse_mapping,
     parse_ntriples,
@@ -26,22 +26,15 @@ from triplify import (
     parse_turtle,
     serialize_ntriples,
 )
-from triplify.convert import ConversionReport, apply_triples_map
-from triplify.errors import (
-    CsvError,
-    LexicalFormMismatchError,
-    MappingError,
-    MissingColumnError,
-    RelativeIriError,
-    TriplifyError,
-    ValidationFailedError,
-)
+from triplify.convert import ConversionReport
+from triplify.errors import CsvError, MappingError, TriplifyError, ValidationFailedError
 from triplify.r2rml import (
     MappingDocument,
     PredicateObjectMap,
     RefObjectMap,
     TermMap,
     TriplesMap,
+    validate_mapping,
 )
 from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_INTEGER, check_iri
 
@@ -88,73 +81,108 @@ class TestIriSafeEncode:
             iri_safe_encode(text)
 
 
+def made(tm, row):
+    """The term convert makes by tm from the one row, or its skip's reason:
+    tm is the object of the one map of a document over T, whose columns
+    are the row's, under a constant subject and predicate."""
+    pom = PredicateObjectMap(TermMap(term_kind="IRI", constant=Iri(EX + "p")), tm)
+    sm = TermMap(term_kind="IRI", constant=Iri(EX + "s"))
+    tmap = TriplesMap(Iri(EX + "M"), "T", sm, predicate_object_maps=[pom])
+    m = MappingDocument([tmap], PrefixMap())
+    g, report = convert(m, {"T": TableSource("T", tuple(row), [row])})
+    if report.skipped_terms:
+        (skip,) = report.skipped_terms
+        return skip.reason
+    (t,) = g
+    return t.o
+
+
+def assert_fails_validation(m, tables, message):
+    """validate_mapping reports message as an error of m over tables, and
+    convert refuses to run m, naming it."""
+    available = {name: set(t.columns) for name, t in tables.items()}
+    errors = [d.message for d in validate_mapping(m, available) if d.severity == "error"]
+    assert message in errors
+    with pytest.raises(ValidationFailedError, match=re.escape(message)):
+        convert(m, tables)
+
+
+def map_by_id(m, term):
+    """The triples map of m whose node is term."""
+    (tm,) = [tm for tm in m.triples_maps if tm.id == term]
+    return tm
+
+
 class TestExpandTemplate:
+    """A template filled from a row, as a one-row conversion fills it."""
+
     def test_basic(self):
-        t = parse_template("http://e.org/patient/{ID}")
-        assert expand_template(t, {"ID": "7"}) == "http://e.org/patient/7"
+        tm = TermMap(term_kind="IRI", template=parse_template("http://e.org/patient/{ID}"))
+        assert made(tm, {"ID": "7"}) == Iri("http://e.org/patient/7")
 
     def test_iri_kind_percent_encodes(self):
-        t = parse_template("http://e.org/patient/{ID}")
-        assert expand_template(t, {"ID": "a b"}, "IRI") == "http://e.org/patient/a%20b"
+        tm = TermMap(term_kind="IRI", template=parse_template("http://e.org/patient/{ID}"))
+        assert made(tm, {"ID": "a b"}) == Iri("http://e.org/patient/a%20b")
 
     def test_literal_kind_copies_verbatim(self):
-        t = parse_template("{A}-{B}")
-        assert expand_template(t, {"A": "a b", "B": "c/d"}, "Literal") == "a b-c/d"
+        tm = TermMap(term_kind="Literal", template=parse_template("{A}-{B}"))
+        assert made(tm, {"A": "a b", "B": "c/d"}) == Literal("a b-c/d")
 
     def test_null_propagates(self):
-        t = parse_template("http://e.org/patient/{ID}")
-        assert expand_template(t, {"ID": None}) is None
+        tm = TermMap(term_kind="IRI", template=parse_template("http://e.org/patient/{ID}"))
+        assert made(tm, {"ID": None}) == "object: NULL input"
 
     def test_missing_column(self):
-        t = parse_template("{NOPE}")
-        with pytest.raises(MissingColumnError):
-            expand_template(t, {"ID": "1"})
+        tm = TermMap(term_kind="IRI", template=parse_template("{NOPE}"))
+        with pytest.raises(ValidationFailedError, match="column 'NOPE' absent from table 'T'"):
+            made(tm, {"ID": "1"})
 
 
 class TestGenerateTerm:
+    """The term a term map makes from one row, as a one-row conversion makes it."""
+
     def test_integer_column(self):
         tm = TermMap(term_kind="Literal", column="AGE", datatype=XSD_INTEGER)
-        assert generate_term(tm, {"AGE": "63"}) == Literal("63", XSD_INTEGER)
+        assert made(tm, {"AGE": "63"}) == Literal("63", XSD_INTEGER)
 
     def test_impossible_date_rejected(self):
         tm = TermMap(term_kind="Literal", column="RT_START", datatype=XSD_DATE)
-        with pytest.raises(LexicalFormMismatchError):
-            generate_term(tm, {"RT_START": "2020-02-30"})
+        assert made(tm, {"RT_START": "2020-02-30"}) == (
+            "object: '2020-02-30' is not a valid lexical form for <%s>" % XSD_DATE.value
+        )
 
     def test_constant_ignores_row(self):
         patient = Iri("http://purl.obolibrary.org/obo/NCIT_C16960")
         tm = TermMap(term_kind="IRI", constant=patient)
-        assert generate_term(tm, {"anything": None}) is patient
+        assert made(tm, {"anything": None}) == patient
 
     def test_null_column_absent(self):
         tm = TermMap(term_kind="Literal", column="AGE")
-        assert generate_term(tm, {"AGE": None}) is None
+        assert made(tm, {"AGE": None}) == "object: NULL input"
 
     def test_iri_from_column_validated(self):
         tm = TermMap(term_kind="IRI", column="URL")
-        assert generate_term(tm, {"URL": "http://e.org/x"}) == Iri("http://e.org/x")
-        with pytest.raises(RelativeIriError):
-            generate_term(tm, {"URL": "no-scheme"})
+        assert made(tm, {"URL": "http://e.org/x"}) == Iri("http://e.org/x")
+        assert made(tm, {"URL": "no-scheme"}) == "object: not an absolute IRI: 'no-scheme'"
 
     def test_blank_node_label_sanitized(self):
         tm = TermMap(term_kind="BlankNode", column="ID")
-        assert generate_term(tm, {"ID": "a b/c"}) == BlankNode("a_20b_2Fc")
+        assert made(tm, {"ID": "a b/c"}) == BlankNode("a_20b_2Fc")
 
     def test_blank_node_label_injective(self):
         tm = TermMap(term_kind="BlankNode", column="ID")
         cells = ["a-b", "a_b", "a.b", "\u00e9", "\u00fc"]
-        labels = [generate_term(tm, {"ID": cell}).label for cell in cells]
+        labels = [made(tm, {"ID": cell}).label for cell in cells]
         assert labels == ["a_2Db", "a_5Fb", "a_2Eb", "_C3A9", "_C3BC"]
 
     def test_blank_node_label_lone_surrogate_is_a_triplify_error(self):
         tm = TermMap(term_kind="BlankNode", column="ID")
-        with pytest.raises(TriplifyError, match="surrogate"):
-            generate_term(tm, {"ID": "a\ud800"})
+        assert made(tm, {"ID": "a\ud800"}) == "object: cannot encode lone surrogate '\\ud800'"
 
     def test_random_maps_and_cells_as_the_reference(self):
         # NULLs, lone surrogates, cells that need encoding and bad lexical
         # forms, under every shape the speller compiles, and rows that lack
-        # a column
+        # a column, which fail validation
         rng = random.Random(28)
         for _ in range(200):
             (tm,) = speller_mapping(rng).triples_maps
@@ -164,16 +192,17 @@ class TestGenerateTerm:
             if rng.random() < 0.2:
                 del row[rng.choice("AB")]
             for term_map in maps:
-                want = outcome(make_term, term_map, row)
-                assert outcome(generate_term, term_map, row) == want, (term_map, row)
-
-
-def outcome(make, tm, row):
-    """make(tm, row), or the type and message of the TriplifyError it raises."""
-    try:
-        return make(tm, row)
-    except TriplifyError as exc:
-        return type(exc), str(exc)
+                missing = [c for c in term_map.source_columns() if c not in row]
+                if missing:
+                    with pytest.raises(ValidationFailedError, match=f"column {missing[0]!r}"):
+                        made(term_map, row)
+                    continue
+                try:
+                    want = make_term(term_map, row)
+                except TriplifyError as exc:
+                    want = f"object: {exc}"
+                want = "object: NULL input" if want is None else want
+                assert made(term_map, row) == want, (term_map, row)
 
 
 CANDIDATE_MAPPING = """
@@ -197,14 +226,14 @@ def candidate_mapping():
 
 
 class TestApplyTriplesMap:
+    """One triples map applied to its table, by converting a one-map document."""
+
     def test_hand_expansion_oracle(self):
         # expected graph written down before the engine existed
         table = TableSource(
             "PATIENT", ("ID", "AGE"), [{"ID": "1", "AGE": "63"}, {"ID": "2", "AGE": None}]
         )
-        g = Graph()
-        report = ConversionReport()
-        apply_triples_map(candidate_mapping().triples_maps[0], {"PATIENT": table}, g, report)
+        g, report = convert(candidate_mapping(), {"PATIENT": table})
         expected = Graph(
             [
                 Triple(Iri(EX + "patient/1"), RDF_TYPE, Iri(EX + "Patient")),
@@ -316,15 +345,17 @@ class TestReferences:
         # the missing site is logged once, by the site map's own pass
         assert report.skipped_log() == "<http://ex.org/SiteMap>\t3\tSITE\tsubject: NULL input\n"
 
-    def test_no_join_condition_across_tables_is_a_mapping_error(self):
+    def test_no_join_condition_across_tables_fails_validation(self):
         m = self.mapping()
-        patient_map = m.map_by_id(Iri(EX + "PatientMap"))
+        patient_map = map_by_id(m, Iri(EX + "PatientMap"))
         (site,) = [p for p in patient_map.predicate_object_maps if not p.object.joins]
-        site.object.parent = m.map_by_id(Iri(EX + "TreatmentMap"))
-        with pytest.raises(MappingError, match="no join condition"):
-            apply_triples_map(
-                patient_map, reference_tables([], []), Graph(), ConversionReport()
-            )
+        site.object.parent = map_by_id(m, Iri(EX + "TreatmentMap"))
+        assert_fails_validation(
+            m,
+            reference_tables([], []),
+            "reference to <http://ex.org/TreatmentMap> needs a join condition: "
+            "parent table 'TREATMENT' differs from 'PATIENT'",
+        )
 
     def test_null_join_key_joins_nothing(self):
         tables = reference_tables(
@@ -378,11 +409,9 @@ class TestReferences:
         columns = tuple(c for c in source.columns if c != column)
         rows = [{c: row[c] for c in columns} for row in source.rows]
         tables[table] = TableSource(table, columns, rows)
-        g, report = Graph(), ConversionReport()
-        patient_map = self.mapping().map_by_id(Iri(EX + "PatientMap"))
-        with pytest.raises(MissingColumnError, match=repr(column)):
-            apply_triples_map(patient_map, tables, g, report)
-        assert len(g) == 0 and report.skipped_terms == []
+        side = "child" if table == "PATIENT" else "parent"
+        message = f"join {side} column {column!r} absent from {table!r}"
+        assert_fails_validation(self.mapping(), tables, message)
 
     @pytest.mark.parametrize(
         "table, column", [("PATIENT", "ID"), ("PATIENT", "KEY"), ("TREATMENT", "TID"), ("TREATMENT", "PATIENT_KEY")]
@@ -399,14 +428,10 @@ class TestReferences:
         with pytest.raises(CsvError, match="^row 2 does not match the table columns$"):
             convert(self.mapping(), tables)
 
-    def test_missing_parent_table_is_a_mapping_error(self):
-        m = self.mapping()
+    def test_missing_parent_table_fails_validation(self):
         tables = reference_tables([], [])
         del tables["TREATMENT"]
-        with pytest.raises(MappingError, match="'TREATMENT' was not provided"):
-            apply_triples_map(
-                m.map_by_id(Iri(EX + "PatientMap")), tables, Graph(), ConversionReport()
-            )
+        assert_fails_validation(self.mapping(), tables, "logical table 'TREATMENT' was not provided")
 
 
 PREDICATE_MAP_MAPPING = """
@@ -746,8 +771,8 @@ class TestTermTable:
 
     def test_a_missing_column_raises(self):
         m, tables = age_map([{"ID": "1"}, {"ID": "2"}], columns=("ID",))
-        with pytest.raises(MissingColumnError):
-            apply_triples_map(m.triples_maps[0], tables, Graph(), ConversionReport())
+        message = "object map references column 'AGE' absent from table 'PATIENT'"
+        assert_fails_validation(m, tables, message)
 
     @pytest.mark.parametrize(
         "rows",
@@ -762,11 +787,20 @@ class TestTermTable:
         # {A} is NULL on some or all rows, so no row's term needs {B}
         sm = TermMap(term_kind="IRI", template=parse_template("http://ex.org/{A}/{B}"))
         tm = TriplesMap(Iri(EX + "M"), "T", sm, subject_classes=[Iri(EX + "C")])
-        g, report = Graph(), ConversionReport()
-        with pytest.raises(MissingColumnError, match="'B'"):
-            apply_triples_map(tm, {"T": TableSource("T", ("A",), rows)}, g, report)
-        assert report.skipped_terms == []
-        assert len(g) == 0
+        m = MappingDocument([tm], PrefixMap())
+        message = "subject map references column 'B' absent from table 'T'"
+        assert_fails_validation(m, {"T": TableSource("T", ("A",), rows)}, message)
+
+    def test_an_empty_cell_makes_no_blank_node_label(self):
+        # a quoted empty field is "", not NULL: the label is what fails
+        sm = TermMap(term_kind="BlankNode", column="ID")
+        tm = TriplesMap(Iri(EX + "M"), "T", sm, subject_classes=[Iri(EX + "C")])
+        table = load_csv('ID\n""\nb\n', "T")
+        g, report = assert_as_every_row(MappingDocument([tm], PrefixMap()), {"T": table})
+        assert [(t.row, t.column, t.reason) for t in report.skipped_terms] == [
+            (1, "ID", "subject: blank node label came out empty")
+        ]
+        assert len(g) == 1
 
     def test_a_term_map_without_source_is_skipped_on_every_row(self):
         sm = TermMap(term_kind="IRI", template=parse_template("http://ex.org/{ID}"))
@@ -774,8 +808,7 @@ class TestTermTable:
         pom = PredicateObjectMap(TermMap(term_kind="IRI", constant=Iri(EX + "p")), no_source)
         tm = TriplesMap(Iri(EX + "M"), "T", sm, predicate_object_maps=[pom])
         table = TableSource("T", ("ID",), [{"ID": "1"}, {"ID": "1"}])
-        g, report = Graph(), ConversionReport()
-        apply_triples_map(tm, {"T": table}, g, report)
+        g, report = convert(MappingDocument([tm], PrefixMap()), {"T": table})
         assert len(g) == 0
         assert [(t.row, t.column) for t in report.skipped_terms] == [(1, ""), (2, "")]
 
@@ -839,15 +872,18 @@ class TestTermTable:
                 [{"TID": None, "PATIENT_KEY": "k"}, {"TID": "a", "PATIENT_KEY": "k"}],
             ),
         }
-        g, report = Graph(), ConversionReport()
-        apply_triples_map(child, tables, g, report)
+        m = MappingDocument([child], PrefixMap())
+        g, report = convert(m, tables)
         assert list(g) == [Triple(Iri(EX + "p/1"), Iri(EX + "has"), Iri(EX + "t/a"))]
         assert report.rows_read == 2 and report.skipped_terms == []
-        # a parent table without the parent subject's column raises, even
-        # when no child row joins
+        # the parent is checked at the reference: a parent table without
+        # the parent subject's column fails, even when no child row
+        # joins, and so does a parent table that was not provided
         tables["T"] = TableSource("T", ("PATIENT_KEY",), [{"PATIENT_KEY": "z"}])
-        with pytest.raises(MissingColumnError):
-            apply_triples_map(child, tables, Graph(), ConversionReport())
+        message = "parent subject map references column 'TID' absent from table 'T'"
+        assert_fails_validation(m, tables, message)
+        del tables["T"]
+        assert_fails_validation(m, tables, "logical table 'T' was not provided")
 
     def test_two_object_maps_failing_on_two_rows_log_in_row_then_map_order(self):
         sm = TermMap(term_kind="IRI", template=parse_template(EX + "{ID}"))
@@ -872,11 +908,11 @@ class TestTermTable:
     def test_maps_applied_to_a_graph_with_built_indexes_keep_them_whole(self):
         m, tables = bundled_mapping(), generate_synthetic(30, 1)
         g, report = Graph(), ConversionReport()
-        apply_triples_map(m.triples_maps[0], tables, g, report)
+        convert_module._apply_triples_map(m.triples_maps[0], tables, g, report, {})
         for pos in range(3):
             g._index(pos)
         for tm in m.triples_maps:  # the first again: every one of its triples is a duplicate
-            apply_triples_map(tm, tables, g, report)
+            convert_module._apply_triples_map(tm, tables, g, report, {})
         assert g == convert(m, tables)[0]
         fresh = merge([g])  # the same IDs, indexes built from the triples as they stand
         for pos in range(3):

@@ -103,7 +103,7 @@ class TestMatch:
             "g = random_graph(random.Random(5), 300)\n"
             "probe = next(iter(g))\n"
             "for t in list(g) + g.match() + g.match(p=probe.p) + g.match(o=probe.o):\n"
-            "    print(t.to_line())\n"
+            "    print(t.s.to_ntriples(), t.p.to_ntriples(), t.o.to_ntriples())\n"
         )
         here = Path(__file__).parent
         path = os.pathsep.join([str(here.parent / "src"), str(here)])

@@ -173,6 +173,14 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_ntriples('<http://a> <http://b> "1"^^ \t<rel> .')
         assert (err.value.line, err.value.column) == (1, 30)
+        # a tab-spaced first line: every line is read by the line pattern,
+        # and the comment and blank lines count
+        with pytest.raises(ParseError) as err:
+            parse_ntriples(
+                "<http://e.org/a>\t<http://e.org/p>\t<http://e.org/o> .\n# c\n\n"
+                "<http://e.org/a> <http://e.org/p> <rel> .\n"
+            )
+        assert (err.value.line, err.value.column) == (4, 35)
 
     def test_term_error_raises_where_that_term_first_occurs(self):
         # the lexical "x" is a good plain and tagged literal on lines 1-2
@@ -387,6 +395,9 @@ OTHER.update(
         "two labels as one text": f"{S} {P} {O} .\n{S} {P} _:a _:b .\n",
         "a lone quote": f"{S} {P} {O} .\n{S} {P} \" .\n",
         "an empty text": f"{S} {P} {O} .\n{S}  {O} .\n",
+        # the line pattern reads it, and the error's line is found past
+        # the comment and blank lines
+        "tabs, then a relative IRI": f"{S}\t{P}\t{O} .\n# c\n\n{S} {P} <rel> .\n",
     }
 )
 # Written documents but for their last line, so the whole loop runs
@@ -411,7 +422,13 @@ OTHER.update(
 # split cannot cut, and those with a line the split misreads, which the
 # line pattern then reads again; the split reads every other.
 UNCUT = {"tabs", "trailing comment", "leading and trailing spaces", "relative subject, missing dot"}
-MISREAD = {"double spaces", "blank touching predicate", "lone dot", "a comment line ending in ' .'"}
+MISREAD = {
+    "double spaces",
+    "blank touching predicate",
+    "lone dot",
+    "a comment line ending in ' .'",
+    "tabs, then a relative IRI",
+}
 
 
 @pytest.fixture

@@ -46,9 +46,12 @@ from triplify.r2rml import (
     RR_TABLE_NAME,
     RR_TEMPLATE,
     RefObjectMap,
+    TemplateSegment,
     _read_nodes,
 )
 from triplify.terms import RDF_LANGSTRING
+
+from oracles import line_of
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 RR = "@prefix rr: <http://www.w3.org/ns/r2rml#> .\n@prefix ex: <http://ex.org/> .\n"
@@ -110,9 +113,28 @@ class TestParseTemplate:
             parse_template(bad)
 
     def test_unparse_reparse_identity(self):
-        for text in ("http://e.org/{ID}", "{A}-{B}", "\\{{A}\\}", "a\\{b\\}c{X}"):
-            t = parse_template(text)
-            assert parse_template(t.unparse()) == t
+        # segments drawn at random, written as template text with each
+        # literal brace escaped, read back as drawn
+        rng = random.Random(12)
+        for _ in range(300):
+            segments = []
+            for _ in range(rng.randint(1, 6)):
+                if segments and not segments[-1].is_column or rng.random() < 0.5:
+                    name = "".join(rng.choices("AB :h\\", k=rng.randint(1, 3)))
+                    segments.append(TemplateSegment(name, True))
+                else:
+                    # a backslash before a column's `{` would escape it
+                    value = "".join(rng.choices("ab/-{}\\", k=rng.randint(1, 4)))
+                    segments.append(TemplateSegment(value.rstrip("\\") or "a", False))
+            if not any(seg.is_column for seg in segments):
+                segments.append(TemplateSegment("ID", True))
+            text = "".join(
+                "{" + seg.value + "}"
+                if seg.is_column
+                else seg.value.replace("{", "\\{").replace("}", "\\}")
+                for seg in segments
+            )
+            assert parse_template(text).segments == tuple(segments), text
 
 
 MINIMAL = RR + XSD + """
@@ -283,7 +305,7 @@ class TestParseMapping:
                 for _ in range(rng.randint(0, 40))
             )
             want, want_warnings, seen = {}, [], set()
-            for t in sorted(doc, key=Triple.to_line):  # the order of the lines
+            for t in sorted(doc, key=line_of):  # the order of the lines
                 want.setdefault(t.s, {}).setdefault(t.p, []).append(t.o)
                 if t.p in _IGNORED:
                     want_warnings.append(_IGNORED[t.p])
@@ -324,7 +346,7 @@ class TestParseMapping:
           rr:subjectMap [ rr:template "http://e.org/p/{ID}" ] .
         """
         m = mapping_of(text)
-        child = m.map_by_id(Iri("http://ex.org/Child"))
+        (child,) = [tm for tm in m.triples_maps if tm.id == Iri("http://ex.org/Child")]
         rom = child.predicate_object_maps[0].object
         assert isinstance(rom, RefObjectMap)
         assert rom.joins == (("PID", "ID"),)
@@ -590,6 +612,25 @@ class TestValidateMapping:
         diags = validate_mapping(mapping_of(text), {"C": {"ID", "PID"}, "P": {"ID"}})
         assert [str(d) for d in diags] == [
             "error: <http://ex.org/Child>: join child column 'NOPE' absent from 'C'"
+        ]
+
+    def test_a_parent_in_the_document_is_checked_once_as_its_own_map(self):
+        text = RR + """
+        ex:Child rr:logicalTable [ rr:tableName "C" ] ;
+          rr:subjectMap [ rr:template "http://e.org/c/{ID}" ] ;
+          rr:predicateObjectMap [
+            rr:predicate ex:link ;
+            rr:objectMap [
+              rr:parentTriplesMap ex:Parent ;
+              rr:joinCondition [ rr:child "PID" ; rr:parent "PK" ]
+            ]
+          ] .
+        ex:Parent rr:logicalTable [ rr:tableName "P" ] ;
+          rr:subjectMap [ rr:template "http://e.org/p/{ID}" ] .
+        """
+        diags = validate_mapping(mapping_of(text), {"C": {"ID", "PID"}, "P": {"PK"}})
+        assert [str(d) for d in diags] == [
+            "error: <http://ex.org/Parent>: subject map references column 'ID' absent from table 'P'"
         ]
 
     def test_joinless_cross_table_reference(self):

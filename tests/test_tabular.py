@@ -144,6 +144,7 @@ class TestQuoteFreeReader:
         "text",
         [
             "\ufeffID,AGE\n1,63\n",
+            '\ufeffID,NOTE\n1,"a,b"\n',  # a BOM before a text that holds a quote
             "ID,AGE\n1,63\n2,64\n",
             "ID,AGE\r\n1,63\r\n2,64\r\n",
             "ID,AGE\r1,63\r2,64\r",

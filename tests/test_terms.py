@@ -6,6 +6,7 @@ import pytest
 
 from triplify import (
     BlankNode,
+    Graph,
     Iri,
     Literal,
     PrefixMap,
@@ -273,9 +274,9 @@ class TestTriple:
 
     def test_line_rendering(self):
         t = Triple(Iri("http://e.org/s"), Iri("http://e.org/p"), Literal("63", XSD_INTEGER))
-        assert t.to_line() == (
+        assert serialize_ntriples(Graph([t])) == (
             '<http://e.org/s> <http://e.org/p> '
-            '"63"^^<http://www.w3.org/2001/XMLSchema#integer> .'
+            '"63"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
         )
 
 

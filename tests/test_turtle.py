@@ -345,6 +345,10 @@ class TestResolveIri:
 
         assert resolve_iri("../x", Iri("urn:a/b/c")).value == "urn:a/x"
         assert resolve_iri("../../../x", Iri("urn:a/b/c")).value == "urn:/x"
+        # RFC 3986 5.2.4 rules A and D: a path of dot segments alone, and a
+        # leading `../` or `./`, go
+        for reference, expected in [("../g", "foo:g"), ("./g", "foo:g"), (".", "foo:"), ("..", "foo:")]:
+            assert resolve_iri(reference, Iri("foo:")).value == expected, reference
 
     def test_authority_only_base(self):
         from triplify.turtle import resolve_iri
