@@ -12,8 +12,11 @@ Two more stages read copies of that text the writer would not make:
 parse_foreign one with a comment first line, CRLF line ends and an
 escaped literal last, and parse_broken one with a relative IRI on its
 last line, whose ParseError the stage returns.
-validate_graph and the queries each get a fresh copy of the parsed
-graph, with no index or table built yet.
+validate_graph checks that graph against the builtin shapes, and
+validate_flagged against the same shapes with every bound set to 0 0,
+so that every focus node that holds a value violates each of them.
+Both, and the queries, each get a fresh copy of the parsed graph, with
+no index or table built yet.
 
 Alone, each stage runs REPEATS times timed with process CPU time, and
 its median (`cpu_s`) and minimum (`cpu_min_s`) are reported, then once
@@ -46,6 +49,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
@@ -67,6 +71,7 @@ STAGES = (
     "parse_foreign",
     "parse_broken",
     "validate_graph",
+    "validate_flagged",
     *QUERIES,
 )
 
@@ -113,8 +118,11 @@ def prepare(name: str, n: int, texts: dict[str, str], nt: str):
         broken = nt + "<http://e.org/s> <http://e.org/p> <rel> .\n"
         return refused, lambda: broken
     parsed = T.parse_ntriples(nt)
-    if name == "validate_graph":
+    if name in ("validate_graph", "validate_flagged"):
         shapes = T.builtin_shapes()
+        if name == "validate_flagged":
+            zero = lambda c: replace(c, min_count=0, max_count=0)  # noqa: E731
+            shapes = [replace(s, constraints=tuple(map(zero, s.constraints))) for s in shapes]
         return lambda g: T.validate_graph(g, shapes), lambda: T.merge([parsed])
     q = T.parse_query(QUERIES[name], T.registry_prefixes())
     return lambda g: T.execute(g, q), lambda: T.merge([parsed])

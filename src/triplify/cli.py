@@ -145,7 +145,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        g = parse_ntriples(_read(args.graph))
+        g = merge(_load_graphs(args.graphs))
     except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load graph: {exc}", 2)
     try:
@@ -240,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the tab-separated skipped-term log here")
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("validate", help="check an N-Triples graph against shapes")
-    p.add_argument("graph", help="N-Triples file")
+    p = sub.add_parser("validate", help="check one or more graphs against shapes")
+    p.add_argument("graphs", nargs="+", help="N-Triples files, merged before validating")
     p.add_argument("--shapes", help="shapes file (default: bundled registry shapes)")
     p.set_defaults(func=cmd_validate)
 

@@ -477,9 +477,10 @@ def validate_mapping(
     Each map's logical table must be provided, and every column its term
     maps and join conditions read must be one of that table's. A parent
     triples map that is not one of `m.triples_maps`, reachable only
-    through a reference, is checked at that reference: its logical table,
-    and its subject map's columns, are errors of the referring map. A
-    parent in the document is checked as its own map.
+    through a reference, is checked at the first reference of each map
+    that reaches it: its logical table, unless that is the referring
+    map's own, and its subject map's columns are errors of the referring
+    map. A parent in the document is checked as its own map.
 
     Errors block conversion; warnings do not. An empty error set is the
     precondition of convert(), which reads no row until it holds.
@@ -501,9 +502,12 @@ def validate_mapping(
             if c not in cols:
                 err(tm_id, f"{what} references column {c!r} absent from table {table!r}")
 
+    in_document = {id(tm) for tm in m.triples_maps}
     for tm in m.triples_maps:
         tm_id = tm.id.to_ntriples()
         used_tables.add(tm.logical_table)
+        # the parents checked as their own maps, or at a reference of tm
+        checked = set(in_document)
         if tm.logical_table not in available_columns:
             err(tm_id, f"logical table {tm.logical_table!r} was not provided")
         check_columns(tm_id, tm.logical_table, tm.subject_map, "subject map")
@@ -518,8 +522,9 @@ def validate_mapping(
                 rom = pom.object
                 parent_table = rom.parent.logical_table
                 used_tables.add(parent_table)
-                if not any(rom.parent is other for other in m.triples_maps):
-                    if parent_table not in available_columns:
+                if id(rom.parent) not in checked:
+                    checked.add(id(rom.parent))
+                    if parent_table != tm.logical_table and parent_table not in available_columns:
                         err(tm_id, f"logical table {parent_table!r} was not provided")
                     parent_subject = rom.parent.subject_map
                     check_columns(tm_id, parent_table, parent_subject, "parent subject map")

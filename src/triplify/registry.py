@@ -2,9 +2,10 @@
 
 Ships four things: an ontology-coded vocabulary (classes and predicates
 grouped into demographic / tumour / treatment categories around a central
-patient class), shape constraints over converted graphs, a structural
-validator, and a deterministic synthetic data generator that stands in
-for the real registry tables.
+patient class), shape constraints over converted graphs, a validator
+that checks a constraint at a time from its predicate's triples
+(`validate_graph`), and a deterministic synthetic data generator that
+stands in for the real registry tables.
 
 Vocabulary and shapes live in committed data files (see data/), loaded
 here; the ontology codes are data and can be re-pointed without touching
@@ -249,20 +250,20 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
     cardinality.
 
     The graph is read from its predicate index, by term ID, a constraint
-    at a time: each class's members are grouped once, and each
-    constrained predicate's bucket is screened once, for whether any
-    subject holds two values there and for its distinct objects. When
-    none does, that settles every count; else the values per subject are
-    counted, once, for the first constraint with a maximum or a minimum
-    above one. Each distinct constraint finds its bad objects once, by
-    the datatype a literal's spelling ends in or by the class's members. A focus node is flagged when it holds a bad
-    object or its count of values lies outside the constraint's bounds;
-    one that is never flagged holds only conforming values, in bounds,
-    and conforms. Only the flagged focus nodes of a shape, in canonical
-    order, go through the per-focus check, with their objects grouped
-    from the buckets for them alone. Only the predicate index is built,
-    and term objects are made only for the violations, once they are all
-    found.
+    at a time, each from its predicate's bucket alone; each class's
+    members are grouped once. A constraint finds its bad objects once per distinct
+    object, by the datatype a literal's spelling ends in or by the
+    class's members, and reports the focus nodes that hold one. Then it
+    counts each subject's conforming values in one `Counter`, but only
+    when a bound can need the counts: a minimum above 1, or a maximum
+    below the bucket's size. A focus node that holds no conforming value
+    has a count of 0, and one that holds some is read from the counts
+    only when the minimum is above 1 or the largest count is above the
+    maximum. A shape's violations are found constraint by constraint and
+    put in focus order by one stable sort, so a focus node's violations
+    keep their constraint order, its bad objects before its count. Only
+    the predicate index is built, and term objects are made only for the
+    violations, once they are all found.
     """
     terms, by_p = g._terms, g._index(1)
 
@@ -273,99 +274,47 @@ def validate_graph(g: Graph, shapes: list[Shape]) -> ValidationReport:
     for s, _, o in by_p.get(id_of(RDF_TYPE), ()):
         members.setdefault(o, set()).add(s)
 
-    constraints = [c for shape in shapes for c in shape.constraints]
-    # each constrained predicate's bucket, whether no subject holds two
-    # values there, and its distinct objects; its count of values per
-    # subject, with the largest count, is made the first time a bound
-    # needs it (`counted`). A set of a bucket's subjects is several times
-    # the size of the bucket, so none is kept.
-    screens: dict[Iri, tuple] = {}
-    for p in dict.fromkeys(c.predicate for c in constraints):
-        bucket = by_p.get(id_of(p), ())
-        single = len(set(map(itemgetter(0), bucket))) == len(bucket)
-        screens[p] = bucket, single, set(map(itemgetter(2), bucket))
-    counted: dict[Iri, tuple[Counter, int]] = {}
-    # each distinct (predicate, kind, kind IRI): its bad objects and the
-    # subjects that hold one
-    flaws: dict[tuple, tuple[set[int], set[int]]] = {}
-    for c in constraints:
-        key = (c.predicate, c.kind, c.kind_iri)
-        if key in flaws:
-            continue
-        bucket, _, objects = screens[c.predicate]
-        if c.kind == "literal":
-            of_datatype = literal_test(c.kind_iri.value)
-            bad = {o for o in objects if not of_datatype(terms[o])}
-        else:
-            # members are subjects, so a literal is never one
-            bad = objects.difference(members.get(id_of(c.kind_iri), ()))
-        flaws[key] = bad, {s for s, _, o in bucket if o in bad} if bad else set()
-
     # each violation's fields, its focus and offending object as term IDs
     found: list[tuple] = []
     for shape in shapes:
         focuses = members.get(id_of(shape.target_class))
         if not focuses:
             continue
-        flaws_of = [flaws[c.predicate, c.kind, c.kind_iri] for c in shape.constraints]
-        flagged: set[int] = set()
-        for c, (_, bad_holders) in zip(shape.constraints, flaws_of):
-            bucket, single, _ = screens[c.predicate]
-            flagged |= bad_holders
-            lo, hi = c.min_count, c.max_count
-            if lo > 0:
-                flagged |= focuses.difference(map(itemgetter(0), bucket))
-            if single:
-                # every holder has one value
-                if lo > 1 or hi == 0:
-                    flagged.update(map(itemgetter(0), bucket))
-                continue
-            if lo > 1 or hi is not None:
-                if c.predicate not in counted:
-                    counts = Counter(map(itemgetter(0), bucket))
-                    counted[c.predicate] = counts, max(counts.values())
-                counts, most = counted[c.predicate]
-                # a holder's count is at least 1 and at most `most`
-                if lo > 1 or most > hi:
-                    flagged.update(
-                        s for s, n in counts.items() if n < lo or (hi is not None and n > hi)
-                    )
-        flagged &= focuses
-        if not flagged:
-            continue
-        values: dict[Iri, dict[int, list[int]]] = {}
-        for p in dict.fromkeys(c.predicate for c in shape.constraints):
-            by_subject = values[p] = {}
-            bucket = screens[p][0]
-            for s, _, o in compress(bucket, map(flagged.__contains__, map(itemgetter(0), bucket))):
-                by_subject.setdefault(s, []).append(o)
-        checks = [
-            (
-                c,
-                "is not a literal of datatype" if c.kind == "literal" else "lacks required type",
-                values[c.predicate],
-                bad_objects,
-            )
-            for c, (bad_objects, _) in zip(shape.constraints, flaws_of)
-        ]
-        for focus in sorted(flagged, key=terms.__getitem__):
-            for c, flaw, by_subject, bad_objects in checks:
-                objects = by_subject.get(focus, ())
-                bad = [o for o in objects if o in bad_objects]
-                for o in sorted(bad, key=terms.__getitem__):
-                    message = f"object {terms[o]} {flaw} {c.kind_iri.to_ntriples()}"
-                    found.append((focus, shape.target_class, c.predicate, message, None, o))
-                conforming = len(objects) - len(bad)
-                # a count is spelt through Decimal: str() refuses an int
-                # of more than 4,300 digits
-                if conforming < c.min_count:
-                    bound = f"at least {Decimal(c.min_count)}"
-                elif c.max_count is not None and conforming > c.max_count:
-                    bound = f"at most {Decimal(c.max_count)}"
-                else:
-                    continue
-                message = f"expected {bound} conforming value(s), found {conforming}"
-                found.append((focus, shape.target_class, c.predicate, message, conforming, None))
+        cls, of_shape = shape.target_class, []
+        for c in shape.constraints:
+            p, lo, hi = c.predicate, c.min_count, c.max_count
+            bucket = by_p.get(id_of(p), ())
+            objects = set(map(itemgetter(2), bucket))
+            if c.kind == "literal":
+                of_datatype = literal_test(c.kind_iri.value)
+                bad = {o for o in objects if not of_datatype(terms[o])}
+                flaw = "is not a literal of datatype"
+            else:
+                # members are subjects, so a literal is never one
+                bad = objects.difference(members.get(id_of(c.kind_iri), ()))
+                flaw = "lacks required type"
+            held = map(itemgetter(0), bucket)
+            if bad:
+                flaw = f"{flaw} {c.kind_iri.to_ntriples()}"
+                flawed = compress(bucket, map(bad.__contains__, map(itemgetter(2), bucket)))
+                pairs = sorted((terms[o], s, o) for s, _, o in flawed if s in focuses)
+                of_shape += [(s, cls, p, f"object {text} {flaw}", None, o) for text, s, o in pairs]
+                good = objects - bad
+                held = compress(held, map(good.__contains__, map(itemgetter(2), bucket)))
+            # no subject holds more values than the bucket has triples
+            top = len(bucket) if hi is None else hi
+            counted = lo > 1 or top < len(bucket)
+            counts = Counter(held) if counted else held if lo else ()
+            out = [(s, 0) for s in focuses.difference(counts)] if lo else []
+            if counted and (lo > 1 or max(counts.values(), default=0) > top):
+                out += [(s, n) for s, n in counts.items() if not lo <= n <= top and s in focuses]
+            # a bound is spelt through Decimal: str() refuses an int of
+            # more than 4,300 digits; `top` is `hi` wherever a count is above it
+            below = f"expected at least {Decimal(lo)} conforming value(s), found "
+            above = f"expected at most {Decimal(top)} conforming value(s), found "
+            of_shape += [(s, cls, p, f"{below if n < lo else above}{n}", n, None) for s, n in out]
+        of_shape.sort(key=lambda v: terms[v[0]])
+        found += of_shape
     made = g._made(i for v in found for i in (v[0], v[5]) if i is not None)
     return ValidationReport(
         [

@@ -279,6 +279,21 @@ class TestValidate:
         assert code == 1
         assert len(stdout.splitlines()) == 1
 
+    def test_two_graphs_are_merged_and_a_blank_focus_is_named_by_its_scoped_label(
+        self, capsys, tmp_path, conforming_graph
+    ):
+        patient = "<http://purl.obolibrary.org/obo/NCIT_C16960>"
+        typed = f"_:b0 <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> {patient} .\n"
+        second = tmp_path / "second.nt"
+        second.write_text(typed)
+        code, stdout, _ = run(capsys, "validate", str(conforming_graph), str(second))
+        assert code == 1
+        lines = stdout.splitlines()
+        # the blank patient holds none of the four required edges
+        assert len(lines) == 4
+        assert all(line.startswith(f"_:f2_b0\t{patient}\t") for line in lines)
+        assert lines[0].endswith("expected at least 1 conforming value(s), found 0")
+
     def test_malformed_ntriples_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.nt"
         bad.write_text("<http://e.org/s> <http://e.org/p> .\n")

@@ -633,6 +633,29 @@ class TestValidateMapping:
             "error: <http://ex.org/Parent>: subject map references column 'ID' absent from table 'P'"
         ]
 
+    def test_a_parent_outside_the_document_gives_one_line_per_problem(self):
+        text = RR + """
+        ex:C rr:logicalTable [ rr:tableName "P" ] ;
+          rr:subjectMap [ rr:template "http://e.org/c/{ID}" ] ;
+          rr:predicateObjectMap [
+            rr:predicate ex:first ; rr:objectMap [ rr:parentTriplesMap ex:Parent ]
+          ] , [
+            rr:predicate ex:second ; rr:objectMap [ rr:parentTriplesMap ex:Parent ]
+          ] .
+        ex:Parent rr:logicalTable [ rr:tableName "P" ] ;
+          rr:subjectMap [ rr:template "http://e.org/p/{PK}" ] .
+        """
+        m = mapping_of(text)
+        # the parent is reached only through the child's two references
+        m.triples_maps = [tm for tm in m.triples_maps if tm.id == Iri("http://ex.org/C")]
+        assert [str(d) for d in validate_mapping(m, {})] == [
+            "error: <http://ex.org/C>: logical table 'P' was not provided"
+        ]
+        assert [str(d) for d in validate_mapping(m, {"P": {"ID"}})] == [
+            "error: <http://ex.org/C>: parent subject map references column 'PK'"
+            " absent from table 'P'"
+        ]
+
     def test_joinless_cross_table_reference(self):
         text = RR + """
         ex:Child rr:logicalTable [ rr:tableName "C" ] ;

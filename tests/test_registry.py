@@ -19,6 +19,7 @@ from triplify import (
     load_vocabulary,
     parse_ntriples,
     registry_prefixes,
+    serialize_ntriples,
     validate_graph,
     write_csv,
 )
@@ -269,6 +270,12 @@ class TestValidateGraph:
         )
 
 
+    def test_only_the_predicate_index_is_built(self):
+        g = parse_ntriples(serialize_ntriples(dirty_graph(300, 5)))
+        assert not g._indexes
+        assert not validate_graph(g, builtin_shapes()).conforms
+        assert set(g._indexes) == {1}
+
     def test_too_many_conforming_values_is_one_violation(self):
         g = synthetic_graph(n=2, seed=2)
         age = term_by_label("has age").iri
@@ -319,7 +326,7 @@ HAND_MADE_SHAPES = {
         "ncit:C16960\troo:P100018\tclass(ncit:C99999)\t1\t1\n"
     ),
     "empty": [],
-    # the screen's edges: a count of 0 * is never out of bounds
+    # a count of 0 * is never out of bounds: only bad objects are reported
     "zero-or-more": load_shapes(
         "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t0\t*\n"
         "ncit:C16960\troo:P100018\tclass(ncit:C28421)\t0\t*\n"
@@ -340,6 +347,15 @@ HAND_MADE_SHAPES = {
     "bad-objects-drop-below-min": load_shapes(
         "ncit:C16960\troo:P100027\tliteral(xsd:integer)\t2\t2\n"
     ),
+    # every bound 0 0: every focus node that holds a value is out of
+    # bounds on each predicate it holds
+    "every-focus-flagged": [
+        Shape(
+            s.target_class,
+            tuple(ShapeConstraint(c.predicate, c.kind, c.kind_iri, 0, 0) for c in s.constraints),
+        )
+        for s in builtin_shapes()
+    ],
     "one-predicate-two-kinds": load_shapes(
         "ncit:C16960\troo:P100039\tclass(ncit:C15313)\t1\t*\n"
     )
