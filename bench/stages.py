@@ -5,9 +5,10 @@
 
 Run from a source checkout; triplify is imported from its `src/`. For
 each size, synthetic tables of that many patients, from seed 1, go
-through synth, load_csv, convert, serialize_ntriples, parse_ntriples,
-validate_graph and two queries. The tables' CSV texts and their
-N-Triples text are made once; each stage's input is made from them.
+through synth, write_csv, load_csv, convert, serialize_ntriples,
+parse_ntriples, validate_graph and two queries. The tables' CSV texts
+and their N-Triples text are made once; each stage's input is made from
+them, but write_csv's, which is synth's tables.
 Two more stages read copies of that text the writer would not make:
 parse_foreign one with a comment first line, CRLF line ends and an
 escaped literal last, and parse_broken one with a relative IRI on its
@@ -64,6 +65,7 @@ QUERIES = {
 }
 STAGES = (
     "synth",
+    "write_csv",
     "load_csv",
     "convert",
     "serialize_ntriples",
@@ -98,6 +100,9 @@ def prepare(name: str, n: int, texts: dict[str, str], nt: str):
     """The call that is stage `name`, and the maker of its input."""
     if name == "synth":
         return lambda _: T.generate_synthetic(n, SEED), lambda: None
+    if name == "write_csv":
+        tables = T.generate_synthetic(n, SEED)
+        return lambda made: list(map(T.write_csv, made.values())), lambda: tables
     load = lambda: {k: T.load_csv(text, k) for k, text in texts.items()}  # noqa: E731
     if name == "load_csv":
         return lambda _: load(), lambda: None

@@ -76,6 +76,12 @@ def _load_graphs(paths: list[str]) -> list[Graph]:
     return graphs
 
 
+def _load_graph(paths: list[str]) -> Graph:
+    """One file's graph as parsed, or several files' graphs merged."""
+    graphs = _load_graphs(paths)
+    return graphs[0] if len(graphs) == 1 else merge(graphs)
+
+
 def _write_output(text: str, output: Optional[str] = None) -> None:
     """Write text to the output file, or to stdout when there is none.
 
@@ -145,7 +151,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        g = merge(_load_graphs(args.graphs))
+        g = _load_graph(args.graphs)
     except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load graph: {exc}", 2)
     try:
@@ -170,10 +176,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     except (OSError, TriplifyError) as exc:
         return _fail(f"bad query: {exc}", 2)
     try:
-        graphs = _load_graphs(args.graphs)
+        g = _load_graph(args.graphs)
     except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load graph: {exc}", 2)
-    g = merge(graphs)
     try:
         if args.explain:
             solution, plan = explain(g, q)
@@ -203,7 +208,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     try:
-        g = merge(_load_graphs(args.graphs))
+        g = _load_graph(args.graphs)
     except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load graph: {exc}", 2)
     terms, ids, by_p = g._terms, g._ids, g._index(1)

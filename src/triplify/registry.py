@@ -336,6 +336,12 @@ _FIRST_DAY = date(2019, 1, 1)
 _DAY_SPAN = (date(2023, 12, 31) - _FIRST_DAY).days
 
 
+@cache
+def _iso_days() -> tuple[str, ...]:
+    """The ISO spelling of every day a synthetic treatment can start on."""
+    return tuple((_FIRST_DAY + timedelta(days=d)).isoformat() for d in range(_DAY_SPAN + 1))
+
+
 def generate_synthetic(n: int, seed: int) -> dict[str, TableSource]:
     """Deterministic flat tables for n patients: PATIENT plus TREATMENT.
 
@@ -347,27 +353,30 @@ def generate_synthetic(n: int, seed: int) -> dict[str, TableSource]:
     if n < 0:
         raise ValueError("n must be >= 0")
     rng = random.Random(seed)
+    randint, choice, randrange = rng.randint, rng.choice, rng.randrange
+    days = _iso_days()
     patients = []
     treatments = []
     treatment_id = 0
     for pid in range(1, n + 1):
+        patient_id = str(pid)
         patients.append(
             {
-                "ID": str(pid),
-                "AGE": str(rng.randint(18, 90)),
-                "SEX": rng.choice(_SEX_CODES),
-                "TUMOUR_SITE": rng.choice(_SITE_CODES),
+                "ID": patient_id,
+                "AGE": str(randint(18, 90)),
+                "SEX": choice(_SEX_CODES),
+                "TUMOUR_SITE": choice(_SITE_CODES),
             }
         )
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(randint(1, 3)):
             treatment_id += 1
-            day = _FIRST_DAY + timedelta(days=rng.randrange(_DAY_SPAN + 1))
-            modality, code = rng.choice(_MODALITIES)
+            day = days[randrange(_DAY_SPAN + 1)]
+            modality, code = choice(_MODALITIES)
             treatments.append(
                 {
                     "ID": f"T{treatment_id}",
-                    "PATIENT_ID": str(pid),
-                    "RT_START_DATE": day.isoformat(),
+                    "PATIENT_ID": patient_id,
+                    "RT_START_DATE": day,
                     "MODALITY": modality,
                     "MODALITY_CODE": code,
                 }

@@ -15,6 +15,14 @@ two, so records are read here, in one of two ways:
 
 `TableSource` is the one place a header is checked; `load_csv` builds
 it from the header record first.
+
+`write_csv` writes a column at a time. A column with no NULL, no empty
+string and no `,`, `"`, CR or LF in any cell (one search of its joined
+cells) is written as it is; only the cells of any other column go
+through the per-field rule: NULL as a bare empty field, the empty
+string as `""`, and a cell holding one of those four characters quoted
+with its `"` doubled. The records are the columns zipped and joined by
+`,`, each ended by LF.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import CsvError, DuplicateHeaderError, RaggedRowError
@@ -116,19 +125,32 @@ def load_csv(text: str, name: str = "") -> TableSource:
     return table
 
 
+# A character that only a quoted field can hold.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
 def _format_field(cell: Cell) -> str:
     if cell is None:
         return ""
     if cell == "":
         return '""'
-    if any(c in cell for c in ',"\r\n'):
+    if _NEEDS_QUOTES.search(cell):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
 
+def _format_column(cells: list[Cell]) -> list[str]:
+    """Each cell's CSV field. A column with no NULL, no empty string and
+    no character to quote is its own list of fields, returned as it is."""
+    if None in cells or "" in cells or _NEEDS_QUOTES.search("".join(cells)):
+        return list(map(_format_field, cells))
+    return cells
+
+
 def write_csv(table: TableSource) -> str:
     """Render a table as CSV text (LF line endings, NULL as bare empty)."""
-    lines = [",".join(_format_field(c) for c in table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_format_field(row[c]) for c in table.columns))
+    rows = table.rows
+    columns = [_format_column(list(map(itemgetter(c), rows))) for c in table.columns]
+    lines = [",".join(map(_format_field, table.columns))]
+    lines += map(",".join, zip(*columns)) if columns else repeat("", len(rows))
     return "\n".join(lines) + "\n"

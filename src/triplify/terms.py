@@ -60,9 +60,17 @@ _DOUBLE_LEXICAL = re.compile(
 _BOOLEAN_LEXICAL = re.compile(r"true|false|1|0")
 # XSD 1.1 Part 2 D.3.1: a year of more than four digits has no leading
 # zero; a timezone is Z or an offset from -14:00 to +14:00.
-_DATE_LEXICAL = re.compile(
-    r"(-?(?:[1-9][0-9]{3,}|0[0-9]{3}))-([0-9]{2})-([0-9]{2})"
-    r"(?:Z|([+-])((?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
+_YEAR = r"-?(?:[1-9][0-9]{3,}|0[0-9]{3})"
+_OFFSET = r"(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00"
+_DATE_LEXICAL = re.compile(rf"({_YEAR})-([0-9]{{2}})-([0-9]{{2}})(?:Z|([+-])({_OFFSET}))?")
+# A line that is a valid date whatever its year: day 1-28 of any month,
+# 29 or 30 of any month but February, 31 of a month that has one. Only
+# 29 February, and a text that is no date, are left to `_valid_date`.
+_DATES_OF_ANY_YEAR = re.compile(
+    rf"^{_YEAR}-(?:(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
+    r"|(?:0[13-9]|1[0-2])-(?:29|30)|(?:0[13578]|1[02])-31)"
+    rf"(?:Z|[+-](?:{_OFFSET}))?\n",
+    re.MULTILINE,
 )
 _MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
@@ -292,7 +300,9 @@ def own_literal_spellings(tail: str, bodies: list[str]) -> bool:
     bodies looks for a character the writer escapes or a lone surrogate.
     A group where it finds one is refused, written escapes and all, and
     its literals are spelt one at a time; in any other group each body is
-    its own spelling when its datatype's test passes it."""
+    its own spelling when its datatype's test passes it. An xsd:date
+    group is searched once, as lines, by `_DATES_OF_ANY_YEAR`; only the
+    bodies it leaves go to the test, `_valid_date`."""
     if not tail:
         datatype = XSD_STRING.value
     elif tail[0] == "@":
@@ -308,8 +318,12 @@ def own_literal_spellings(tail: str, bodies: list[str]) -> bool:
         ):
             return False
     test = _DATATYPES.get(datatype, _UNORDERED)[0]
-    clean = _ESCAPE_OR_SURROGATE.search("".join(bodies)) is None
-    return clean and (test is None or all(map(test, bodies)))
+    if _ESCAPE_OR_SURROGATE.search("".join(bodies)) is not None:
+        return False
+    if test is _valid_date:
+        # a clean body holds no LF; each body, then LF, is a line
+        bodies = _DATES_OF_ANY_YEAR.sub("", "\n".join(bodies + [""])).split("\n")[:-1]
+    return test is None or all(map(test, bodies))
 
 
 def literal_parts(text: str) -> tuple[str, str]:

@@ -299,6 +299,28 @@ def random_quote_free_csv(rng: random.Random) -> str:
     return bom + "".join(map(str.__add__, lines, ends))
 
 
+# Cells a CSV field holds as it is, then cells only a quoted field (or,
+# for NULL, a bare empty one) can hold.
+_PLAIN_CELLS = ("x", "42", "a b", "café", "日本", "\U0001f642", " ", "\t")
+_CSV_CELLS = _PLAIN_CELLS + (
+    None, "", ",", '"', "\r", "\n", "\r\n", 'say "hi"', "a,b", "two\nlines"
+)
+
+
+def random_csv_table(rng: random.Random) -> TableSource:
+    """A table for the CSV writer: zero to four distinct column names and
+    zero to twelve rows, names and cells drawn from a pool that holds
+    NULL, the empty string, commas, quotes, CR, LF and non-ASCII text;
+    about half the columns draw only cells a field holds as they are, so
+    the writer meets both kinds of column."""
+    names = rng.sample([c for c in _CSV_CELLS if c is not None], rng.randint(0, 4))
+    pools = {name: rng.choice((_PLAIN_CELLS, _CSV_CELLS)) for name in names}
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        rows.append({n: rng.choice(pools[n]) for n in names})
+    return TableSource("T", tuple(names), rows)
+
+
 # --- byte-level mutation ----------------------------------------------------
 
 # Bytes that change how the lexer splits text, plus a non-ASCII lead byte.

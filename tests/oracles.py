@@ -5,7 +5,9 @@ The reference serializer spells each triple's line from its terms'
 with the term-ID writer.
 
 The reference CSV reader reads every text, quoted or not, with the one
-field pattern `tabular` keeps for texts that hold a `"`.
+field pattern `tabular` keeps for texts that hold a `"`. The reference
+CSV writer spells a row at a time and every cell alone, never testing a
+column as a whole.
 
 The reference N-Triples reader matches every line with the full line
 pattern, never splitting a line at its spaces; the columns it reports
@@ -112,6 +114,25 @@ def load_every_field(text: str, name: str = "") -> TableSource:
             raise RaggedRowError(number, len(table.columns), len(record))
         table.rows.append(dict(zip(table.columns, record)))
     return table
+
+
+def _field_of(cell) -> str:
+    if cell is None:
+        return ""
+    if cell == "":
+        return '""'
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def write_every_cell(table: TableSource) -> str:
+    """What `write_csv` gives: a row at a time, each cell, header names
+    too, spelt alone by its own field rule, each record ended by LF."""
+    lines = [",".join(_field_of(c) for c in table.columns)]
+    for row in table.rows:
+        lines.append(",".join(_field_of(row[c]) for c in table.columns))
+    return "\n".join(lines) + "\n"
 
 
 def line_of(t: Triple) -> str:

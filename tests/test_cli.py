@@ -455,6 +455,22 @@ class TestQueryAcrossFiles:
         code, stdout, _ = run(capsys, "stats", *paths)
         assert code == 0 and stdout.splitlines()[0] == "triples\t2"
 
+    @pytest.mark.parametrize("command", ["validate", "query", "stats"])
+    def test_one_file_is_used_as_parsed_without_a_merge(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        path = tmp_path / "g.nt"
+        path.write_text('<http://ex.org/a> <http://ex.org/p> "x" .\n')
+        merged = []
+        monkeypatch.setattr(cli, "merge", lambda graphs: merged.append(graphs))
+        argv = {"validate": [], "stats": [], "query": ["--query", "SELECT ?s WHERE { ?s ?p ?o . }"]}
+        code, stdout, _ = run(capsys, command, str(path), *argv[command])
+        assert code == 0 and merged == []
+        if command == "query":
+            assert stdout.splitlines() == ["?s", "<http://ex.org/a>"]
+        if command == "stats":
+            assert stdout.splitlines()[0] == "triples\t1"
+
     def test_blank_free_files_are_loaded_as_parsed(self, tmp_path, monkeypatch):
         texts = ['<http://ex.org/a> <http://ex.org/p> "x" .\n', "_:x <http://ex.org/q> _:y .\n"]
         paths = []

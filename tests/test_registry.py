@@ -1,5 +1,6 @@
 """Vocabulary, shapes, graph validation, and the synthetic generator."""
 
+import hashlib
 import random
 
 import pytest
@@ -443,6 +444,40 @@ class TestGenerateSynthetic:
         b = generate_synthetic(25, 9)
         for name in ("PATIENT", "TREATMENT"):
             assert write_csv(a[name]) == write_csv(b[name])
+
+    # sha256 of the PATIENT and TREATMENT CSV texts: a seed gives the
+    # same tables on every Python version and in every release
+    PINNED = {
+        (0, 1): (
+            "e72d3355e167cfb1bfa22d6a20fb5928739586c967d3694d3060bb627a13aec2",
+            "b10078e9262dc33e2c4ba32354e99904269b9938d50dfef308640b900bb22331",
+        ),
+        (1, 0): (
+            "50779c6a6f26961588dfe640c9e01c2905164fc1e8d264b989e8eaca51052973",
+            "7cc5a1f88a426ceed4213fd68ca483514c338d1771c98c8e5e86baa1ef5aadee",
+        ),
+        (25, 9): (
+            "530c247d0196fae0cb2ce9e517f1186827d92eaafa461a468703115b83685f43",
+            "4ca230f51688054f2ff413cbc6d07f898ecef6ea508340ae8a1b0a0140e455ac",
+        ),
+        (300, 7): (
+            "7a4063f719b7057cb652484ffbbe4db37f3c7c444ba24475c5b0df0909e5ef25",
+            "ca21a4c0888b272c8046b2d872ab713a227c256fed55157d187161e0615e4f4c",
+        ),
+        (2500, 1): (
+            "4df996e1f667470a8b02491ae6089e5da3c05945f31bd519601af342ec66fa9a",
+            "27ce5be7d2c2a5c5a62d03f8231e823e6a633b1309e96d70848126835d1254da",
+        ),
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(PINNED))
+    def test_pinned_csv_digests(self, n, seed):
+        tables = generate_synthetic(n, seed)
+        digests = tuple(
+            hashlib.sha256(write_csv(tables[name]).encode("utf-8")).hexdigest()
+            for name in ("PATIENT", "TREATMENT")
+        )
+        assert digests == self.PINNED[n, seed]
 
     def test_row_shapes_and_ranges(self):
         tables = generate_synthetic(30, 4)

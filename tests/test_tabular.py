@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from triplify import TableSource, load_csv, write_csv
+from triplify import TableSource, generate_synthetic, load_csv, write_csv
 from triplify.errors import CsvError, DuplicateHeaderError, RaggedRowError
 
-from genutil import mutated_csv_texts, random_quote_free_csv
-from oracles import load_every_field
+from genutil import mutated_csv_texts, random_csv_table, random_quote_free_csv
+from oracles import load_every_field, write_every_cell
 
 
 class TestLoadCsv:
@@ -114,6 +114,43 @@ class TestWriteCsv:
     def test_header_only(self):
         table = TableSource("T", ("A", "B"), [])
         assert write_csv(table) == "A,B\n"
+
+    @pytest.mark.parametrize(
+        "columns, rows, text",
+        [
+            ((), [], "\n"),
+            ((), [{}, {}], "\n\n\n"),
+            (("",), [{"": ""}, {"": None}], '""\n""\n\n'),
+            (("A,B",), [{"A,B": "x"}], '"A,B"\nx\n'),
+            (("A",), [{"A": "x"}, {"A": "\r"}], 'A\nx\n"\r"\n'),
+        ],
+    )
+    def test_hand_written(self, columns, rows, text):
+        table = TableSource("T", columns, rows)
+        assert write_csv(table) == write_every_cell(table) == text
+
+    def test_random_tables_match_the_cell_at_a_time_writer(self):
+        rng = random.Random(3413)
+        for _ in range(2000):
+            table = random_csv_table(rng)
+            text = write_csv(table)
+            assert text == write_every_cell(table), (table.columns, table.rows)
+            if table.columns:
+                again = load_csv(text, "T")
+                assert (again.columns, again.rows) == (table.columns, table.rows)
+
+    def test_synthetic_and_dirty_tables_match_the_cell_at_a_time_writer(self):
+        for n, seed in ((0, 1), (40, 3), (300, 7)):
+            tables = generate_synthetic(n, seed)
+            for table in tables.values():
+                assert write_csv(table) == write_every_cell(table)
+            rng = random.Random(seed)
+            for table in tables.values():
+                for row in table.rows:
+                    if rng.random() < 0.1:
+                        column = rng.choice(table.columns)
+                        row[column] = rng.choice((None, "", 'a,"b"', "x\ny"))
+                assert write_csv(table) == write_every_cell(table)
 
 
 class TestTableSource:

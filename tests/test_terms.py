@@ -31,11 +31,14 @@ from triplify.terms import (
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
+    _DATES_OF_ANY_YEAR,
+    _valid_date,
     date_minutes,
     escape_literal,
     exact_int,
     literal_test,
     literal_text,
+    own_literal_spellings,
 )
 
 from genutil import random_term
@@ -339,6 +342,39 @@ class TestSpellings:
             assert str(err.value) == str(exc)
         else:
             assert literal_text(lexical, datatype.value, language) == want
+
+    def test_a_date_group_reads_as_valid_date_reads_each_body(self):
+        years = [
+            "2019", "2020", "2021", "1900", "2000", "2100", "2400", "0000", "0004",
+            "0100", "0400", "10000", "10004", "12000", "100000", "99999", "-0001",
+            "-0004", "-0400", "-2000", "-10000", "-10004", "00000", "123", "-012345",
+        ]
+        months = [f"{m:02d}" for m in range(14)]
+        days = ["00", "01", "09", "10", "19", "27", "28", "29", "30", "31", "32"]
+        zones = [
+            "", "", "Z", "+00:00", "+13:59", "-13:59", "+14:00", "-14:00",
+            "+14:01", "-14:01", "+14:30", "-15:00", "+1400", "+09:60",
+        ]
+        rng = random.Random(9)
+        bodies = []
+        for _ in range(20000):
+            body = f"{rng.choice(years)}-{rng.choice(months)}-{rng.choice(days)}{rng.choice(zones)}"
+            if rng.random() < 0.02:
+                at = rng.randrange(len(body) + 1)
+                body = body[:at] + rng.choice(["", "x", "-", "0", "\u2028", "\x85"]) + body[at + 1 :]
+            bodies.append(body)
+        tail = f"^^<{XSD_DATE.value}>"
+        for body in bodies:
+            valid = _valid_date(body)
+            assert own_literal_spellings(tail, [body]) == valid, body
+            # every valid date but 29 February is settled by the one search
+            settled = _DATES_OF_ANY_YEAR.fullmatch(body + "\n") is not None
+            assert settled == (valid and body[body.index("-", 1) + 1 :][:5] != "02-29"), body
+        for _ in range(500):
+            group = rng.sample(bodies, rng.randint(0, 6))
+            if rng.random() < 0.7:
+                group = [b for b in group if _valid_date(b)]
+            assert own_literal_spellings(tail, group) == all(map(_valid_date, group)), group
 
     def test_literal_text_agrees_with_the_literal_over_random_forms(self):
         # lone surrogates, controls, quotes and backslashes, alone or
