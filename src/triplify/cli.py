@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .convert import convert
-from .errors import QueryError, TriplifyError
+from .errors import TriplifyError
 from .graph import Graph, merge
 from .ntriples import parse_ntriples, serialize_ntriples
 from .query import execute, explain, parse_query
@@ -179,13 +179,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         g = _load_graph(args.graphs)
     except (OSError, TriplifyError) as exc:
         return _fail(f"cannot load graph: {exc}", 2)
-    try:
-        if args.explain:
-            solution, plan = explain(g, q)
-        else:
-            solution = execute(g, q)
-    except QueryError as exc:
-        return _fail(str(exc), 1)
+    if args.explain:
+        solution, plan = explain(g, q)
+    else:
+        solution = execute(g, q)
     _write_output(solution.to_tsv())
     if args.explain:
         print(json.dumps(plan), file=sys.stderr)

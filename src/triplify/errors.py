@@ -143,4 +143,7 @@ class UnboundProjectionError(QueryError):
 
 
 class TypeMismatchError(QueryError):
-    """An ordering filter was applied to a non-comparable value."""
+    """An ordering filter's operand has no order (`FILTER(?x < "abc")`).
+
+    Raised only by `parse_query`: when a query runs, ordering a term of
+    another kind drops that row, as SPARQL 1.1 section 17.2 says."""

@@ -186,8 +186,8 @@ class Graph:
     def _valued(self, ids: Iterable[int]) -> dict[int, tuple[Optional[str], object]]:
         """The graph's table of FILTER values by term ID, holding at least
         `ids`: a literal whose datatype orders (`terms._DATATYPES`) has its
-        kind, "numeric" or "date", and its value, any other term `(None,
-        None)`. A term's value is derived the first time its ID is asked
+        kind, "numeric", "date" or "boolean", and its value, any other term
+        `(None, None)`. A term's value is derived the first time its ID is asked
         for, from the term `_made` holds, and kept until a write drops the
         table."""
         valued = self._tables.get("values")

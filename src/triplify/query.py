@@ -22,16 +22,19 @@ in it. The plan takes the patterns greedily, each time the one with the
 fewest expected matches per row: a constant expects the exact size of
 its index bucket (0 when absent, so the answer is empty at once), a
 variable bound by an earlier step its index's mean bucket size; ties
-keep written order. A FILTER runs as soon as it and every FILTER
-written before it have their variables bound, so answers, and whether a
-query raises TypeMismatchError, are those of testing every filter in
-written order after all patterns, whatever order the patterns are
-written in. `explain` also reports the plan, each step's access (a key
-lookup, an index position or a scan) and the rows left after each step.
-A FILTER orders the datatypes `terms._DATATYPES` gives a kind of value:
-xsd:integer, xsd:decimal and xsd:double by numeric value, with each other,
-and xsd:date by value, as XSD `op:date-less-than` orders them (a date
-without a timezone is taken as Z). Integers and decimals have exact
+keep written order. A FILTER runs at the step that first binds its
+variable, so answers are those of testing every filter after all
+patterns, whatever order patterns and filters are written in. `explain`
+also reports the plan, each step's access (a key lookup, an index
+position or a scan) and the rows left after each step and its filters.
+
+A FILTER compares by value the datatypes `terms._DATATYPES` gives a
+kind of value: xsd:integer, xsd:decimal and xsd:double by number, with
+each other, xsd:date as XSD `op:date-less-than` orders them (a date
+without a timezone is taken as Z), and xsd:boolean with false before
+true, so `"1"` equals `true`. Ordering a term of another kind is an
+error, which drops its row, as SPARQL 1.1 section 17.2 says; `=` and
+`!=` on one are false and true. Integers and decimals have exact
 values; a decimal met by a double is compared as a double (XPath numeric
 type promotion, SPARQL 1.1 section 17.3), and an integer meets a double
 by their exact values. As in SPARQL 1.1, `1.5` is an xsd:decimal and
@@ -224,7 +227,7 @@ class _QueryParser(TokenParser):
         kind = _DATATYPES.get(operand.datatype.value, _UNORDERED)[1]
         if op_tok.kind in _ORDERING_OPS and kind is None:
             raise TypeMismatchError(
-                f"ordering operator {op_tok.kind!r} needs a numeric or date operand"
+                f"ordering operator {op_tok.kind!r} needs a numeric, date or boolean operand"
             )
         return FilterExpr(Var(var_tok.value), op_tok.kind, operand)
 
@@ -281,7 +284,9 @@ class _Step:
     # IDs at its `first` ones; both None when none repeats
     repeated: Optional[Callable[[Key], object]]
     first: Optional[Callable[[Key], object]]
-    ready: int  # filters, a written-order prefix, whose variables are bound after it
+    # the filters on the variables first bound here, in written order, each
+    # a function from rows to the rows it keeps
+    filters: tuple[Callable[[list[tuple]], list[tuple]], ...]
 
     def run(self, rows: list[tuple]) -> list[tuple]:
         """Every row extended by each of its matches, in one comprehension
@@ -390,9 +395,6 @@ def _plan(g: Graph, q: Query) -> _Plan:
                     wanted.append(slot)
         for name in fresh:
             slots[name] = len(row) + len(slots)
-        ready = 0
-        while ready < len(q.filters) and q.filters[ready].var.name in slots:
-            ready += 1
         # a step whose only test is a repeat compares empty tuples for the rest
         steps.append(
             _Step(
@@ -406,43 +408,32 @@ def _plan(g: Graph, q: Query) -> _Plan:
                 _values(*fresh.values()),
                 itemgetter(*(pos for pos, _ in repeats)) if repeats else None,
                 itemgetter(*(first for _, first in repeats)) if repeats else None,
-                ready,
+                tuple(_filter(f, g, slots[f.var.name]) for f in q.filters if f.var.name in fresh),
             )
         )
     return _Plan(tuple(steps), slots, tuple(row))
 
 
 def _solve(g: Graph, q: Query) -> tuple[_Plan, list[tuple], list[int]]:
-    """The plan, every matching row, and the rows left after each step run.
+    """The plan, every matching row, and the rows left after each step
+    and its filters.
 
-    A filter runs as soon as it and every filter written before it have
-    their variables bound. That drops a row only where filters 1..i-1
-    pass and filter i is False, where the written-order test of every
-    filter after all patterns is False too, without raising; so the
-    answers and whether the query raises stay those of that test. Once
-    a filter raises, the rest wait until after the last step.
+    Each step runs, then the filters on the variables it first binds. A
+    filter's outcome on a row is a function of its variable's term alone,
+    and one that cannot order the term drops the row (SPARQL 1.1 section
+    17.2), so the rows left are those of testing every filter after all
+    patterns, whatever order patterns and filters are written in.
     """
     plan = _plan(g, q)
-    filters = [_filter(f, g, plan.slots[f.var.name]) for f in q.filters]
     rows = [plan.row]
     counts: list[int] = []
-    done = 0  # filters applied to every row
-    early = True
     for step in plan.steps:
         rows = step.run(rows)
-        if early:
-            try:
-                for keep in filters[done : step.ready]:
-                    rows = keep(rows)
-                    done += 1
-            except TypeMismatchError:
-                early = False
+        for keep in step.filters:
+            rows = keep(rows)
         counts.append(len(rows))
         if not rows:
-            return plan, rows, counts
-    # a row that raised still holds; this raises as the written order would
-    for keep in filters[done:]:
-        rows = keep(rows)
+            break
     return plan, rows, counts
 
 
@@ -453,9 +444,9 @@ def _filter(f: FilterExpr, g: Graph, slot: int) -> Callable[[list[tuple]], list[
     The outcome is a function of the term, so it is found once per
     distinct ID in the rows, by one comparison of the term's value, read
     from g's table of values (`Graph._valued`), with the operand's; a
-    row is then kept by one set lookup. Ordering a term of another type
-    raises TypeMismatchError, naming the first row's such term; = and !=
-    on one are False and True."""
+    row is then kept by one set lookup. On a term of another kind, an
+    ordering operator and = are False and != True: the error of ordering
+    it drops the row, as SPARQL 1.1 section 17.2 says."""
     op, operand = f.op, f.operand
     _, kind, value = _DATATYPES.get(operand.datatype.value, _UNORDERED)
     if kind is None:
@@ -478,9 +469,6 @@ def _filter(f: FilterExpr, g: Graph, slot: int) -> Callable[[list[tuple]], list[
         for i in ids:
             its_kind, its_value = valued[i]
             if its_kind != kind:
-                if op in _ORDERING_OPS:
-                    spelling = g._terms[next(r[slot] for r in rows if valued[r[slot]][0] != kind)]
-                    raise TypeMismatchError(f"cannot order {spelling} against a {kind} operand")
                 if op == "!=":
                     kept.add(i)
             elif type(its_value) is promoted:
@@ -545,8 +533,8 @@ def explain(g: Graph, q: Query) -> tuple[Solution, dict]:
     chosen, each with its pattern, its estimate of matches per row, its
     access ("key" for one lookup of its fully bound triple, "s", "p" or
     "o" for the index whose bucket it reads, "all" for a scan) and the
-    rows left after it and the filters it let run (None for a step not
-    reached because an earlier one left no rows)."""
+    rows left after it and the filters on the variables it first binds
+    (None for a step not reached because an earlier one left no rows)."""
     solution, plan, counts = _evaluate(g, q)
     steps = [
         {

@@ -193,7 +193,7 @@ _DATATYPES: dict[str, tuple[Callable[[str], object], Optional[str], Optional[Cal
     XSD_DECIMAL.value: (_DECIMAL_LEXICAL.fullmatch, "numeric", Decimal),
     XSD_DOUBLE.value: (_DOUBLE_LEXICAL.fullmatch, "numeric", float),
     XSD_DATE.value: (_valid_date, "date", date_minutes),
-    XSD_BOOLEAN.value: (_BOOLEAN_LEXICAL.fullmatch, None, None),
+    XSD_BOOLEAN.value: (_BOOLEAN_LEXICAL.fullmatch, "boolean", ("true", "1").__contains__),
 }
 _UNORDERED = (None, None, None)  # the _DATATYPES entry of any other datatype
 

@@ -32,8 +32,9 @@ object's `rdf:type` triple.
 The brute-force query evaluator enumerates every assignment of variables
 to terms occurring in the graph and keeps those satisfying all patterns
 by membership, then applies the documented filter semantics: dates by
-XSD value order, not text. It shares no code with the engine's join loop
-or its date arithmetic.
+XSD value order, not text, booleans by value, and a term of another
+kind failing an ordering filter, as an error does in SPARQL 1.1. It
+shares no code with the engine's join loop or its date arithmetic.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from triplify.errors import (
     ParseError,
     RaggedRowError,
     TriplifyError,
-    TypeMismatchError,
 )
 from triplify.lexer import unescape
 from triplify.ntriples import _LINE, _LITERAL, _syntax_error
@@ -62,6 +62,7 @@ from triplify.tabular import _FIELD
 from triplify.terms import (
     RDF_LANGSTRING,
     RDF_TYPE,
+    XSD_BOOLEAN,
     XSD_DATE,
     XSD_DECIMAL,
     XSD_DOUBLE,
@@ -483,24 +484,25 @@ def _numbers(left: Literal, right: Literal):
 
 
 def _filter_holds(f: FilterExpr, binding) -> bool:
+    """Whether the binding passes the filter. A term of another kind than
+    a numeric, date or boolean operand is unequal to it, and ordering it
+    is an error, which fails the filter."""
     value = binding[f.var.name]
     operand = f.operand
     if operand.datatype in _NUMERIC:
         if not isinstance(value, Literal) or value.datatype not in _NUMERIC:
-            if f.op == "!=":
-                return True
-            if f.op == "=":
-                return False
-            raise TypeMismatchError("non-numeric under ordering")
+            return f.op == "!="
         left, right = _numbers(value, operand)
     elif operand.datatype == XSD_DATE:
         if not isinstance(value, Literal) or value.datatype != XSD_DATE:
-            if f.op == "!=":
-                return True
-            if f.op == "=":
-                return False
-            raise TypeMismatchError("non-date under ordering")
+            return f.op == "!="
         left, right = _date_instant(value.lexical), _date_instant(operand.lexical)
+    elif operand.datatype == XSD_BOOLEAN:
+        if not isinstance(value, Literal) or value.datatype != XSD_BOOLEAN:
+            return f.op == "!="
+        # false is 0 and true 1 (XSD 1.1), so false orders first
+        truth = {"false": 0, "0": 0, "true": 1, "1": 1}
+        left, right = truth[value.lexical], truth[operand.lexical]
     else:
         same = isinstance(value, Literal) and value == operand
         return same if f.op == "=" else not same

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -24,7 +25,15 @@ from triplify.errors import (
     UnboundProjectionError,
 )
 from triplify.query import FilterExpr, Query, Var, _pattern_text, explain
-from triplify.terms import RDF_TYPE, XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
+from triplify.terms import (
+    RDF_TYPE,
+    XSD_BOOLEAN,
+    XSD_DATE,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_INTEGER,
+    XSD_STRING,
+)
 
 from genutil import pooled_graph, random_query_text
 from oracles import brute_force, brute_force_solution, solution_tuples
@@ -252,12 +261,14 @@ class TestExecute:
         assert got == expected
 
     def test_runtime_type_mismatch(self):
+        # ordering "abc" against a number is an error, which drops the row
+        # (SPARQL 1.1 section 17.2) under either direction of the operator
         g = Graph([Triple(Iri(EX + "s"), Iri(EX + "p"), Literal("abc"))])
-        q = parse_query(
-            "PREFIX e: <http://ex.org/> SELECT ?v WHERE { ?s e:p ?v . FILTER(?v > 5) }"
-        )
-        with pytest.raises(TypeMismatchError):
-            execute(g, q)
+        for op in (">", "<="):
+            q = parse_query(
+                f"PREFIX e: <http://ex.org/> SELECT ?v WHERE {{ ?s e:p ?v . FILTER(?v {op} 5) }}"
+            )
+            assert execute(g, q).rows == [] == brute_force_solution(g, q)
 
     def test_repeated_variable_in_pattern(self):
         g = Graph(
@@ -456,6 +467,30 @@ class TestExecute:
             assert got == ([(Iri(EX + "s"),)] if holds else []), (left, this, other)
             assert got == brute_force_solution(g, q)
 
+    def test_boolean_filters_compare_by_value(self):
+        # "1" is true and "0" false, and false orders before true
+        # (op:boolean-equal and op:boolean-less-than); a number is no boolean
+        g = Graph(
+            Triple(_iri(name), _iri("b"), Literal(lexical, XSD_BOOLEAN))
+            for name, lexical in (("t", "true"), ("one", "1"), ("f", "false"), ("zero", "0"))
+        )
+        g.add(Triple(_iri("n"), _iri("b"), Literal("1", XSD_INTEGER)))
+        for condition, want in (
+            ("= true", ["one", "t"]),
+            ("!= true", ["f", "n", "zero"]),
+            ('= "0"^^xsd:boolean', ["f", "zero"]),
+            ("< true", ["f", "zero"]),
+            (">= false", ["f", "one", "t", "zero"]),
+            ("> true", []),
+        ):
+            q = parse_query(
+                "PREFIX e: <http://ex.org/> PREFIX xsd: <http://www.w3.org/2001/XMLSchema#> "
+                f"SELECT ?s WHERE {{ ?s e:b ?v . FILTER(?v {condition}) }}"
+            )
+            got = solution_tuples(execute(g, q))
+            assert got == brute_force_solution(g, q), condition
+            assert [row[0].value[len(EX) :] for row in got] == want, condition
+
 
 class TestOracleEquivalence:
     def test_brute_force_small_battery(self):
@@ -465,20 +500,9 @@ class TestOracleEquivalence:
         for case in range(40):
             g = pooled_graph(rng, 60)
             q = parse_query(random_query_text(rng))
-            try:
-                want = brute_force_solution(g, q)
-                want_raised = None
-            except TypeMismatchError:
-                want_raised = TypeMismatchError
+            want = brute_force_solution(g, q)
             for run in range(2):
-                try:
-                    got = solution_tuples(execute(g, q))
-                    raised = None
-                except TypeMismatchError:
-                    raised = TypeMismatchError
-                assert raised == want_raised, f"case {case}, run {run}"
-                if raised is None:
-                    assert got == want, f"case {case}, run {run}"
+                assert solution_tuples(execute(g, q)) == want, f"case {case}, run {run}"
 
     def test_projections_of_every_width(self):
         # answer rows are made per projection width; each width from 1 to
@@ -522,10 +546,7 @@ class TestOracleEquivalence:
         for case in range(25):
             g = pooled_graph(rng, 60)
             q = parse_query(random_query_text(rng))
-            try:
-                base = solution_tuples(execute(g, q))
-            except TypeMismatchError:
-                continue
+            base = solution_tuples(execute(g, q))
             for perm in itertools.permutations(q.patterns):
                 q2 = type(q)(q.variables, q.count_var, tuple(perm), q.filters)
                 assert solution_tuples(execute(g, q2)) == base, f"case {case}"
@@ -571,7 +592,7 @@ def _iri(name):
 
 def _with_filters(q, rng):
     """q plus one to three random filters on its variables, some of which
-    raise TypeMismatchError on terms of the wrong type."""
+    order terms of another kind, an error that drops the row."""
     names = sorted(
         {t.name for pat in q.patterns for t in (pat.s, pat.p, pat.o) if isinstance(t, Var)}
     )
@@ -589,11 +610,11 @@ def _with_filters(q, rng):
     return Query(q.variables, q.count_var, q.patterns, q.filters + tuple(extra))
 
 
-def _outcome(g, q):
-    try:
-        return solution_tuples(execute(g, q))
-    except TypeMismatchError:
-        return TypeMismatchError
+def _orders_another_kind(f: FilterExpr, term) -> bool:
+    """Whether the filter orders a term of another kind than its operand."""
+    kinds = {XSD_INTEGER: "number", XSD_DECIMAL: "number", XSD_DOUBLE: "number", XSD_DATE: "date"}
+    kind = kinds.get(term.datatype) if isinstance(term, Literal) else None
+    return f.op in ("<", "<=", ">", ">=") and kind != kinds[f.operand.datatype]
 
 
 class TestPerGraphTables:
@@ -623,14 +644,15 @@ class TestPerGraphTables:
         assert after[0] == {"s": early, "v": Literal("9.5", XSD_DECIMAL)}
         assert after[1:] == before
 
-    def test_ordering_a_term_without_a_value_raises_on_every_execution(self):
+    def test_ordering_a_term_without_a_value_drops_its_row_every_time(self):
+        q = parse_query(self.QUERY)
+        want = execute(self._graph(), q).rows
+        assert len(want) == 4
         for odd in (Iri(EX + "o"), Literal("abc")):
             g = self._graph()
             g.add(Triple(Iri(EX + "s9"), Iri(EX + "p"), odd))
-            q = parse_query(self.QUERY)
             for _ in range(2):
-                with pytest.raises(TypeMismatchError, match="cannot order"):
-                    execute(g, q)
+                assert execute(g, q).rows == want
             assert "values" in g._tables
             # = and != on it are False and True, reading the same table
             eq = parse_query(self.QUERY.replace("> 3", "= 3"))
@@ -662,27 +684,30 @@ class TestPerGraphTables:
 
 class TestPlannedJoins:
     """Whatever order the planner runs patterns and filters in, answers
-    and whether a query raises are those of the written-order evaluation."""
+    are those of testing every filter after all patterns."""
 
-    def test_raising_is_pattern_order_invariant(self):
+    def test_dropping_is_pattern_order_invariant(self):
         rng = random.Random(8080)
-        raised = 0
+        dropped = 0
         for case in range(60):
             g = pooled_graph(rng, 60)
             q = _with_filters(parse_query(random_query_text(rng)), rng)
-            try:
-                want = brute_force_solution(g, q)
-            except TypeMismatchError:
-                want = TypeMismatchError
-            raised += want is TypeMismatchError
+            want = brute_force_solution(g, q)
+            # a case where some filter orders a term of another kind on a
+            # row the patterns give, so dropping that row decides the answer
+            unfiltered = brute_force(g, Query(q.variables, q.count_var, q.patterns, ()))
+            dropped += any(
+                _orders_another_kind(f, b[f.var.name]) for b in unfiltered for f in q.filters
+            )
             for perm in itertools.permutations(q.patterns):
                 q2 = Query(q.variables, q.count_var, tuple(perm), q.filters)
-                assert _outcome(g, q2) == want, f"case {case}"
-        assert 0 < raised < 60  # the battery holds both outcomes
+                assert solution_tuples(execute(g, q2)) == want, f"case {case}"
+        assert 0 < dropped < 60  # the battery holds both kinds of case
 
     def test_filter_raising_on_a_row_a_later_pattern_removes(self):
         # e:p has the smaller bucket, so it runs first and the filter on ?v
-        # meets "abc"; e:q then removes that row, so nothing raises
+        # meets "abc", an error that drops that row there; e:q would remove
+        # it too
         g = Graph(
             [
                 Triple(_iri("a"), _iri("p"), Literal("abc")),
@@ -699,7 +724,7 @@ class TestPlannedJoins:
             assert plan["steps"][0]["pattern"].endswith("<http://ex.org/p> ?v")
 
     @pytest.mark.parametrize(
-        "filters, raises",
+        "filters, ordering_first",
         [
             ('FILTER(?v > 3) FILTER(?w = "y")', True),
             ('FILTER(?w = "y") FILTER(?v > 3)', False),
@@ -707,22 +732,51 @@ class TestPlannedJoins:
             ('FILTER(?v = "y") FILTER(?v > 3)', False),
         ],
     )
-    def test_filter_order_on_one_row(self, filters, raises):
-        # on the row of e:a, ?v > 3 raises and the equality is False: the
-        # written order decides, whether ?v or ?w is bound first
+    def test_filter_order_on_one_row(self, filters, ordering_first):
+        # on the row of e:a, ?v > 3 is an error and the equality is False:
+        # each drops the row at the step that binds its variable, whichever
+        # is written first and whether ?v or ?w is bound first
         row = [
             Triple(_iri("a"), _iri("p"), Literal("abc")),
             Triple(_iri("a"), _iri("r"), Literal("x")),
         ]
         more_p = [Triple(_iri(s), _iri("p"), Literal("5", XSD_INTEGER)) for s in "bc"]
         more_r = [Triple(_iri(s), _iri("r"), Literal("x")) for s in "bc"]
+        written = re.findall(r"FILTER\([^)]*\)", filters)
+        ordering, equality = written if ordering_first else written[::-1]
+        assert ordering == "FILTER(?v > 3)"
         for g, first in ((Graph(row + more_r), "p"), (Graph(row + more_p), "r")):
             for body in ("?s e:p ?v . ?s e:r ?w .", "?s e:r ?w . ?s e:p ?v ."):
                 text = f"PREFIX e: <http://ex.org/> SELECT ?s WHERE {{ {body} }}"
                 steps = explain(g, parse_query(text))[1]["steps"]
                 assert f"<http://ex.org/{first}>" in steps[0]["pattern"]
-                q = parse_query(text.replace("}", filters + " }"))
-                assert _outcome(g, q) == (TypeMismatchError if raises else [])
+                # the variable the first step binds; rows after each step
+                # when a filter on it runs there, and when none does
+                bound = "?v" if first == "p" else "?w"
+                for tested in (filters, ordering, equality):
+                    q = parse_query(text.replace("}", tested + " }"))
+                    solution, plan = explain(g, q)
+                    assert solution.rows == [] == brute_force_solution(g, q)
+                    rows = [0, None] if f"({bound} " in tested else [1, 0]
+                    assert [s["rows"] for s in plan["steps"]] == rows, tested
+
+    def test_a_filter_runs_at_the_step_binding_its_variable(self):
+        # e:p has the smaller bucket, so ?v is bound first: the filter on
+        # it, though written second, cuts the rows there, before ?w is bound
+        g = Graph(
+            [Triple(_iri(s), _iri("p"), Literal(v, XSD_INTEGER)) for s, v in zip("abc", "179")]
+            + [Triple(_iri(s), _iri("q"), Literal(w)) for s, w in zip("abcde", "xxyxx")]
+        )
+        q = parse_query(
+            "PREFIX e: <http://ex.org/> SELECT ?s WHERE "
+            '{ ?s e:q ?w . ?s e:p ?v . FILTER(?w = "x") FILTER(?v > 3) }'
+        )
+        solution, plan = explain(g, q)
+        assert solution_tuples(solution) == [(_iri("b"),)] == brute_force_solution(g, q)
+        assert [(s["pattern"], s["rows"]) for s in plan["steps"]] == [
+            ("?s <http://ex.org/p> ?v", 2),
+            ("?s <http://ex.org/q> ?w", 1),
+        ]
 
     def test_repeated_variable_bound_or_not(self):
         g = Graph(
@@ -882,14 +936,11 @@ class TestStepForms:
                 q = parse_query(text)
                 if rng.random() < 0.3:
                     q = _with_filters(q, rng)
-                try:
-                    want = brute_force_solution(g, q)
-                except TypeMismatchError:
-                    want = TypeMismatchError
-                assert _outcome(g, q) == want, f"case {case}: {text}"
-                if want is not TypeMismatchError:
-                    for step in explain(g, q)[1]["steps"]:
-                        accesses[step["access"]] += 1
+                solution, plan = explain(g, q)
+                want = brute_force_solution(g, q)
+                assert solution_tuples(solution) == want, f"case {case}: {text}"
+                for step in plan["steps"]:
+                    accesses[step["access"]] += 1
                 cases += 1
         assert cases >= 500
         assert all(accesses.values()), accesses
